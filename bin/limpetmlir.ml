@@ -18,34 +18,31 @@
 
 open Cmdliner
 
-let load_model (name : string) : Easyml.Model.t =
+let find_model (name : string) : (Easyml.Model.t, Easyml.Diag.t) result =
+  let error code msg = Error (Easyml.Diag.make ~sev:Easyml.Diag.Error ~code msg) in
   match Models.Registry.find name with
-  | Some e -> Models.Registry.model e
-  | None ->
-      if Sys.file_exists name then
-        let ic = open_in_bin name in
-        let src = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Easyml.Sema.analyze_source
+  | Some e -> Ok (Models.Registry.model e)
+  | None when Sys.file_exists name -> (
+      let src = In_channel.with_open_bin name In_channel.input_all in
+      match
+        Easyml.Sema.analyze_result
           ~name:Filename.(remove_extension (basename name))
           src
-      else
-        Fmt.failwith "unknown model %s (not in registry, not a file)" name
+      with
+      | Ok m -> Ok m
+      | Error msg -> error "load-failed" msg)
+  | None ->
+      error "unknown-model"
+        (Fmt.str "unknown model %s (not in registry, not a file)" name)
 
-let config ?(spline = false) ~width ~layout ~no_lut ~autovec () :
-    Codegen.Config.t =
-  let base =
-    if autovec then Codegen.Config.autovec ~width
-    else if width = 1 then Codegen.Config.baseline
-    else Codegen.Config.mlir ~width
-  in
-  let base =
-    match Runtime.Layout.of_string layout with
-    | Some l -> { base with layout = l }
-    | None when layout = "" -> base
-    | None -> Fmt.failwith "unknown layout %s (aos, soa, aosoa<N>)" layout
-  in
-  { base with use_lut = not no_lut; lut_spline = spline }
+(* Commands that cannot go on without their model report a load failure
+   as a diagnostic and exit 1. *)
+let load_model (name : string) : Easyml.Model.t =
+  match find_model name with
+  | Ok m -> m
+  | Error d ->
+      Fmt.epr "%a@." (Easyml.Diag.pp ~file:name) d;
+      exit 1
 
 (* -- flight recorder helpers ---------------------------------------- *)
 
@@ -61,20 +58,6 @@ let build_info () : Obs.Export.build_info =
       | Some tc -> tc.Exec.Native.id
       | None -> "unavailable");
   }
-
-let bits_hex (v : float) : string =
-  Printf.sprintf "%016Lx" (Int64.bits_of_float v)
-
-let of_bits_hex (s : string) : float =
-  Int64.float_of_bits (Int64.of_string ("0x" ^ s))
-
-let engine_of_name : string -> Sim.Driver.engine option = function
-  | "fused" -> Some Sim.Driver.Fused
-  | "batched" -> Some Sim.Driver.Batched
-  | "closure" -> Some Sim.Driver.Compiled
-  | "interp" -> Some Sim.Driver.Reference
-  | "native" -> Some Sim.Driver.Native
-  | _ -> None
 
 (* SIGINT/SIGTERM land here when a flight recorder is armed, so the
    main loop can write a crash dump before exiting with the
@@ -99,8 +82,8 @@ let health_text (d : Sim.Driver.t) : string option =
 
 (* Post-mortem bundle: structured report, recent trace events, health
    snapshot, and the newest on-disk checkpoint (when a writer ran). *)
-let dump_crash ~(dir : string) ~(reason : string) ~(message : string)
-    ~(d : Sim.Driver.t) (writer : Obs.Recorder.writer option) : unit =
+let dump_crash ~(reason : string) ~(message : string) ~(d : Sim.Driver.t)
+    (w : Obs.Recorder.writer) : unit =
   let report =
     let open Obs.Json in
     Obj
@@ -116,19 +99,34 @@ let dump_crash ~(dir : string) ~(reason : string) ~(message : string)
       ]
   in
   let bundle =
-    Obs.Recorder.crash_dump ~dir
-      ?last_checkpoint:(Option.bind writer Obs.Recorder.last)
-      ~events:(Obs.Tracer.tail ()) ?health:(health_text d) ~report ()
+    Obs.Recorder.crash_dump ~dir:(Obs.Recorder.writer_dir w)
+      ?last_checkpoint:(Obs.Recorder.last w) ~events:(Obs.Tracer.tail ())
+      ?health:(health_text d) ~report ()
   in
   Fmt.epr "# crash dump -> %s@." bundle
 
+(* Run [f]; a hard health trip (exit 3) or a trapped signal (exit
+   128+signum) ends the process, with a crash dump when a flight
+   recorder is armed. *)
+let guarded ~(d : Sim.Driver.t) (writer : Obs.Recorder.writer option)
+    (f : unit -> 'a) : 'a =
+  let abort ~reason code message =
+    Fmt.epr "%s@." message;
+    Option.iter (dump_crash ~reason ~message ~d) writer;
+    exit code
+  in
+  try f () with
+  | Obs.Health.Tripped msg -> abort ~reason:"health-trip" 3 msg
+  | Interrupted code ->
+      abort ~reason:"signal" code
+        (Printf.sprintf "interrupted by signal (exit %d)" code)
+
 (* Run manifest: everything an operator needs to reproduce or audit the
-   run — model identity, engine/config/pipeline, toolchain, transval
-   certificate count, population and BENCH-comparable timings. *)
-let write_run_manifest ~(dir : string) ~(kind : string)
-    ~(m : Easyml.Model.t) ~(cfg : Codegen.Config.t) ~(d : Sim.Driver.t)
-    ~(steps : int) ~(threads : int) ~(wall_s : float) ~(compute_s : float)
-    ~(extra : (string * Obs.Json.t) list) : unit =
+   run — the run spec, model identity, the engine that ran, pipeline,
+   toolchain, transval certificate count and BENCH-comparable timings. *)
+let write_run_manifest (w : Obs.Recorder.writer) ~(spec : Spec.t)
+    ~(m : Easyml.Model.t) ~(d : Sim.Driver.t) ~(wall_s : float)
+    ~(compute_s : float) : unit =
   let open Obs.Json in
   let certs =
     List.fold_left
@@ -136,37 +134,29 @@ let write_run_manifest ~(dir : string) ~(kind : string)
       0
       (Codegen.Cache.certificates ())
   in
+  let meta = Spec.to_meta spec in
   let manifest =
     Obj
-      ([
-         ("kind", Str kind);
-         ("version", Str limpetmlir_version);
-         ("ocaml", Str Sys.ocaml_version);
-         ("model", Str m.Easyml.Model.name);
-         ( "model_digest",
-           Str (Digest.to_hex (Digest.string (Fmt.str "%a" Easyml.Model.pp m)))
-         );
-         ("config", Str (Codegen.Config.describe cfg));
-         ("engine", Str (Sim.Driver.engine_name d.Sim.Driver.engine));
-         ("tile", Num (float_of_int d.Sim.Driver.tile));
-         ("specialized", Bool d.Sim.Driver.specialized);
-         ("threads", Num (float_of_int threads));
-         ("pipeline", Str Codegen.Cache.pipeline_id);
-         ("transval_certificates", Num (float_of_int certs));
-         ( "toolchain",
-           Str
-             (match Exec.Native.toolchain () with
-             | Some tc -> tc.Exec.Native.id
-             | None -> "unavailable") );
-         ("cells", Num (float_of_int d.Sim.Driver.ncells));
-         ("steps", Num (float_of_int steps));
-         ("dt_ms", Num d.Sim.Driver.dt);
-         ( "timings",
-           Obj [ ("compute_s", Num compute_s); ("wall_s", Num wall_s) ] );
-       ]
-      @ extra)
+      [
+        ("kind", Str (List.assoc "kind" meta));
+        ("version", Str limpetmlir_version);
+        ("ocaml", Str Sys.ocaml_version);
+        ("model", Str m.Easyml.Model.name);
+        ( "model_digest",
+          Str (Digest.to_hex (Digest.string (Fmt.str "%a" Easyml.Model.pp m)))
+        );
+        ("config", Str (Codegen.Config.describe (Spec.config spec.codegen)));
+        ("engine", Str (Sim.Driver.engine_name d.Sim.Driver.engine));
+        ("pipeline", Str Codegen.Cache.pipeline_id);
+        ("transval_certificates", Num (float_of_int certs));
+        ("toolchain", Str (build_info ()).Obs.Export.bi_toolchain);
+        ("spec", Obj (List.map (fun (k, v) -> (k, Str v)) meta));
+        ("timings", Obj [ ("compute_s", Num compute_s); ("wall_s", Num wall_s) ]);
+      ]
   in
-  let path = Obs.Recorder.write_manifest ~dir manifest in
+  let path =
+    Obs.Recorder.write_manifest ~dir:(Obs.Recorder.writer_dir w) manifest
+  in
   Fmt.pr "# run manifest -> %s@." path
 
 (* -- common args ---------------------------------------------------- *)
@@ -179,7 +169,14 @@ let width_arg =
          ~doc:"Vector width: 1 (scalar baseline), 2 (SSE), 4 (AVX2), 8 (AVX-512).")
 
 let layout_arg =
-  Arg.(value & opt string "" & info [ "layout" ] ~docv:"L"
+  let layout =
+    Arg.conv'
+      ( (fun s ->
+          Option.to_result (Runtime.Layout.of_string s)
+            ~none:("unknown layout " ^ s ^ " (aos, soa, aosoa<N>)")),
+        Fmt.of_to_string Runtime.Layout.name )
+  in
+  Arg.(value & opt (some layout) None & info [ "layout" ] ~docv:"L"
          ~doc:"Data layout override: aos, soa, or aosoa<N>.")
 
 let no_lut_arg =
@@ -194,15 +191,16 @@ let spline_arg =
          ~doc:"Cubic (Catmull-Rom) lookup-table interpolation instead of \
                linear (the paper's section 7 future-work item).")
 
+let codegen_t : Spec.codegen Term.t =
+  let make width layout no_lut autovec spline =
+    { Spec.width; layout; no_lut; autovec; spline }
+  in
+  Term.(const make $ width_arg $ layout_arg $ no_lut_arg $ autovec_arg
+        $ spline_arg)
+
 let engine_arg =
   Arg.(value
-       & opt
-           (enum
-              [ ("fused", Sim.Driver.Fused); ("batched", Sim.Driver.Batched);
-                ("native", Sim.Driver.Native);
-                ("closure", Sim.Driver.Compiled);
-                ("interp", Sim.Driver.Reference) ])
-           Sim.Driver.Fused
+       & opt (enum Sim.Driver.engines) Sim.Driver.Fused
        & info [ "engine" ] ~docv:"E"
            ~doc:"Execution engine: $(b,fused) (threaded code with \
                  superinstructions, default), $(b,batched) (tile-batched \
@@ -228,6 +226,26 @@ let specialize_arg =
                identical results either way; specialized artifacts are \
                cached per binding environment.  Default $(b,true).")
 
+let dt_arg = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS")
+let threads_arg = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T")
+
+let cells_arg (default : int) =
+  Arg.(value & opt int default & info [ "cells" ] ~docv:"N"
+         ~doc:"Number of cells.")
+
+(* The run spec a simulating command builds from its flags; the command
+   supplies its shape. *)
+let spec_t ~(steps : int) ~(steps_doc : string) :
+    (Spec.shape -> Spec.t) Term.t =
+  let make model codegen engine tile specialize dt steps threads shape =
+    { Spec.model; codegen; engine; tile; specialize; dt; steps; threads; shape }
+  in
+  let steps =
+    Arg.(value & opt int steps & info [ "steps" ] ~docv:"N" ~doc:steps_doc)
+  in
+  Term.(const make $ model_arg $ codegen_t $ engine_arg $ tile_arg
+        $ specialize_arg $ dt_arg $ steps $ threads_arg)
+
 let ckpt_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "checkpoint-dir" ] ~docv:"DIR"
@@ -246,6 +264,20 @@ let ckpt_stride_arg =
 let ckpt_keep_arg =
   Arg.(value & opt int 3 & info [ "checkpoint-keep" ] ~docv:"K"
          ~doc:"Keep only the newest K checkpoint files (rotation).")
+
+(* --checkpoint-dir with its stride and keep: a flight recorder writing
+   the run spec into every checkpoint, with SIGINT/SIGTERM trapped for
+   its crash dump *)
+let recorder_t : (Spec.t -> Obs.Recorder.writer) option Term.t =
+  let make dir stride keep =
+    Option.map
+      (fun dir spec ->
+        arm_signals ();
+        Obs.Recorder.create_writer ~keep ~extra:(Spec.to_meta spec) ~dir
+          ~stride ())
+      dir
+  in
+  Term.(const make $ ckpt_dir_arg $ ckpt_stride_arg $ ckpt_keep_arg)
 
 let final_digest_arg =
   Arg.(value & flag & info [ "final-digest" ]
@@ -367,12 +399,13 @@ let check_cmd =
     in
     List.iter
       (fun name ->
-        match load_model name with
+        match find_model name with
         | exception e ->
             emit_diag ~file:name
               (Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"load-failed"
                  "%s" (Printexc.to_string e))
-        | m ->
+        | Error d -> emit_diag ~file:name d
+        | Ok m ->
             List.iter (emit_diag ~file:name) (Analysis.Lint.check m);
             if deep then
               List.iter
@@ -503,9 +536,9 @@ let emit_cmd =
                  JIT-compile (the IR printed through the C backend, with \
                  a provenance header) instead of the IR itself.")
   in
-  let run name width layout no_lut autovec spline no_opt c_out output =
+  let run name codegen no_opt c_out output =
     let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
+    let cfg = Spec.config codegen in
     let g = Codegen.Cache.generate ~optimize:(not no_opt) cfg m in
     (match Ir.Verifier.verify_module g.modl with
     | [] -> ()
@@ -533,26 +566,16 @@ let emit_cmd =
         Fmt.pr "wrote %s@." path
   in
   Cmd.v (Cmd.info "emit" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ no_opt $ c_out $ output)
+    Term.(const run $ model_arg $ codegen_t $ no_opt $ c_out $ output)
 
 (* -- run ------------------------------------------------------------ *)
 
 let run_cmd =
   let doc = "Simulate a model and print an action-potential trace." in
-  let cells =
-    Arg.(value & opt int 16 & info [ "cells" ] ~docv:"N" ~doc:"Number of cells.")
-  in
-  let steps =
-    Arg.(value & opt int 50_000 & info [ "steps" ] ~docv:"N"
-           ~doc:"Number of 0.01 ms time steps.")
-  in
-  let dt = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS") in
   let every =
     Arg.(value & opt int 1000 & info [ "trace-every" ] ~docv:"N"
            ~doc:"Print the trace every N steps (0 = summary only).")
   in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Record a Chrome trace of the whole run (compile + every \
@@ -579,14 +602,14 @@ let run_cmd =
                  semantics-preserving before simulating.  A refutation \
                  aborts with exit code 4.")
   in
-  let run name width layout no_lut autovec spline cells steps dt every threads
-      engine tile specialize trace health health_stride validate ckpt_dir
-      ckpt_stride ckpt_keep final_digest =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
+  let run spec cells every trace health health_stride validate recorder
+      final_digest =
+    let spec : Spec.t = spec (Spec.Cells cells) in
+    let m = load_model spec.model in
+    let cfg = Spec.config spec.codegen in
     (* checkpointed runs keep the tracer on so a crash dump carries the
        ring-buffer tail of recent events — tracing never changes results *)
-    if trace <> None || ckpt_dir <> None then begin
+    if trace <> None || recorder <> None then begin
       Obs.Tracer.reset ();
       Obs.Tracer.enable ()
     end;
@@ -594,7 +617,7 @@ let run_cmd =
     let g, d =
       try
         let g = Codegen.Cache.generate cfg m in
-        (g, Sim.Driver.create ~engine ~tile ~specialize g ~ncells:cells ~dt)
+        (g, Spec.driver (Spec.create spec g))
       with Codegen.Cache.Validation_failed cert ->
         Fmt.epr "translation validation refuted pass %s:@.%s@."
           cert.Analysis.Transval.c_pass
@@ -611,71 +634,35 @@ let run_cmd =
           }
         d;
     let stim = Sim.Stim.default in
-    let writer =
-      match ckpt_dir with
-      | None -> None
-      | Some dir ->
-          arm_signals ();
-          Some
-            (Obs.Recorder.create_writer ~keep:ckpt_keep
-               ~extra:
-                 [
-                   ("model_ref", name);
-                   ("steps_total", string_of_int steps);
-                   ("threads", string_of_int threads);
-                   ("cli_width", string_of_int width);
-                   ("cli_layout", layout);
-                   ("cli_no_lut", string_of_bool no_lut);
-                   ("cli_autovec", string_of_bool autovec);
-                   ("cli_spline", string_of_bool spline);
-                   ("engine_req", Sim.Driver.engine_name engine);
-                 ]
-               ~dir ~stride:ckpt_stride ())
-    in
+    let writer = Option.map (fun create -> create spec) recorder in
     Fmt.pr "# model=%s config=%s cells=%d steps=%d dt=%gms@." m.name
-      (Codegen.Config.describe cfg) cells steps dt;
+      (Codegen.Config.describe cfg) cells spec.steps spec.dt;
     if every > 0 then Fmt.pr "# t_ms Vm Iion@.";
     let compute_time = ref 0.0 in
     let wall0 = Unix.gettimeofday () in
-    (try
-       for s = 1 to steps do
-         compute_time :=
-           !compute_time +. Sim.Driver.step_timed ~nthreads:threads ~stim d;
-         (match writer with
-         | Some w when Obs.Recorder.due w ~step:d.Sim.Driver.steps_done ->
-             ignore (Obs.Recorder.record w (Sim.Driver.capture d))
-         | _ -> ());
-         if every > 0 && s mod every = 0 then
-           Fmt.pr "%8.2f %10.4f %10.4f@." (Sim.Driver.time d)
-             (Sim.Driver.vm d 0)
-             (Sim.Driver.ext d "Iion" 0)
-       done
-     with
-    | Obs.Health.Tripped msg ->
-        Fmt.epr "%s@." msg;
-        Option.iter
-          (fun dir -> dump_crash ~dir ~reason:"health-trip" ~message:msg ~d
-               writer)
-          ckpt_dir;
-        exit 3
-    | Interrupted code ->
-        let msg = Printf.sprintf "interrupted by signal (exit %d)" code in
-        Fmt.epr "%s@." msg;
-        Option.iter
-          (fun dir ->
-            dump_crash ~dir ~reason:"signal" ~message:msg ~d writer)
-          ckpt_dir;
-        exit code);
+    guarded ~d writer (fun () ->
+        for s = 1 to spec.steps do
+          compute_time :=
+            !compute_time
+            +. Sim.Driver.step_timed ~nthreads:spec.threads ~stim d;
+          (match writer with
+          | Some w when Obs.Recorder.due w ~step:d.Sim.Driver.steps_done ->
+              ignore (Obs.Recorder.record w (Sim.Driver.capture d))
+          | _ -> ());
+          if every > 0 && s mod every = 0 then
+            Fmt.pr "%8.2f %10.4f %10.4f@." (Sim.Driver.time d)
+              (Sim.Driver.vm d 0)
+              (Sim.Driver.ext d "Iion" 0)
+        done);
     let wall_s = Unix.gettimeofday () -. wall0 in
     Fmt.pr "# compute stage: %.3f s wall clock@." !compute_time;
     if final_digest || writer <> None then
       Fmt.pr "# final state digest: %s@."
         (Obs.Recorder.digest (Sim.Driver.capture d));
     Option.iter
-      (fun dir ->
-        write_run_manifest ~dir ~kind:"cell" ~m ~cfg ~d ~steps ~threads
-          ~wall_s ~compute_s:!compute_time ~extra:[])
-      ckpt_dir;
+      (fun w ->
+        write_run_manifest w ~spec ~m ~d ~wall_s ~compute_s:!compute_time)
+      writer;
     (match Sim.Driver.health_snapshot d with
     | None -> ()
     | Some hs ->
@@ -692,16 +679,18 @@ let run_cmd =
         write_text path (Obs.Export.chrome snap);
         Fmt.pr "# trace: %d events -> %s@."
           (List.length snap.Obs.Tracer.events) path);
-    let r = Machine.Perfmodel.run_kernel g ~ncells:cells ~steps ~nthreads:threads in
+    let r =
+      Machine.Perfmodel.run_kernel g ~ncells:cells ~steps:spec.steps
+        ~nthreads:spec.threads
+    in
     Fmt.pr "# machine model prediction on the paper's platform: %.3f s@."
       r.Machine.Perfmodel.seconds
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ cells $ steps $ dt $ every $ threads
-          $ engine_arg $ tile_arg $ specialize_arg $ trace $ health
-          $ health_stride $ validate $ ckpt_dir_arg $ ckpt_stride_arg
-          $ ckpt_keep_arg $ final_digest_arg)
+    Term.(const run
+          $ spec_t ~steps:50_000 ~steps_doc:"Number of 0.01 ms time steps."
+          $ cells_arg 16 $ every $ trace $ health $ health_stride $ validate
+          $ recorder_t $ final_digest_arg)
 
 (* -- tissue --------------------------------------------------------- *)
 
@@ -724,20 +713,13 @@ let tissue_cmd =
     Arg.(value & opt float 0.01 & info [ "dx" ] ~docv:"CM"
            ~doc:"Node spacing, cm.")
   in
-  let dt = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS") in
-  let steps =
-    Arg.(value & opt int 5_000 & info [ "steps" ] ~docv:"N"
-           ~doc:"Number of time steps.")
-  in
   let sigma =
     Arg.(value & opt float 0.001 & info [ "sigma" ] ~docv:"S"
            ~doc:"Effective diffusivity, cm²/ms.")
   in
   let splitting =
     Arg.(value
-         & opt (enum [ ("godunov", Tissue.Monodomain.Godunov);
-                       ("strang", Tissue.Monodomain.Strang) ])
-             Tissue.Monodomain.Godunov
+         & opt (enum Spec.splittings) Tissue.Monodomain.Godunov
          & info [ "splitting" ] ~docv:"S"
              ~doc:"Operator splitting: $(b,godunov) (ionic then IMEX \
                    diffusion, the Solver.Cable convention, default) or \
@@ -776,12 +758,26 @@ let tissue_cmd =
     Arg.(value & opt float 300.0 & info [ "s2-coupling" ] ~docv:"MS"
            ~doc:"S2 coupling interval after the last S1.")
   in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
   let block_check =
     Arg.(value & opt float 0.0 & info [ "block-check" ] ~docv:"MS"
            ~doc:"Arm the conduction-block detector: trip unless \
                  propagation left the stimulated region by this time \
                  (0 = off).")
+  in
+  let tissue_t : Spec.tissue Term.t =
+    let make nx ny dx sigma splitting protocol stim_width s2_start n_s1
+        interval s2_coupling block_check =
+      let protocol : Spec.protocol =
+        match protocol with
+        | `S1 -> S1
+        | `S1s2 -> S1s2 { s2_start }
+        | `Restitution -> Restitution { n_s1; interval; s2_coupling }
+      in
+      { Spec.nx; ny; dx; sigma; splitting; block_check; stim_width; protocol }
+    in
+    Term.(const make $ nx $ ny $ dx $ sigma $ splitting $ protocol
+          $ stim_width $ s2_start $ s1_count $ s1_interval $ s2_coupling
+          $ block_check)
   in
   let health =
     Arg.(value & flag & info [ "health" ]
@@ -795,134 +791,50 @@ let tissue_cmd =
                  (cell,x,y,activation_ms,reactivations) when the name \
                  ends in .csv, a JSON object otherwise.")
   in
-  let run name width layout no_lut autovec spline engine tile specialize nx ny
-      dx dt steps sigma splitting protocol stim_width s2_start s1_count
-      s1_interval s2_coupling threads block_check health map_out ckpt_dir
-      ckpt_stride ckpt_keep final_digest =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
-    if ckpt_dir <> None then begin
+  let run spec (t : Spec.tissue) health map_out recorder final_digest =
+    let spec : Spec.t = spec (Spec.Tissue t) in
+    let m = load_model spec.model in
+    if recorder <> None then begin
       Obs.Tracer.reset ();
       Obs.Tracer.enable ()
     end;
-    let geom =
-      if ny <= 1 then Tissue.Geometry.cable ~n:nx ~dx
-      else Tissue.Geometry.sheet ~nx ~ny ~dx
-    in
-    let proto =
-      match protocol with
-      | `S1 -> Tissue.Protocol.s1 ~width:stim_width geom
-      | `S1s2 -> Tissue.Protocol.s1s2 ~width:stim_width ~s2_start geom
-      | `Restitution ->
-          Tissue.Protocol.restitution ~width:stim_width ~n_s1:s1_count
-            ~interval:s1_interval ~s2_coupling geom
-    in
-    let tcfg =
-      {
-        Tissue.Monodomain.default_config with
-        Tissue.Monodomain.sigma;
-        splitting;
-        block_check_ms = (if block_check > 0.0 then Some block_check else None);
-      }
-    in
-    let g = Codegen.Cache.generate cfg m in
+    let g = Codegen.Cache.generate (Spec.config spec.codegen) m in
     let sim =
-      Tissue.Monodomain.create ~engine ~tile ~specialize ~config:tcfg
-        ~nthreads:threads g ~geom ~dt ~protocol:proto
+      match Spec.create spec g with
+      | Spec.Tissue_sim sim -> sim
+      | Spec.Cell_sim _ -> assert false
     in
+    let geom = Tissue.Monodomain.geometry sim in
     let d = Tissue.Monodomain.driver sim in
     if health then
       Sim.Driver.enable_health
         ~cfg:{ Obs.Health.default_config with policy = Obs.Health.Abort }
         d;
-    let splitting_name =
-      match splitting with
-      | Tissue.Monodomain.Godunov -> "godunov"
-      | Tissue.Monodomain.Strang -> "strang"
-    in
-    let proto_kind =
-      match protocol with
-      | `S1 -> "s1"
-      | `S1s2 -> "s1s2"
-      | `Restitution -> "restitution"
-    in
-    let writer =
-      match ckpt_dir with
-      | None -> None
-      | Some dir ->
-          arm_signals ();
-          Some
-            (Obs.Recorder.create_writer ~keep:ckpt_keep
-               ~extra:
-                 [
-                   ("model_ref", name);
-                   ("steps_total", string_of_int steps);
-                   ("threads", string_of_int threads);
-                   ("cli_width", string_of_int width);
-                   ("cli_layout", layout);
-                   ("cli_no_lut", string_of_bool no_lut);
-                   ("cli_autovec", string_of_bool autovec);
-                   ("cli_spline", string_of_bool spline);
-                   ("engine_req", Sim.Driver.engine_name engine);
-                   ("nx", string_of_int nx);
-                   ("ny", string_of_int ny);
-                   ("dx_bits", bits_hex dx);
-                   ("sigma_bits", bits_hex sigma);
-                   ("splitting", splitting_name);
-                   ("protocol", proto_kind);
-                   ("stim_width", string_of_int stim_width);
-                   ("s2_start_bits", bits_hex s2_start);
-                   ("s1_count", string_of_int s1_count);
-                   ("s1_interval_bits", bits_hex s1_interval);
-                   ("s2_coupling_bits", bits_hex s2_coupling);
-                   ("block_check_bits", bits_hex block_check);
-                 ]
-               ~dir ~stride:ckpt_stride ())
-    in
+    let writer = Option.map (fun create -> create spec) recorder in
     Fmt.pr "# tissue model=%s %s engine=%s splitting=%s protocol=%s \
             dt=%gms sigma=%g threads=%d@."
       m.name
       (Tissue.Geometry.describe geom)
       (Sim.Driver.engine_name d.Sim.Driver.engine)
-      splitting_name proto.Tissue.Protocol.name dt sigma threads;
+      (fst (List.find (fun (_, s) -> s = t.splitting) Spec.splittings))
+      (Tissue.Monodomain.protocol sim).Tissue.Protocol.name spec.dt t.sigma
+      spec.threads;
     let wall =
-      try Tissue.Monodomain.run ?ckpt:writer sim ~steps with
-      | Obs.Health.Tripped msg ->
-          Fmt.epr "%s@." msg;
-          Option.iter
-            (fun dir ->
-              dump_crash ~dir ~reason:"health-trip" ~message:msg ~d writer)
-            ckpt_dir;
-          exit 3
-      | Interrupted code ->
-          let msg = Printf.sprintf "interrupted by signal (exit %d)" code in
-          Fmt.epr "%s@." msg;
-          Option.iter
-            (fun dir ->
-              dump_crash ~dir ~reason:"signal" ~message:msg ~d writer)
-            ckpt_dir;
-          exit code
+      guarded ~d writer (fun () ->
+          Tissue.Monodomain.run ?ckpt:writer sim ~steps:spec.steps)
     in
     if final_digest || writer <> None then
       Fmt.pr "# final state digest: %s@."
         (Obs.Recorder.digest (Tissue.Monodomain.capture sim));
     Option.iter
-      (fun dir ->
-        write_run_manifest ~dir ~kind:"tissue" ~m ~cfg ~d ~steps ~threads
-          ~wall_s:wall ~compute_s:wall
-          ~extra:
-            [
-              ("geometry", Obs.Json.Str (Tissue.Geometry.describe geom));
-              ("splitting", Obs.Json.Str splitting_name);
-              ("protocol", Obs.Json.Str proto.Tissue.Protocol.name);
-            ])
-      ckpt_dir;
+      (fun w -> write_run_manifest w ~spec ~m ~d ~wall_s:wall ~compute_s:wall)
+      writer;
     let act = Tissue.Monodomain.activation sim in
     let n = Tissue.Geometry.cells geom in
-    Fmt.pr "# steps=%d time=%gms wall=%.3fs cells/sec=%.0f@." steps
+    Fmt.pr "# steps=%d time=%gms wall=%.3fs cells/sec=%.0f@." spec.steps
       (Tissue.Monodomain.time sim)
       wall
-      (float_of_int (n * steps) /. wall);
+      (float_of_int (n * spec.steps) /. wall);
     Fmt.pr "# activated %d/%d cell(s); %d reactivated; conduction block: %s@."
       (Tissue.Activation.activated act)
       n
@@ -952,12 +864,8 @@ let tissue_cmd =
         Fmt.pr "# activation map -> %s@." path
   in
   Cmd.v (Cmd.info "tissue" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ engine_arg $ tile_arg $ specialize_arg
-          $ nx $ ny $ dx $ dt $ steps $ sigma $ splitting $ protocol
-          $ stim_width $ s2_start $ s1_count $ s1_interval $ s2_coupling
-          $ threads $ block_check $ health $ map_out $ ckpt_dir_arg
-          $ ckpt_stride_arg $ ckpt_keep_arg $ final_digest_arg)
+    Term.(const run $ spec_t ~steps:5_000 ~steps_doc:"Number of time steps."
+          $ tissue_t $ health $ map_out $ recorder_t $ final_digest_arg)
 
 (* -- replay ---------------------------------------------------------- *)
 
@@ -975,164 +883,43 @@ let replay_cmd =
   let file =
     Arg.(required & pos 0 (some Arg.file) None & info [] ~docv:"CHECKPOINT")
   in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
   let steps_override =
     Arg.(value & opt (some int) None & info [ "steps" ] ~docv:"N"
            ~doc:"Steps to run from the checkpoint (default: the recorded \
                  total minus the checkpoint's step index).")
   in
   let run file threads steps_override =
-    match Obs.Recorder.read file with
-    | Error d ->
-        Fmt.epr "%a@." (Easyml.Diag.pp ~file) d;
-        exit 1
-    | Ok ck -> (
-        let req key =
-          match Obs.Recorder.meta ck key with
-          | Some v -> v
-          | None ->
-              Fmt.failwith "checkpoint lacks required metadata key %s" key
-        in
-        let opt key = Obs.Recorder.meta ck key in
-        let m =
-          load_model (match opt "model_ref" with
-                      | Some r -> r
-                      | None -> req "model")
-        in
-        let cfg =
-          config
-            ~spline:
-              (match opt "cli_spline" with
-              | Some b -> bool_of_string b
-              | None -> false)
-            ~width:
-              (match opt "cli_width" with
-              | Some w -> int_of_string w
-              | None -> int_of_string (req "width"))
-            ~layout:(match opt "cli_layout" with
-                     | Some l -> l
-                     | None -> req "layout")
-            ~no_lut:
-              (match opt "cli_no_lut" with
-              | Some b -> bool_of_string b
-              | None -> false)
-            ~autovec:
-              (match opt "cli_autovec" with
-              | Some b -> bool_of_string b
-              | None -> false)
-            ()
-        in
-        let engine =
-          let name = req "engine" in
-          match engine_of_name name with
-          | Some e -> e
-          | None -> Fmt.failwith "checkpoint names unknown engine %s" name
-        in
-        let tile = int_of_string (req "tile") in
-        let specialize = bool_of_string (req "specialized") in
-        let dt = of_bits_hex (req "dt_bits") in
-        let steps_total =
-          match opt "steps_total" with
-          | Some s -> int_of_string s
-          | None -> ck.Obs.Recorder.ck_step
-        in
-        let remaining =
-          match steps_override with
-          | Some s -> s
-          | None -> max 0 (steps_total - ck.Obs.Recorder.ck_step)
-        in
-        let g = Codegen.Cache.generate cfg m in
-        let kind =
-          match opt "kind" with Some k -> k | None -> "cell"
-        in
-        match kind with
-        | "cell" ->
-            let ncells = int_of_string (req "ncells") in
-            let d =
-              Sim.Driver.create ~engine ~tile ~specialize g ~ncells ~dt
-            in
-            (match Sim.Driver.restore d ck with
-            | Error diag ->
-                Fmt.epr "%a@." (Easyml.Diag.pp ~file) diag;
-                exit 1
-            | Ok () -> ());
-            Fmt.pr
-              "# replay %s: model=%s engine=%s resuming at step %d/%d \
-               t=%gms (+%d step(s))@."
-              file m.Easyml.Model.name
-              (Sim.Driver.engine_name d.Sim.Driver.engine)
-              ck.Obs.Recorder.ck_step steps_total (Sim.Driver.time d)
-              remaining;
-            let compute =
-              Sim.Driver.run ~nthreads:threads ~stim:Sim.Stim.default d
-                ~steps:remaining
-            in
-            Fmt.pr "# compute stage: %.3f s wall clock@." compute;
-            Fmt.pr "# final state digest: %s@."
-              (Obs.Recorder.digest (Sim.Driver.capture d))
-        | "tissue" ->
-            let nx = int_of_string (req "nx")
-            and ny = int_of_string (req "ny")
-            and dx = of_bits_hex (req "dx_bits") in
-            let geom =
-              if ny <= 1 then Tissue.Geometry.cable ~n:nx ~dx
-              else Tissue.Geometry.sheet ~nx ~ny ~dx
-            in
-            let stim_width = int_of_string (req "stim_width") in
-            let proto =
-              match req "protocol" with
-              | "s1" -> Tissue.Protocol.s1 ~width:stim_width geom
-              | "s1s2" ->
-                  Tissue.Protocol.s1s2 ~width:stim_width
-                    ~s2_start:(of_bits_hex (req "s2_start_bits"))
-                    geom
-              | "restitution" ->
-                  Tissue.Protocol.restitution ~width:stim_width
-                    ~n_s1:(int_of_string (req "s1_count"))
-                    ~interval:(of_bits_hex (req "s1_interval_bits"))
-                    ~s2_coupling:(of_bits_hex (req "s2_coupling_bits"))
-                    geom
-              | p -> Fmt.failwith "checkpoint names unknown protocol %s" p
-            in
-            let block_check = of_bits_hex (req "block_check_bits") in
-            let tcfg =
-              {
-                Tissue.Monodomain.default_config with
-                Tissue.Monodomain.sigma = of_bits_hex (req "sigma_bits");
-                splitting =
-                  (match req "splitting" with
-                  | "strang" -> Tissue.Monodomain.Strang
-                  | _ -> Tissue.Monodomain.Godunov);
-                block_check_ms =
-                  (if block_check > 0.0 then Some block_check else None);
-              }
-            in
-            let sim =
-              Tissue.Monodomain.create ~engine ~tile ~specialize ~config:tcfg
-                ~nthreads:threads g ~geom ~dt ~protocol:proto
-            in
-            (match Tissue.Monodomain.restore sim ck with
-            | Error diag ->
-                Fmt.epr "%a@." (Easyml.Diag.pp ~file) diag;
-                exit 1
-            | Ok () -> ());
-            let d = Tissue.Monodomain.driver sim in
-            Fmt.pr
-              "# replay %s: tissue model=%s %s engine=%s resuming at step \
-               %d/%d t=%gms (+%d step(s))@."
-              file m.Easyml.Model.name
-              (Tissue.Geometry.describe geom)
-              (Sim.Driver.engine_name d.Sim.Driver.engine)
-              ck.Obs.Recorder.ck_step steps_total
-              (Tissue.Monodomain.time sim) remaining;
-            let wall = Tissue.Monodomain.run sim ~steps:remaining in
-            Fmt.pr "# wall: %.3f s@." wall;
-            Fmt.pr "# final state digest: %s@."
-              (Obs.Recorder.digest (Tissue.Monodomain.capture sim))
-        | k -> Fmt.failwith "checkpoint has unknown kind %s" k)
+    let ok = function
+      | Ok x -> x
+      | Error d ->
+          Fmt.epr "%a@." (Easyml.Diag.pp ~file) d;
+          exit 1
+    in
+    let ck = ok (Obs.Recorder.read file) in
+    let spec = { (ok (Spec.of_checkpoint ck)) with threads } in
+    let m = load_model spec.model in
+    let sim = Spec.create spec (Codegen.Cache.generate (Spec.config spec.codegen) m) in
+    ok (Spec.restore sim ck);
+    let d = Spec.driver sim in
+    let remaining =
+      match steps_override with
+      | Some s -> s
+      | None -> max 0 (spec.steps - ck.Obs.Recorder.ck_step)
+    in
+    Fmt.pr "# replay %s: model=%s engine=%s resuming at step %d/%d t=%gms \
+            (+%d step(s))@."
+      file m.name
+      (Sim.Driver.engine_name d.Sim.Driver.engine)
+      ck.Obs.Recorder.ck_step spec.steps (Sim.Driver.time d) remaining;
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to remaining do
+      Spec.step spec sim
+    done;
+    Fmt.pr "# wall: %.3f s@." (Unix.gettimeofday () -. t0);
+    Fmt.pr "# final state digest: %s@." (Obs.Recorder.digest (Spec.capture sim))
   in
   Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const run $ file $ threads $ steps_override)
+    Term.(const run $ file $ threads_arg $ steps_override)
 
 (* -- profile -------------------------------------------------------- *)
 
@@ -1142,15 +929,6 @@ let profile_cmd =
      pipeline, kernel cache, per-step compute/update stages, per-Domain \
      chunks) and export the result."
   in
-  let cells =
-    Arg.(value & opt int 256 & info [ "cells" ] ~docv:"N" ~doc:"Number of cells.")
-  in
-  let steps =
-    Arg.(value & opt int 1000 & info [ "steps" ] ~docv:"N"
-           ~doc:"Number of time steps to profile.")
-  in
-  let dt = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS") in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
   let format =
     Arg.(value
          & opt
@@ -1168,24 +946,24 @@ let profile_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write the export to a file instead of stdout.")
   in
-  let run name width layout no_lut autovec spline engine tile specialize cells
-      steps dt threads format output =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
+  let run spec cells format output =
+    let spec : Spec.t = spec (Spec.Cells cells) in
+    let m = load_model spec.model in
     (* Clear the kernel cache so the compile half (passes, codegen,
        verification) shows up in the profile rather than being served
        from a warm cache. *)
     Codegen.Cache.clear ();
     Obs.Tracer.reset ();
     Obs.Tracer.enable ();
-    let g = Codegen.Cache.generate cfg m in
-    let d = Sim.Driver.create ~engine ~tile ~specialize g ~ncells:cells ~dt in
+    let sim =
+      Spec.create spec (Codegen.Cache.generate (Spec.config spec.codegen) m)
+    in
+    let d = Spec.driver sim in
     (* health section rides along in the profile (Warn policy: a sick
        model should still produce its profile) *)
     Sim.Driver.enable_health d;
-    let stim = Sim.Stim.default in
-    for _ = 1 to steps do
-      Sim.Driver.step ~nthreads:threads ~stim d
+    for _ = 1 to spec.steps do
+      Spec.step spec sim
     done;
     Obs.Tracer.disable ();
     let snap = Obs.Tracer.snapshot () in
@@ -1214,13 +992,12 @@ let profile_cmd =
           (List.length snap.Obs.Tracer.counters)
           (if snap.Obs.Tracer.dropped > 0 then
              Printf.sprintf ", %d dropped" snap.Obs.Tracer.dropped
-           else ""));
-    ignore g
+           else ""))
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ engine_arg $ tile_arg $ specialize_arg
-          $ cells $ steps $ dt $ threads $ format $ output)
+    Term.(const run
+          $ spec_t ~steps:1000 ~steps_doc:"Number of time steps to profile."
+          $ cells_arg 256 $ format $ output)
 
 (* -- serve ----------------------------------------------------------- *)
 
@@ -1237,16 +1014,6 @@ let serve_cmd =
            ~doc:"Listen port on 127.0.0.1 (0 picks an ephemeral port, \
                  printed at startup).")
   in
-  let cells =
-    Arg.(value & opt int 256 & info [ "cells" ] ~docv:"N" ~doc:"Number of cells.")
-  in
-  let steps =
-    Arg.(value & opt int 0 & info [ "steps" ] ~docv:"N"
-           ~doc:"Stop stepping after N steps but keep serving until a \
-                 signal arrives (0 = step until a signal arrives).")
-  in
-  let dt = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS") in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
   let health_stride =
     Arg.(value & opt int 16 & info [ "health-stride" ] ~docv:"N"
            ~doc:"Sample health every N steps.")
@@ -1267,65 +1034,33 @@ let serve_cmd =
                  (activation coverage, conduction-block trips, measured \
                  conduction velocity) added to /metrics.")
   in
-  let run name width layout no_lut autovec spline engine tile specialize port
-      cells steps dt threads health_stride refresh pace tissue ckpt_dir
-      ckpt_stride ckpt_keep =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
+  let run spec port cells health_stride refresh pace tissue recorder =
+    let spec : Spec.t =
+      spec
+        (if not tissue then Spec.Cells cells
+         else
+           Spec.Tissue
+             { Spec.nx = max 2 cells; ny = 1; dx = 0.01;
+               sigma = Tissue.Monodomain.default_config.sigma;
+               splitting = Tissue.Monodomain.Godunov; block_check = 100.0;
+               stim_width = 5; protocol = S1_paced })
+    in
+    let m = load_model spec.model in
     Obs.Tracer.reset ();
     Obs.Tracer.enable ();
-    let g = Codegen.Cache.generate cfg m in
-    let tsim =
-      if not tissue then None
-      else begin
-        let n = max 2 cells in
-        let geom = Tissue.Geometry.cable ~n ~dx:0.01 in
-        let pulse =
-          Sim.Stim.make ~amplitude:80.0 ~start:1.0 ~duration:2.0
-            ~period:1000.0 ()
-        in
-        let proto =
-          {
-            Tissue.Protocol.name = "s1-paced";
-            stims = [ Sim.Stim.region pulse ~n ~lo:0 ~hi:(min 5 n) ];
-          }
-        in
-        let tcfg =
-          {
-            Tissue.Monodomain.default_config with
-            Tissue.Monodomain.block_check_ms = Some 100.0;
-          }
-        in
-        Some
-          (Tissue.Monodomain.create ~engine ~tile ~specialize ~config:tcfg
-             ~nthreads:threads g ~geom ~dt ~protocol:proto)
-      end
+    let sim =
+      Spec.create spec (Codegen.Cache.generate (Spec.config spec.codegen) m)
     in
-    let d =
-      match tsim with
-      | Some s -> Tissue.Monodomain.driver s
-      | None -> Sim.Driver.create ~engine ~tile ~specialize g ~ncells:cells ~dt
+    let d = Spec.driver sim in
+    let tsim =
+      match sim with Spec.Tissue_sim s -> Some s | Spec.Cell_sim _ -> None
     in
     Sim.Driver.enable_health
       ~cfg:
         { Obs.Health.default_config with Obs.Health.stride = health_stride }
       d;
     let h = Option.get (Sim.Driver.health d) in
-    let stim = Sim.Stim.default in
-    let writer =
-      match ckpt_dir with
-      | None -> None
-      | Some dir ->
-          Some
-            (Obs.Recorder.create_writer ~keep:ckpt_keep
-               ~extra:
-                 [
-                   ("model_ref", name);
-                   ("steps_total", string_of_int steps);
-                   ("threads", string_of_int threads);
-                 ]
-               ~dir ~stride:ckpt_stride ())
-    in
+    let writer = Option.map (fun create -> create spec) recorder in
     (* The sim loop publishes the exposition between steps; the HTTP
        thread only ever reads these atomics, so it never races the
        tracer's or the monitor's internals. *)
@@ -1340,7 +1075,7 @@ let serve_cmd =
         {
           Obs.Export.pg_model = m.name;
           pg_step = d.Sim.Driver.steps_done;
-          pg_steps_total = steps;
+          pg_steps_total = spec.steps;
           pg_time_ms = Sim.Driver.time d;
         }
       in
@@ -1387,30 +1122,23 @@ let serve_cmd =
     in
     Fmt.pr "# serving model=%s on http://127.0.0.1:%d (/metrics, /healthz); \
             cells=%d dt=%gms health-stride=%d@."
-      m.name (Obs.Httpd.port server) cells dt health_stride;
+      m.name (Obs.Httpd.port server) cells spec.dt health_stride;
     (try
        let n = ref 0 in
        while
-         (not (Atomic.get stop)) && (steps = 0 || !n < steps)
+         (not (Atomic.get stop)) && (spec.steps = 0 || !n < spec.steps)
        do
-         (match tsim with
-         | Some s -> Tissue.Monodomain.step s
-         | None -> Sim.Driver.step ~nthreads:threads ~stim d);
+         Spec.step spec sim;
          incr n;
          (match writer with
          | Some w when Obs.Recorder.due w ~step:d.Sim.Driver.steps_done ->
-             let ck =
-               match tsim with
-               | Some s -> Tissue.Monodomain.capture s
-               | None -> Sim.Driver.capture d
-             in
-             ignore (Obs.Recorder.record w ck)
+             ignore (Obs.Recorder.record w (Spec.capture sim))
          | _ -> ());
          if !n mod refresh = 0 then publish ();
          if pace > 0.0 then Unix.sleepf pace
        done;
        publish ();
-       if steps > 0 && !n >= steps then
+       if spec.steps > 0 && !n >= spec.steps then
          Fmt.pr "# %d step(s) done; still serving (SIGINT/SIGTERM to stop)@."
            !n;
        while not (Atomic.get stop) do
@@ -1424,11 +1152,12 @@ let serve_cmd =
     Fmt.pr "# stopped cleanly@."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ engine_arg $ tile_arg $ specialize_arg
-          $ port $ cells $ steps $ dt $ threads $ health_stride $ refresh
-          $ pace $ tissue_flag $ ckpt_dir_arg $ ckpt_stride_arg
-          $ ckpt_keep_arg)
+    Term.(const run
+          $ spec_t ~steps:0
+              ~steps_doc:"Stop stepping after N steps but keep serving until \
+                          a signal arrives (0 = step until a signal arrives)."
+          $ port $ cells_arg 256 $ health_stride $ refresh $ pace $ tissue_flag
+          $ recorder_t)
 
 (* -- validate-metrics ------------------------------------------------ *)
 
@@ -1509,10 +1238,9 @@ let cost_cmd =
   in
   let cells = Arg.(value & opt int 8192 & info [ "cells" ] ~docv:"N") in
   let steps = Arg.(value & opt int 100_000 & info [ "steps" ] ~docv:"N") in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
-  let run name width layout no_lut autovec spline cells steps threads =
+  let run name codegen cells steps threads =
     let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
+    let cfg = Spec.config codegen in
     let g = Codegen.Cache.generate cfg m in
     let k = Machine.Kcost.of_kernel g in
     Fmt.pr "kernel %s (%s)@." m.name (Codegen.Config.describe cfg);
@@ -1531,8 +1259,7 @@ let cost_cmd =
       r.Machine.Perfmodel.oi
   in
   Cmd.v (Cmd.info "cost" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ cells $ steps $ threads)
+    Term.(const run $ model_arg $ codegen_t $ cells $ steps $ threads_arg)
 
 (* -- import-mmt ------------------------------------------------------ *)
 

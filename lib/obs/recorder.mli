@@ -33,6 +33,13 @@ type checkpoint = {
 val version : int
 (** Format version written by {!to_string} (currently 1). *)
 
+val hex_of_float : float -> string
+(** The 16 hex digits of a float's [Int64] bit pattern: how the format
+    writes every float, metadata values included. *)
+
+val float_of_hex : string -> float option
+(** Inverse of {!hex_of_float}; [None] unless given 16 hex digits. *)
+
 val meta : checkpoint -> string -> string option
 (** First binding of a metadata key. *)
 

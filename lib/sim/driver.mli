@@ -171,9 +171,12 @@ val snapshot : t -> int -> (string * float) list
 
 (** {2 Flight recorder} *)
 
+val engines : (string * engine) list
+(** Every engine under its CLI spelling: [fused], [batched], [native],
+    [closure], [interp]. *)
+
 val engine_name : engine -> string
-(** The CLI spelling: [fused], [batched], [closure], [interp],
-    [native]. *)
+(** The engine's spelling in {!engines}. *)
 
 val capture : t -> Obs.Recorder.checkpoint
 (** Snapshot the driver's mutable state — state variables (all three
@@ -186,8 +189,9 @@ val capture : t -> Obs.Recorder.checkpoint
 
 val restore : t -> Obs.Recorder.checkpoint -> (unit, Easyml.Diag.t) result
 (** Load a {!capture}d checkpoint into a driver created with the same
-    model, config, population and [dt].  Any mismatch (model, layout,
-    width, cell counts, [dt] bits, missing or mis-sized sections) is a
+    model, config, population and [dt].  Any mismatch (model, config —
+    lookup tables, spline and cost profile included — layout, width,
+    cell counts, [dt] bits, missing or mis-sized sections) is a
     structured [checkpoint-mismatch] diagnostic and the driver is left
     unmodified enough to discard; on [Ok ()] the driver continues
     bitwise identically to the uninterrupted run.  Sections the driver

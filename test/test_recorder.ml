@@ -270,6 +270,14 @@ let test_restore_rejects_mismatch () =
   | Error e ->
       Alcotest.(check string) "mismatch code" "checkpoint-mismatch"
         e.Easyml.Diag.code);
+  (* same model and population, lookup tables off: the config differs *)
+  let g_nolut = Codegen.Cache.generate { (C.mlir ~width:4) with C.use_lut = false } m in
+  let other = D.create g_nolut ~ncells:6 ~dt:0.01 in
+  (match D.restore other ck with
+  | Ok () -> Alcotest.fail "restore under a different config succeeded"
+  | Error e ->
+      Alcotest.(check string) "mismatch code" "checkpoint-mismatch"
+        e.Easyml.Diag.code);
   (* wrong model *)
   let m2 = Models.Registry.model (Option.get (Models.Registry.find "FentonKarma")) in
   let g2 = Codegen.Cache.generate (C.mlir ~width:4) m2 in
