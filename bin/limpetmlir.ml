@@ -105,9 +105,10 @@ let dump_crash ~(reason : string) ~(message : string) ~(d : Sim.Driver.t)
   in
   Fmt.epr "# crash dump -> %s@." bundle
 
-(* Run [f]; a hard health trip (exit 3) or a trapped signal (exit
-   128+signum) ends the process, with a crash dump when a flight
-   recorder is armed. *)
+(* Run [f]; a hard health trip or a diffusion solve that failed with
+   health monitoring off (exit 3), or a trapped signal (exit 128+signum)
+   ends the process, with a crash dump when a flight recorder is
+   armed. *)
 let guarded ~(d : Sim.Driver.t) (writer : Obs.Recorder.writer option)
     (f : unit -> 'a) : 'a =
   let abort ~reason code message =
@@ -117,12 +118,27 @@ let guarded ~(d : Sim.Driver.t) (writer : Obs.Recorder.writer option)
   in
   try f () with
   | Obs.Health.Tripped msg -> abort ~reason:"health-trip" 3 msg
+  | Tissue.Monodomain.Solver_failed diag ->
+      abort ~reason:"solver-failure" 3
+        (Easyml.Diag.to_string
+           ~file:d.Sim.Driver.gen.Codegen.Kernel.model.Easyml.Model.name diag)
   | Interrupted code ->
       abort ~reason:"signal" code
         (Printf.sprintf "interrupted by signal (exit %d)" code)
 
+(* Where the driver's native library came from, when it runs native. *)
+let native_artifact (d : Sim.Driver.t) : Codegen.Cache.native_artifact option =
+  if d.Sim.Driver.engine = Sim.Driver.Native then
+    Codegen.Cache.native_artifact d.Sim.Driver.gen
+  else None
+
+let artifact_cc_ms : Codegen.Cache.native_artifact -> float = function
+  | Codegen.Cache.Compiled ms -> ms
+  | Codegen.Cache.Disk | Codegen.Cache.Memory -> 0.0
+
 (* Run manifest: everything an operator needs to reproduce or audit the
-   run — the run spec, model identity, the engine that ran, pipeline,
+   run — the run spec, model identity, the engine that ran (and, for
+   native, whether this process paid the C compiler), pipeline,
    toolchain, transval certificate count and BENCH-comparable timings. *)
 let write_run_manifest (w : Obs.Recorder.writer) ~(spec : Spec.t)
     ~(m : Easyml.Model.t) ~(d : Sim.Driver.t) ~(wall_s : float)
@@ -135,9 +151,22 @@ let write_run_manifest (w : Obs.Recorder.writer) ~(spec : Spec.t)
       (Codegen.Cache.certificates ())
   in
   let meta = Spec.to_meta spec in
+  let native =
+    match native_artifact d with
+    | Some a ->
+        [
+          ( "native",
+            Obj
+              [
+                ("artifact", Str (Codegen.Cache.artifact_name a));
+                ("cc_ms", Num (artifact_cc_ms a));
+              ] );
+        ]
+    | None -> []
+  in
   let manifest =
     Obj
-      [
+      ([
         ("kind", Str (List.assoc "kind" meta));
         ("version", Str limpetmlir_version);
         ("ocaml", Str Sys.ocaml_version);
@@ -147,12 +176,15 @@ let write_run_manifest (w : Obs.Recorder.writer) ~(spec : Spec.t)
         );
         ("config", Str (Codegen.Config.describe (Spec.config spec.codegen)));
         ("engine", Str (Sim.Driver.engine_name d.Sim.Driver.engine));
+      ]
+      @ native
+      @ [
         ("pipeline", Str Codegen.Cache.pipeline_id);
         ("transval_certificates", Num (float_of_int certs));
         ("toolchain", Str (build_info ()).Obs.Export.bi_toolchain);
         ("spec", Obj (List.map (fun (k, v) -> (k, Str v)) meta));
         ("timings", Obj [ ("compute_s", Num compute_s); ("wall_s", Num wall_s) ]);
-      ]
+      ])
   in
   let path =
     Obs.Recorder.write_manifest ~dir:(Obs.Recorder.writer_dir w) manifest
@@ -912,9 +944,10 @@ let replay_cmd =
       (Sim.Driver.engine_name d.Sim.Driver.engine)
       ck.Obs.Recorder.ck_step spec.steps (Sim.Driver.time d) remaining;
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to remaining do
-      Spec.step spec sim
-    done;
+    guarded ~d None (fun () ->
+        for _ = 1 to remaining do
+          Spec.step spec sim
+        done);
     Fmt.pr "# wall: %.3f s@." (Unix.gettimeofday () -. t0);
     Fmt.pr "# final state digest: %s@." (Obs.Recorder.digest (Spec.capture sim))
   in
@@ -971,7 +1004,13 @@ let profile_cmd =
     let native_line =
       match Exec.Native.toolchain () with
       | Some tc ->
-          Printf.sprintf "native backend: available (%s)\n" tc.Exec.Native.id
+          Printf.sprintf "native backend: available (%s)\n%s"
+            tc.Exec.Native.id
+            (match native_artifact d with
+            | Some a ->
+                Printf.sprintf "native kernel: %s (%.1f ms cc)\n"
+                  (Codegen.Cache.artifact_name a) (artifact_cc_ms a)
+            | None -> "")
       | None ->
           "native backend: unavailable (no C compiler; --engine native \
            falls back to batched)\n"

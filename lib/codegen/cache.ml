@@ -29,8 +29,9 @@ type stats = {
   spec_hits : int;  (** specialized-artifact lookups served from cache *)
   spec_misses : int;  (** specialization runs *)
   spec_ms : float;  (** total milliseconds spent specializing *)
-  native_hits : int;  (** compiled shared objects served from cache *)
-  native_misses : int;  (** C emissions + toolchain invocations *)
+  native_hits : int;  (** shared objects served from this process's table *)
+  native_misses : int;  (** shared objects this process had to obtain *)
+  native_disk_hits : int;  (** the misses served by the on-disk store *)
   cc_ms : float;  (** total milliseconds inside the C compiler *)
 }
 
@@ -50,6 +51,7 @@ let spec_misses = ref 0
 let spec_ms = ref 0.0
 let native_hits = ref 0
 let native_misses = ref 0
+let native_disk_hits = ref 0
 let cc_ms = ref 0.0
 
 (* Optional LRU bound.  [last_use] stamps every lookup with a logical
@@ -354,17 +356,28 @@ let specialize ?(optimize = true) (g : Kernel.t) ~(dt : float)
 
 (* -- native artifact cache ------------------------------------------- *)
 
-(* Compiled shared objects, keyed on IR content digest × compiler
+(* Loaded shared objects, keyed on IR content digest × compiler
    identity × flags — never on the model name, so two modules that print
    identically share one .so and a changed pipeline/config/specialization
-   (different printed IR) can never serve a stale library.  Entries are
-   kept for the whole process: bound closures hold raw function
-   pointers, so libraries are never dlclosed (and clear() below leaves
-   them loaded for the same reason). *)
+   (different printed IR) can never serve a stale library.  A miss here
+   goes to the on-disk store ({!Exec.Native.compile}), which keys on the
+   emitted translation unit itself and only runs the C compiler when no
+   earlier process left an intact library.  Entries are kept for the
+   whole process: bound closures hold raw function pointers, so
+   libraries are never dlclosed (and clear() below leaves them loaded
+   for the same reason). *)
+
+type native_artifact = Memory | Disk | Compiled of float
+
+let artifact_name = function
+  | Memory -> "memory"
+  | Disk -> "disk"
+  | Compiled _ -> "compiled"
 
 type native_entry = {
   ne_lib : Exec.Native.lib;
   ne_params : (string * Ir.Ty.t list) list;  (* per-function signatures *)
+  mutable ne_served : native_artifact;  (* how the latest request was served *)
 }
 
 let native_table : (string, native_entry) Hashtbl.t = Hashtbl.create 16
@@ -386,6 +399,10 @@ let func_params (m : Ir.Func.modl) : (string * Ir.Ty.t list) list =
         List.map (fun (v : Ir.Value.t) -> v.Ir.Value.ty) f.Ir.Func.f_params ))
     m.Ir.Func.m_funcs
 
+let native_key (tc : Exec.Native.toolchain) (g : Kernel.t) : string =
+  Printf.sprintf "native|%s|%s|%s" (kernel_digest g.Kernel.modl)
+    tc.Exec.Native.id Exec.Native.flags_id
+
 (** [native g] returns a symbol-lookup function over [g]'s module
     compiled to machine code by the system C toolchain, or a warning
     diagnostic when that is impossible (no toolchain, IR with no C
@@ -399,41 +416,38 @@ let native (g : Kernel.t) :
         (Easyml.Diag.make ~code:"native-unavailable"
            "no C compiler found (checked $LIMPET_CC, then cc/gcc/clang on \
             $PATH); falling back to the batched engine")
-  | Some tc ->
-      let digest = kernel_digest g.Kernel.modl in
-      let k =
-        Printf.sprintf "native|%s|%s|%s" digest tc.Exec.Native.id
-          Exec.Native.flags_id
-      in
-      (match locked (fun () -> Hashtbl.find_opt native_table k) with
+  | Some tc -> (
+      let k = native_key tc g in
+      match locked (fun () -> Hashtbl.find_opt native_table k) with
       | Some e ->
-          locked (fun () -> incr native_hits);
+          locked (fun () ->
+              incr native_hits;
+              e.ne_served <- Memory);
           Obs.Tracer.count "cache.native_hit" 1.0;
           Ok (native_lookup e)
       | None -> (
           Obs.Tracer.count "cache.native_miss" 1.0;
           try
-            let e =
-              Obs.Tracer.with_span "compile_c" (fun () ->
-                  let banner =
-                    [
-                      "model:    " ^ g.Kernel.model.M.name;
-                      "config:   " ^ Config.describe g.Kernel.cfg;
-                      "pipeline: " ^ pipeline_id;
-                      "digest:   " ^ digest;
-                      "cc:       " ^ tc.Exec.Native.id;
-                      "flags:    " ^ Exec.Native.flags_id;
-                    ]
-                  in
-                  let src = C_backend.emit_module ~banner g.Kernel.modl in
-                  let stem =
-                    Printf.sprintf "k_%s_%x"
-                      (String.sub digest 0 12)
-                      (Hashtbl.hash tc.Exec.Native.id land 0xffff)
-                  in
-                  let lib, ms = Exec.Native.compile tc ~stem ~src in
-                  locked (fun () -> cc_ms := !cc_ms +. ms);
-                  { ne_lib = lib; ne_params = func_params g.Kernel.modl })
+            let banner =
+              [
+                "model:    " ^ g.Kernel.model.M.name;
+                "config:   " ^ Config.describe g.Kernel.cfg;
+                "pipeline: " ^ pipeline_id;
+                "digest:   " ^ kernel_digest g.Kernel.modl;
+                "cc:       " ^ tc.Exec.Native.id;
+                "flags:    " ^ Exec.Native.flags_id;
+              ]
+            in
+            let src = C_backend.emit_module ~banner g.Kernel.modl in
+            let lib, origin = Exec.Native.compile tc ~src in
+            let served =
+              match origin with
+              | Exec.Native.Disk ->
+                  Obs.Tracer.count "cache.native_disk_hit" 1.0;
+                  Disk
+              | Exec.Native.Compiled ms ->
+                  Obs.Tracer.count "cache.native_compile" 1.0;
+                  Compiled ms
             in
             let e =
               locked (fun () ->
@@ -442,9 +456,21 @@ let native (g : Kernel.t) :
                   match Hashtbl.find_opt native_table k with
                   | Some e' ->
                       incr native_hits;
+                      e'.ne_served <- Memory;
                       e'
                   | None ->
                       incr native_misses;
+                      (match served with
+                      | Disk -> incr native_disk_hits
+                      | Compiled ms -> cc_ms := !cc_ms +. ms
+                      | Memory -> ());
+                      let e =
+                        {
+                          ne_lib = lib;
+                          ne_params = func_params g.Kernel.modl;
+                          ne_served = served;
+                        }
+                      in
                       Hashtbl.replace native_table k e;
                       e)
             in
@@ -461,7 +487,23 @@ let native (g : Kernel.t) :
                 (Easyml.Diag.makef ~code:"cc-failed"
                    "%s exited with status %d compiling %s: %s; falling back \
                     to the batched engine"
-                   cc status file (String.trim log))))
+                   cc status file (String.trim log))
+          | (Sys_error _ | Unix.Unix_error _) as e ->
+              Error
+                (Easyml.Diag.makef ~code:"native-io"
+                   "cannot write the native kernel for %s (%s); falling \
+                    back to the batched engine"
+                   g.Kernel.model.M.name (Printexc.to_string e))))
+
+(** How the latest {!native} request for [g] was served, or [None] when
+    [g] has no loaded library. *)
+let native_artifact (g : Kernel.t) : native_artifact option =
+  match Exec.Native.toolchain () with
+  | None -> None
+  | Some tc ->
+      let k = native_key tc g in
+      locked (fun () ->
+          Option.map (fun e -> e.ne_served) (Hashtbl.find_opt native_table k))
 
 (** Bound the number of resident kernels.  [Some n] evicts down to [n]
     entries LRU-first (and keeps future inserts within [n]); [None]
@@ -487,6 +529,7 @@ let stats () : stats =
         spec_ms = !spec_ms;
         native_hits = !native_hits;
         native_misses = !native_misses;
+        native_disk_hits = !native_disk_hits;
         cc_ms = !cc_ms;
       })
 
@@ -501,6 +544,7 @@ let reset_stats () : unit =
       spec_ms := 0.0;
       native_hits := 0;
       native_misses := 0;
+      native_disk_hits := 0;
       cc_ms := 0.0)
 
 (** Drop every entry (tests use this to force fresh compiles). *)
@@ -521,6 +565,7 @@ let clear () : unit =
       spec_ms := 0.0;
       native_hits := 0;
       native_misses := 0;
+      native_disk_hits := 0;
       cc_ms := 0.0)
 
 let describe_stats () : string =
@@ -528,6 +573,6 @@ let describe_stats () : string =
   Printf.sprintf
     "cache: %d hits / %d misses / %d evictions / %.1f ms compiling; \
      specialize: %d hits / %d misses / %.1f ms; native: %d hits / %d misses \
-     / %.1f ms cc"
+     (%d from disk) / %.1f ms cc"
     s.hits s.misses s.evictions s.compile_ms s.spec_hits s.spec_misses
-    s.spec_ms s.native_hits s.native_misses s.cc_ms
+    s.spec_ms s.native_hits s.native_misses s.native_disk_hits s.cc_ms

@@ -13,8 +13,13 @@ type stats = {
   spec_hits : int;  (** specialized-artifact lookups served from cache *)
   spec_misses : int;  (** specialization runs *)
   spec_ms : float;  (** total milliseconds spent specializing *)
-  native_hits : int;  (** compiled shared objects served from cache *)
-  native_misses : int;  (** C emissions + toolchain invocations *)
+  native_hits : int;  (** shared objects served from this process's table *)
+  native_misses : int;
+      (** shared objects this process had to obtain: C emissions, each
+          followed by a store load or a toolchain invocation *)
+  native_disk_hits : int;
+      (** the subset of [native_misses] loaded from the on-disk store
+          without running the C compiler *)
   cc_ms : float;  (** total milliseconds inside the C compiler *)
 }
 
@@ -79,18 +84,34 @@ val specialize :
 val native :
   Kernel.t ->
   (string -> Exec.Rt.v array -> Exec.Rt.v array, Easyml.Diag.t) result
-(** Machine-code artifact for a (typically specialized) kernel: emits C
-    with {!C_backend.emit_module}, compiles it with the probed system
-    toolchain ([Exec.Native]), and memoizes the loaded library under the
-    IR content digest × compiler identity × flags — so identical content
-    shares one [.so] across models and a changed pipeline, config, or
-    binding environment can never serve a stale library.  [Ok lookup]
+(** Machine-code artifact for a (typically specialized) kernel.  The
+    process-wide table in front is keyed on the IR content digest ×
+    compiler identity × flags, so identical content shares one library
+    and a changed pipeline, config, or binding environment can never
+    serve a stale one.  On a miss the kernel is emitted as C with
+    {!C_backend.emit_module} and handed to [Exec.Native.compile], which
+    loads it from the persistent on-disk store when an earlier process
+    already compiled that exact translation unit, and otherwise runs the
+    probed system toolchain and publishes the result.  [Ok lookup]
     returns a fresh binding per call (each driver thread gets private
     marshalling buffers); [Error diag] covers every failure mode — no
-    toolchain, IR without a C lowering, compiler failure — so callers
-    degrade to an OCaml engine rather than crash.  Libraries are never
-    dlclosed (bound closures hold raw function pointers), and survive
-    {!clear}. *)
+    toolchain, IR without a C lowering, compiler failure, an unwritable
+    artifact directory — so callers degrade to an OCaml engine rather
+    than crash.  Libraries are never dlclosed (bound closures hold raw
+    function pointers), and survive {!clear}. *)
+
+(** Where a native library came from. *)
+type native_artifact =
+  | Memory  (** already loaded by this process *)
+  | Disk  (** loaded from the on-disk store, no compiler run *)
+  | Compiled of float  (** the C compiler ran, for this many wall ms *)
+
+val artifact_name : native_artifact -> string
+(** ["memory"], ["disk"] or ["compiled"]. *)
+
+val native_artifact : Kernel.t -> native_artifact option
+(** How the latest {!native} request for this kernel was served; [None]
+    when it has no loaded library. *)
 
 val set_capacity : int option -> unit
 (** Bound the number of resident kernels.  [Some n] evicts down to [n]
@@ -107,4 +128,5 @@ val clear : unit -> unit
 
 val describe_stats : unit -> string
 (** One-line [cache: H hits / M misses / E evictions / C ms compiling]
-    summary. *)
+    summary, with specialize and native segments (the native one counts
+    disk hits among its misses). *)

@@ -16,8 +16,24 @@
     Toolchain discovery runs once per process: [$LIMPET_CC] if set (an
     explicit override that does {i not} fall back to other compilers
     when it names nothing executable), otherwise the first of [cc],
-    [gcc], [clang] on [$PATH].  Compiled artifacts live in a session
-    temp directory removed via [at_exit]. *)
+    [gcc], [clang] on [$PATH].
+
+    {b The kernel store.}  Compiled libraries persist across processes
+    in a content-addressed store at [$XDG_CACHE_HOME/limpetmlir/native]
+    (else [$HOME/.cache/limpetmlir/native]).  An entry's key is the MD5
+    of the exact translation unit, the compiler identity and {!flags_id},
+    so a changed emitter, compiler or flag set never serves an old
+    library.  A compile runs into a uniquely named temporary inside the
+    store and is published by [rename] (digest record first, library
+    last); a load checks the library's bytes against the recorded digest
+    before [dlopen], and deletes and recompiles anything missing, short,
+    altered or unloadable.  The store holds at most {!capacity} entries,
+    evicting the least recently used (by mtime; a load touches its entry)
+    whenever something is published.  Its directories are created 0700
+    and used only when owned by this uid and not group- or
+    world-writable; otherwise, or when the store cannot be created, the
+    store falls back to a per-process temp directory removed at exit
+    (with one [native-cache-unsafe] warning in the unsafe case). *)
 
 type toolchain = {
   cc : string;  (** resolved compiler path *)
@@ -25,7 +41,12 @@ type toolchain = {
 }
 
 type lib
-(** A loaded shared object (plus its source artifact paths). *)
+(** A loaded shared object. *)
+
+(** How {!compile} obtained a library. *)
+type origin =
+  | Disk  (** loaded from a verified store entry *)
+  | Compiled of float  (** the C compiler ran, for this many wall ms *)
 
 val flags : string list
 (** Compilation flags: [-O3 -shared -fPIC -ffp-contract=off
@@ -40,7 +61,9 @@ exception
   Compile_error of { cc : string; file : string; status : int; log : string }
 (** The toolchain rejected the source ([status] <> 0, [log] = captured
     stderr) or the produced object failed to load ([status] = 0, [log] =
-    dlerror).  [file] is the kept [.c] path for post-mortems. *)
+    dlerror).  [file] is the failed translation unit, kept (with its
+    log) as an entry of the store, so it outlives the process whenever
+    the store is persistent. *)
 
 val toolchain : unit -> toolchain option
 (** The probed (memoized) toolchain, [None] when no C compiler was
@@ -53,10 +76,20 @@ val with_toolchain : toolchain option -> (unit -> 'a) -> 'a
 (** Run [f] with the probe result forced to the given value (tests:
     simulate a missing or broken toolchain); restores on exit. *)
 
-val compile : toolchain -> stem:string -> src:string -> lib * float
-(** Write [src] to [<session dir>/<stem>.c], compile it with {!flags}
-    into [<stem>.so], [dlopen] it.  Returns the library and the
-    compiler wall time in milliseconds.
+val with_store : string option -> (unit -> 'a) -> 'a
+(** Run [f] with the store forced to the directory [Some d] (created
+    0700 if missing, subject to the same ownership check) or to this
+    process's temp directory ([None]); restores on exit.  Tests use it
+    to keep their compiles out of the user's cache. *)
+
+val capacity : int
+(** The most entries the store keeps (256). *)
+
+val compile : toolchain -> src:string -> lib * origin
+(** The library for [src] under {!flags}: loaded from the store when an
+    intact entry exists, otherwise compiled, loaded and published.  A
+    store that fails mid-way (removed, full) falls back to the
+    per-process directory.
     @raise Compile_error on toolchain or loader failure. *)
 
 val bind :
@@ -70,7 +103,5 @@ val bind :
     @raise Failure if the symbol is missing.
     @raise Invalid_argument on vector parameters or argument mismatch. *)
 
-val source_path : lib -> string
-(** The emitted [.c] on disk (kept until process exit for inspection). *)
-
 val so_path : lib -> string
+(** Where the library was published. *)

@@ -39,7 +39,7 @@ type layout =
 
 type policy = Warn | Abort
 
-type reason = Nan | Inf | Gate_range | Vm_range | Conduction_block
+type reason = Nan | Inf | Gate_range | Vm_range | Conduction_block | Solver_failure
 
 let reason_name = function
   | Nan -> "nan"
@@ -47,13 +47,15 @@ let reason_name = function
   | Gate_range -> "gate-range"
   | Vm_range -> "vm-range"
   | Conduction_block -> "conduction-block"
+  | Solver_failure -> "solver-failure"
 
 (* NaN and Inf poison results; a configured membrane-potential window is
    an explicit divergence watchdog; a conduction block means the tissue
    simulation failed its purpose (the wavefront never left the stimulus
-   site).  Gate excursions are only warned. *)
+   site); a diffusion solve that stopped short of its tolerance handed
+   back no solution.  Gate excursions are only warned. *)
 let hard_reason = function
-  | Nan | Inf | Vm_range | Conduction_block -> true
+  | Nan | Inf | Vm_range | Conduction_block | Solver_failure -> true
   | Gate_range -> false
 
 type config = {
@@ -307,6 +309,14 @@ let note_block (h : t) ~(cell : int) ~(step : int) : unit =
   if Atomic.get h.h_on then
     offer_trip h ~var:"Vm" ~reason:Conduction_block ~cell ~step
       ~value:Float.nan
+
+(** Linear-solver hook for tissue-scale simulations: the monodomain
+    engine calls this when a diffusion solve stopped without meeting its
+    tolerance (non-finite residual or used-up iteration budget).  Records
+    one [Solver_failure] trip against [Vm] carrying the residual. *)
+let note_solver (h : t) ~(cell : int) ~(step : int) ~(residual : float) : unit =
+  if Atomic.get h.h_on then
+    offer_trip h ~var:"Vm" ~reason:Solver_failure ~cell ~step ~value:residual
 
 (* -- policy ----------------------------------------------------------- *)
 

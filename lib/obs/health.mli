@@ -13,9 +13,11 @@ type layout =
 
 type policy =
   | Warn  (** report each trip once through the warn sink *)
-  | Abort  (** raise {!Tripped} on hard trips (NaN / Inf / Vm range) *)
+  | Abort
+      (** raise {!Tripped} on hard trips (NaN / Inf / Vm range /
+          conduction block / solver failure) *)
 
-type reason = Nan | Inf | Gate_range | Vm_range | Conduction_block
+type reason = Nan | Inf | Gate_range | Vm_range | Conduction_block | Solver_failure
 
 val reason_name : reason -> string
 
@@ -92,6 +94,13 @@ val note_block : t -> cell:int -> step:int -> unit
     [Conduction_block] trip against [Vm] — a {e hard} trip, so it flips
     {!unhealthy} and aborts under the [Abort] policy.  Deduped like
     every other (variable, reason) pair; no-op while disabled. *)
+
+val note_solver : t -> cell:int -> step:int -> residual:float -> unit
+(** Linear-solver hook (tissue simulations): record one [Solver_failure]
+    trip against [Vm] when a diffusion solve stopped without meeting its
+    tolerance — a non-finite residual or a used-up iteration budget.
+    [cell] is the first non-finite right-hand-side entry, or -1.
+    Hard, deduped, no-op while disabled, like {!note_block}. *)
 
 exception Tripped of string
 

@@ -2,7 +2,9 @@
 
     The general-sparse counterpart to {!Tridiag} for the solver stage; used
     by the tissue example and tested against the direct solver on
-    tridiagonal systems. *)
+    tridiagonal systems.  [solve] stops at relative residual [tol] or
+    after [max_iters] iterations; callers must check [residual] — it is
+    NaN (and so is every entry of [x]) when [b] is not finite. *)
 
 type stats = { iterations : int; residual : float }
 
@@ -55,4 +57,7 @@ let solve ?(tol = 1e-10) ?(max_iters = 1000) (m : Sparse.t) (b : floatarray) :
        res := Float.sqrt (dot r r) /. bnorm
      done
    with Exit -> ());
+  (* a non-finite residual (a NaN or Inf in [b]) leaves no solution to
+     report: say so in every entry instead of returning the zero start *)
+  if not (Float.is_finite !res) then Float.Array.fill x 0 n Float.nan;
   (x, { iterations = !iters; residual = !res })

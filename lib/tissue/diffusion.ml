@@ -86,3 +86,6 @@ let matrix (t : t) : Solver.Sparse.t =
       Solver.Sparse.of_triplets ~n:t.n !triplets
 
 let cg_stats (t : t) : Solver.Cg.stats option = t.last_cg
+
+(* [not (r <= tol)] also rejects a NaN residual *)
+let converged (s : Solver.Cg.stats) : bool = s.Solver.Cg.residual <= cg_tol

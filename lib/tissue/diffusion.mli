@@ -24,3 +24,14 @@ val matrix : t -> Solver.Sparse.t
 val cg_stats : t -> Solver.Cg.stats option
 (** Convergence statistics of the most recent CG solve ([None] on the
     tridiagonal path or before the first solve). *)
+
+val cg_tol : float
+(** The CG path's relative-residual tolerance, [1e-12]. *)
+
+val cg_max_iters : int
+(** The CG path's iteration budget, [10_000]. *)
+
+val converged : Solver.Cg.stats -> bool
+(** The solve met {!cg_tol}: false for a non-finite residual (a NaN or
+    Inf in the right-hand side, in which case every entry of the
+    returned solution is NaN) and for a used-up iteration budget. *)

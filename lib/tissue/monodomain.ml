@@ -143,6 +143,50 @@ let check_block (m : t) : unit =
       end
   | _ -> ()
 
+exception Solver_failed of Easyml.Diag.t
+
+let first_nonfinite (a : floatarray) : int =
+  let rec go i =
+    if i >= Float.Array.length a then -1
+    else if Float.is_finite (Float.Array.get a i) then go (i + 1)
+    else i
+  in
+  go 0
+
+let cg_diag (m : t) ~(cell : int) (s : Solver.Cg.stats) : Easyml.Diag.t =
+  let step = m.driver.Driver.steps_done and t = time m in
+  if Float.is_finite s.Solver.Cg.residual then
+    Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"cg-max-iters"
+      "diffusion CG solve at step %d (t=%g ms) stopped after %d iteration(s) \
+       at relative residual %g, short of the tolerance %g"
+      step t s.Solver.Cg.iterations s.Solver.Cg.residual Diffusion.cg_tol
+  else
+    Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"cg-nonfinite"
+      "diffusion CG solve at step %d (t=%g ms) has no solution: its \
+       residual is not finite%s"
+      step t
+      (if cell < 0 then ""
+       else
+         Printf.sprintf " (right-hand side %g at cell %d)"
+           (Float.Array.get m.rhs cell) cell)
+
+(* Solve [op x = m.rhs] into the driver's Vm.  A CG solve that stopped
+   short of its tolerance never passes for a solution: with a health
+   monitor it is a hard trip, without one the run stops here. *)
+let diffuse (m : t) (op : Diffusion.t) : unit =
+  let x = Diffusion.solve op m.rhs in
+  (match Diffusion.cg_stats op with
+  | Some s when not (Diffusion.converged s) -> (
+      let cell = first_nonfinite m.rhs in
+      match Driver.health m.driver with
+      | Some h when Obs.Health.enabled h ->
+          Obs.Health.note_solver h ~cell ~step:m.driver.Driver.steps_done
+            ~residual:s.Solver.Cg.residual;
+          Obs.Health.enforce h
+      | _ -> raise (Solver_failed (cg_diag m ~cell s)))
+  | _ -> ());
+  write_back m x
+
 let step (m : t) : unit =
   let n = Geometry.cells m.geom in
   let t0 = Driver.time m.driver in
@@ -163,13 +207,12 @@ let step (m : t) : unit =
                  /. m.cfg.cm)
           done);
       (* … then (3) the implicit diffusion solve *)
-      Obs.Tracer.with_span "tissue.diffusion" (fun () ->
-          write_back m (Diffusion.solve m.op_full m.rhs))
+      Obs.Tracer.with_span "tissue.diffusion" (fun () -> diffuse m m.op_full)
   | Strang ->
       (* (1) implicit diffusion over dt/2 *)
       Obs.Tracer.with_span "tissue.diffusion" (fun () ->
           Float.Array.blit m.vm_buf 0 m.rhs 0 n;
-          write_back m (Diffusion.solve m.op_half m.rhs));
+          diffuse m m.op_half);
       (* (2) full-dt ionic stage + explicit reaction update *)
       Obs.Tracer.with_span "tissue.ionic" (fun () ->
           Driver.compute_stage ~nthreads:m.nthreads m.driver);
@@ -185,7 +228,7 @@ let step (m : t) : unit =
       (* (3) implicit diffusion over dt/2 *)
       Obs.Tracer.with_span "tissue.diffusion" (fun () ->
           Float.Array.blit m.vm_buf 0 m.rhs 0 n;
-          write_back m (Diffusion.solve m.op_half m.rhs)));
+          diffuse m m.op_half));
   Driver.tick m.driver;
   Activation.observe m.act ~t_prev:t0 ~t_now:(Driver.time m.driver)
     ~vm:m.vm_buf;

@@ -76,11 +76,22 @@ val protocol : t -> Protocol.t
 val time : t -> float
 (** Current simulation time, ms. *)
 
+exception Solver_failed of Easyml.Diag.t
+(** A CG diffusion solve stopped short of {!Diffusion.cg_tol} — a
+    non-finite residual ([cg-nonfinite], naming the first non-finite
+    right-hand-side cell) or a used-up iteration budget
+    ([cg-max-iters]) — with no enabled health monitor to report it to. *)
+
 val step : t -> unit
 (** One operator-split step: ionic stage(s), exchange, diffusion
     solve(s), clock tick, activation observation, block check.  Phases
     record {!Obs.Tracer} spans ([tissue.ionic], [tissue.exchange],
-    [tissue.diffusion]) when tracing is enabled. *)
+    [tissue.diffusion]) when tracing is enabled.  A diffusion solve
+    that did not converge is a hard [solver-failure] trip of an enabled
+    health monitor ({!Obs.Health.enforce} runs at once), and otherwise
+    raises {!Solver_failed}: a run never continues as if it had a
+    solution.
+    @raise Obs.Health.Tripped under the [Abort] policy. *)
 
 val run : ?ckpt:Obs.Recorder.writer -> t -> steps:int -> float
 (** [steps] full steps; returns total wall-clock seconds.  [?ckpt]

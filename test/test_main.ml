@@ -1,4 +1,8 @@
+(* Native kernels compile into a per-process store, removed at exit: the
+   suite never writes to the user's cache, and every cache miss it counts
+   is a real compile. *)
 let () =
+  Exec.Native.with_store None @@ fun () ->
   Alcotest.run "limpetmlir"
     [
       ("frontend", Test_frontend.suite);

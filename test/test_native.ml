@@ -177,16 +177,11 @@ let lower_loop ~(w : int) (e : Easyml.Ast.expr) : Ir.Func.modl =
          B.ret b []));
   m
 
-let stem_counter = ref 0
-
 let run_native (m : Ir.Func.modl) ~(n : int) (in1 : floatarray)
     (in2 : floatarray) : floatarray =
   let tc = Option.get (Native.toolchain ()) in
   let src = Codegen.C_backend.emit_module m in
-  incr stem_counter;
-  let lib, _ms =
-    Native.compile tc ~stem:(Printf.sprintf "t_loop_%d" !stem_counter) ~src
-  in
+  let lib, _origin = Native.compile tc ~src in
   let f =
     Native.bind lib ~symbol:(Codegen.C_backend.symbol "f")
       ~params:[ Ir.Ty.Memref; Ir.Ty.Memref; Ir.Ty.Memref; Ir.Ty.I64 ]
@@ -338,7 +333,7 @@ let test_failing_compiler_diagnostic () =
 let test_malformed_c_compile_error () =
   skip_without_cc ();
   let tc = Option.get (Native.toolchain ()) in
-  match Native.compile tc ~stem:"t_malformed" ~src:"int main( {" with
+  match Native.compile tc ~src:"int main( {" with
   | _ -> Alcotest.fail "malformed C compiled"
   | exception Native.Compile_error { status; log; file; _ } ->
       Alcotest.(check bool) "non-zero status" true (status <> 0);
@@ -361,6 +356,308 @@ let test_unsupported_ir_diagnostic () =
   | exception Codegen.C_backend.Unsupported msg ->
       Alcotest.(check bool) "message names the problem" true
         (Helpers.contains msg "vector")
+
+(* -- the persistent kernel store ------------------------------------------ *)
+
+let rec rm_rf (p : string) : unit =
+  match Sys.is_directory p with
+  | exception Sys_error _ -> ()
+  | true ->
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+  | false -> Sys.remove p
+
+let with_temp_dir (f : string -> unit) : unit =
+  let d = Filename.temp_dir "limpet-store-test" "" in
+  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
+
+(* the CLI next to this test executable in the build tree *)
+let cli =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/limpetmlir.exe"
+
+let skip_without_cli () =
+  skip_without_cc ();
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+
+let read_text (p : string) : string =
+  try In_channel.with_open_bin p In_channel.input_all with Sys_error _ -> ""
+
+(* Start the CLI with [env] overriding the inherited environment; the
+   returned thunk waits for it and gives (exit code, stdout, stderr). *)
+let start_cli ~(env : (string * string) list) (args : string list) :
+    unit -> int * string * string =
+  let out = Filename.temp_file "limpet-out" "" in
+  let err = Filename.temp_file "limpet-err" "" in
+  let fd p = Unix.openfile p [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let fd_out = fd out and fd_err = fd err in
+  let inherited =
+    List.filter
+      (fun s ->
+        not (List.exists (fun (k, _) -> String.starts_with ~prefix:(k ^ "=") s) env))
+      (Array.to_list (Unix.environment ()))
+  in
+  let environment =
+    Array.of_list (List.map (fun (k, v) -> k ^ "=" ^ v) env @ inherited)
+  in
+  let pid =
+    Unix.create_process_env cli (Array.of_list (cli :: args)) environment
+      Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  fun () ->
+    let code =
+      match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1
+    in
+    let r = (code, read_text out, read_text err) in
+    Sys.remove out;
+    Sys.remove err;
+    r
+
+let run_cli ~env args = start_cli ~env args ()
+
+(* A cache root with a compiler wrapper that passes --version through
+   (so the compiler identity is the real one's) and logs every other
+   invocation. *)
+type root = { env : (string * string) list; log : string; store : string }
+
+let make_root ~(fail : bool) (dir : string) : root =
+  let real = (Option.get (Native.toolchain ())).Native.cc in
+  let log = Filename.concat dir "cc.log" in
+  let wrapper = Filename.concat dir "cc-wrapper" in
+  Out_channel.with_open_bin wrapper (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\ncase \"$1\" in --version) exec %s \"$@\" ;; esac\n\
+         echo x >> %s\n%s\n"
+        (Filename.quote real) (Filename.quote log)
+        (if fail then "exit 1" else "exec " ^ Filename.quote real ^ " \"$@\""));
+  Unix.chmod wrapper 0o755;
+  let cache = Filename.concat dir "cache" in
+  {
+    env = [ ("XDG_CACHE_HOME", cache); ("LIMPET_CC", wrapper) ];
+    log;
+    store = Filename.concat (Filename.concat cache "limpetmlir") "native";
+  }
+
+let cc_calls (r : root) : int =
+  List.length
+    (List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_text r.log)))
+
+let final_digest ~ctx (code, out, err) : string =
+  if code <> 0 then Alcotest.failf "%s: exit %d\n%s" ctx code err;
+  let prefix = "# final state digest: " in
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' out)
+  with
+  | Some l ->
+      String.sub l (String.length prefix) (String.length l - String.length prefix)
+  | None -> Alcotest.failf "%s: no final state digest in\n%s" ctx out
+
+let run_args =
+  [ "run"; "LuoRudy91"; "--engine"; "native"; "--cells"; "64"; "--steps"; "50";
+    "--trace-every"; "0"; "--final-digest" ]
+
+let cable_args =
+  [ "tissue"; "MitchellSchaeffer"; "--engine"; "native"; "--nx"; "64";
+    "--steps"; "200"; "--final-digest" ]
+
+let libraries (r : root) : string list =
+  match Sys.readdir (r.store) with
+  | names ->
+      Array.to_list names
+      |> List.filter (fun f -> Filename.check_suffix f ".so")
+      |> List.map (Filename.concat (r.store))
+  | exception Sys_error _ -> []
+
+let manifest_artifact (dir : string) : string =
+  let m = Obs.Json.parse_exn (read_text (Filename.concat dir "manifest.json")) in
+  match Option.bind (Obs.Json.member "native" m) (Obs.Json.member "artifact") with
+  | Some a -> Option.value ~default:"?" (Obs.Json.to_str a)
+  | None -> "none"
+
+(* A second process with the same cache root loads the library the
+   first one published: same answer, one compiler run. *)
+let test_store_warm_runs () =
+  skip_without_cli ();
+  List.iter
+    (fun (what, args) ->
+      with_temp_dir (fun dir ->
+          let r = make_root ~fail:false dir in
+          let ck k = [ "--checkpoint-dir"; Filename.concat dir k ] in
+          let cold = final_digest ~ctx:(what ^ " cold") (run_cli ~env:r.env (args @ ck "a")) in
+          Alcotest.(check int) (what ^ ": cold run compiles") 1 (cc_calls r);
+          let warm = final_digest ~ctx:(what ^ " warm") (run_cli ~env:r.env (args @ ck "b")) in
+          Alcotest.(check string) (what ^ ": warm digest") cold warm;
+          Alcotest.(check int) (what ^ ": warm run does not compile") 1 (cc_calls r);
+          Alcotest.(check string) (what ^ ": cold manifest") "compiled"
+            (manifest_artifact (Filename.concat dir "a"));
+          Alcotest.(check string) (what ^ ": warm manifest") "disk"
+            (manifest_artifact (Filename.concat dir "b"))))
+    [ ("run", run_args); ("tissue cable", cable_args) ]
+
+(* profile says where the kernel came from, in the summary and in a
+   Prometheus exposition that still validates. *)
+let test_store_profile_reports_origin () =
+  skip_without_cli ();
+  with_temp_dir (fun dir ->
+      let r = make_root ~fail:false dir in
+      let profile fmt =
+        let code, out, err =
+          run_cli ~env:r.env
+            [ "profile"; "LuoRudy91"; "--engine"; "native"; "--cells"; "64";
+              "--steps"; "20"; "--format"; fmt ]
+        in
+        if code <> 0 then Alcotest.failf "profile --format %s: exit %d\n%s" fmt code err;
+        out
+      in
+      Alcotest.(check bool) "cold summary" true
+        (Helpers.contains (profile "summary") "native kernel: compiled");
+      Alcotest.(check bool) "warm summary" true
+        (Helpers.contains (profile "summary") "native kernel: disk");
+      let prom = profile "prometheus" in
+      Alcotest.(check bool) "disk hit counted" true
+        (Helpers.contains prom "limpetmlir_counter{name=\"cache.native_disk_hit\"} 1");
+      Alcotest.(check bool) "dlopen span" true
+        (Helpers.contains prom "limpetmlir_span_count{span=\"native.load\"}");
+      match Obs.Export.validate_prometheus prom with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "exposition does not validate: %s" e)
+
+(* A truncated library, a flipped byte or a lost digest record is
+   deleted and recompiled: same answer, exit 0. *)
+let test_store_damaged_entries () =
+  skip_without_cli ();
+  with_temp_dir (fun dir ->
+      let r = make_root ~fail:false dir in
+      let want = final_digest ~ctx:"cold" (run_cli ~env:r.env run_args) in
+      let damage =
+        [
+          ("truncated", fun so -> Unix.truncate so 1000);
+          ( "one byte flipped",
+            fun so ->
+              let b = Bytes.of_string (read_text so) in
+              let i = Bytes.length b / 2 in
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+              Out_channel.with_open_bin so (fun oc -> Out_channel.output_bytes oc b) );
+          ("digest record deleted", fun so -> Sys.remove (Filename.chop_suffix so ".so" ^ ".md5"));
+        ]
+      in
+      List.iteri
+        (fun i (what, f) ->
+          (match libraries r with
+          | [ so ] -> f so
+          | l -> Alcotest.failf "%s: expected one library, found %d" what (List.length l));
+          let got = final_digest ~ctx:what (run_cli ~env:r.env run_args) in
+          Alcotest.(check string) (what ^ ": digest") want got;
+          Alcotest.(check int) (what ^ ": recompiled") (i + 2) (cc_calls r))
+        damage)
+
+(* A store directory other users can write is never read from. *)
+let test_store_unsafe_dir () =
+  skip_without_cli ();
+  with_temp_dir (fun dir ->
+      let r = make_root ~fail:false dir in
+      let want = final_digest ~ctx:"cold" (run_cli ~env:r.env run_args) in
+      let before = List.map read_text (libraries r) in
+      Unix.chmod (r.store) 0o777;
+      let ((_, _, err) as res) = run_cli ~env:r.env run_args in
+      Unix.chmod (r.store) 0o700;
+      Alcotest.(check string) "digest" want (final_digest ~ctx:"unsafe" res);
+      Alcotest.(check bool) "native-cache-unsafe warning" true
+        (Helpers.contains err "native-cache-unsafe");
+      Alcotest.(check int) "compiled instead of loading" 2 (cc_calls r);
+      Alcotest.(check bool) "store left untouched" true
+        (before = List.map read_text (libraries r)))
+
+(* Two cold processes racing to publish one key both succeed, and what
+   they leave is intact: a third run compiles nothing. *)
+let test_store_concurrent_publish () =
+  skip_without_cli ();
+  with_temp_dir (fun dir ->
+      let r = make_root ~fail:false dir in
+      let a = start_cli ~env:r.env run_args and b = start_cli ~env:r.env run_args in
+      let da = final_digest ~ctx:"first" (a ()) and db = final_digest ~ctx:"second" (b ()) in
+      Alcotest.(check string) "racing digests" da db;
+      let n = cc_calls r in
+      Alcotest.(check string) "third digest" da
+        (final_digest ~ctx:"third" (run_cli ~env:r.env run_args));
+      Alcotest.(check int) "third run loads the published entry" n (cc_calls r))
+
+(* Publishing past the cap evicts least-recently-used entries, and a
+   load counts as a use. *)
+let test_store_capacity () =
+  skip_without_cc ();
+  let tc = Option.get (Native.toolchain ()) in
+  with_temp_dir (fun dir ->
+      Native.with_store (Some dir) (fun () ->
+          let src n = Printf.sprintf "double f(double x) { return x + %d; }\n" n in
+          let old = Unix.gettimeofday () -. 1e6 in
+          let lib_a, origin = Native.compile tc ~src:(src 1) in
+          Alcotest.(check bool) "first compile runs cc" true
+            (match origin with Native.Compiled _ -> true | Native.Disk -> false);
+          let so_a = Native.so_path lib_a in
+          List.iter
+            (fun p -> Unix.utimes p old old)
+            [ so_a; Filename.chop_suffix so_a ".so" ^ ".md5" ];
+          Alcotest.(check bool) "reload is a disk hit" true
+            (snd (Native.compile tc ~src:(src 1)) = Native.Disk);
+          (* fake entries, all older than the reloaded one *)
+          let fake i = Filename.concat dir (Printf.sprintf "%032x" i) in
+          for i = 1 to Native.capacity do
+            List.iter
+              (fun ext ->
+                let p = fake i ^ ext in
+                Out_channel.with_open_bin p (fun oc -> output_string oc "x");
+                let t = old +. float_of_int i in
+                Unix.utimes p t t)
+              [ ".so"; ".md5" ]
+          done;
+          let lib_b, _ = Native.compile tc ~src:(src 2) in
+          let keys =
+            Sys.readdir dir |> Array.to_list
+            |> List.filter (fun f -> String.index_opt f '.' = Some 32)
+            |> List.map (fun f -> String.sub f 0 32)
+            |> List.sort_uniq compare
+          in
+          Alcotest.(check int) "entries after publishing" Native.capacity
+            (List.length keys);
+          List.iter
+            (fun (what, p, want) ->
+              Alcotest.(check bool) what want (Sys.file_exists p))
+            [
+              ("new entry kept", Native.so_path lib_b, true);
+              ("recently loaded entry kept", Native.so_path lib_a, true);
+              ("two oldest fakes evicted", fake 2 ^ ".so", false);
+              ("newest fake kept", fake Native.capacity ^ ".so", true);
+            ]))
+
+(* The translation unit a cc-failed diagnostic names outlives the
+   process that wrote it. *)
+let test_failed_unit_kept () =
+  skip_without_cli ();
+  with_temp_dir (fun dir ->
+      let r = make_root ~fail:true dir in
+      let code, _, err =
+        run_cli ~env:r.env
+          [ "run"; "MitchellSchaeffer"; "--engine"; "native"; "--cells"; "8";
+            "--steps"; "20"; "--trace-every"; "0" ]
+      in
+      Alcotest.(check int) "degrades, exit 0" 0 code;
+      Alcotest.(check bool) "cc-failed diagnostic" true (Helpers.contains err "cc-failed");
+      let file =
+        match
+          List.filter
+            (fun f -> Filename.check_suffix f ".c")
+            (Array.to_list (Sys.readdir (r.store)))
+        with
+        | [ c ] -> Filename.concat (r.store) c
+        | l -> Alcotest.failf "expected one kept unit, found %d" (List.length l)
+      in
+      Alcotest.(check bool) "the diagnostic names it" true (Helpers.contains err file);
+      Alcotest.(check bool) "translation unit survives the process" true
+        (Sys.file_exists file);
+      Alcotest.(check bool) "log survives the process" true
+        (Sys.file_exists (Filename.chop_suffix file ".c" ^ ".log")))
 
 let test_availability_report () =
   (* not an assertion about the box — just surface the probe result in
@@ -394,4 +691,18 @@ let suite =
       test_malformed_c_compile_error;
     Alcotest.test_case "unsupported IR: emitter refuses" `Quick
       test_unsupported_ir_diagnostic;
+    Alcotest.test_case "store: warm run loads, same digest" `Quick
+      test_store_warm_runs;
+    Alcotest.test_case "store: profile reports the origin" `Quick
+      test_store_profile_reports_origin;
+    Alcotest.test_case "store: damaged entries recompile" `Quick
+      test_store_damaged_entries;
+    Alcotest.test_case "store: unsafe directory is not used" `Quick
+      test_store_unsafe_dir;
+    Alcotest.test_case "store: concurrent publishers" `Quick
+      test_store_concurrent_publish;
+    Alcotest.test_case "store: capacity and LRU eviction" `Quick
+      test_store_capacity;
+    Alcotest.test_case "store: failed unit outlives the process" `Quick
+      test_failed_unit_kept;
   ]

@@ -101,6 +101,80 @@ let test_diffusion_conserves_flat () =
     (fun v -> Helpers.check_close ~tol:1e-9 "flat fixed point" (-80.0) v)
     x
 
+(* The convergence verdict the monodomain step acts on: a full solve
+   converges; a cut iteration budget and a NaN right-hand side do not,
+   and the latter returns NaN everywhere rather than the zero start. *)
+let test_cg_convergence_verdict () =
+  let geom = Geometry.sheet ~nx:8 ~ny:8 ~dx:0.01 in
+  let m = Diffusion.matrix (Diffusion.assemble geom ~sigma:0.001 ~dt:0.01) in
+  let b = Float.Array.init 64 (fun i -> Float.sin (float_of_int i)) in
+  let solve ~max_iters b =
+    Solver.Cg.solve ~tol:Diffusion.cg_tol ~max_iters m b
+  in
+  let _, full = solve ~max_iters:Diffusion.cg_max_iters b in
+  let _, cut = solve ~max_iters:1 b in
+  Float.Array.set b 3 Float.nan;
+  let x, bad = solve ~max_iters:Diffusion.cg_max_iters b in
+  Alcotest.(check bool) "full solve converges" true (Diffusion.converged full);
+  Alcotest.(check bool) "used-up budget does not" false (Diffusion.converged cut);
+  Alcotest.(check bool) "NaN rhs does not" false (Diffusion.converged bad);
+  Alcotest.(check bool) "NaN rhs: no zeros handed back" true
+    (Float.Array.for_all Float.is_nan x)
+
+(* One NaN in one cell of an 8×8 sheet used to come back from CG as a
+   sheet of 0 mV.  The NaN goes in after a clean first step, so the
+   stride-16 health sampler is not due and the solver check is what
+   fires. *)
+let nan_sheet ?health () =
+  let geom = Geometry.sheet ~nx:8 ~ny:8 ~dx:0.01 in
+  let sim =
+    Monodomain.create (fixture_gen ()) ~geom ~dt:0.01
+      ~protocol:(Protocol.s1 geom)
+  in
+  Option.iter (fun enable -> enable (Monodomain.driver sim)) health;
+  Monodomain.step sim;
+  Float.Array.set (Sim.Driver.ext_buffer (Monodomain.driver sim) "Vm") 3
+    Float.nan;
+  sim
+
+let test_cg_nan_sheet () =
+  (* no monitor: the step stops with a diagnostic naming the cell *)
+  (match Monodomain.step (nan_sheet ()) with
+  | () -> Alcotest.fail "a NaN right-hand side passed for a solution"
+  | exception Monodomain.Solver_failed d ->
+      Alcotest.(check string) "code" "cg-nonfinite" d.Easyml.Diag.code;
+      Alcotest.(check bool) "names the cell" true
+        (Helpers.contains d.Easyml.Diag.message "cell 3"));
+  (* abort policy: a hard health trip *)
+  let abort d =
+    Sim.Driver.enable_health
+      ~cfg:{ Obs.Health.default_config with policy = Obs.Health.Abort } d
+  in
+  (match Monodomain.step (nan_sheet ~health:abort ()) with
+  | () -> Alcotest.fail "no health trip"
+  | exception Obs.Health.Tripped msg ->
+      Alcotest.(check bool) "solver-failure at cell 3" true
+        (Helpers.contains msg "reason=solver-failure"
+        && Helpers.contains msg "cell=3"));
+  (* warn policy: reported and unhealthy, and the sheet reads NaN, not
+     0 mV *)
+  let warned = ref [] in
+  let sim =
+    nan_sheet
+      ~health:(Sim.Driver.enable_health ~warn:(fun m -> warned := m :: !warned))
+      ()
+  in
+  Monodomain.step sim;
+  let d = Monodomain.driver sim in
+  Alcotest.(check bool) "unhealthy" true
+    (Obs.Health.unhealthy (Option.get (Sim.Driver.health d)));
+  Alcotest.(check bool) "warned" true
+    (List.exists (fun m -> Helpers.contains m "solver-failure") !warned);
+  for i = 0 to 63 do
+    if not (Float.is_nan (Sim.Driver.vm d i)) then
+      Alcotest.failf "cell %d reads %g after a failed solve" i (Sim.Driver.vm d i)
+  done
+
 (* -- activation recorder --------------------------------------------- *)
 
 let test_activation_interpolation () =
@@ -489,4 +563,8 @@ let suite =
       test_prometheus_tissue_families;
     Alcotest.test_case "activation map output" `Quick
       test_activation_map_output;
+    Alcotest.test_case "diffusion: CG convergence verdict" `Quick
+      test_cg_convergence_verdict;
+    Alcotest.test_case "NaN in an 8x8 sheet stops the solve" `Quick
+      test_cg_nan_sheet;
   ]
