@@ -373,7 +373,7 @@ type wall_row = {
   wr_model : string;
   wr_cls : string;
   wr_cfg : string;  (** "scalar" | "vector" *)
-  wr_engine : string;  (** "interp" | "closure" | "fused" | "batched" | ... *)
+  wr_engine : string;  (** "interp" | "closure" | "batched" | ... *)
   wr_median_ns : float;
   wr_iqr_ns : float;  (** interquartile range of the per-run samples *)
   wr_samples : int;
@@ -385,7 +385,7 @@ type wall_row = {
           re-run of the same driver — nonzero NaN fails the CI smoke *)
 }
 
-(* Each engine variant knows how to build its driver; "fused-noelide"
+(* Each engine variant knows how to build its driver; "batched-noelide"
    keeps every runtime bounds check so the row pair quantifies what the
    bounds-proof elision pass buys on real hardware.  The base rows pin
    [~specialize:false] so their historical meaning is stable;
@@ -399,12 +399,10 @@ let wall_engines =
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Reference ~specialize:false g ~ncells:n ~dt:0.01);
     ("closure",
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Compiled ~specialize:false g ~ncells:n ~dt:0.01);
-    ("fused",
-     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Fused ~specialize:false g ~ncells:n ~dt:0.01);
-    ("fused-noelide",
-     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Fused ~elide:false ~specialize:false g ~ncells:n ~dt:0.01);
     ("batched",
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~specialize:false g ~ncells:n ~dt:0.01);
+    ("batched-noelide",
+     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~elide:false ~specialize:false g ~ncells:n ~dt:0.01);
     ("batched-spec",
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~specialize:true g ~ncells:n ~dt:0.01);
   ]
@@ -478,7 +476,7 @@ let health_of (d : Sim.Driver.t) : int * int * int =
   totals
 
 (* Every-model health sweep: short stimulated runs of all bundled models
-   under every-step monitoring, on the fused vector config.  Recorded in
+   under every-step monitoring, on the batched vector config.  Recorded in
    BENCH_wall.json as "health_sweep"; the CI gate fails on any nonzero
    NaN count. *)
 let health_sweep () : (string * (int * int * int)) list =
@@ -486,7 +484,9 @@ let health_sweep () : (string * (int * int * int)) list =
   List.map
     (fun (e : Models.Model_def.entry) ->
       let g = gen (Codegen.Config.mlir ~width:8) e in
-      let d = Sim.Driver.create g ~ncells:32 ~dt:0.01 in
+      let d =
+        Sim.Driver.create ~engine:Sim.Driver.Batched g ~ncells:32 ~dt:0.01
+      in
       Sim.Driver.enable_health
         ~cfg:{ Obs.Health.default_config with Obs.Health.stride = 1 }
         ~warn:(fun _ -> ())
@@ -507,7 +507,7 @@ let health_sweep () : (string * (int * int * int)) list =
    contribute to a geomean headline; they are dropped with a log line. *)
 let min_geo_samples = 10
 
-(* Flight-recorder cost: the same fused vector driver run to completion
+(* Flight-recorder cost: the same batched vector driver run to completion
    with and without a checkpoint writer at the CLI's default stride
    (1000 steps, keep 3, verify on — exactly what `limpetmlir run
    --checkpoint-dir` attaches), wall-clock around the whole run so the
@@ -540,7 +540,7 @@ let checkpoint_overhead () : (string * float) list =
       let g = gen (Codegen.Config.mlir ~width:8) e in
       let wall ~(ckpt : bool) () =
         let d =
-          Sim.Driver.create ~engine:Sim.Driver.Fused g ~ncells:!wall_cells
+          Sim.Driver.create ~engine:Sim.Driver.Batched g ~ncells:!wall_cells
             ~dt:0.01
         in
         let writer, dir =
@@ -635,7 +635,7 @@ let wall_write_json (path : string) (rows : wall_row list)
 let wallclock () =
   hr ();
   Fmt.pr "Wall-clock microbenchmarks (bechamel): real execution of the@.";
-  Fmt.pr "generated kernels on this host, {interp, closure, fused, batched,@.";
+  Fmt.pr "generated kernels on this host, {interp, closure, batched,@.";
   Fmt.pr "native} engines x {scalar, vector} configs; median ns per stimulated@.";
   Fmt.pr "step (kernel-dominated) with the interquartile range per row.@.";
   hr ();
@@ -742,16 +742,14 @@ let wallclock () =
           in
           let ns ename = List.assoc_opt ename by_engine in
           (match
-             ( ns "interp", ns "closure", ns "fused", ns "fused-noelide",
-               ns "batched" )
+             (ns "interp", ns "closure", ns "batched", ns "batched-noelide")
            with
-          | Some ti, Some tc, Some tf, Some tn, Some tb ->
+          | Some ti, Some tc, Some tb, Some tn ->
               Fmt.pr
-                "%-24s %-6s interp %11.1f us  closure %9.1f us  fused %9.1f \
-                 us  batched %9.1f us  (closure/fused %.2fx, fused/batched \
-                 %.2fx, elision %.2fx)@."
-                name cname (ti /. 1e3) (tc /. 1e3) (tf /. 1e3) (tb /. 1e3)
-                (tc /. tf) (tf /. tb) (tn /. tf)
+                "%-24s %-6s interp %11.1f us  closure %9.1f us  batched \
+                 %9.1f us  (closure/batched %.2fx, elision %.2fx)@."
+                name cname (ti /. 1e3) (tc /. 1e3) (tb /. 1e3) (tc /. tb)
+                (tn /. tb)
           | _ -> Fmt.pr "%-24s %-6s (no estimate)@." name cname);
           match (ns "native", ns "batched") with
           | Some tnat, Some tb ->
@@ -794,38 +792,24 @@ let wallclock () =
   let geo_or_nan = function [] -> Float.nan | xs -> geo xs in
   let any _ = true in
   let large c = c = "large" in
-  (* headline: fused vs the seed closure engine on the large-model class *)
+  (* headline: batched, the fastest OCaml engine, vs the seed closure
+     engine on the large-model class (the geomean is gated >= 1.0 in
+     CI) *)
   let sc =
-    geo_or_nan (ratios ~num:"closure" ~den:"fused" ~cls_filter:large
+    geo_or_nan (ratios ~num:"closure" ~den:"batched" ~cls_filter:large
                   ~cfg_filter:(fun c -> c = "scalar"))
   in
   let ve =
-    geo_or_nan (ratios ~num:"closure" ~den:"fused" ~cls_filter:large
+    geo_or_nan (ratios ~num:"closure" ~den:"batched" ~cls_filter:large
                   ~cfg_filter:(fun c -> c = "vector"))
   in
   let all =
     geo_or_nan
-      (ratios ~num:"closure" ~den:"fused" ~cls_filter:large ~cfg_filter:any)
+      (ratios ~num:"closure" ~den:"batched" ~cls_filter:large ~cfg_filter:any)
   in
-  Fmt.pr "@.large-class fused-vs-closure median speedup: scalar %.2fx, \
+  Fmt.pr "@.large-class batched-vs-closure median speedup: scalar %.2fx, \
           vector %.2fx, geomean %.2fx@."
     sc ve all;
-  (* headline: tile-batched vs fused on the large-model class *)
-  let bsc =
-    geo_or_nan (ratios ~num:"fused" ~den:"batched" ~cls_filter:large
-                  ~cfg_filter:(fun c -> c = "scalar"))
-  in
-  let bve =
-    geo_or_nan (ratios ~num:"fused" ~den:"batched" ~cls_filter:large
-                  ~cfg_filter:(fun c -> c = "vector"))
-  in
-  let ball =
-    geo_or_nan
-      (ratios ~num:"fused" ~den:"batched" ~cls_filter:large ~cfg_filter:any)
-  in
-  Fmt.pr "large-class batched-vs-fused median speedup: scalar %.2fx, \
-          vector %.2fx, geomean %.2fx@."
-    bsc bve ball;
   (* headline: runtime specialization on the batched engine, all model
      classes (the specializer's wins are not class-specific) *)
   let ssc =
@@ -862,15 +846,16 @@ let wallclock () =
   Fmt.pr "native-vs-batched median speedup: scalar %.2fx, vector %.2fx, \
           geomean %.2fx@."
     nsc nve nall;
-  (* bounds-elision delta: fused with every runtime check vs fused with
-     proved checks dropped, all models and configs (>= 1 means elision
-     did not regress) *)
+  (* bounds-elision delta: batched with every runtime check vs batched
+     with proved checks dropped, all models and configs (>= 1 means
+     elision did not regress) *)
   let el =
     geo_or_nan
-      (ratios ~num:"fused-noelide" ~den:"fused" ~cls_filter:any
+      (ratios ~num:"batched-noelide" ~den:"batched" ~cls_filter:any
          ~cfg_filter:any)
   in
-  Fmt.pr "bounds-check elision speedup (fused-noelide/fused geomean): %.2fx@."
+  Fmt.pr
+    "bounds-check elision speedup (batched-noelide/batched geomean): %.2fx@."
     el;
   (* flight-recorder cost on the large rows: full runs with the default
      CLI writer attached vs without, wall-clock ratio *)
@@ -878,7 +863,7 @@ let wallclock () =
   List.iter
     (fun (name, r) ->
       Fmt.pr
-        "checkpoint overhead (%s, fused vector, stride %d over %d steps): \
+        "checkpoint overhead (%s, batched vector, stride %d over %d steps): \
          %.4fx@."
         name ckpt_stride ckpt_steps r)
     ck_rows;
@@ -901,19 +886,16 @@ let wallclock () =
          (List.length sweep) nan_total row_nan);
       wall_write_json path rows sweep
         [
-          ("large_fused_vs_closure_scalar", sc);
-          ("large_fused_vs_closure_vector", ve);
-          ("large_fused_vs_closure_geomean", all);
-          ("large_batched_vs_fused_scalar", bsc);
-          ("large_batched_vs_fused_vector", bve);
-          ("large_batched_vs_fused_geomean", ball);
+          ("large_batched_vs_closure_scalar", sc);
+          ("large_batched_vs_closure_vector", ve);
+          ("large_batched_vs_closure_geomean", all);
           ("specialized_vs_batched_scalar", ssc);
           ("specialized_vs_batched_vector", sve);
           ("specialized_vs_batched_geomean", sall);
           ("native_vs_batched_scalar", nsc);
           ("native_vs_batched_vector", nve);
           ("native_vs_batched_geomean", nall);
-          ("fused_elision_speedup_geomean", el);
+          ("batched_elision_speedup_geomean", el);
           ("checkpoint_overhead_geomean", ck);
           ("health_nan_total", float_of_int nan_total);
         ]
@@ -946,7 +928,6 @@ let tissue_engines () =
   [
     ("interp", Sim.Driver.Reference);
     ("closure", Sim.Driver.Compiled);
-    ("fused", Sim.Driver.Fused);
     ("batched", Sim.Driver.Batched);
   ]
   @ if Exec.Native.available () then [ ("native", Sim.Driver.Native) ] else []
@@ -998,8 +979,8 @@ let tissue_write_json (path : string) (rows : tissue_row list) : unit =
     | _ -> "null"
   in
   Buffer.add_string b
-    (Printf.sprintf "    \"fused_vs_closure\": %s,\n"
-       (speedup "fused" "closure"));
+    (Printf.sprintf "    \"batched_vs_closure\": %s,\n"
+       (speedup "batched" "closure"));
   Buffer.add_string b
     (Printf.sprintf "    \"native_vs_batched\": %s\n"
        (speedup "native" "batched"));

@@ -17,7 +17,12 @@ let run models cells steps dt width threads validate =
           (fun n ->
             match Models.Registry.find n with
             | Some e -> e
-            | None -> Fmt.failwith "unknown model %s" n)
+            | None ->
+                Fmt.epr "%a@."
+                  (Easyml.Diag.pp ~file:n)
+                  (Easyml.Diag.makef ~sev:Easyml.Diag.Error
+                     ~code:"unknown-model" "unknown model %s (not in registry)" n);
+                exit 1)
           names
   in
   Fmt.pr "%-22s %12s %13s %8s %14s@." "model" "baseline(s)" "limpetMLIR(s)"

@@ -193,6 +193,28 @@ let write_run_manifest (w : Obs.Recorder.writer) ~(spec : Spec.t)
 
 (* -- common args ---------------------------------------------------- *)
 
+(* An out-of-range flag value: a diagnostic naming the flag, exit 1,
+   before the command does anything. *)
+let bad_flag ~(flag : string) ~(need : string) (got : string) : 'a =
+  Fmt.epr "%a@."
+    (Easyml.Diag.pp ~file:"limpetmlir")
+    (Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"bad-flag"
+       "--%s must be %s, got %s" flag need got);
+  exit 1
+
+(* A spec built from flags, held to what the create functions accept. *)
+let checked (s : Spec.t) : Spec.t =
+  match Spec.out_of_range s with
+  | None -> s
+  | Some r -> bad_flag ~flag:r.flag ~need:r.need r.got
+
+(* An int flag that must be at least 1 (a stride, a count). *)
+let positive (flag : string) (arg : int Term.t) : int Term.t =
+  let check n =
+    if n < 1 then bad_flag ~flag ~need:"at least 1" (string_of_int n) else n
+  in
+  Term.(const check $ arg)
+
 let model_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL")
 
@@ -232,18 +254,18 @@ let codegen_t : Spec.codegen Term.t =
 
 let engine_arg =
   Arg.(value
-       & opt (enum Sim.Driver.engines) Sim.Driver.Fused
+       & opt (enum Sim.Driver.engines) Sim.Driver.Batched
        & info [ "engine" ] ~docv:"E"
-           ~doc:"Execution engine: $(b,fused) (threaded code with \
-                 superinstructions, default), $(b,batched) (tile-batched \
-                 loop inversion over coalesced scratch rows), $(b,native) \
-                 (the lowered kernel emitted as C, compiled by the system \
-                 toolchain — \\$LIMPET_CC, else cc/gcc/clang — and \
-                 dlopen'ed; when no toolchain is found it degrades to \
+           ~doc:"Execution engine: $(b,batched) (tile-batched loop \
+                 inversion over coalesced scratch rows, default), \
+                 $(b,native) (the lowered kernel emitted as C, compiled by \
+                 the system toolchain — \\$LIMPET_CC, else cc/gcc/clang — \
+                 and dlopen'ed; when no toolchain is found it degrades to \
                  $(b,batched) with a warning, never an error), \
                  $(b,closure) (per-op closures), or $(b,interp) (slow \
-                 tree-walking reference).  All five engines produce \
-                 bitwise-identical trajectories.")
+                 tree-walking reference).  $(b,fused) is the old name of \
+                 $(b,batched).  All four engines produce bitwise-identical \
+                 trajectories.")
 
 let tile_arg =
   Arg.(value & opt int 0 & info [ "tile" ] ~docv:"N"
@@ -270,7 +292,8 @@ let cells_arg (default : int) =
 let spec_t ~(steps : int) ~(steps_doc : string) :
     (Spec.shape -> Spec.t) Term.t =
   let make model codegen engine tile specialize dt steps threads shape =
-    { Spec.model; codegen; engine; tile; specialize; dt; steps; threads; shape }
+    checked
+      { Spec.model; codegen; engine; tile; specialize; dt; steps; threads; shape }
   in
   let steps =
     Arg.(value & opt int steps & info [ "steps" ] ~docv:"N" ~doc:steps_doc)
@@ -290,12 +313,14 @@ let ckpt_dir_arg =
                  uninterrupted run (native engine: \u{2264} 2 ULP).")
 
 let ckpt_stride_arg =
-  Arg.(value & opt int 1000 & info [ "checkpoint-stride" ] ~docv:"N"
-         ~doc:"Checkpoint every N steps (with --checkpoint-dir).")
+  positive "checkpoint-stride"
+    Arg.(value & opt int 1000 & info [ "checkpoint-stride" ] ~docv:"N"
+           ~doc:"Checkpoint every N steps (with --checkpoint-dir).")
 
 let ckpt_keep_arg =
-  Arg.(value & opt int 3 & info [ "checkpoint-keep" ] ~docv:"K"
-         ~doc:"Keep only the newest K checkpoint files (rotation).")
+  positive "checkpoint-keep"
+    Arg.(value & opt int 3 & info [ "checkpoint-keep" ] ~docv:"K"
+           ~doc:"Keep only the newest K checkpoint files (rotation).")
 
 (* --checkpoint-dir with its stride and keep: a flight recorder writing
    the run spec into every checkpoint, with SIGINT/SIGTERM trapped for
@@ -364,12 +389,11 @@ let check_cmd =
     "Lint EasyML models: analyzer diagnostics plus range-based checks \
      (unused state variables, lookup-table domains, markov occupancies). \
      Exits non-zero when any error-severity diagnostic is found.  A model \
-     that passes runs identically on all five execution engines — \
-     $(b,fused) (threaded code, default), $(b,batched) (tile-batched loop \
-     inversion), $(b,native) (JIT-compiled C; degrades to batched with a \
-     warning when no C toolchain is available), $(b,closure), and \
-     $(b,interp) (reference) — selected with $(b,--engine) on \
-     run/profile/serve."
+     that passes runs identically on all four execution engines — \
+     $(b,batched) (tile-batched loop inversion, default), $(b,native) \
+     (JIT-compiled C; degrades to batched with a warning when no C \
+     toolchain is available), $(b,closure), and $(b,interp) (reference) \
+     — selected with $(b,--engine) on run/tissue/profile/serve."
   in
   let models =
     Arg.(value & pos_all string [] & info [] ~docv:"MODEL"
@@ -624,8 +648,9 @@ let run_cmd =
                  never changes results.")
   in
   let health_stride =
-    Arg.(value & opt int 16 & info [ "health-stride" ] ~docv:"N"
-           ~doc:"Sample health every N steps (with --health).")
+    positive "health-stride"
+      Arg.(value & opt int 16 & info [ "health-stride" ] ~docv:"N"
+             ~doc:"Sample health every N steps (with --health).")
   in
   let validate =
     Arg.(value & flag & info [ "validate" ]
@@ -928,7 +953,7 @@ let replay_cmd =
           exit 1
     in
     let ck = ok (Obs.Recorder.read file) in
-    let spec = { (ok (Spec.of_checkpoint ck)) with threads } in
+    let spec = checked { (ok (Spec.of_checkpoint ck)) with threads } in
     let m = load_model spec.model in
     let sim = Spec.create spec (Codegen.Cache.generate (Spec.config spec.codegen) m) in
     ok (Spec.restore sim ck);
@@ -1054,12 +1079,14 @@ let serve_cmd =
                  printed at startup).")
   in
   let health_stride =
-    Arg.(value & opt int 16 & info [ "health-stride" ] ~docv:"N"
-           ~doc:"Sample health every N steps.")
+    positive "health-stride"
+      Arg.(value & opt int 16 & info [ "health-stride" ] ~docv:"N"
+             ~doc:"Sample health every N steps.")
   in
   let refresh =
-    Arg.(value & opt int 200 & info [ "refresh" ] ~docv:"N"
-           ~doc:"Re-publish /metrics every N steps.")
+    positive "refresh"
+      Arg.(value & opt int 200 & info [ "refresh" ] ~docv:"N"
+             ~doc:"Re-publish /metrics every N steps.")
   in
   let pace =
     Arg.(value & opt float 0.0 & info [ "pace" ] ~docv:"SECONDS"

@@ -8,7 +8,7 @@
 
     The execution engines consume that set to drop their per-access
     OCaml bounds checks (switching to [unsafe_get]/[unsafe_set] and
-    unchecked fused instructions).  Only failure checks are elided —
+    unchecked tile instructions).  Only failure checks are elided —
     never value-affecting clamps — so elision cannot change results,
     only skip branches that were proved untakeable. *)
 

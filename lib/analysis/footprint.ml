@@ -1,21 +1,14 @@
 (** Memory-footprint summaries.
 
-    Two views of "what memory does this code touch":
-
-    - {!of_func}: a global, interval-powered summary — every load/store/
-      gather/scatter (and the LUT extern calls, via a small effect
-      table) is recorded as an {!access}: a symbolic buffer {e origin}
-      plus a congruence interval of touched element indices.  Seeding
-      the analysis with concrete chunk bounds turns this into the
-      per-chunk write sets the race checker intersects, and with the
-      driver's buffer lengths it becomes the proof obligation of the
-      bounds-elision pass.
-
-    - {!local_alias}: a purely syntactic, O(1) oracle for two accesses
-      in the {e same} straight-line block, used by the fused engine's
-      load/store sinking rule.  It chases constant index arithmetic to a
-      common root and classifies the pair as provably identical,
-      provably disjoint, on distinct SSA memrefs, or unknown. *)
+    {!of_func}: a global, interval-powered summary — every load/store/
+    gather/scatter (and the LUT extern calls, via a small effect table)
+    is recorded as an {!access}: a symbolic buffer {e origin} plus a
+    congruence interval of touched element indices.  Seeding the
+    analysis with concrete chunk bounds turns this into the per-chunk
+    write sets the race checker intersects, and with the driver's buffer
+    lengths it becomes the proof obligation of the bounds-elision pass.
+    {!chase_idx} normalizes constant index arithmetic for same-block
+    reasoning ({!Meminit}). *)
 
 open Ir
 module I = Itv.I
@@ -139,20 +132,8 @@ let by_origin (accs : access list) : (Interval.origin * access list) list =
   |> List.map (fun (o, l) -> (o, List.rev l))
 
 (* ------------------------------------------------------------------ *)
-(* Local (same-block) alias oracle                                     *)
+(* Index normalization                                                 *)
 (* ------------------------------------------------------------------ *)
-
-type rel =
-  | Same  (** identical buffer, identical index, identical width *)
-  | Disjoint  (** identical buffer, provably non-overlapping ranges *)
-  | DistinctMem  (** different SSA memref values *)
-  | May  (** same buffer, overlap not refutable *)
-
-let rel_name = function
-  | Same -> "same"
-  | Disjoint -> "disjoint"
-  | DistinctMem -> "distinct-mem"
-  | May -> "may-alias"
 
 (* Normalize an index to (symbolic root, constant offset) by chasing
    [x + c] / [x - c] / [c] chains.  [defs] maps an SSA value to its
@@ -176,23 +157,3 @@ let rec chase_idx (defs : Value.t -> Op.op option) (v : Value.t) (off : int)
             chase_idx defs a (off - n) (fuel - 1)
         | _ -> (Some v, off))
     | _ -> (Some v, off)
-
-(** Alias relation between two accesses [(mem, index, width)] in the
-    same block.  Sound under SSA: equal values denote equal runtime
-    addresses within one iteration. *)
-let local_alias ~(defs : Value.t -> Op.op option)
-    ((m1, i1, w1) : Value.t * Value.t * int)
-    ((m2, i2, w2) : Value.t * Value.t * int) : rel =
-  if m1.Value.id <> m2.Value.id then DistinctMem
-  else
-    let r1, o1 = chase_idx defs i1 0 8 and r2, o2 = chase_idx defs i2 0 8 in
-    let same_root =
-      match (r1, r2) with
-      | None, None -> true
-      | Some a, Some b -> a.Value.id = b.Value.id
-      | _ -> false
-    in
-    if not same_root then May
-    else if o1 = o2 && w1 = w2 then Same
-    else if o1 + w1 <= o2 || o2 + w2 <= o1 then Disjoint
-    else May

@@ -1,10 +1,7 @@
-(** Memory-footprint summaries.
-
-    Two views of "what memory does this code touch": {!of_func}, a
-    global interval-powered summary of every access as a buffer origin
-    plus a touched-index interval; and {!local_alias}, a purely
-    syntactic O(1) oracle for two accesses in the {e same} straight-line
-    block, used by the fused engine's load/store sinking rule. *)
+(** Memory-footprint summaries: {!of_func}, a global interval-powered
+    summary of every access as a buffer origin plus a touched-index
+    interval, and {!chase_idx}, which normalizes constant index
+    arithmetic for same-block reasoning. *)
 
 type access = {
   acc_op : Ir.Op.op;
@@ -38,28 +35,9 @@ val reads : access list -> access list
 val by_origin : access list -> (Interval.origin * access list) list
 (** Accesses grouped per origin, origins in first-touch order. *)
 
-(** {2 Local (same-block) alias oracle} *)
-
-type rel =
-  | Same  (** identical buffer, identical index, identical width *)
-  | Disjoint  (** identical buffer, provably non-overlapping ranges *)
-  | DistinctMem  (** different SSA memref values *)
-  | May  (** same buffer, overlap not refutable *)
-
-val rel_name : rel -> string
-
 val chase_idx :
   (Ir.Value.t -> Ir.Op.op option) -> Ir.Value.t -> int -> int ->
   Ir.Value.t option * int
 (** [chase_idx defs v off fuel]: normalize an index to (symbolic root,
     constant offset) by chasing [x + c] / [x - c] / [c] chains through
     the defining-op map.  [None] root means a fully-constant index. *)
-
-val local_alias :
-  defs:(Ir.Value.t -> Ir.Op.op option) ->
-  Ir.Value.t * Ir.Value.t * int ->
-  Ir.Value.t * Ir.Value.t * int ->
-  rel
-(** Alias relation between two accesses [(mem, index, width)] in the
-    same block.  Sound under SSA: equal values denote equal runtime
-    addresses within one iteration. *)

@@ -1,8 +1,8 @@
 open Ir
 (** Tile-batched execution engine (loop inversion).
 
-    The fused engine ({!Fused}) executes one flat instruction stream per
-    loop *iteration*: dispatch cost is O(instrs × cells / width).  This
+    The closure engine ({!Engine}) dispatches every op once per loop
+    {e iteration}: dispatch cost is O(instrs × cells / width).  This
     engine inverts the loop.  A kernel's parallel cell loop is lowered
     once into *tile ops*; each dispatch executes its instruction across a
     whole tile of K consecutive vector blocks via a tight [for] over an
@@ -33,11 +33,13 @@ open Ir
       inverted.  The parallel marker certifies iterations independent, so
       executing them tile-by-tile instead of one-by-one permutes only
       work between independent cells; within a cell the arithmetic
-      sequence is unchanged, hence bitwise-identical state.  Anything
-      else falls back to the {!Fused} engine (itself bitwise-identical).
+      sequence is unchanged, hence bitwise-identical state.  Everything
+      else — other loops, and whole functions without a parallel loop
+      such as the lookup-table initializers — runs on the closure
+      engine's per-op thunks ({!Engine.compile_op}).
 
     Bounds-check elision composes: ops certified by {!Analysis.Bounds}
-    select unchecked tile ops, exactly as in the fused engine. *)
+    select unchecked tile ops, exactly as in the closure engine. *)
 
 module E = Engine
 
@@ -832,9 +834,9 @@ let single_use (uc : (int, int) Hashtbl.t) (v : Value.t) : bool =
 
 let mk uses defs emit = Some { a_uses = uses; a_defs = defs; a_emit = emit }
 
-(* Producer/consumer superinstructions, mirroring the fused engine's
-   combos (same operand-order decisions, so results match it bitwise;
-   both rounding steps are kept in every fused form). *)
+(* Producer/consumer superinstructions: every combined form keeps both
+   rounding steps of the two ops it replaces, so results match the
+   closure engine bitwise. *)
 let pair_sel (p : Op.op) (o : Op.op) : ainstr option =
   if Array.length p.Op.results <> 1 then None
   else
@@ -896,8 +898,8 @@ let pair_sel (p : Op.op) (o : Op.op) : ainstr option =
             KMadI (lk d, lk a, lk b, lk other, ew))
     | _ -> None
 
-(* Single-op selection.  [None] makes the whole loop non-tileable (the
-   function then falls back to the fused engine wholesale). *)
+(* Single-op selection.  [None] makes the whole loop non-tileable (it
+   then runs on the closure engine's per-op thunks). *)
 let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
     ~(rowmap : (int, lut_site) Hashtbl.t) (o : Op.op) : ainstr option =
   let op k = o.Op.operands.(k) and res () = o.Op.results.(0) in
@@ -979,7 +981,7 @@ let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
                 match E.unary_fn name with
                 | Some g -> g
                 | None ->
-                    (* same generic path as the closure/fused engines:
+                    (* same generic path as the closure engine:
                        one scratch cell, identical float function *)
                     let buf = [| 0.0 |] in
                     fun x ->
@@ -1501,7 +1503,6 @@ let compile_func ?(tile = 0) ?proved ~(get : string -> E.compiled)
   Obs.Tracer.with_span ("batched.compile:" ^ fn.Func.f_name) @@ fun () ->
   let c = E.make_fctx ?proved fn ~get in
   let uc = use_counts fn in
-  let tiled = ref false in
   let rec region ~on_yield (r : Op.region) : unit -> unit =
     let thunks =
       List.map
@@ -1514,9 +1515,7 @@ let compile_func ?(tile = 0) ?proved ~(get : string -> E.compiled)
                 Obs.Tracer.with_span "batched.plan" (fun () ->
                     compile_tiled c ~tile ~uc fn ~fallback o)
               with
-              | Some th ->
-                  tiled := true;
-                  th
+              | Some th -> th
               | None -> Lazy.force fallback)
           | _ -> E.compile_op c ~compile_region:region o)
         r.Op.r_ops
@@ -1531,11 +1530,7 @@ let compile_func ?(tile = 0) ?proved ~(get : string -> E.compiled)
     region fn.Func.f_body ~on_yield:(fun _ ->
         fail "batched: yield outside a loop")
   in
-  if !tiled then E.finish c fn ~body
-  else
-    (* No tileable loop (LUT initializers, sequential code): the fused
-       threaded-code engine is the best bitwise-identical fallback. *)
-    Fused.compile_func ?proved ~get fn
+  E.finish c fn ~body
 
 let compile_module ?externs ?proved ?(tile = 0) (m : Func.modl) :
     string -> E.compiled =

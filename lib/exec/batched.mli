@@ -1,16 +1,17 @@
 (** Tile-batched execution engine (loop inversion).
 
-    Third-generation engine: a kernel's [scf.for {parallel}] cell loop is
-    lowered once into *tile ops*, each executing one instruction across a
-    whole tile of K vector blocks via a tight loop over an unboxed row —
+    A kernel's [scf.for {parallel}] cell loop is lowered once into *tile
+    ops*, each executing one instruction across a whole tile of K vector
+    blocks via a tight loop over an unboxed row —
     dispatch cost O(instrs × tiles) instead of O(instrs × cells).  Scratch
     rows are coalesced by live range ({!Regalloc}) so the per-tile register
     file stays L1-resident, and LUT interpolation runs as one fused
     macro-op per call site mirroring {!Runtime.Lut} operation for
     operation.  Loops that do not fit the tiling gate (loop-carried values,
     nested control flow, unrecognized ops) and functions without a parallel
-    loop fall back to the {!Fused} engine; results are bitwise identical to
-    the other engines either way, for every tile size. *)
+    loop run on the closure engine's per-op thunks ({!Engine.compile_op});
+    results are bitwise identical to the other engines either way, for
+    every tile size. *)
 
 val compile_func :
   ?tile:int ->

@@ -12,10 +12,10 @@ open Ir
     [w] lanes, contiguous memory traffic), mirroring the paper's SIMD
     argument at the interpreter level.
 
-    The building blocks (slot allocation, register files, the per-op thunk
-    compiler) are exposed so that {!Fused} can reuse them: the fused
-    threaded-code engine shares this module's compilation context and falls
-    back to the closure path for ops it does not specialize. *)
+    The compilation context, the per-op thunk compiler and the module
+    linker are exposed so that {!Batched} can reuse them: the tile-batched
+    engine shares this module's register files and runs every op it does
+    not tile through {!compile_op}. *)
 
 exception Exec_error of string
 
@@ -354,12 +354,13 @@ let parallel_copy (c : fctx) (srcs : Value.t array) (dsts : Value.t list) :
 (** A region compiler: given a yield handler, compile a region body to a
     thunk.  {!compile_op} is parameterized over it so that structured ops
     ([scf.for], [scf.if]) compile their nested regions with whichever
-    engine (closure or fused) is driving the compilation. *)
+    engine (closure or batched) is driving the compilation. *)
 type region_compiler =
   on_yield:(Op.op -> unit -> unit) -> Op.region -> unit -> unit
 
 (** Compile one op to a thunk over the context's register file.  Handles
-    every op kind; the fused engine uses this as its fallback path. *)
+    every op kind; the batched engine uses this for every op it does not
+    tile. *)
 let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
     unit -> unit =
   let { f; i; b; vf; vi; vb; m } = c.env in

@@ -8,43 +8,20 @@
     register file, so use one compiled instance per thread (the driver
     does).
 
-    The compilation building blocks (slot allocation, register files, the
-    per-op thunk compiler, module linking) are exposed for reuse by the
-    {!Fused} threaded-code engine, which shares slot/env handling and
-    falls back to {!compile_op} for ops it does not specialize. *)
+    The compilation context, the per-op thunk compiler and the module
+    linker are exposed for reuse by the {!Batched} tile-batched engine,
+    which shares the register files and runs every op it does not tile
+    through {!compile_op}. *)
 
 exception Exec_error of string
 
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Exec_error} with a formatted message. *)
 
-(** {1 Slots and register files} *)
+(** {1 Register files} *)
 
-type slot =
-  | SF of int
-  | SI of int
-  | SB of int
-  | SVF of int * int  (** slot, width *)
-  | SVI of int * int
-  | SVB of int * int
-  | SM of int
-
-type slots = {
-  map : (int, slot) Hashtbl.t;
-  mutable nf : int;
-  mutable ni : int;
-  mutable nb : int;
-  mutable nvf : int;
-  mutable nvi : int;
-  mutable nvb : int;
-  mutable vf_widths_rev : int list;
-  mutable vi_widths_rev : int list;
-  mutable vb_widths_rev : int list;
-  mutable nm : int;
-}
-
-val collect_slots : Ir.Func.func -> slots
-(** Assign a fixed slot to every SSA value of a function (O(1) per value). *)
+type slots
+(** A fixed slot for every SSA value of a function. *)
 
 type env = {
   f : float array;
@@ -55,9 +32,6 @@ type env = {
   vb : bool array array;
   m : floatarray array;
 }
-
-val make_env : slots -> env
-(** Allocate the register file for a slot assignment. *)
 
 (** {1 Compilation context} *)
 
@@ -81,7 +55,6 @@ val make_fctx :
   get:(string -> compiled) ->
   fctx
 
-val slot : fctx -> Ir.Value.t -> slot
 val fslot : fctx -> Ir.Value.t -> int
 val islot : fctx -> Ir.Value.t -> int
 val bslot : fctx -> Ir.Value.t -> int
@@ -89,13 +62,6 @@ val vfslot : fctx -> Ir.Value.t -> int * int
 val vislot : fctx -> Ir.Value.t -> int * int
 val vbslot : fctx -> Ir.Value.t -> int * int
 val mslot : fctx -> Ir.Value.t -> int
-
-val set_slot : fctx -> Ir.Value.t -> Rt.v -> unit
-val get_slot : fctx -> Ir.Value.t -> Rt.v
-
-val parallel_copy : fctx -> Ir.Value.t array -> Ir.Value.t list -> unit -> unit
-(** Copy sources to destinations through temporaries (safe under
-    permutation), as scf yields require. *)
 
 type region_compiler =
   on_yield:(Ir.Op.op -> unit -> unit) -> Ir.Op.region -> unit -> unit
@@ -116,7 +82,7 @@ val module_linker :
   compiled
 (** Lazy per-function compile-and-link with extern fallback. *)
 
-(** {1 Scalar helpers shared with the fused engine} *)
+(** {1 Scalar helpers shared with the batched engine} *)
 
 val unary_fn : string -> (float -> float) option
 val binary_fn : string -> (float -> float -> float) option

@@ -8,7 +8,7 @@
     step 12000
     time 4041800000000000
     meta model TenTusscher
-    meta engine fused
+    meta engine batched
     section sv 4096
     3ff0000000000000 8000000000000000 ... (8 tokens per line)
     section ext:Vm 512

@@ -61,27 +61,24 @@ let make_registry () : Rt.registry =
   Runtime.Lut.register r;
   r
 
-let make_runner (d_engine : engine) (registry : Rt.registry) ~proved
-    ~(tile : int) ~native (modl : Ir.Func.modl) : Rt.v array -> Rt.v array =
-  match d_engine with
+(* A fresh instance of the driver's module under its engine: one per
+   thread for the compute kernel (engines are not reentrant), one per
+   {!reset} for the lookup-table initializers.  [Fused] never gets here:
+   {!create} resolves it to [Batched]. *)
+let compile (d : t) : string -> Rt.v array -> Rt.v array =
+  let modl = d.gen.Codegen.Kernel.modl in
+  match d.engine with
   | Native -> (
-      match native with
-      | Some lookup -> lookup Codegen.Kernel.compute_name
+      match d.native with
+      | Some lookup -> lookup
       | None -> fail "native engine without a compiled library")
-  | Fused ->
-      let lookup = Fused.compile_module ~externs:registry ~proved modl in
-      lookup Codegen.Kernel.compute_name
-  | Batched ->
-      let lookup =
-        Batched.compile_module ~externs:registry ~proved ~tile modl
-      in
-      lookup Codegen.Kernel.compute_name
-  | Compiled ->
-      let lookup = Engine.compile_module ~externs:registry ~proved modl in
-      lookup Codegen.Kernel.compute_name
+  | Fused | Batched ->
+      Batched.compile_module ~externs:d.registry ~proved:d.proved ~tile:d.tile
+        modl
+  | Compiled -> Engine.compile_module ~externs:d.registry ~proved:d.proved modl
   | Reference ->
       (* the reference interpreter never elides checks *)
-      fun args -> Interp.run ~externs:registry modl Codegen.Kernel.compute_name args
+      fun name args -> Interp.run ~externs:d.registry modl name args
 
 let make_rows (gen : Codegen.Kernel.t) : floatarray list =
   let w = gen.Codegen.Kernel.cfg.Codegen.Config.width in
@@ -127,25 +124,7 @@ let reset (d : t) : unit =
         (fun k (_, v) -> Float.Array.set buf k v)
         model.M.params);
   (* lookup tables *)
-  let lookup =
-    match d.engine with
-    | Native -> (
-        match d.native with
-        | Some lookup -> lookup
-        | None -> fail "native engine without a compiled library")
-    | Fused ->
-        Fused.compile_module ~externs:d.registry ~proved:d.proved
-          d.gen.Codegen.Kernel.modl
-    | Batched ->
-        Batched.compile_module ~externs:d.registry ~proved:d.proved
-          ~tile:d.tile d.gen.Codegen.Kernel.modl
-    | Compiled ->
-        Engine.compile_module ~externs:d.registry ~proved:d.proved
-          d.gen.Codegen.Kernel.modl
-    | Reference ->
-        fun name args ->
-          Interp.run ~externs:d.registry d.gen.Codegen.Kernel.modl name args
-  in
+  let lookup = compile d in
   Obs.Tracer.with_span "driver.lut_init" (fun () ->
       List.iter2
         (fun (plan : Easyml.Lut_cones.t) table ->
@@ -177,7 +156,7 @@ let reset (d : t) : unit =
     the pass pipeline re-runs over them ({!Codegen.Cache.specialize});
     the reference interpreter always runs the unspecialized module so
     differentials keep a pristine baseline. *)
-let create ?(engine = Fused) ?(elide = true) ?(tile = 0) ?(specialize = true)
+let create ?(engine = Batched) ?(elide = true) ?(tile = 0) ?(specialize = true)
     (gen : Codegen.Kernel.t) ~(ncells : int) ~(dt : float) : t =
   if ncells <= 0 then fail "ncells must be positive";
   if dt <= 0.0 then fail "dt must be positive";
@@ -195,7 +174,8 @@ let create ?(engine = Fused) ?(elide = true) ?(tile = 0) ?(specialize = true)
   in
   (* the native engine resolves its machine-code artifact eagerly so a
      missing/failing toolchain degrades here — once, with a warning, to
-     the batched engine — rather than raising later inside a worker *)
+     the batched engine — rather than raising later inside a worker;
+     [Fused], the old name of [Batched], is resolved here too *)
   let engine, native =
     match engine with
     | Native -> (
@@ -205,6 +185,7 @@ let create ?(engine = Fused) ?(elide = true) ?(tile = 0) ?(specialize = true)
             prerr_endline
               (Easyml.Diag.to_string ~file:gen.Codegen.Kernel.model.M.name diag);
             (Batched, None))
+    | Fused -> (Batched, None)
     | e -> (e, None)
   in
   let layout = cfg.Codegen.Config.layout in
@@ -243,12 +224,11 @@ let create ?(engine = Fused) ?(elide = true) ?(tile = 0) ?(specialize = true)
   (* resolve the tile size once (planning is deterministic, so this is
      exactly what compilation will pick); parallel chunking aligns to it *)
   let tile =
-    match engine with
-    | Batched ->
-        let requested = if tile <> 0 then tile else cfg.Codegen.Config.tile in
-        Exec.Batched.plan_tile ~tile:requested gen.Codegen.Kernel.modl
-          ~name:Codegen.Kernel.compute_name
-    | Fused | Compiled | Reference | Native -> 1
+    if engine <> Batched then 1
+    else
+      let requested = if tile <> 0 then tile else cfg.Codegen.Config.tile in
+      Exec.Batched.plan_tile ~tile:requested gen.Codegen.Kernel.modl
+        ~name:Codegen.Kernel.compute_name
   in
   let d =
     {
@@ -350,8 +330,8 @@ let health_snapshot (d : t) : Obs.Health.snapshot option =
 
 let engines =
   [
-    ("fused", Fused); ("batched", Batched); ("native", Native);
-    ("closure", Compiled); ("interp", Reference);
+    ("batched", Batched); ("native", Native); ("closure", Compiled);
+    ("interp", Reference); ("fused", Fused);
   ]
 
 let engine_name (e : engine) : string =
@@ -468,9 +448,7 @@ let ensure_threads (d : t) (nthreads : int) : unit =
   let cur = Array.length d.runners in
   if cur < nthreads then begin
     let extra_runners =
-      Array.init (nthreads - cur) (fun _ ->
-          make_runner d.engine d.registry ~proved:d.proved ~tile:d.tile
-            ~native:d.native d.gen.Codegen.Kernel.modl)
+      Array.init (nthreads - cur) (fun _ -> compile d Codegen.Kernel.compute_name)
     in
     let extra_rows =
       Array.init (nthreads - cur) (fun _ -> make_rows d.gen)

@@ -9,10 +9,14 @@
 exception Driver_error of string
 
 type engine =
-  | Fused  (** threaded-code engine with superinstructions (default) *)
+  | Fused
+      (** the old name of {!Batched}: checkpoints written at default flags
+          by earlier releases record it, so it still parses and
+          {!create} builds a {!Batched} driver for it *)
   | Batched
-      (** tile-batched engine: loop-inverted dispatch over coalesced
-          scratch rows, fused LUT macro-op (bitwise-identical results) *)
+      (** tile-batched engine (default): loop-inverted dispatch over
+          coalesced scratch rows, fused LUT macro-op (bitwise-identical
+          results) *)
   | Compiled  (** closure engine (one instance per thread) *)
   | Reference  (** tree-walking interpreter (slow; differential tests) *)
   | Native
@@ -66,7 +70,8 @@ val create :
   t
 (** Allocate, initialize from the model's [_init] values and build the
     lookup tables (by running the generated [lut_init_*] functions).
-    [engine] defaults to {!Fused}.  [elide] (default true) runs the
+    [engine] defaults to {!Batched}; {!Fused} builds a {!Batched}
+    driver too.  [elide] (default true) runs the
     bounds prover and drops runtime bounds checks on proved accesses —
     bitwise-identical results, fewer branches; [~elide:false] keeps
     every check.  [tile] sets the batched engine's tile size in vector
@@ -172,8 +177,8 @@ val snapshot : t -> int -> (string * float) list
 (** {2 Flight recorder} *)
 
 val engines : (string * engine) list
-(** Every engine under its CLI spelling: [fused], [batched], [native],
-    [closure], [interp]. *)
+(** Every engine under its CLI spelling: [batched], [native],
+    [closure], [interp], and [fused], the old name of [batched]. *)
 
 val engine_name : engine -> string
 (** The engine's spelling in {!engines}. *)

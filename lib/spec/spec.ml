@@ -107,39 +107,70 @@ let to_meta (s : t) : (string * string) list =
         ("block_check_bits", hex t.block_check);
       ]
 
+(* -- what the create functions accept ----------------------------------- *)
+
+(** A field of a spec outside what {!create} accepts: its checkpoint
+    metadata key, its CLI flag (without the dashes), the requirement and
+    the value. *)
+type out_of_range = { key : string; flag : string; need : string; got : string }
+
+(** The first field of [s] that {!create} would refuse.  These lower
+    bounds are written only here: flag-built specs and checkpoint
+    metadata ({!of_checkpoint}) are both held to them. *)
+let out_of_range (s : t) : out_of_range option =
+  let at_least lo key flag n =
+    if n >= lo then None
+    else
+      Some { key; flag; need = Printf.sprintf "at least %d" lo; got = string_of_int n }
+  in
+  let positive key flag x =
+    if x > 0.0 then None
+    else Some { key; flag; need = "positive"; got = Printf.sprintf "%g" x }
+  in
+  let shape =
+    match s.shape with
+    | Cells n -> [ at_least 1 "ncells" "cells" n ]
+    | Tissue t ->
+        [ at_least 2 "nx" "nx" t.nx; at_least 1 "ny" "ny" t.ny;
+          positive "dx_bits" "dx" t.dx;
+          at_least 0 "stim_width" "stim-width" t.stim_width ]
+        @ (match t.protocol with
+          | Restitution p ->
+              [ at_least 1 "s1_count" "s1-count" p.n_s1;
+                positive "s1_interval_bits" "s1-interval" p.interval ]
+          | S1 | S1s2 _ | S1_paced -> [])
+  in
+  List.find_map Fun.id
+    ([ at_least 0 "steps_total" "steps" s.steps;
+       at_least 1 "threads" "threads" s.threads;
+       at_least 1 "cli_width" "width" s.codegen.width;
+       at_least 0 "tile" "tile" s.tile; positive "dt_bits" "dt" s.dt ]
+    @ shape)
+
 (** Inverse of {!to_meta}.  Every key is required; a missing or
-    malformed value is a [checkpoint-mismatch] diagnostic. *)
+    malformed value, or one {!out_of_range}, is a [checkpoint-mismatch]
+    diagnostic. *)
 let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
   let ( let* ) = Result.bind in
+  let mismatch fmt =
+    Fmt.kstr (fun m ->
+        Error (Easyml.Diag.make ~sev:Easyml.Diag.Error ~code:"checkpoint-mismatch" m))
+      fmt
+  in
+  let malformed key v = mismatch "checkpoint has malformed %s=%S" key v in
   let field key parse =
-    let mismatch fmt =
-      Fmt.kstr (fun m ->
-          Error (Easyml.Diag.make ~sev:Easyml.Diag.Error ~code:"checkpoint-mismatch" m))
-        fmt
-    in
     match Obs.Recorder.meta ck key with
     | None -> mismatch "checkpoint missing required metadata key %s" key
-    | Some v -> (
-        match parse v with
-        | Some x -> Ok x
-        | None -> mismatch "checkpoint has malformed %s=%S" key v)
+    | Some v -> ( match parse v with Some x -> Ok x | None -> malformed key v)
   in
-  (* the lower bounds are what the create functions accept *)
-  let int lo key =
-    field key (fun v ->
-        Option.bind (int_of_string_opt v) (fun n -> if n >= lo then Some n else None))
-  in
-  let float ok key =
-    field key (fun v ->
-        Option.bind (Obs.Recorder.float_of_hex v) (fun x -> if ok x then Some x else None))
-  in
-  let any _ = true and positive x = x > 0.0 in
+  let int key = field key int_of_string_opt in
+  let float key = field key Obs.Recorder.float_of_hex in
   let bool key = field key bool_of_string_opt in
   let among table key = field key (fun v -> List.assoc_opt v table) in
   let* model = field "model_ref" (fun v -> if v = "" then None else Some v) in
-  let* steps = int 0 "steps_total" in
-  let* threads = int 1 "threads" in
-  let* width = int 1 "cli_width" in
+  let* steps = int "steps_total" in
+  let* threads = int "threads" in
+  let* width = int "cli_width" in
   let* layout =
     field "cli_layout" (fun v ->
         if v = "" then Some None else Option.map Option.some (Runtime.Layout.of_string v))
@@ -152,26 +183,26 @@ let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
      rebuilds the latter *)
   let* _ = among Sim.Driver.engines "engine_req" in
   let* engine = among Sim.Driver.engines "engine" in
-  let* tile = int 0 "tile" in
+  let* tile = int "tile" in
   let* specialize = bool "specialized" in
-  let* dt = float positive "dt_bits" in
+  let* dt = float "dt_bits" in
   let* shape =
     match Obs.Recorder.meta ck "kind" with
     | Some "cell" ->
-        let* n = int 1 "ncells" in
+        let* n = int "ncells" in
         Ok (Cells n)
     | Some "tissue" ->
-        let* nx = int 2 "nx" in
-        let* ny = int 1 "ny" in
-        let* dx = float positive "dx_bits" in
-        let* sigma = float any "sigma_bits" in
+        let* nx = int "nx" in
+        let* ny = int "ny" in
+        let* dx = float "dx_bits" in
+        let* sigma = float "sigma_bits" in
         let* splitting = among splittings "splitting" in
-        let* stim_width = int 0 "stim_width" in
-        let* s2_start = float any "s2_start_bits" in
-        let* n_s1 = int 1 "s1_count" in
-        let* interval = float positive "s1_interval_bits" in
-        let* s2_coupling = float any "s2_coupling_bits" in
-        let* block_check = float any "block_check_bits" in
+        let* stim_width = int "stim_width" in
+        let* s2_start = float "s2_start_bits" in
+        let* n_s1 = int "s1_count" in
+        let* interval = float "s1_interval_bits" in
+        let* s2_coupling = float "s2_coupling_bits" in
+        let* block_check = float "block_check_bits" in
         let* protocol =
           among
             [ ("s1", S1); ("s1s2", S1s2 { s2_start });
@@ -182,8 +213,15 @@ let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
         Ok (Tissue { nx; ny; dx; sigma; splitting; block_check; stim_width; protocol })
     | _ -> among [] "kind"
   in
-  Ok { model; codegen = { width; layout; no_lut; autovec; spline }; engine;
-       tile; specialize; dt; steps; threads; shape }
+  let s =
+    { model; codegen = { width; layout; no_lut; autovec; spline }; engine;
+      tile; specialize; dt; steps; threads; shape }
+  in
+  match out_of_range s with
+  | None -> Ok s
+  | Some r ->
+      (* every bounded key was read above *)
+      malformed r.key (Option.get (Obs.Recorder.meta ck r.key))
 
 (* -- the run ------------------------------------------------------------ *)
 

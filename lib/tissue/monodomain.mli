@@ -1,7 +1,7 @@
 (** Operator-split monodomain reaction–diffusion engine.
 
     Couples the per-cell ionic step — the generated kernel running under
-    any of the five {!Sim.Driver} engines, with Domain-parallel chunks —
+    any of the four {!Sim.Driver} engines, with Domain-parallel chunks —
     with an implicit diffusion step ({!Diffusion}: tridiagonal Thomas on
     cables, CG on sheets):
 
@@ -60,7 +60,9 @@ val create :
   protocol:Protocol.t ->
   t
 (** A tissue simulation of [geom] running the generated kernel on every
-    node.  [nthreads] (default 1) Domain-parallelizes the ionic stage
+    node.  [engine], [tile] and [specialize] pass through to
+    {!Sim.Driver.create} ([engine] defaults to {!Sim.Driver.Batched}).
+    [nthreads] (default 1) Domain-parallelizes the ionic stage
     via the driver's race-checked chunk partitioning; results are
     bitwise identical for every value.
     @raise Sim.Driver.Driver_error as {!Sim.Driver.create}. *)

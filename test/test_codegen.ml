@@ -1,8 +1,9 @@
 (* Code-generation tests: every configuration of the generator must produce
    the same simulation results (vectorization, data layouts, parameter
    folding are all semantics-preserving), LUT approximation stays within
-   tolerance, and the generated kernel matches an independent AST-level
-   reference step. *)
+   tolerance, the generated kernel matches an independent AST-level
+   reference step, and the shared compile cache keys, hits and evicts
+   correctly. *)
 
 module K = Codegen.Kernel
 module C = Codegen.Config
@@ -260,6 +261,75 @@ let test_reference_engine_agrees () =
   check_same "interpreter == engine on a kernel" (run Sim.Driver.Compiled)
     (run Sim.Driver.Reference)
 
+(* -- compile cache ------------------------------------------------------ *)
+
+let stim = Sim.Stim.make ~amplitude:40.0 ~start:0.5 ~duration:1.0 ()
+
+let test_cache_hit_bitwise_identical () =
+  Codegen.Cache.clear ();
+  let m = Models.Registry.model (Models.Registry.find_exn "LuoRudy91") in
+  let cfg = C.mlir ~width:4 in
+  let g1 = Codegen.Cache.generate cfg m in
+  let g2 = Codegen.Cache.generate cfg m in
+  let s = Codegen.Cache.stats () in
+  Alcotest.(check int) "one miss" 1 s.Codegen.Cache.misses;
+  Alcotest.(check int) "one hit" 1 s.Codegen.Cache.hits;
+  Alcotest.(check bool) "hit returns the same kernel" true (g1 == g2);
+  (* a cached kernel must execute bitwise-identically to a fresh compile *)
+  let fresh = K.generate cfg m in
+  let dc = Sim.Driver.create g2 ~ncells:8 ~dt:0.01 in
+  let df = Sim.Driver.create fresh ~ncells:8 ~dt:0.01 in
+  for _ = 1 to 50 do
+    Sim.Driver.step ~stim dc;
+    Sim.Driver.step ~stim df
+  done;
+  Test_batched.check_snapshots ~ctx:"cached vs fresh"
+    (Sim.Driver.snapshot dc 3) (Sim.Driver.snapshot df 3)
+
+let test_cache_distinguishes_configs () =
+  Codegen.Cache.clear ();
+  let m = Models.Registry.model (Models.Registry.find_exn "MitchellSchaeffer") in
+  let g1 = Codegen.Cache.generate C.baseline m in
+  let g2 = Codegen.Cache.generate (C.mlir ~width:4) m in
+  let g3 = Codegen.Cache.generate ~optimize:false C.baseline m in
+  Alcotest.(check bool) "widths are distinct entries" true (g1 != g2);
+  Alcotest.(check bool) "pipelines are distinct entries" true (g1 != g3);
+  let s = Codegen.Cache.stats () in
+  Alcotest.(check int) "three misses, no aliasing" 3 s.Codegen.Cache.misses
+
+let test_cache_lru_eviction () =
+  Codegen.Cache.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      (* other tests share the process-wide cache: restore unbounded *)
+      Codegen.Cache.set_capacity None;
+      Codegen.Cache.clear ())
+    (fun () ->
+      (match Codegen.Cache.set_capacity (Some 0) with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "capacity 0 must be rejected");
+      Codegen.Cache.set_capacity (Some 2);
+      let m =
+        Models.Registry.model (Models.Registry.find_exn "MitchellSchaeffer")
+      in
+      let ga = Codegen.Cache.generate C.baseline m in
+      let _ = Codegen.Cache.generate (C.mlir ~width:2) m in
+      (* touch the oldest entry so LRU order is baseline < width-2 *)
+      let ga' = Codegen.Cache.generate C.baseline m in
+      Alcotest.(check bool) "touch is a hit" true (ga == ga');
+      (* third insert over capacity 2 evicts width-2 (the LRU entry) *)
+      let _ = Codegen.Cache.generate (C.mlir ~width:4) m in
+      let s = Codegen.Cache.stats () in
+      Alcotest.(check int) "one eviction" 1 s.Codegen.Cache.evictions;
+      (* the survivor still hits; the victim must recompile *)
+      let ga'' = Codegen.Cache.generate C.baseline m in
+      Alcotest.(check bool) "LRU survivor kept" true (ga == ga'');
+      let misses_before = (Codegen.Cache.stats ()).Codegen.Cache.misses in
+      let _ = Codegen.Cache.generate (C.mlir ~width:2) m in
+      Alcotest.(check int) "evicted entry recompiles"
+        (misses_before + 1)
+        (Codegen.Cache.stats ()).Codegen.Cache.misses)
+
 let suite =
   [
     Alcotest.test_case "widths 2/4/8 == scalar" `Quick test_widths_agree;
@@ -280,4 +350,10 @@ let suite =
     Alcotest.test_case "thread counts agree" `Quick test_multithread_agrees;
     Alcotest.test_case "reference engine agrees" `Quick
       test_reference_engine_agrees;
+    Alcotest.test_case "cache hit is bitwise-identical" `Quick
+      test_cache_hit_bitwise_identical;
+    Alcotest.test_case "cache keys on config and pipeline" `Quick
+      test_cache_distinguishes_configs;
+    Alcotest.test_case "cache LRU eviction under capacity" `Quick
+      test_cache_lru_eviction;
   ]

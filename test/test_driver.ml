@@ -154,6 +154,21 @@ let test_tension_external () =
   Alcotest.(check bool) "tension develops under pacing" true
     (Sim.Driver.ext d "Tension" 0 > 0.0)
 
+(* [Fused] is the old name of [Batched]: every way of asking for the
+   default or for [Fused] builds a batched driver *)
+let test_default_engine () =
+  let m = Models.Registry.model (Models.Registry.find_exn "MitchellSchaeffer") in
+  let g = Codegen.Cache.generate C.baseline m in
+  List.iter
+    (fun (what, d) ->
+      Alcotest.(check string) what "batched"
+        (Sim.Driver.engine_name d.Sim.Driver.engine))
+    [
+      ("create_cached default", Sim.Driver.create_cached C.baseline m ~ncells:4 ~dt:0.01);
+      ("create default", Sim.Driver.create g ~ncells:4 ~dt:0.01);
+      ("~engine:Fused", Sim.Driver.create ~engine:Sim.Driver.Fused g ~ncells:4 ~dt:0.01);
+    ]
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -169,4 +184,6 @@ let suite =
     Alcotest.test_case "compute stage leaves Vm" `Quick
       test_compute_only_leaves_vm;
     Alcotest.test_case "extra output externals" `Quick test_tension_external;
+    Alcotest.test_case "driver defaults to batched engine" `Quick
+      test_default_engine;
   ]

@@ -298,7 +298,7 @@ let test_monitored_bitwise_identical () =
                 Alcotest.failf "%s/%s: monitoring changed %s: %.17g vs %.17g"
                   e.name ename n a b)
             plain monitored)
-        [ ("fused", Sim.Driver.Fused); ("batched", Sim.Driver.Batched) ])
+        [ ("closure", Sim.Driver.Compiled); ("batched", Sim.Driver.Batched) ])
     Models.Registry.all
 
 let test_parallel_matches_sequential () =

@@ -12,7 +12,6 @@ let () =
       ("mmt", Test_mmt.suite);
       ("ir", Test_ir.suite);
       ("engine", Test_engine.suite);
-    ("fused", Test_fused.suite);
       ("batched", Test_batched.suite);
       ("passes", Test_passes.suite);
       ("specialize", Test_specialize.suite);

@@ -382,10 +382,10 @@ let skip_without_cli () =
 let read_text (p : string) : string =
   try In_channel.with_open_bin p In_channel.input_all with Sys_error _ -> ""
 
-(* Start the CLI with [env] overriding the inherited environment; the
+(* Start [exe] with [env] overriding the inherited environment; the
    returned thunk waits for it and gives (exit code, stdout, stderr). *)
-let start_cli ~(env : (string * string) list) (args : string list) :
-    unit -> int * string * string =
+let start_exe (exe : string) ~(env : (string * string) list)
+    (args : string list) : unit -> int * string * string =
   let out = Filename.temp_file "limpet-out" "" in
   let err = Filename.temp_file "limpet-err" "" in
   let fd p = Unix.openfile p [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
@@ -400,7 +400,7 @@ let start_cli ~(env : (string * string) list) (args : string list) :
     Array.of_list (List.map (fun (k, v) -> k ^ "=" ^ v) env @ inherited)
   in
   let pid =
-    Unix.create_process_env cli (Array.of_list (cli :: args)) environment
+    Unix.create_process_env exe (Array.of_list (exe :: args)) environment
       Unix.stdin fd_out fd_err
   in
   Unix.close fd_out;
@@ -414,6 +414,7 @@ let start_cli ~(env : (string * string) list) (args : string list) :
     Sys.remove err;
     r
 
+let start_cli = start_exe cli
 let run_cli ~env args = start_cli ~env args ()
 
 (* A cache root with a compiler wrapper that passes --version through

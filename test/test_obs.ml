@@ -348,7 +348,7 @@ let test_traced_bitwise_identical () =
                 Alcotest.failf "%s/%s: tracing changed %s: %.17g vs %.17g"
                   e.name ename n a b)
             plain traced)
-        [ ("fused", Sim.Driver.Fused); ("batched", Sim.Driver.Batched) ])
+        [ ("closure", Sim.Driver.Compiled); ("batched", Sim.Driver.Batched) ])
     Models.Registry.all;
   fresh ()
 
@@ -357,7 +357,7 @@ let test_traced_bitwise_identical () =
 let test_disabled_overhead () =
   (* a disabled tracer must cost one flag load per call: a million
      span+counter calls complete far inside any human-visible budget and
-     record nothing.  (The CI batched-vs-fused geomean gate guards the
+     record nothing.  (The CI batched-vs-closure geomean gate guards the
      real hot path end to end.) *)
   fresh ();
   let t0 = Unix.gettimeofday () in

@@ -2,7 +2,7 @@
    patterns (property-based, including -0.0 / NaN payloads / subnormals),
    driver capture/restore across the three layouts, the
    interrupted-vs-uninterrupted bitwise differential over the whole model
-   catalogue (fused and batched; native within its 2-ULP bound), corrupt
+   catalogue (closure and batched; native within its 2-ULP bound), corrupt
    and truncated files failing with structured diagnostics, writer
    rotation/statistics, and the tissue round trip (activation maps and
    block latches included). *)
@@ -317,12 +317,12 @@ let test_catalogue_bitwise_identical () =
           if not (String.equal want got) then
             Alcotest.failf "%s/%s: resumed digest %s, uninterrupted %s" e.name
               ename got want)
-        [ ("fused", D.Fused); ("batched", D.Batched) ])
+        [ ("closure", D.Compiled); ("batched", D.Batched) ])
     Models.Registry.all
 
 (* native: interrupted-vs-uninterrupted is bitwise against itself (same
    compiled artifact both sides) and within the kernels' 2-ULP bound
-   against the fused control *)
+   against the batched control *)
 let native_ulp_bound = 2L
 
 let ulp_diff (a : float) (b : float) : int64 =
@@ -361,15 +361,15 @@ let test_native_replay () =
           want
           (R.digest (D.capture d2));
         (* and the resumed native trajectory stays inside the native
-           engine's documented ULP envelope of the fused control *)
-        let fused = mk D.Fused in
-        ignore (D.run ~stim fused ~steps:60);
+           engine's documented ULP envelope of the batched control *)
+        let batched = mk D.Batched in
+        ignore (D.run ~stim batched ~steps:60);
         List.iter2
           (fun (var, a) (_, b) ->
             let d = ulp_diff a b in
             if Int64.compare d native_ulp_bound > 0 then
               Alcotest.failf "%s/native: %s diverged by %Ld ULP" name var d)
-          (D.snapshot fused 1) (D.snapshot d2 1))
+          (D.snapshot batched 1) (D.snapshot d2 1))
       [ "BeelerReuter"; "FentonKarma" ]
 
 (* -- periodic writer: stride, rotation, verification, stats ------------ *)
@@ -510,7 +510,7 @@ let suite =
       test_restore_rejects_mismatch;
     Alcotest.test_case "interrupted runs bitwise identical (43 models)" `Quick
       test_catalogue_bitwise_identical;
-    Alcotest.test_case "native replay (bitwise vs native, ULP vs fused)" `Quick
+    Alcotest.test_case "native replay (bitwise vs native, ULP vs batched)" `Quick
       test_native_replay;
     Alcotest.test_case "writer stride, rotation and stats" `Quick
       test_writer_rotation_and_stats;

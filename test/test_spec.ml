@@ -2,8 +2,9 @@
    special float bit patterns included), runs resumed through a spec
    read back from a written checkpoint finishing at the uninterrupted
    digest, every dropped or garbled metadata key failing as a structured
-   diagnostic, and a checkpoint written by an earlier release replaying
-   to the digest that release recorded. *)
+   diagnostic, checkpoints written by earlier releases replaying to the
+   digests those releases recorded, out-of-range flags failing as
+   diagnostics, and the old [fused] engine name running batched. *)
 
 module R = Obs.Recorder
 module S = Spec
@@ -203,17 +204,95 @@ let test_key_matrix () =
         ck.R.ck_meta)
     [ cells "BeelerReuter"; cable S.S1 ]
 
-(* written by `limpetmlir tissue MitchellSchaeffer --nx 32 --steps 600
-   --engine batched --checkpoint-dir D --checkpoint-stride 300` before the
-   run spec existed; the golden digest is that run's final state *)
+(* test data, from the build tree or the repository root *)
+let path p = if Sys.file_exists p then p else "test/" ^ p
+
+(* Each fixture was written by an earlier release; its golden digest is
+   that run's final state.
+   - ms_cable32: `limpetmlir tissue MitchellSchaeffer --nx 32 --steps 600
+     --engine batched --checkpoint-dir D --checkpoint-stride 300`, before
+     the run spec existed.
+   - ms_cells16_fused: `limpetmlir run MitchellSchaeffer --cells 16
+     --steps 400 --checkpoint-dir D --checkpoint-stride 200` at default
+     flags while the default engine was still called fused, so it
+     records `engine fused`. *)
 let test_release_fixture () =
-  let path p = if Sys.file_exists p then p else "test/" ^ p in
-  match R.read (path "fixtures/ms_cable32.ckpt") with
-  | Error d -> fail_diag "fixture" d
-  | Ok ck ->
-      Alcotest.(check string) "replayed digest"
-        (String.trim (Test_tissue.read_file "golden/ms_cable32_digest.txt"))
-        (finish ck)
+  List.iter
+    (fun name ->
+      match R.read (path ("fixtures/" ^ name ^ ".ckpt")) with
+      | Error d -> fail_diag name d
+      | Ok ck ->
+          Alcotest.(check string) (name ^ " replayed digest")
+            (String.trim
+               (Test_tissue.read_file ("golden/" ^ name ^ "_digest.txt")))
+            (finish ck))
+    [ "ms_cable32"; "ms_cells16_fused" ]
+
+(* -- out-of-range flags ---------------------------------------------------- *)
+
+(* Every value the create functions (or the recorder and health monitor)
+   would refuse exits 1 with a diagnostic naming the flag, never 125 with
+   an uncaught exception; [--ny 0] is refused up front rather than
+   written into checkpoints that replay then rejects. *)
+let test_bad_flags () =
+  let bench = Filename.concat (Filename.dirname Test_native.cli) "bench.exe" in
+  Test_recorder.with_temp_dir (fun dir ->
+      let ck = Filename.concat dir "ck" in
+      let cli flag args = (Test_native.cli, args, flag ^ " must be") in
+      let ms = [ "MitchellSchaeffer"; "--steps"; "10" ] in
+      List.iter
+        (fun (exe, args, want) ->
+          let code, _, err = Test_native.start_exe exe ~env:[] args () in
+          let ctx = String.concat " " args in
+          Alcotest.(check int) (ctx ^ ": exit") 1 code;
+          if not (Helpers.contains err want) then
+            Alcotest.failf "%s: no diagnostic %S in\n%s" ctx want err)
+        [
+          cli "--cells" ("run" :: "--cells" :: "0" :: ms);
+          cli "--threads" ("run" :: "--threads" :: "0" :: ms);
+          cli "--threads" ("tissue" :: "--threads" :: "0" :: ms);
+          cli "--threads" ("profile" :: "--threads" :: "0" :: ms);
+          cli "--nx" ("tissue" :: "--nx" :: "1" :: ms);
+          cli "--dx" ("tissue" :: "--dx" :: "0" :: ms);
+          cli "--ny" ("tissue" :: "--ny" :: "0" :: "--checkpoint-dir" :: ck :: ms);
+          cli "--checkpoint-stride"
+            ("run" :: "--checkpoint-dir" :: ck :: "--checkpoint-stride" :: "0" :: ms);
+          cli "--checkpoint-keep"
+            ("run" :: "--checkpoint-dir" :: ck :: "--checkpoint-keep" :: "0" :: ms);
+          cli "--health-stride"
+            ("run" :: "--health" :: "--health-stride" :: "0" :: ms);
+          cli "--health-stride"
+            ("serve" :: "--port" :: "0" :: "--health-stride" :: "0" :: ms);
+          cli "--refresh" ("serve" :: "--port" :: "0" :: "--refresh" :: "0" :: ms);
+          cli "--threads"
+            [ "replay"; path "fixtures/ms_cells16_fused.ckpt"; "--threads"; "0" ];
+          (bench, [ "NoSuchModel" ], "[unknown-model]");
+        ];
+      Alcotest.(check bool) "no checkpoint written" false (Sys.file_exists ck))
+
+(* [fused], the old name of [batched], and the default engine both run
+   batched: same engine in the tissue header, same final digest *)
+let test_fused_runs_batched () =
+  List.iter
+    (fun base ->
+      let run extra =
+        let args = base @ extra in
+        let ((_, out, _) as r) = Test_native.run_cli ~env:[] args in
+        let digest = Test_native.final_digest ~ctx:(String.concat " " args) r in
+        if List.hd base = "tissue" && not (Helpers.contains out "engine=batched")
+        then
+          Alcotest.failf "%s: not on the batched engine:\n%s"
+            (String.concat " " args) out;
+        digest
+      in
+      let want = run [ "--engine"; "batched" ] in
+      Alcotest.(check string) "--engine fused" want (run [ "--engine"; "fused" ]);
+      Alcotest.(check string) "default engine" want (run []))
+    [
+      [ "run"; "MitchellSchaeffer"; "--cells"; "16"; "--steps"; "200";
+        "--trace-every"; "0"; "--final-digest" ];
+      [ "tissue"; "MitchellSchaeffer"; "--nx"; "32"; "--steps"; "300"; "--final-digest" ];
+    ]
 
 let suite =
   [
@@ -232,4 +311,8 @@ let suite =
       test_key_matrix;
     Alcotest.test_case "checkpoint from an earlier release replays" `Quick
       test_release_fixture;
+    Alcotest.test_case "out-of-range flags are diagnostics, exit 1" `Quick
+      test_bad_flags;
+    Alcotest.test_case "--engine fused and the default run batched" `Quick
+      test_fused_runs_batched;
   ]

@@ -1,7 +1,7 @@
 (* Runtime-specialization tests: qcheck semantic-identity property on
    random straight-line kernels with random binding environments, the
    43-model bitwise differential (specialized == unspecialized on the
-   fused and batched engines), cache identity of specialized artifacts,
+   closure and batched engines), cache identity of specialized artifacts,
    canonical env serialization, and the stimulus phase split. *)
 
 open Exec
@@ -110,7 +110,7 @@ let spec_identity ~(w : int) name =
 (* -- 43-model bitwise differential -------------------------------------- *)
 
 (* Specialized == unspecialized, bitwise, for every bundled model on the
-   fused and batched engines, scalar and vector configs: the exploited
+   closure and batched engines, scalar and vector configs: the exploited
    run constants (dt, padded cell count, stimulus phases) fold without
    perturbing a single bit of the trajectory. *)
 let test_all_models_specialized_bitwise () =
@@ -148,7 +148,7 @@ let test_all_models_specialized_bitwise () =
                          cell)
                     a b)
                 base spec)
-            [ ("fused", Sim.Driver.Fused); ("batched", Sim.Driver.Batched) ])
+            [ ("closure", Sim.Driver.Compiled); ("batched", Sim.Driver.Batched) ])
         configs)
     Models.Registry.all
 
@@ -162,8 +162,11 @@ let test_reference_never_specialized () =
   in
   Alcotest.(check bool)
     "reference driver not specialized" false d.Sim.Driver.specialized;
-  let df = Sim.Driver.create ~specialize:true g ~ncells:4 ~dt:0.01 in
-  Alcotest.(check bool) "fused driver specialized" true df.Sim.Driver.specialized
+  let db =
+    Sim.Driver.create ~engine:Sim.Driver.Batched ~specialize:true g ~ncells:4
+      ~dt:0.01
+  in
+  Alcotest.(check bool) "batched driver specialized" true db.Sim.Driver.specialized
 
 (* -- cache identity ------------------------------------------------------ *)
 

@@ -326,9 +326,9 @@ let assert_same_trajectory name a b =
 
 let test_engines_bitwise () =
   let steps = 2000 in
-  let fused = run_cable (cable_sim ~engine:Sim.Driver.Fused ()) ~steps in
+  let closure = run_cable (cable_sim ~engine:Sim.Driver.Compiled ()) ~steps in
   let batched = run_cable (cable_sim ~engine:Sim.Driver.Batched ()) ~steps in
-  assert_same_trajectory "fused vs batched" fused batched
+  assert_same_trajectory "closure vs batched" closure batched
 
 let test_threads_bitwise () =
   let steps = 2000 in
@@ -361,8 +361,8 @@ let test_native_ulp_bound () =
       then ()
       else begin
         ignore (Monodomain.run native ~steps);
-        let fused = run_cable (cable_sim ()) ~steps in
-        let vf = Sim.Driver.ext_buffer (Monodomain.driver fused) "Vm" in
+        let batched = run_cable (cable_sim ()) ~steps in
+        let vf = Sim.Driver.ext_buffer (Monodomain.driver batched) "Vm" in
         let vn = Sim.Driver.ext_buffer (Monodomain.driver native) "Vm" in
         for i = 0 to 59 do
           let d = ulp_diff (Float.Array.get vf i) (Float.Array.get vn i) in
@@ -370,7 +370,7 @@ let test_native_ulp_bound () =
             Alcotest.failf "native Vm off by %Ld ULP at cell %d" d i
         done;
         match
-          ( Monodomain.conduction_velocity fused,
+          ( Monodomain.conduction_velocity batched,
             Monodomain.conduction_velocity native )
         with
         | Some a, Some b -> Helpers.check_close ~tol:1e-6 "native CV" a b
@@ -545,7 +545,7 @@ let suite =
       test_splitting_order_godunov;
     Alcotest.test_case "strang order pinned" `Quick
       test_splitting_order_strang;
-    Alcotest.test_case "fused == batched (bitwise)" `Quick
+    Alcotest.test_case "closure == batched (bitwise)" `Quick
       test_engines_bitwise;
     Alcotest.test_case "1 thread == 2 threads (bitwise)" `Quick
       test_threads_bitwise;
