@@ -385,9 +385,7 @@ type wall_row = {
           re-run of the same driver — nonzero NaN fails the CI smoke *)
 }
 
-(* Each engine variant knows how to build its driver; "batched-noelide"
-   keeps every runtime bounds check so the row pair quantifies what the
-   bounds-proof elision pass buys on real hardware.  The base rows pin
+(* Each engine variant knows how to build its driver.  The base rows pin
    [~specialize:false] so their historical meaning is stable;
    "batched-spec" is the same batched engine with the runtime
    specializer on ([dt] and the padded cell count folded to IR
@@ -401,8 +399,6 @@ let wall_engines =
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Compiled ~specialize:false g ~ncells:n ~dt:0.01);
     ("batched",
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~specialize:false g ~ncells:n ~dt:0.01);
-    ("batched-noelide",
-     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~elide:false ~specialize:false g ~ncells:n ~dt:0.01);
     ("batched-spec",
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~specialize:true g ~ncells:n ~dt:0.01);
   ]
@@ -741,15 +737,12 @@ let wallclock () =
               (wall_engines @ native_engine)
           in
           let ns ename = List.assoc_opt ename by_engine in
-          (match
-             (ns "interp", ns "closure", ns "batched", ns "batched-noelide")
-           with
-          | Some ti, Some tc, Some tb, Some tn ->
+          (match (ns "interp", ns "closure", ns "batched") with
+          | Some ti, Some tc, Some tb ->
               Fmt.pr
                 "%-24s %-6s interp %11.1f us  closure %9.1f us  batched \
-                 %9.1f us  (closure/batched %.2fx, elision %.2fx)@."
+                 %9.1f us  (closure/batched %.2fx)@."
                 name cname (ti /. 1e3) (tc /. 1e3) (tb /. 1e3) (tc /. tb)
-                (tn /. tb)
           | _ -> Fmt.pr "%-24s %-6s (no estimate)@." name cname);
           match (ns "native", ns "batched") with
           | Some tnat, Some tb ->
@@ -846,17 +839,6 @@ let wallclock () =
   Fmt.pr "native-vs-batched median speedup: scalar %.2fx, vector %.2fx, \
           geomean %.2fx@."
     nsc nve nall;
-  (* bounds-elision delta: batched with every runtime check vs batched
-     with proved checks dropped, all models and configs (>= 1 means
-     elision did not regress) *)
-  let el =
-    geo_or_nan
-      (ratios ~num:"batched-noelide" ~den:"batched" ~cls_filter:any
-         ~cfg_filter:any)
-  in
-  Fmt.pr
-    "bounds-check elision speedup (batched-noelide/batched geomean): %.2fx@."
-    el;
   (* flight-recorder cost on the large rows: full runs with the default
      CLI writer attached vs without, wall-clock ratio *)
   let ck_rows = checkpoint_overhead () in
@@ -895,7 +877,6 @@ let wallclock () =
           ("native_vs_batched_scalar", nsc);
           ("native_vs_batched_vector", nve);
           ("native_vs_batched_geomean", nall);
-          ("batched_elision_speedup_geomean", el);
           ("checkpoint_overhead_geomean", ck);
           ("health_nan_total", float_of_int nan_total);
         ]

@@ -66,17 +66,24 @@ let main =
            ~doc:"Models to run (default: all 43).")
   in
   let cells =
-    Arg.(value & opt int 256 & info [ "cells" ] ~docv:"N"
-           ~doc:"Cells per model (openCARP default is 8192; the engine is an \
-                 interpreter, so the default here is smaller).")
+    Flags.positive "cells"
+      Arg.(value & opt int 256 & info [ "cells" ] ~docv:"N"
+             ~doc:"Cells per model (openCARP default is 8192; the engine is \
+                   an interpreter, so the default here is smaller).")
   in
   let steps =
     Arg.(value & opt int 500 & info [ "steps" ] ~docv:"N"
            ~doc:"Time steps (openCARP default is 100000).")
   in
-  let dt = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS") in
+  let dt =
+    Flags.positive_float "dt"
+      Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS")
+  in
   let width = Arg.(value & opt int 8 & info [ "w"; "width" ] ~docv:"W") in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
+  let threads =
+    Flags.positive "threads"
+      Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T")
+  in
   let validate =
     Arg.(value & flag & info [ "validate" ]
            ~doc:"Check scalar/vector state agreement after the run.")

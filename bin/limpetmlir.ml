@@ -193,27 +193,11 @@ let write_run_manifest (w : Obs.Recorder.writer) ~(spec : Spec.t)
 
 (* -- common args ---------------------------------------------------- *)
 
-(* An out-of-range flag value: a diagnostic naming the flag, exit 1,
-   before the command does anything. *)
-let bad_flag ~(flag : string) ~(need : string) (got : string) : 'a =
-  Fmt.epr "%a@."
-    (Easyml.Diag.pp ~file:"limpetmlir")
-    (Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"bad-flag"
-       "--%s must be %s, got %s" flag need got);
-  exit 1
-
 (* A spec built from flags, held to what the create functions accept. *)
 let checked (s : Spec.t) : Spec.t =
   match Spec.out_of_range s with
   | None -> s
-  | Some r -> bad_flag ~flag:r.flag ~need:r.need r.got
-
-(* An int flag that must be at least 1 (a stride, a count). *)
-let positive (flag : string) (arg : int Term.t) : int Term.t =
-  let check n =
-    if n < 1 then bad_flag ~flag ~need:"at least 1" (string_of_int n) else n
-  in
-  Term.(const check $ arg)
+  | Some r -> Flags.bad_flag ~flag:r.flag ~need:r.need r.got
 
 let model_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL")
@@ -313,12 +297,12 @@ let ckpt_dir_arg =
                  uninterrupted run (native engine: \u{2264} 2 ULP).")
 
 let ckpt_stride_arg =
-  positive "checkpoint-stride"
+  Flags.positive "checkpoint-stride"
     Arg.(value & opt int 1000 & info [ "checkpoint-stride" ] ~docv:"N"
            ~doc:"Checkpoint every N steps (with --checkpoint-dir).")
 
 let ckpt_keep_arg =
-  positive "checkpoint-keep"
+  Flags.positive "checkpoint-keep"
     Arg.(value & opt int 3 & info [ "checkpoint-keep" ] ~docv:"K"
            ~doc:"Keep only the newest K checkpoint files (rotation).")
 
@@ -436,8 +420,13 @@ let check_cmd =
           Models.Registry.all
       else models
     in
-    if names = [] then
-      Fmt.failwith "no models to check (name one or pass --all)";
+    if names = [] then begin
+      Fmt.epr "%a@."
+        (Easyml.Diag.pp ~file:"limpetmlir")
+        (Easyml.Diag.make ~sev:Easyml.Diag.Error ~code:"no-models"
+           "no models to check (name one or pass --all)");
+      exit 1
+    end;
     if validate_passes then begin
       Codegen.Cache.set_validation true;
       Codegen.Cache.clear ()
@@ -648,7 +637,7 @@ let run_cmd =
                  never changes results.")
   in
   let health_stride =
-    positive "health-stride"
+    Flags.positive "health-stride"
       Arg.(value & opt int 16 & info [ "health-stride" ] ~docv:"N"
              ~doc:"Sample health every N steps (with --health).")
   in
@@ -779,7 +768,7 @@ let tissue_cmd =
          & opt (enum Spec.splittings) Tissue.Monodomain.Godunov
          & info [ "splitting" ] ~docv:"S"
              ~doc:"Operator splitting: $(b,godunov) (ionic then IMEX \
-                   diffusion, the Solver.Cable convention, default) or \
+                   exchange and implicit diffusion, first-order, default) or \
                    $(b,strang) (half diffusion / full ionic / half \
                    diffusion, second-order).")
   in
@@ -1079,12 +1068,12 @@ let serve_cmd =
                  printed at startup).")
   in
   let health_stride =
-    positive "health-stride"
+    Flags.positive "health-stride"
       Arg.(value & opt int 16 & info [ "health-stride" ] ~docv:"N"
              ~doc:"Sample health every N steps.")
   in
   let refresh =
-    positive "refresh"
+    Flags.positive "refresh"
       Arg.(value & opt int 200 & info [ "refresh" ] ~docv:"N"
              ~doc:"Re-publish /metrics every N steps.")
   in

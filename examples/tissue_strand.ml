@@ -1,31 +1,30 @@
 (* 1-D tissue strand: the two-stage simulation end to end.
 
-   A 100-cell cable of Drouhard-Roberge myocytes.  Each time step runs
-   (1) the compute stage — the generated vector kernel producing Iion per
-   cell — and (2) the solver stage — the semi-implicit monodomain cable
-   solve (tridiagonal Thomas algorithm from lib/solver).  A stimulus at the
-   left end launches a propagating action potential; the example reports
-   activation times along the fibre and the conduction velocity, and
-   cross-checks the direct tridiagonal solve against conjugate gradients.
+   A 100-cell cable of Drouhard-Roberge myocytes on Tissue.Monodomain.
+   Each time step runs (1) the compute stage — the generated vector kernel
+   producing Iion per cell — and (2) the implicit diffusion solve
+   (tridiagonal Thomas algorithm).  An S1 stimulus at the left end
+   launches a propagating action potential; the example reports
+   activation times along the fibre and the conduction velocity between
+   cells 20 and 80, and cross-checks the direct tridiagonal solve against
+   conjugate gradients on the same diffusion operator.
 
    Run with: dune exec examples/tissue_strand.exe *)
 
 let () =
   let n = 100 in
   let dt = 0.01 (* ms *) in
-  let dx = 0.01 (* cm *) in
-  let entry = Models.Registry.find_exn "DrouhardRoberge" in
-  let model = Models.Registry.model entry in
-  let gen = Codegen.Cache.generate (Codegen.Config.mlir ~width:8) model in
-  let d = Sim.Driver.create gen ~ncells:n ~dt in
-  let cable = Solver.Cable.create ~n ~dx ~sigma:0.001 ~cm:1.0 ~dt in
-  (* cross-check the cable operator once: direct vs CG on a random rhs *)
-  let rhs = Float.Array.init n (fun i -> Float.sin (float_of_int i /. 7.0)) in
-  let x_direct =
-    Solver.Tridiag.solve ~a:cable.Solver.Cable.sub ~b:cable.Solver.Cable.diag
-      ~c:cable.Solver.Cable.sup ~d:rhs
+  let geom = Tissue.Geometry.cable ~n ~dx:0.01 (* cm *) in
+  let config =
+    { Tissue.Monodomain.default_config with probes = Some (20, 80) }
   in
-  let x_cg, stats = Solver.Cg.solve (Solver.Cable.matrix cable) rhs in
+  (* cross-check the diffusion operator once: direct vs CG on a smooth rhs *)
+  let op =
+    Tissue.Diffusion.assemble geom ~sigma:config.Tissue.Monodomain.sigma ~dt
+  in
+  let rhs = Float.Array.init n (fun i -> Float.sin (float_of_int i /. 7.0)) in
+  let x_direct = Tissue.Diffusion.solve op rhs in
+  let x_cg, stats = Solver.Cg.solve (Tissue.Diffusion.matrix op) rhs in
   let max_diff = ref 0.0 in
   for i = 0 to n - 1 do
     max_diff :=
@@ -35,40 +34,24 @@ let () =
   Fmt.pr "solver cross-check: Thomas vs CG max diff %.2e (%d CG iters)@.@."
     !max_diff stats.Solver.Cg.iterations;
 
-  let vm_buf = Float.Array.make n 0.0 in
-  let iion_buf = Float.Array.make n 0.0 in
-  let activation = Array.make n Float.infinity in
-  let steps = 6_000 (* 60 ms *) in
-  for s = 1 to steps do
-    let t = float_of_int s *. dt in
-    (* compute stage: ionic currents from the generated kernel *)
-    Sim.Driver.compute_stage d;
-    for i = 0 to n - 1 do
-      Float.Array.set vm_buf i (Sim.Driver.vm d i);
-      Float.Array.set iion_buf i (Sim.Driver.ext d "Iion" i)
-    done;
-    (* solver stage: semi-implicit diffusion + reaction update *)
-    let istim = if t >= 1.0 && t < 3.0 then 80.0 else 0.0 in
-    Solver.Cable.step cable ~vm:vm_buf ~iion:iion_buf ~istim ~stim_lo:0
-      ~stim_hi:5;
-    for i = 0 to n - 1 do
-      Sim.Driver.set_ext d "Vm" i (Float.Array.get vm_buf i);
-      if Float.Array.get vm_buf i > -20.0 && activation.(i) = Float.infinity
-      then activation.(i) <- t
-    done;
-    Sim.Driver.tick d
-  done;
+  let model =
+    Models.Registry.model (Models.Registry.find_exn "DrouhardRoberge")
+  in
+  let gen = Codegen.Cache.generate (Codegen.Config.mlir ~width:8) model in
+  let sim =
+    Tissue.Monodomain.create ~config gen ~geom ~dt
+      ~protocol:(Tissue.Protocol.s1 geom)
+  in
+  ignore (Tissue.Monodomain.run sim ~steps:6_000 (* 60 ms *) : float);
+  let activation = Tissue.Monodomain.activation sim in
   Fmt.pr "activation times along the strand (ms):@.";
   List.iter
     (fun i ->
+      let t = Tissue.Activation.first_time activation i in
       Fmt.pr "  cell %3d: %s@." i
-        (if Float.is_finite activation.(i) then
-           Printf.sprintf "%.2f" activation.(i)
-         else "not activated"))
+        (if Float.is_nan t then "not activated" else Printf.sprintf "%.2f" t))
     [ 0; 20; 40; 60; 80; 99 ];
-  match
-    Solver.Cable.conduction_velocity ~dx activation ~from_cell:20 ~to_cell:80
-  with
+  match Tissue.Monodomain.conduction_velocity sim with
   | Some cv ->
       Fmt.pr "@.conduction velocity between cells 20 and 80: %.3f cm/ms (%.1f cm/s)@."
         cv (cv *. 1000.0)

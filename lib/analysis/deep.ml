@@ -8,8 +8,9 @@
     - footprint sanity: an access whose index interval is {e entirely}
       negative, or entirely past the end of a constant-sized local
       alloc, can never be in bounds — a definite out-of-bounds error
-      (possible-OOB is not reported here: parameter buffer lengths are
-      a caller contract, checked by {!Bounds} where lengths are known).
+      (possible-OOB is not reported: parameter buffer lengths are a
+      caller contract, and every engine checks those accesses at run
+      time).
 
     Lives in the analysis library rather than in [Ir.Verifier] because
     the dependency points this way: the verifier cannot depend on the

@@ -5,8 +5,9 @@
     local allocs ({!Meminit}) and footprint sanity (an access whose
     index interval is {e entirely} negative, or entirely past the end of
     a constant-sized local alloc, is a definite out-of-bounds error;
-    possible-OOB against caller buffers is {!Bounds}' job, where lengths
-    are known). *)
+    possible-OOB against caller buffers is not reported: their lengths
+    are a caller contract, and every engine checks those accesses at
+    run time). *)
 
 val alloc_sizes : Interval.state -> Ir.Func.func -> (int, int) Hashtbl.t
 (** Constant alloc sizes, by alloc op id. *)

@@ -5,9 +5,7 @@
     is recorded as an {!access}: a symbolic buffer {e origin} plus a
     congruence interval of touched element indices.  Seeding the
     analysis with concrete chunk bounds turns this into the per-chunk
-    write sets the race checker intersects, and with the driver's buffer
-    lengths it becomes the proof obligation of the bounds-elision pass.
-    {!chase_idx} normalizes constant index arithmetic for same-block
+    write sets the race checker intersects.  {!chase_idx} normalizes constant index arithmetic for same-block
     reasoning ({!Meminit}). *)
 
 open Ir

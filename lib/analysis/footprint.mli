@@ -16,13 +16,6 @@ val widen_by : Itv.I.t -> int -> Itv.I.t
 (** Vector ops at width [w] starting at index [i] touch [i .. i+w-1]:
     widen the start-index interval by the lane span. *)
 
-val accesses_of : Interval.state -> Ir.Op.op -> access list
-(** Accesses performed by a single op, given converged interval facts.
-    Loads/stores/gathers/scatters report their index interval (vector
-    ops widened by the lane count); the LUT externs use a built-in
-    effect table; unknown externs are assumed to read and write every
-    memref operand in full.  Pure ops report nothing. *)
-
 val of_func : ?seed:(Ir.Value.t * Interval.v) list ->
   Ir.Func.func -> Interval.state * access list
 (** Analyze [f] (optionally seeding parameter values — e.g. concrete

@@ -4,7 +4,8 @@
     only when every element it may touch has definitely been written on
     every path reaching it.  Parameter memrefs are the caller's problem
     (the driver hands kernels fully-initialized buffers; the race
-    checker and bounds prover cover those), so only allocs are tracked.
+    checker and the engines' runtime bounds checks cover those), so only
+    allocs are tracked.
 
     The must-state per alloc is a set of disjoint, coalesced index
     ranges.  Stores extend it when their coverage is {e exact}:

@@ -15,14 +15,7 @@ type t = {
           section 7 future-work item); ~4x the per-column arithmetic for
           O(h^4) accuracy *)
   fold_params : bool;  (** preprocessor parameter folding *)
-  parallel : bool;  (** mark the cell loop parallel (omp analogue) *)
   scalar_math : bool;  (** cost-model flag: math calls not SVML-vectorized *)
-  tile : int;
-      (** batched-engine tile size in vector blocks; [0] (the default)
-          lets the engine size the tile so the coalesced register file
-          fits L1.  Execution-relevant (the batched engine specializes
-          its tile loops on it), so it participates in {!describe} and
-          therefore in the compile-cache key. *)
 }
 
 (** openCARP baseline: scalar code, AoS layout, scalar LUT interpolation. *)
@@ -32,9 +25,7 @@ let baseline = {
   use_lut = true;
   lut_spline = false;
   fold_params = true;
-  parallel = true;
   scalar_math = true;
-  tile = 0;
 }
 
 (** limpetMLIR at a given vector width: AoSoA layout (the data-layout
@@ -45,9 +36,7 @@ let mlir ~(width : int) = {
   use_lut = true;
   lut_spline = false;
   fold_params = true;
-  parallel = true;
   scalar_math = false;
-  tile = 0;
 }
 
 (** The icc [omp simd] comparison point of §5: vector arithmetic but AoS
@@ -58,9 +47,7 @@ let autovec ~(width : int) = {
   use_lut = true;
   lut_spline = false;
   fold_params = true;
-  parallel = true;
   scalar_math = true;
-  tile = 0;
 }
 
 let arch_name (c : t) : string =
@@ -74,14 +61,11 @@ let arch_name (c : t) : string =
 (* Covers every semantically relevant field — the compile cache keys on
    this string, so omitting a field here would alias distinct kernels
    (audited against the field list above: width+layout via arch/layout,
-   use_lut/lut_spline, scalar_math, fold_params, parallel, tile).
-   Default fold/parallel/tile settings print nothing, keeping the common
-   labels short and stable. *)
+   use_lut/lut_spline, scalar_math, fold_params).  The default fold
+   setting prints nothing, keeping the common labels short and stable. *)
 let describe (c : t) : string =
-  Printf.sprintf "%s/%s%s%s%s%s%s" (arch_name c)
+  Printf.sprintf "%s/%s%s%s%s" (arch_name c)
     (Runtime.Layout.name c.layout)
     (if c.use_lut then (if c.lut_spline then "+lutc" else "+lut") else "-lut")
     (if c.scalar_math then "-svml" else "+svml")
     (if c.fold_params then "" else "+params")
-    (if c.parallel then "" else "-seq")
-    (if c.tile = 0 then "" else Printf.sprintf "+tile%d" c.tile)

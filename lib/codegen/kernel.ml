@@ -165,7 +165,7 @@ let gen_compute (ctx : Builder.ctx) (modl : Func.modl) (cfg : Config.t)
       in
       let step = Builder.consti b w in
       let _ =
-        Builder.for_ b ~parallel:cfg.Config.parallel ~lb:start ~ub:stop ~step
+        Builder.for_ b ~parallel:true ~lb:start ~ub:stop ~step
           ~inits:[] (fun ~iv ~iters:_ ->
             (* ---- loads -------------------------------------------- *)
             let load_ext mem =

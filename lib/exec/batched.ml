@@ -36,10 +36,7 @@ open Ir
       sequence is unchanged, hence bitwise-identical state.  Everything
       else — other loops, and whole functions without a parallel loop
       such as the lookup-table initializers — runs on the closure
-      engine's per-op thunks ({!Engine.compile_op}).
-
-    Bounds-check elision composes: ops certified by {!Analysis.Bounds}
-    select unchecked tile ops, exactly as in the closure engine. *)
+      engine's per-op thunks ({!Engine.compile_op}). *)
 
 module E = Engine
 
@@ -127,25 +124,17 @@ type tinstr =
   | KIota of int * int  (** d, w: d[k*w+l] <- l *)
   | KExtF of int * int * int * int  (** d, a, w, lane: d[k] <- a[k*w+lane] *)
   | KExtI of int * int * int * int
-  (* memory (checked / unchecked per the bounds prover) *)
+  (* memory (bounds-checked) *)
   | KLoad of int * int * int  (** d, mm, ix *)
-  | KLoadU of int * int * int
   | KStore of int * int * int  (** a, mm, ix *)
-  | KStoreU of int * int * int
   | KVLoad of int * int * int * int  (** d, mm, ix, w — contiguous *)
-  | KVLoadU of int * int * int * int
   | KVStore of int * int * int * int
-  | KVStoreU of int * int * int * int
   | KGather of int * int * int * int  (** d, mm, ixs(ew=w), w *)
-  | KGatherU of int * int * int * int
   | KScatter of int * int * int * int
-  | KScatterU of int * int * int * int
   (* fused LUT interpolation + private-row accesses *)
   | KLut of lut_op
   | KRowLoad of int * int * int * int  (** d, buf, ix, stride *)
-  | KRowLoadU of int * int * int * int
   | KRowVLoad of int * int * int * int * int  (** d, buf, ix, w, stride *)
-  | KRowVLoadU of int * int * int * int * int
 
 (* ------------------------------------------------------------------ *)
 (* Tile register file and executor                                     *)
@@ -164,7 +153,7 @@ type tstate = {
 (* The dispatch loop: one [match] per instruction *per tile*, each arm a
    tight loop over n × ew unboxed elements.  Row accesses are unchecked
    (indices are compiler-assigned, bounded by tile × ew); memref accesses
-   keep their checks unless the bounds prover certified them. *)
+   are always checked. *)
 let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
   let fr = st.fr and ir = st.ir and br = st.br and lb = st.lb in
   let m = e.E.m in
@@ -519,28 +508,12 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
             Float.Array.unsafe_set z k
               (Float.Array.get buf (Array.unsafe_get iix k))
           done
-      | KLoadU (d, mm, ix) ->
-          let buf = Array.unsafe_get m mm
-          and iix = Array.unsafe_get ir ix
-          and z = Array.unsafe_get fr d in
-          for k = 0 to n - 1 do
-            Float.Array.unsafe_set z k
-              (Float.Array.unsafe_get buf (Array.unsafe_get iix k))
-          done
       | KStore (a, mm, ix) ->
           let buf = Array.unsafe_get m mm
           and iix = Array.unsafe_get ir ix
           and x = Array.unsafe_get fr a in
           for k = 0 to n - 1 do
             Float.Array.set buf (Array.unsafe_get iix k)
-              (Float.Array.unsafe_get x k)
-          done
-      | KStoreU (a, mm, ix) ->
-          let buf = Array.unsafe_get m mm
-          and iix = Array.unsafe_get ir ix
-          and x = Array.unsafe_get fr a in
-          for k = 0 to n - 1 do
-            Float.Array.unsafe_set buf (Array.unsafe_get iix k)
               (Float.Array.unsafe_get x k)
           done
       | KVLoad (d, mm, ix, w) ->
@@ -552,17 +525,6 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
             let base = Array.unsafe_get iix k in
             if base < 0 || base + w > len then oob ();
             let b = k * w in
-            for l = 0 to w - 1 do
-              Float.Array.unsafe_set z (b + l)
-                (Float.Array.unsafe_get buf (base + l))
-            done
-          done
-      | KVLoadU (d, mm, ix, w) ->
-          let buf = Array.unsafe_get m mm
-          and iix = Array.unsafe_get ir ix
-          and z = Array.unsafe_get fr d in
-          for k = 0 to n - 1 do
-            let base = Array.unsafe_get iix k and b = k * w in
             for l = 0 to w - 1 do
               Float.Array.unsafe_set z (b + l)
                 (Float.Array.unsafe_get buf (base + l))
@@ -582,17 +544,6 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
                 (Float.Array.unsafe_get x (b + l))
             done
           done
-      | KVStoreU (a, mm, ix, w) ->
-          let buf = Array.unsafe_get m mm
-          and iix = Array.unsafe_get ir ix
-          and x = Array.unsafe_get fr a in
-          for k = 0 to n - 1 do
-            let base = Array.unsafe_get iix k and b = k * w in
-            for l = 0 to w - 1 do
-              Float.Array.unsafe_set buf (base + l)
-                (Float.Array.unsafe_get x (b + l))
-            done
-          done
       | KGather (d, mm, ixs, w) ->
           let buf = Array.unsafe_get m mm
           and iix = Array.unsafe_get ir ixs
@@ -601,28 +552,12 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
             Float.Array.unsafe_set z j
               (Float.Array.get buf (Array.unsafe_get iix j))
           done
-      | KGatherU (d, mm, ixs, w) ->
-          let buf = Array.unsafe_get m mm
-          and iix = Array.unsafe_get ir ixs
-          and z = Array.unsafe_get fr d in
-          for j = 0 to (n * w) - 1 do
-            Float.Array.unsafe_set z j
-              (Float.Array.unsafe_get buf (Array.unsafe_get iix j))
-          done
       | KScatter (a, mm, ixs, w) ->
           let buf = Array.unsafe_get m mm
           and iix = Array.unsafe_get ir ixs
           and x = Array.unsafe_get fr a in
           for j = 0 to (n * w) - 1 do
             Float.Array.set buf (Array.unsafe_get iix j)
-              (Float.Array.unsafe_get x j)
-          done
-      | KScatterU (a, mm, ixs, w) ->
-          let buf = Array.unsafe_get m mm
-          and iix = Array.unsafe_get ir ixs
-          and x = Array.unsafe_get fr a in
-          for j = 0 to (n * w) - 1 do
-            Float.Array.unsafe_set buf (Array.unsafe_get iix j)
               (Float.Array.unsafe_get x j)
           done
       | KLut { k_buf; k_mm; k_x; k_w = w; k_lo = lo; k_step = step;
@@ -729,15 +664,6 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
             Float.Array.unsafe_set z k
               (Float.Array.unsafe_get src ((k * stride) + j))
           done
-      | KRowLoadU (d, buf, ix, stride) ->
-          let src = Array.unsafe_get lb buf
-          and iix = Array.unsafe_get ir ix
-          and z = Array.unsafe_get fr d in
-          for k = 0 to n - 1 do
-            Float.Array.unsafe_set z k
-              (Float.Array.unsafe_get src
-                 ((k * stride) + Array.unsafe_get iix k))
-          done
       | KRowVLoad (d, buf, ix, w, stride) ->
           let src = Array.unsafe_get lb buf
           and iix = Array.unsafe_get ir ix
@@ -746,17 +672,6 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
             let j = Array.unsafe_get iix k in
             if j < 0 || j + w > stride then oob ();
             let sb = (k * stride) + j and b = k * w in
-            for l = 0 to w - 1 do
-              Float.Array.unsafe_set z (b + l)
-                (Float.Array.unsafe_get src (sb + l))
-            done
-          done
-      | KRowVLoadU (d, buf, ix, w, stride) ->
-          let src = Array.unsafe_get lb buf
-          and iix = Array.unsafe_get ir ix
-          and z = Array.unsafe_get fr d in
-          for k = 0 to n - 1 do
-            let sb = (k * stride) + Array.unsafe_get iix k and b = k * w in
             for l = 0 to w - 1 do
               Float.Array.unsafe_set z (b + l)
                 (Float.Array.unsafe_get src (sb + l))
@@ -903,7 +818,6 @@ let pair_sel (p : Op.op) (o : Op.op) : ainstr option =
 let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
     ~(rowmap : (int, lut_site) Hashtbl.t) (o : Op.op) : ainstr option =
   let op k = o.Op.operands.(k) and res () = o.Op.results.(0) in
-  let proved () = Hashtbl.mem c.E.proved o.Op.o_id in
   match o.Op.kind with
   | Op.ConstF x ->
       let d = res () in
@@ -1027,69 +941,47 @@ let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
       match Hashtbl.find_opt rowmap mem.Value.id with
       | Some site ->
           let buf = site.ls_buf and stride = site.ls_stride in
-          let u = proved () in
-          mk [ ix ] [ d ] (fun lk ->
-              if u then KRowLoadU (lk d, buf, lk ix, stride)
-              else KRowLoad (lk d, buf, lk ix, stride))
+          mk [ ix ] [ d ] (fun lk -> KRowLoad (lk d, buf, lk ix, stride))
       | None ->
           let mm = E.mslot c mem in
-          let u = proved () in
-          mk [ ix ] [ d ] (fun lk ->
-              if u then KLoadU (lk d, mm, lk ix) else KLoad (lk d, mm, lk ix)))
+          mk [ ix ] [ d ] (fun lk -> KLoad (lk d, mm, lk ix)))
   | Op.MemStore ->
       let a = op 0 and mem = op 1 and ix = op 2 in
       if Hashtbl.mem rowmap mem.Value.id then None
       else
         let mm = E.mslot c mem in
-        let u = proved () in
-        mk [ a; ix ] [] (fun lk ->
-            if u then KStoreU (lk a, mm, lk ix) else KStore (lk a, mm, lk ix))
+        mk [ a; ix ] [] (fun lk -> KStore (lk a, mm, lk ix))
   | Op.VecLoad -> (
       let d = res () and mem = op 0 and ix = op 1 in
       let w = ew_of d in
       match Hashtbl.find_opt rowmap mem.Value.id with
       | Some site ->
           let buf = site.ls_buf and stride = site.ls_stride in
-          let u = proved () in
-          mk [ ix ] [ d ] (fun lk ->
-              if u then KRowVLoadU (lk d, buf, lk ix, w, stride)
-              else KRowVLoad (lk d, buf, lk ix, w, stride))
+          mk [ ix ] [ d ] (fun lk -> KRowVLoad (lk d, buf, lk ix, w, stride))
       | None ->
           let mm = E.mslot c mem in
-          let u = proved () in
-          mk [ ix ] [ d ] (fun lk ->
-              if u then KVLoadU (lk d, mm, lk ix, w)
-              else KVLoad (lk d, mm, lk ix, w)))
+          mk [ ix ] [ d ] (fun lk -> KVLoad (lk d, mm, lk ix, w)))
   | Op.VecStore ->
       let a = op 0 and mem = op 1 and ix = op 2 in
       let w = ew_of a in
       if Hashtbl.mem rowmap mem.Value.id then None
       else
         let mm = E.mslot c mem in
-        let u = proved () in
-        mk [ a; ix ] [] (fun lk ->
-            if u then KVStoreU (lk a, mm, lk ix, w)
-            else KVStore (lk a, mm, lk ix, w))
+        mk [ a; ix ] [] (fun lk -> KVStore (lk a, mm, lk ix, w))
   | Op.Gather ->
       let d = res () and mem = op 0 and ixs = op 1 in
       let w = ew_of ixs in
       if Hashtbl.mem rowmap mem.Value.id then None
       else
         let mm = E.mslot c mem in
-        let u = proved () in
-        mk [ ixs ] [ d ] (fun lk ->
-            if u then KGatherU (lk d, mm, lk ixs, w)
-            else KGather (lk d, mm, lk ixs, w))
+        mk [ ixs ] [ d ] (fun lk -> KGather (lk d, mm, lk ixs, w))
   | Op.Scatter ->
       let a = op 0 and mem = op 1 and ixs = op 2 in
       let w = ew_of a in
       if Hashtbl.mem rowmap mem.Value.id then None
       else
         let mm = E.mslot c mem in
-        let u = proved () in
-        mk [ a; ixs ] [] (fun lk ->
-            if u then KScatterU (lk a, mm, lk ixs, w)
-            else KScatter (lk a, mm, lk ixs, w))
+        mk [ a; ixs ] [] (fun lk -> KScatter (lk a, mm, lk ixs, w))
   | Op.Call _ -> (
       match Hashtbl.find_opt luts o.Op.o_id with
       | None -> None
@@ -1498,10 +1390,10 @@ let compile_tiled (c : E.fctx) ~(tile : int) ~(uc : (int, int) Hashtbl.t)
             done
           end)
 
-let compile_func ?(tile = 0) ?proved ~(get : string -> E.compiled)
-    (fn : Func.func) : E.compiled =
+let compile_func ?(tile = 0) ~(get : string -> E.compiled) (fn : Func.func) :
+    E.compiled =
   Obs.Tracer.with_span ("batched.compile:" ^ fn.Func.f_name) @@ fun () ->
-  let c = E.make_fctx ?proved fn ~get in
+  let c = E.make_fctx fn ~get in
   let uc = use_counts fn in
   let rec region ~on_yield (r : Op.region) : unit -> unit =
     let thunks =
@@ -1532,9 +1424,9 @@ let compile_func ?(tile = 0) ?proved ~(get : string -> E.compiled)
   in
   E.finish c fn ~body
 
-let compile_module ?externs ?proved ?(tile = 0) (m : Func.modl) :
+let compile_module ?externs ?(tile = 0) (m : Func.modl) :
     string -> E.compiled =
-  E.module_linker ?externs m (fun ~get f -> compile_func ~tile ?proved ~get f)
+  E.module_linker ?externs m (fun ~get f -> compile_func ~tile ~get f)
 
 let run ?externs ?(tile = 0) (m : Func.modl) (name : string)
     (args : Rt.v array) : Rt.v array =
@@ -1543,7 +1435,7 @@ let run ?externs ?(tile = 0) (m : Func.modl) (name : string)
 (* The driver needs the resolved tile size before it carves Domain-parallel
    chunks (chunk boundaries must fall on tile boundaries, or two domains
    would share a tile's scratch rows).  Planning is deterministic and
-   independent of [proved]/[get], so this always matches what
+   independent of [get], so this always matches what
    {!compile_func} will pick for the same [tile] argument. *)
 let plan_tile ?(tile = 0) (m : Func.modl) ~(name : string) : int =
   if tile > 0 then tile

@@ -14,19 +14,13 @@
     every tile size. *)
 
 val compile_func :
-  ?tile:int ->
-  ?proved:(int, unit) Hashtbl.t ->
-  get:(string -> Engine.compiled) ->
-  Ir.Func.func ->
-  Engine.compiled
+  ?tile:int -> get:(string -> Engine.compiled) -> Ir.Func.func -> Engine.compiled
 (** Compile one function against a callee lookup.  [tile] is the tile
     size in vector blocks; [0] (default) sizes the tile so the coalesced
-    register file fits a 32 KiB L1 budget.  [proved] op ids compile
-    without runtime bounds checks (see {!Analysis.Bounds}). *)
+    register file fits a 32 KiB L1 budget. *)
 
 val compile_module :
   ?externs:Rt.registry ->
-  ?proved:(int, unit) Hashtbl.t ->
   ?tile:int ->
   Ir.Func.modl ->
   string ->

@@ -223,20 +223,11 @@ type fctx = {
   env : env;
   get : string -> compiled;
   return_box : Rt.v array ref;
-  proved : (int, unit) Hashtbl.t;
-      (** op ids whose accesses the bounds prover certified in-bounds;
-          those ops compile to unchecked loads/stores (see
-          [Analysis.Bounds]).  Only failure checks are elided, never
-          value-affecting clamps, so results are bitwise unchanged. *)
 }
 
-(* Shared read-only empty proof set for callers that don't elide. *)
-let no_proofs : (int, unit) Hashtbl.t = Hashtbl.create 1
-
-let make_fctx ?(proved = no_proofs) (fn : Func.func)
-    ~(get : string -> compiled) : fctx =
+let make_fctx (fn : Func.func) ~(get : string -> compiled) : fctx =
   let slots = collect_slots fn in
-  { slots; env = make_env slots; get; return_box = ref [||]; proved }
+  { slots; env = make_env slots; get; return_box = ref [||] }
 
 let slot (c : fctx) (v : Value.t) : slot = Hashtbl.find c.slots.map v.id
 
@@ -657,48 +648,28 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
       | _ -> fail "vector.extract: unsupported type")
   | Op.VecLoad ->
       let mm = mslot (op1 ()) and ix = islot (op2 ()) and d, w = vfslot (res ()) in
-      if Hashtbl.mem c.proved o.Op.o_id then fun () ->
-        let buf = m.(mm) and base = i.(ix) and z = vf.(d) in
-        for l = 0 to w - 1 do
-          Float.Array.unsafe_set z l (Float.Array.unsafe_get buf (base + l))
-        done
-      else fun () ->
+      fun () ->
         let buf = m.(mm) and base = i.(ix) and z = vf.(d) in
         for l = 0 to w - 1 do
           Float.Array.set z l (Float.Array.get buf (base + l))
         done
   | Op.VecStore ->
       let a, w = vfslot (op1 ()) and mm = mslot (op2 ()) and ix = islot (op3 ()) in
-      if Hashtbl.mem c.proved o.Op.o_id then fun () ->
-        let buf = m.(mm) and base = i.(ix) and x = vf.(a) in
-        for l = 0 to w - 1 do
-          Float.Array.unsafe_set buf (base + l) (Float.Array.unsafe_get x l)
-        done
-      else fun () ->
+      fun () ->
         let buf = m.(mm) and base = i.(ix) and x = vf.(a) in
         for l = 0 to w - 1 do
           Float.Array.set buf (base + l) (Float.Array.get x l)
         done
   | Op.Gather ->
       let mm = mslot (op1 ()) and ix, w = vislot (op2 ()) and d, _ = vfslot (res ()) in
-      if Hashtbl.mem c.proved o.Op.o_id then fun () ->
-        let buf = m.(mm) and idx = vi.(ix) and z = vf.(d) in
-        for l = 0 to w - 1 do
-          Float.Array.unsafe_set z l (Float.Array.unsafe_get buf idx.(l))
-        done
-      else fun () ->
+      fun () ->
         let buf = m.(mm) and idx = vi.(ix) and z = vf.(d) in
         for l = 0 to w - 1 do
           Float.Array.set z l (Float.Array.get buf idx.(l))
         done
   | Op.Scatter ->
       let a, w = vfslot (op1 ()) and mm = mslot (op2 ()) and ix, _ = vislot (op3 ()) in
-      if Hashtbl.mem c.proved o.Op.o_id then fun () ->
-        let buf = m.(mm) and idx = vi.(ix) and x = vf.(a) in
-        for l = 0 to w - 1 do
-          Float.Array.unsafe_set buf idx.(l) (Float.Array.unsafe_get x l)
-        done
-      else fun () ->
+      fun () ->
         let buf = m.(mm) and idx = vi.(ix) and x = vf.(a) in
         for l = 0 to w - 1 do
           Float.Array.set buf idx.(l) (Float.Array.get x l)
@@ -714,14 +685,10 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
       fun () -> m.(d) <- Float.Array.make i.(sz) 0.0
   | Op.MemLoad ->
       let mm = mslot (op1 ()) and ix = islot (op2 ()) and d = fslot (res ()) in
-      if Hashtbl.mem c.proved o.Op.o_id then
-        fun () -> f.(d) <- Float.Array.unsafe_get m.(mm) i.(ix)
-      else fun () -> f.(d) <- Float.Array.get m.(mm) i.(ix)
+      fun () -> f.(d) <- Float.Array.get m.(mm) i.(ix)
   | Op.MemStore ->
       let a = fslot (op1 ()) and mm = mslot (op2 ()) and ix = islot (op3 ()) in
-      if Hashtbl.mem c.proved o.Op.o_id then
-        fun () -> Float.Array.unsafe_set m.(mm) i.(ix) f.(a)
-      else fun () -> Float.Array.set m.(mm) i.(ix) f.(a)
+      fun () -> Float.Array.set m.(mm) i.(ix) f.(a)
   | Op.For _ ->
       let lb = islot o.Op.operands.(0)
       and ub = islot o.Op.operands.(1)
@@ -834,20 +801,17 @@ let rec closure_region (c : fctx) ~(on_yield : Op.op -> unit -> unit)
       (Array.unsafe_get thunks k) ()
     done
 
-let compile_func ?proved ~(get : string -> compiled) (fn : Func.func) :
-    compiled =
-  let c = make_fctx ?proved fn ~get in
+let compile_func ~(get : string -> compiled) (fn : Func.func) : compiled =
+  let c = make_fctx fn ~get in
   let body =
     closure_region c fn.Func.f_body ~on_yield:(fun _ ->
         fail "yield at function top level")
   in
   finish c fn ~body
 
-(* Compile a whole module; returns a lazy per-function runner lookup.
-   [proved] is keyed by op id, which is unique module-wide, so one set
-   serves every function. *)
-let compile_module ?externs ?proved (m : Func.modl) : string -> compiled =
-  module_linker ?externs m (fun ~get f -> compile_func ?proved ~get f)
+(* Compile a whole module; returns a lazy per-function runner lookup. *)
+let compile_module ?externs (m : Func.modl) : string -> compiled =
+  module_linker ?externs m (fun ~get f -> compile_func ~get f)
 
 (** Compile and run one function of a module. *)
 let run ?externs (m : Func.modl) (name : string) (args : Rt.v array) :

@@ -42,18 +42,9 @@ type fctx = {
   env : env;
   get : string -> compiled;  (** module-level callee lookup *)
   return_box : Rt.v array ref;
-  proved : (int, unit) Hashtbl.t;
-      (** op ids whose memory accesses are statically proved in-bounds
-          (see [Analysis.Bounds]); those compile without runtime bounds
-          checks.  Elision only drops failure branches, never
-          value-affecting clamps, so results are bitwise unchanged. *)
 }
 
-val make_fctx :
-  ?proved:(int, unit) Hashtbl.t ->
-  Ir.Func.func ->
-  get:(string -> compiled) ->
-  fctx
+val make_fctx : Ir.Func.func -> get:(string -> compiled) -> fctx
 
 val fslot : fctx -> Ir.Value.t -> int
 val islot : fctx -> Ir.Value.t -> int
@@ -94,23 +85,13 @@ val cmpi_fn : Ir.Op.cmp -> int -> int -> bool
 
 (** {1 Entry points} *)
 
-val compile_func :
-  ?proved:(int, unit) Hashtbl.t ->
-  get:(string -> compiled) ->
-  Ir.Func.func ->
-  compiled
+val compile_func : get:(string -> compiled) -> Ir.Func.func -> compiled
 (** Compile one function against a callee lookup. *)
 
 val compile_module :
-  ?externs:Rt.registry ->
-  ?proved:(int, unit) Hashtbl.t ->
-  Ir.Func.modl ->
-  string ->
-  compiled
+  ?externs:Rt.registry -> Ir.Func.modl -> string -> compiled
 (** Lazy per-function compiler; unknown names fall back to the extern
-    registry. Local calls between module functions are supported.
-    [proved] elides bounds checks on the listed op ids (ids are unique
-    module-wide, so one set serves every function). *)
+    registry. Local calls between module functions are supported. *)
 
 val run :
   ?externs:Rt.registry -> Ir.Func.modl -> string -> Rt.v array -> Rt.v array

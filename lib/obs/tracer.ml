@@ -31,12 +31,20 @@ type event = {
   ev_name : string;
 }
 
+(* A ring stores its events unboxed, one array per field, so recording
+   allocates nothing: no minor collection can start inside a recording
+   call, and a minor collection has no young events to promote. *)
 type ring = {
   r_dom : int;
   r_cap : int;
-  r_ev : event option array;
-  mutable r_n : int;  (** total events ever written (ring index = n mod cap) *)
-  mutable r_last : float;  (** last raw timestamp issued on this ring *)
+  r_ts : floatarray;  (** slot timestamps *)
+  r_kind : Bytes.t;  (** slot kinds: ['B'] or ['E'] *)
+  r_name : string array;  (** slot names *)
+  mutable r_n : int;  (** total events ever written *)
+  mutable r_i : int;  (** next slot, [r_n mod r_cap] without the division *)
+  r_last : floatarray;
+      (** [[| last timestamp issued on this ring |]]; a floatarray cell,
+          so updating it does not allocate *)
   r_counters : (string, float ref) Hashtbl.t;
   r_gauges : (string, float * float) Hashtbl.t;  (** name -> (ts, value) *)
 }
@@ -55,16 +63,21 @@ let rings : ring list ref = ref []
 (* Epoch of the current tracing session; timestamps are relative to it. *)
 let t0 = Atomic.make 0.0
 
-let now_abs_us () = Unix.gettimeofday () *. 1e6
+external monotonic_ns : unit -> int = "limpet_obs_monotonic_ns" [@@noalloc]
+
+let[@inline] now_abs_us () = float_of_int (monotonic_ns ()) *. 1e-3
 
 let make_ring () : ring =
   let r =
     {
       r_dom = (Domain.self () :> int);
       r_cap = !capacity;
-      r_ev = Array.make !capacity None;
+      r_ts = Float.Array.make !capacity 0.0;
+      r_kind = Bytes.make !capacity 'E';
+      r_name = Array.make !capacity "";
       r_n = 0;
-      r_last = 0.0;
+      r_i = 0;
+      r_last = Float.Array.make 1 0.0;
       r_counters = Hashtbl.create 16;
       r_gauges = Hashtbl.create 8;
     }
@@ -78,9 +91,10 @@ let ring_key : ring Domain.DLS.key = Domain.DLS.new_key make_ring
 let my_ring () : ring = Domain.DLS.get ring_key
 
 let clear_ring (r : ring) : unit =
-  Array.fill r.r_ev 0 r.r_cap None;
+  Array.fill r.r_name 0 r.r_cap "";
   r.r_n <- 0;
-  r.r_last <- 0.0;
+  r.r_i <- 0;
+  Float.Array.set r.r_last 0 0.0;
   Hashtbl.reset r.r_counters;
   Hashtbl.reset r.r_gauges
 
@@ -112,20 +126,32 @@ let set_capacity (n : int) : unit =
 
 (* -- recording -------------------------------------------------------- *)
 
-(* Per-ring monotonic clock: gettimeofday can step backwards; clamping to
-   the last issued value keeps every per-Domain track non-decreasing. *)
-let ring_now (r : ring) : float =
+(* Per-ring clock: clamping to the last issued value keeps every
+   per-Domain track non-decreasing whatever the clock does. *)
+let[@inline] ring_now (r : ring) : float =
   let t = now_abs_us () -. Atomic.get t0 in
-  let t = if t < r.r_last then r.r_last else t in
-  r.r_last <- t;
+  let last = Float.Array.get r.r_last 0 in
+  let t = if t < last then last else t in
+  Float.Array.set r.r_last 0 t;
   t
 
 let emit (k : kind) (name : string) : unit =
   let r = my_ring () in
-  let ts = ring_now r in
-  r.r_ev.(r.r_n mod r.r_cap) <-
-    Some { ev_ts = ts; ev_dom = r.r_dom; ev_kind = k; ev_name = name };
+  let i = r.r_i in
+  Float.Array.set r.r_ts i (ring_now r);
+  Bytes.set r.r_kind i (match k with Begin -> 'B' | End -> 'E');
+  r.r_name.(i) <- name;
+  r.r_i <- (if i + 1 = r.r_cap then 0 else i + 1);
   r.r_n <- r.r_n + 1
+
+(* The event in slot [i] of a ring (or of a copy of its arrays). *)
+let slot_event (r : ring) ts kind name (i : int) : event =
+  {
+    ev_ts = Float.Array.get ts i;
+    ev_dom = r.r_dom;
+    ev_kind = (if Bytes.get kind i = 'B' then Begin else End);
+    ev_name = name.(i);
+  }
 
 let span_begin (name : string) : unit =
   if Atomic.get on then emit Begin name
@@ -137,7 +163,14 @@ let with_span (name : string) (f : unit -> 'a) : 'a =
   if not (Atomic.get on) then f ()
   else begin
     emit Begin name;
-    Fun.protect ~finally:(fun () -> if Atomic.get on then emit End name) f
+    match f () with
+    | v ->
+        if Atomic.get on then emit End name;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        if Atomic.get on then emit End name;
+        Printexc.raise_with_backtrace e bt
   end
 
 let count (name : string) (v : float) : unit =
@@ -171,9 +204,7 @@ let ring_events (r : ring) : event list =
   let first = if n > cap then n - cap else 0 in
   let out = ref [] in
   for k = n - 1 downto first do
-    match r.r_ev.(k mod cap) with
-    | Some e -> out := e :: !out
-    | None -> ()
+    out := slot_event r r.r_ts r.r_kind r.r_name (k mod cap) :: !out
   done;
   !out
 
@@ -201,25 +232,27 @@ let balance (evs : event list) : event list =
   List.rev (go evs [] [])
 
 (* Snapshot-stable tail of one ring under concurrent writers.  The
-   writer protocol is: store the event (an immutable boxed option, so
-   the slot write is a single pointer store — no tearing), then bump
-   [r_n].  We read [r_n] (n0), copy the slot array, and read [r_n] again
-   (n1).  Any slot a writer touched during the copy belongs to an event
-   index in [n0, n1); a slot holding event k is only overwritten by
-   event k + cap, so indices k in [max(0, n1 - cap), n0) are provably
-   stable — both counter reads happened after their write and before
-   any overwrite could start.  Concurrency can shrink the usable window
-   (a fast writer lapping the ring drops it to empty) but never hand us
-   a torn or misordered event. *)
+   writer protocol is: store the event's fields, then bump [r_n].  We
+   read [r_n] (n0), copy the slot arrays, and read [r_n] again (n1).
+   Any slot a writer touched during the copy belongs to an event index
+   in [n0, n1] (index n1 may be mid-write); a slot holding event k is
+   only overwritten by event k + cap, so indices k in
+   [max(0, n1 - cap + 1), n0) are provably stable — both counter reads
+   happened after their write and before any overwrite could start.
+   Concurrency can shrink the usable window (a fast writer lapping the
+   ring drops it to empty) but never hand us a torn or misordered
+   event. *)
 let ring_tail (r : ring) ~(limit : int) : event list =
   let n0 = r.r_n in
-  let copy = Array.copy r.r_ev in
+  let ts = Float.Array.copy r.r_ts
+  and kind = Bytes.copy r.r_kind
+  and name = Array.copy r.r_name in
   let n1 = r.r_n in
   let cap = r.r_cap in
-  let lo = max 0 (max (n1 - cap) (n0 - limit)) in
+  let lo = max 0 (max (n1 - cap + 1) (n0 - limit)) in
   let out = ref [] in
   for k = n0 - 1 downto lo do
-    match copy.(k mod cap) with Some e -> out := e :: !out | None -> ()
+    out := slot_event r ts kind name (k mod cap) :: !out
   done;
   (* belt and braces for counter staleness under the relaxed memory
      model: keep only the longest timestamp-monotonic suffix, so the

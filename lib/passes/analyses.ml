@@ -4,8 +4,8 @@
     are pure functions of a function body, but the pipeline mutates
     bodies in place — so results are memoized per function {e name} and
     invalidated whenever a pass reports a change to that function.
-    Passes and post-pipeline clients (the bounds prover, deep
-    verification, the race checker) share one cache instance per
+    Passes and post-pipeline clients (deep verification, the race
+    checker) share one cache instance per
     pipeline run, so e.g. running deep verification right after
     optimization reuses the converged interval facts instead of
     re-solving. *)

@@ -40,9 +40,6 @@ type t = {
           {!Native} — each call returns a fresh binding with private
           marshalling buffers, so per-thread runners stay independent *)
   registry : Rt.registry;
-  proved : (int, unit) Hashtbl.t;
-      (** access ops of the compute kernel proved in-bounds under this
-          driver's buffer contract; engines compile them unchecked *)
   mutable runners : (Rt.v array -> Rt.v array) array;
       (** one compiled kernel instance per thread (engines are not
           reentrant: each has its own register file) *)
@@ -73,12 +70,9 @@ let compile (d : t) : string -> Rt.v array -> Rt.v array =
       | Some lookup -> lookup
       | None -> fail "native engine without a compiled library")
   | Fused | Batched ->
-      Batched.compile_module ~externs:d.registry ~proved:d.proved ~tile:d.tile
-        modl
-  | Compiled -> Engine.compile_module ~externs:d.registry ~proved:d.proved modl
-  | Reference ->
-      (* the reference interpreter never elides checks *)
-      fun name args -> Interp.run ~externs:d.registry modl name args
+      Batched.compile_module ~externs:d.registry ~tile:d.tile modl
+  | Compiled -> Engine.compile_module ~externs:d.registry modl
+  | Reference -> fun name args -> Interp.run ~externs:d.registry modl name args
 
 let make_rows (gen : Codegen.Kernel.t) : floatarray list =
   let w = gen.Codegen.Kernel.cfg.Codegen.Config.width in
@@ -142,21 +136,15 @@ let reset (d : t) : unit =
   d.t_now <- 0.0;
   d.steps_done <- 0
 
-(** [create ?engine ?elide gen ~ncells ~dt] builds a driver.  With
-    [elide] (the default) the bounds prover runs over the compute kernel
-    seeded with this driver's buffer sizes, and every access it
-    certifies compiles without its runtime bounds check — results are
-    bitwise identical either way (only failure branches are dropped);
-    [~elide:false] keeps every check, for differentials and ablation.
-    [tile] overrides the batched engine's tile size in vector blocks
-    (default: the config's [tile] knob, 0 = auto-size for L1); results
-    are bitwise identical for every tile size.  [specialize] (default
-    true) partially evaluates the kernel over this driver's run
-    constants — [dt] and the padded cell count become IR constants and
-    the pass pipeline re-runs over them ({!Codegen.Cache.specialize});
-    the reference interpreter always runs the unspecialized module so
-    differentials keep a pristine baseline. *)
-let create ?(engine = Batched) ?(elide = true) ?(tile = 0) ?(specialize = true)
+(** [create ?engine gen ~ncells ~dt] builds a driver.  [tile] sets the
+    batched engine's tile size in vector blocks (default 0 = auto-size
+    for L1); results are bitwise identical for every tile size.
+    [specialize] (default true) partially evaluates the kernel over this
+    driver's run constants — [dt] and the padded cell count become IR
+    constants and the pass pipeline re-runs over them
+    ({!Codegen.Cache.specialize}); the reference interpreter always runs
+    the unspecialized module so differentials keep a pristine baseline. *)
+let create ?(engine = Batched) ?(tile = 0) ?(specialize = true)
     (gen : Codegen.Kernel.t) ~(ncells : int) ~(dt : float) : t =
   if ncells <= 0 then fail "ncells must be positive";
   if dt <= 0.0 then fail "dt must be positive";
@@ -166,8 +154,8 @@ let create ?(engine = Batched) ?(elide = true) ?(tile = 0) ?(specialize = true)
   (* pad the cell count so every vector chunk is full (openCARP pads its
      state arrays the same way) *)
   let ncells_pad = (ncells + w - 1) / w * w in
-  (* specialize before anything downstream: bounds proofs, tile planning
-     and compilation must all see the module that will actually run *)
+  (* specialize before anything downstream: tile planning and
+     compilation must both see the module that will actually run *)
   let specialize = specialize && engine <> Reference in
   let gen =
     if specialize then Codegen.Cache.specialize gen ~dt ~ncells_pad else gen
@@ -211,23 +199,12 @@ let create ?(engine = Batched) ?(elide = true) ?(tile = 0) ?(specialize = true)
       gen.Codegen.Kernel.lut_plans
   in
   let registry = make_registry () in
-  (* proofs run on the module that will execute: op ids differ between
-     the base and specialized clones, so the proved set must match *)
-  let proved =
-    if elide then Kernel_facts.prove_bounds gen ~ncells_pad
-    else Hashtbl.create 1
-  in
-  if specialize then
-    Obs.Tracer.count
-      ("specialize.guards_elided:" ^ gen.Codegen.Kernel.model.M.name)
-      (float_of_int (Hashtbl.length proved));
   (* resolve the tile size once (planning is deterministic, so this is
      exactly what compilation will pick); parallel chunking aligns to it *)
   let tile =
     if engine <> Batched then 1
     else
-      let requested = if tile <> 0 then tile else cfg.Codegen.Config.tile in
-      Exec.Batched.plan_tile ~tile:requested gen.Codegen.Kernel.modl
+      Exec.Batched.plan_tile ~tile gen.Codegen.Kernel.modl
         ~name:Codegen.Kernel.compute_name
   in
   let d =
@@ -245,7 +222,6 @@ let create ?(engine = Batched) ?(elide = true) ?(tile = 0) ?(specialize = true)
       specialized = specialize;
       native;
       registry;
-      proved;
       runners = [||];
       rows = [||];
       t_now = 0.0;
@@ -260,9 +236,9 @@ let create ?(engine = Batched) ?(elide = true) ?(tile = 0) ?(specialize = true)
     kernel for [model] under [cfg] via {!Codegen.Cache}, then build the
     driver.  Repeated drivers for the same model × config skip codegen
     entirely. *)
-let create_cached ?engine ?elide ?tile ?specialize ?optimize
+let create_cached ?engine ?tile ?specialize ?optimize
     (cfg : Codegen.Config.t) (model : M.t) ~(ncells : int) ~(dt : float) : t =
-  create ?engine ?elide ?tile ?specialize
+  create ?engine ?tile ?specialize
     (Codegen.Cache.generate ?optimize cfg model)
     ~ncells ~dt
 

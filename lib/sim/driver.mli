@@ -48,10 +48,6 @@ type t = {
       (** symbol lookup into the JIT-compiled shared object; [Some]
           exactly when [engine] is {!Native} *)
   registry : Exec.Rt.registry;
-  proved : (int, unit) Hashtbl.t;
-      (** compute-kernel access ops proved in-bounds by
-          [Analysis.Bounds] under this driver's buffer contract; the
-          engines compile them without runtime bounds checks *)
   mutable runners : (Exec.Rt.v array -> Exec.Rt.v array) array;
   mutable rows : floatarray list array;
   mutable t_now : float;
@@ -61,7 +57,6 @@ type t = {
 
 val create :
   ?engine:engine ->
-  ?elide:bool ->
   ?tile:int ->
   ?specialize:bool ->
   Codegen.Kernel.t ->
@@ -71,15 +66,12 @@ val create :
 (** Allocate, initialize from the model's [_init] values and build the
     lookup tables (by running the generated [lut_init_*] functions).
     [engine] defaults to {!Batched}; {!Fused} builds a {!Batched}
-    driver too.  [elide] (default true) runs the
-    bounds prover and drops runtime bounds checks on proved accesses —
-    bitwise-identical results, fewer branches; [~elide:false] keeps
-    every check.  [tile] sets the batched engine's tile size in vector
-    blocks (default: the config's [tile] knob; 0 = auto-size for L1);
-    ignored by the other engines, and results are bitwise identical for
-    every value.  [specialize] (default true) partially evaluates the
-    kernel over this driver's run constants — [dt] and the padded cell
-    count become IR constants and the pass pipeline re-runs over them
+    driver too.  [tile] sets the batched engine's tile size in vector
+    blocks (default 0 = auto-size for L1); ignored by the other
+    engines, and results are bitwise identical for every value.
+    [specialize] (default true) partially evaluates the kernel over this
+    driver's run constants — [dt] and the padded cell count become IR
+    constants and the pass pipeline re-runs over them
     ({!Codegen.Cache.specialize}); bitwise identical, and ignored by the
     reference interpreter so differentials keep a pristine baseline.
     [~engine:Native] resolves the machine-code artifact eagerly: if no C
@@ -91,7 +83,6 @@ val create :
 
 val create_cached :
   ?engine:engine ->
-  ?elide:bool ->
   ?tile:int ->
   ?specialize:bool ->
   ?optimize:bool ->

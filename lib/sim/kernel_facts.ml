@@ -5,10 +5,9 @@
     ([start; stop; ncells_pad; dt; t; sv] followed by the external
     buffers, the optional parameter buffer and the per-plan
     (table, row) pairs — see {!Codegen.Kernel}).  This module classifies
-    each position, knows the exact length the driver allocates for every
-    buffer parameter, and builds interval seeds for the loop bounds —
-    the three ingredients the bounds prover ({!Analysis.Bounds}) and the
-    race checker ({!Racecheck}) need to turn the generic analyses into
+    each position, says which buffers the driver's worker threads share,
+    and builds interval seeds for the loop bounds — the ingredients the
+    race checker ({!Racecheck}) needs to turn the generic analyses into
     kernel-specific proofs. *)
 
 module K = Codegen.Kernel
@@ -42,35 +41,6 @@ let shared (infos : param_info array) (i : int) : bool =
   i >= Array.length infos
   || match infos.(i) with Prow _ -> false | _ -> true
 
-(** Guaranteed length (in doubles) of the buffer the driver passes for
-    each memref parameter, mirroring the allocations in
-    {!Driver.create}. *)
-let len_of (gen : K.t) ~(ncells_pad : int) (infos : param_info array)
-    (origin : Analysis.Interval.origin) : int option =
-  match origin with
-  | Analysis.Interval.Oparam i when i < Array.length infos -> (
-      let cfg = gen.K.cfg in
-      let w = cfg.Codegen.Config.width in
-      let nvars = max 1 gen.K.nvars in
-      match infos.(i) with
-      | Psv ->
-          Some
-            (Runtime.Layout.size cfg.Codegen.Config.layout ~nvars
-               ~ncells:ncells_pad)
-      | Pext _ -> Some ncells_pad
-      | Pparams -> Some (List.length gen.K.param_order)
-      | Ptable j ->
-          let plan = List.nth gen.K.lut_plans j in
-          Some
-            (max 1
-               (Easyml.Model.lut_rows plan.Easyml.Lut_cones.spec
-               * Easyml.Lut_cones.n_columns plan))
-      | Prow j ->
-          let plan = List.nth gen.K.lut_plans j in
-          Some (max 1 (Easyml.Lut_cones.n_columns plan * w))
-      | Pstart | Pstop | Pncells | Pdt | Ptime -> None)
-  | _ -> None
-
 (** Interval seeds for the compute function's scalar parameters.
     Without [range], [start] / [stop] cover every width-aligned chunk of
     [\[0, ncells_pad\]] (the facts {!Driver.compute_stage} guarantees
@@ -98,17 +68,3 @@ let compute_seeds (gen : K.t) ~(ncells_pad : int) ?range
 (** The compute function of a generated kernel module. *)
 let compute_func (gen : K.t) : Ir.Func.func option =
   Ir.Func.find_func gen.K.modl K.compute_name
-
-(** Bounds proofs for the compute kernel under the driver's buffer
-    contract: every access op whose touched indices provably fit the
-    buffers the driver allocates.  Returns an empty set when the module
-    has no compute function. *)
-let prove_bounds (gen : K.t) ~(ncells_pad : int) : Analysis.Bounds.proved =
-  match compute_func gen with
-  | None -> Hashtbl.create 1
-  | Some f ->
-      let infos = param_infos gen in
-      Analysis.Bounds.prove_func
-        ~seed:(compute_seeds gen ~ncells_pad f)
-        ~len_of:(len_of gen ~ncells_pad infos)
-        f

@@ -64,15 +64,3 @@ let diagonal (m : t) : floatarray =
         if m.col_idx.(k) = r then acc := !acc +. Float.Array.get m.values k
       done;
       !acc)
-
-(** Identity + alpha * A, as a new CSR matrix (used to assemble the
-    semi-implicit cable operator I - dt·L). *)
-let add_scaled_identity (m : t) ~(alpha : float) : t =
-  let triplets = ref [] in
-  for r = 0 to m.n - 1 do
-    triplets := (r, r, 1.0) :: !triplets;
-    for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-      triplets := (r, m.col_idx.(k), alpha *. Float.Array.get m.values k) :: !triplets
-    done
-  done;
-  of_triplets ~n:m.n !triplets

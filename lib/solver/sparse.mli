@@ -17,6 +17,3 @@ val mul : t -> floatarray -> floatarray
 
 val diagonal : t -> floatarray
 (** Row-wise diagonal entries (0 where absent). *)
-
-val add_scaled_identity : t -> alpha:float -> t
-(** [add_scaled_identity m ~alpha] is the CSR matrix [I + alpha m]. *)

@@ -123,16 +123,18 @@ let out_of_range (s : t) : out_of_range option =
     else
       Some { key; flag; need = Printf.sprintf "at least %d" lo; got = string_of_int n }
   in
-  let positive key flag x =
-    if x > 0.0 then None
-    else Some { key; flag; need = "positive"; got = Printf.sprintf "%g" x }
+  (* comparisons are false on NaN, so NaN is refused too *)
+  let float_check ok need key flag x =
+    if ok x then None else Some { key; flag; need; got = Printf.sprintf "%g" x }
   in
+  let positive = float_check (fun x -> x > 0.0) "positive" in
+  let non_negative = float_check (fun x -> x >= 0.0) "at least 0" in
   let shape =
     match s.shape with
     | Cells n -> [ at_least 1 "ncells" "cells" n ]
     | Tissue t ->
         [ at_least 2 "nx" "nx" t.nx; at_least 1 "ny" "ny" t.ny;
-          positive "dx_bits" "dx" t.dx;
+          positive "dx_bits" "dx" t.dx; non_negative "sigma_bits" "sigma" t.sigma;
           at_least 0 "stim_width" "stim-width" t.stim_width ]
         @ (match t.protocol with
           | Restitution p ->

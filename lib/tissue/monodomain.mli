@@ -10,8 +10,8 @@
     {b Splitting order} (test-pinned, see DESIGN.md §12):
     - [Godunov] — per step: (1) ionic compute stage at the current state,
       (2) IMEX exchange+diffusion
-      [(I − dt·λ·L) Vm' = Vm + dt·(Istim − Iion)/Cm] — exactly the
-      {!Solver.Cable.step} convention, first-order in the splitting.
+      [(I − dt·λ·L) Vm' = Vm + dt·(Istim − Iion)/Cm] — reaction
+      explicit, diffusion implicit, first-order in the splitting.
     - [Strang] — per step: (1) implicit diffusion over [dt/2], (2) the
       full-[dt] ionic stage plus explicit reaction update
       [Vm += dt·(Istim − Iion)/Cm], (3) implicit diffusion over [dt/2]

@@ -1,10 +1,9 @@
 (* Tile-batched engine tests: the all-engine bitwise differential against
    the reference interpreter on the full model catalogue (closure, and
-   batched across tile sizes and without bounds-check elision),
-   bounds-check elision and Domain-parallel stepping on every model,
+   batched across tile sizes), Domain-parallel stepping on every model,
    qcheck properties for the slot coalescer (standalone and end-to-end on
-   random straight-line loops), tile-partition race checking, and the
-   tile knob in the compile-cache key. *)
+   random straight-line loops), tile-partition race checking, driver tile
+   resolution, and out-of-range accesses raising on every engine. *)
 
 open Exec
 module C = Codegen.Config
@@ -84,53 +83,16 @@ let test_all_models_match_interp engines () =
         configs)
     Models.Registry.all
 
-(* Batched at every tested tile size, and without bounds-check elision. *)
+(* Batched at every tested tile size. *)
 let batched_engines =
   List.map
     (fun tile ->
       ( Printf.sprintf "batched tile=%d" tile,
         fun g -> Sim.Driver.create ~engine:Sim.Driver.Batched ~tile g ~ncells ~dt:0.01 ))
     tiles
-  @ [
-      ( "unelided batched",
-        fun g ->
-          Sim.Driver.create ~engine:Sim.Driver.Batched ~elide:false ~tile:4 g
-            ~ncells ~dt:0.01 );
-    ]
 
 let closure_engine =
   [ ("closure", fun g -> Sim.Driver.create ~engine:Sim.Driver.Compiled g ~ncells ~dt:0.01) ]
-
-(* Eliding proved-inbounds checks must not change a single bit of any
-   trajectory, on either compiling engine, on any model. *)
-let test_all_models_elide_bitwise_identical () =
-  List.iter
-    (fun (e : Models.Model_def.entry) ->
-      List.iter
-        (fun (cname, cfg) ->
-          let g = gen_of e.name cfg in
-          let mk engine elide =
-            Sim.Driver.create ~engine ~elide g ~ncells:8 ~dt:0.01
-          in
-          let drivers =
-            [ mk Sim.Driver.Batched true; mk Sim.Driver.Batched false;
-              mk Sim.Driver.Compiled true; mk Sim.Driver.Compiled false ]
-          in
-          for _ = 1 to 50 do
-            List.iter (fun d -> Sim.Driver.step ~stim d) drivers
-          done;
-          match List.map (fun d -> Sim.Driver.snapshot d 5) drivers with
-          | ref :: rest ->
-              List.iteri
-                (fun k s ->
-                  check_snapshots
-                    ~ctx:(Printf.sprintf "%s/%s elide variant %d" e.name
-                            cname (k + 1))
-                    ref s)
-                rest
-          | [] -> assert false)
-        configs)
-    Models.Registry.all
 
 (* Domain-parallel stepping must be bitwise-identical to sequential: the
    chunking only partitions whole tiles, it never changes per-cell math.
@@ -216,28 +178,6 @@ let test_tile_partitions_checked () =
   | Ok _ -> Alcotest.fail "block-splitting partition was not rejected"
   | Error cs ->
       Alcotest.(check bool) "conflicts reported" true (List.length cs > 0)
-
-(* -- tile knob in the compile-cache key --------------------------------- *)
-
-let test_tile_in_cache_key () =
-  let cfg = C.mlir ~width:4 in
-  let cfgt = { cfg with C.tile = 8 } in
-  Alcotest.(check bool)
-    "describe distinguishes tile sizes" true
-    (C.describe cfg <> C.describe cfgt);
-  Alcotest.(check bool)
-    "+tile8 in label" true
-    (Helpers.contains (C.describe cfgt) "+tile8");
-  let e = Models.Registry.find_exn "MitchellSchaeffer" in
-  let gen c =
-    Codegen.Cache.generate_named c ~name:e.Models.Model_def.name (fun () ->
-        Models.Registry.model e)
-  in
-  let g1 = gen cfg in
-  let g2 = gen cfgt in
-  let g1' = gen cfg in
-  Alcotest.(check bool) "same config hits the cache" true (g1 == g1');
-  Alcotest.(check bool) "different tile misses" true (g1 != g2)
 
 let test_driver_tile_resolution () =
   let g = gen_of "MitchellSchaeffer" (C.mlir ~width:4) in
@@ -388,14 +328,91 @@ let batched_matches_closure_on_loops ~(w : int) name =
           !ok)
         [ 0; 1; 5; 1024 ])
 
+(* -- every access kind raises on an out-of-range index ------------------ *)
+
+type access = Load | Store | VLoad | VStore | Gather | Scatter
+
+(* A parallel loop copying [src] to [dst] at the induction index (gathers
+   and scatters at [iv + iota]); [access] picks how one side is done and
+   the other side is a plain load or store of the same width. *)
+let oob_loop (access : access) ~(w : int) : Ir.Func.modl =
+  let m = Ir.Func.create_module "oob_loop" in
+  let c = B.create_ctx () in
+  Ir.Func.add_func m
+    (B.func c ~name:"f" ~params:[ Ir.Ty.Memref; Ir.Ty.Memref; Ir.Ty.I64 ]
+       ~results:[]
+       (fun b args ->
+         let src = List.nth args 0
+         and dst = List.nth args 1
+         and n = List.nth args 2 in
+         ignore
+           (B.for_ b ~parallel:true ~lb:(B.consti b 0) ~ub:n
+              ~step:(B.consti b w) ~inits:[]
+              (fun ~iv ~iters:_ ->
+                let lanes () =
+                  B.addi b (B.broadcast b ~width:w iv) (B.iota b ~width:w)
+                in
+                let x =
+                  match access with
+                  | Load | Store -> B.load b ~mem:src ~idx:iv
+                  | Gather -> B.gather b ~mem:src ~idxs:(lanes ())
+                  | VLoad | VStore | Scatter ->
+                      B.vec_load b ~width:w ~mem:src ~idx:iv
+                in
+                (match access with
+                | Load | Store -> B.store b x ~mem:dst ~idx:iv
+                | Scatter -> B.scatter b ~vec:x ~mem:dst ~idxs:(lanes ())
+                | VLoad | VStore | Gather ->
+                    B.vec_store b ~vec:x ~mem:dst ~idx:iv);
+                []));
+         B.ret b []));
+  m
+
+(* Every memory access is bounds-checked on every OCaml engine: the
+   buffer the access under test touches is one block short, so the last
+   iteration must raise [Invalid_argument] rather than read or write past
+   its end.  The loop must tile, so batched runs its tile instructions
+   and not the closure engine's thunks. *)
+let test_oob_raises_on_every_engine () =
+  let n = 16 in
+  List.iter
+    (fun (what, access, w) ->
+      let m = oob_loop access ~w in
+      Ir.Verifier.verify_module_exn m;
+      if Batched.plan_tile m ~name:"f" <= 1 then
+        Alcotest.failf "%s: loop did not tile" what;
+      let short_src =
+        match access with Load | VLoad | Gather -> true | _ -> false
+      in
+      let buf short = Float.Array.make (if short then n - w else n) 1.0 in
+      List.iter
+        (fun (engine, run) ->
+          let args =
+            [| Rt.M (buf short_src); Rt.M (buf (not short_src)); Rt.I n |]
+          in
+          match run m "f" args with
+          | _ -> Alcotest.failf "%s on %s: no error past the buffer" what engine
+          | exception Invalid_argument _ -> ())
+        [
+          ("interp", fun m f a -> Interp.run m f a);
+          ("closure", fun m f a -> Engine.run m f a);
+          ("batched", fun m f a -> Batched.run m f a);
+        ])
+    [
+      ("load", Load, 1);
+      ("store", Store, 1);
+      ("vector load", VLoad, 4);
+      ("vector store", VStore, 4);
+      ("gather", Gather, 4);
+      ("scatter", Scatter, 4);
+    ]
+
 let suite =
   [
     Alcotest.test_case "all 43: batched == interp bitwise across tiles" `Slow
       (test_all_models_match_interp batched_engines);
     Alcotest.test_case "all 43: closure == interp bitwise" `Slow
       (test_all_models_match_interp closure_engine);
-    Alcotest.test_case "all 43: bounds-check elision is bitwise-identical"
-      `Slow test_all_models_elide_bitwise_identical;
     Alcotest.test_case "all 43: Domain-parallel == sequential" `Slow
       test_all_models_parallel_identical;
     Alcotest.test_case "cubic LUT macro-op bitwise" `Quick
@@ -404,10 +421,10 @@ let suite =
       test_parallel_tiles_identical;
     Alcotest.test_case "tile partitions accepted, block splits rejected"
       `Quick test_tile_partitions_checked;
-    Alcotest.test_case "tile size participates in the cache key" `Quick
-      test_tile_in_cache_key;
     Alcotest.test_case "driver tile resolution" `Quick
       test_driver_tile_resolution;
+    Alcotest.test_case "out-of-range access raises on every engine" `Quick
+      test_oob_raises_on_every_engine;
     coalescer_sound;
     batched_matches_closure_on_loops ~w:1
       "batched == closure on random scalar loops (all tiles)";

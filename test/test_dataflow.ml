@@ -180,28 +180,6 @@ let test_meminit_loop_sweep_covers () =
     "no issues" 0
     (List.length (A.Meminit.check_func f))
 
-(* -- bounds proofs on a real kernel ----------------------------------- *)
-
-let test_bounds_proves_kernel_accesses () =
-  let m = Models.Registry.model (Models.Registry.find_exn "HodgkinHuxley") in
-  let g = Codegen.Cache.generate (C.mlir ~width:4) m in
-  let proved = Sim.Kernel_facts.prove_bounds g ~ncells_pad:16 in
-  let f = Option.get (Sim.Kernel_facts.compute_func g) in
-  let n = A.Bounds.cardinal proved in
-  Alcotest.(check bool) "some accesses proved" true (n > 0);
-  Alcotest.(check bool)
-    "never more than the elidable ops" true
-    (n <= A.Bounds.elidable_count f);
-  (* the driver consumes the proofs by default *)
-  let d = Sim.Driver.create g ~ncells:16 ~dt:0.01 in
-  Alcotest.(check bool)
-    "driver carries a non-empty proof set" true
-    (Hashtbl.length d.Sim.Driver.proved > 0);
-  let dn = Sim.Driver.create ~elide:false g ~ncells:16 ~dt:0.01 in
-  Alcotest.(check int)
-    "elide:false keeps every check" 0
-    (Hashtbl.length dn.Sim.Driver.proved)
-
 (* -- pipeline analysis cache ------------------------------------------ *)
 
 let test_analyses_cache_and_invalidation () =
@@ -336,8 +314,6 @@ let suite =
       test_meminit_flags_uninitialized_read;
     Alcotest.test_case "meminit: loop sweep covers buffer" `Quick
       test_meminit_loop_sweep_covers;
-    Alcotest.test_case "bounds prover covers kernel accesses" `Quick
-      test_bounds_proves_kernel_accesses;
     Alcotest.test_case "analysis cache memoizes and invalidates" `Quick
       test_analyses_cache_and_invalidation;
     Alcotest.test_case "all 43: deep verification is clean" `Slow

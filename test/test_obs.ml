@@ -1,7 +1,8 @@
 (* Observability tests: tracer semantics (disabled no-op, balancing,
    counters), the minimal JSON parser, Chrome-trace export round-trips,
    the traced-vs-untraced bitwise differential over the whole model
-   catalogue, and the disabled-path overhead guard. *)
+   catalogue, the disabled-path overhead guard and allocation-free
+   enabled recording. *)
 
 module T = Obs.Tracer
 module E = Obs.Export
@@ -371,6 +372,25 @@ let test_disabled_overhead () =
   if dt > 2.0 then
     Alcotest.failf "1M disabled calls took %.2f s (expected well under 2 s)" dt
 
+(* Enabled recording allocates nothing either: a minor collection that
+   starts inside a span's End call is charged between the span's End
+   stamp and the caller's own clock. *)
+let test_enabled_recording_allocates_nothing () =
+  fresh ();
+  T.enable ();
+  (* the ring exists before measuring *)
+  T.span_begin "warm";
+  T.span_end "warm";
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    T.span_begin "hot";
+    T.span_end "hot"
+  done;
+  let words = Gc.minor_words () -. w0 in
+  T.disable ();
+  if words > 64.0 then
+    Alcotest.failf "20000 recorded events allocated %.0f minor words" words
+
 (* -- ring-buffer tail (crash-dump path) ------------------------------- *)
 
 (* the tail contract: at most [limit] events, globally sorted by
@@ -481,6 +501,8 @@ let suite =
     Alcotest.test_case "traced runs bitwise identical (43 models)" `Quick
       test_traced_bitwise_identical;
     Alcotest.test_case "disabled tracing overhead" `Quick test_disabled_overhead;
+    Alcotest.test_case "enabled recording allocates nothing" `Quick
+      test_enabled_recording_allocates_nothing;
     tail_qcheck;
     Alcotest.test_case "tail under concurrent writers" `Quick
       test_tail_concurrent_writers;

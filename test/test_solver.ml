@@ -1,8 +1,15 @@
-(* Solver-substrate tests: tridiagonal, CSR, CG, monodomain cable. *)
+(* Solver-substrate tests: tridiagonal, CSR, CG, and the monodomain
+   cable's implicit diffusion operator ({!Tissue.Diffusion}) and
+   conduction-velocity measurement ({!Tissue.Activation}). *)
 
 open Solver
+module Diffusion = Tissue.Diffusion
 
 let fa = Float.Array.of_list
+
+(* The implicit diffusion operator of an [n]-node cable. *)
+let cable_op ~n ~sigma ~dt =
+  Diffusion.assemble (Tissue.Geometry.cable ~n ~dx:0.01) ~sigma ~dt
 
 (* -- tridiagonal ---------------------------------------------------------- *)
 
@@ -71,12 +78,10 @@ let test_csr_diagonal () =
 
 let test_cg_matches_tridiag () =
   let n = 40 in
-  let cable = Cable.create ~n ~dx:0.01 ~sigma:0.001 ~cm:1.0 ~dt:0.02 in
+  let op = cable_op ~n ~sigma:0.001 ~dt:0.02 in
   let rhs = Float.Array.init n (fun i -> Float.cos (float_of_int i /. 5.0)) in
-  let x_direct =
-    Tridiag.solve ~a:cable.Cable.sub ~b:cable.Cable.diag ~c:cable.Cable.sup ~d:rhs
-  in
-  let x_cg, stats = Cg.solve ~tol:1e-12 (Cable.matrix cable) rhs in
+  let x_direct = Diffusion.solve op rhs in
+  let x_cg, stats = Cg.solve ~tol:1e-12 (Diffusion.matrix op) rhs in
   Alcotest.(check bool) "converged" true (stats.Cg.residual < 1e-10);
   for i = 0 to n - 1 do
     Helpers.check_close ~tol:1e-8 "cg == direct" (Float.Array.get x_direct i)
@@ -98,59 +103,77 @@ let test_cg_identity () =
 let test_cable_flat_stays_flat () =
   (* no stimulus, uniform Vm, zero Iion: diffusion must not move anything *)
   let n = 32 in
-  let cable = Cable.create ~n ~dx:0.01 ~sigma:0.001 ~cm:1.0 ~dt:0.01 in
-  let vm = Float.Array.make n (-80.0) in
-  let iion = Float.Array.make n 0.0 in
+  let op = cable_op ~n ~sigma:0.001 ~dt:0.01 in
+  let vm = ref (Float.Array.make n (-80.0)) in
   for _ = 1 to 100 do
-    Cable.step cable ~vm ~iion ~istim:0.0 ~stim_lo:0 ~stim_hi:0
+    vm := Diffusion.solve op !vm
   done;
   for i = 0 to n - 1 do
-    Helpers.check_close ~tol:1e-9 "flat" (-80.0) (Float.Array.get vm i)
+    Helpers.check_close ~tol:1e-9 "flat" (-80.0) (Float.Array.get !vm i)
   done
 
 let test_cable_conserves_charge () =
   (* with Neumann boundaries and no reaction, the mean of Vm is conserved *)
   let n = 32 in
-  let cable = Cable.create ~n ~dx:0.01 ~sigma:0.002 ~cm:1.0 ~dt:0.01 in
-  let vm = Float.Array.init n (fun i -> if i < 8 then 0.0 else -80.0) in
-  let iion = Float.Array.make n 0.0 in
+  let op = cable_op ~n ~sigma:0.002 ~dt:0.01 in
+  let vm = ref (Float.Array.init n (fun i -> if i < 8 then 0.0 else -80.0)) in
   let mean v =
     let s = ref 0.0 in
     Float.Array.iter (fun x -> s := !s +. x) v;
     !s /. float_of_int n
   in
-  let m0 = mean vm in
+  let m0 = mean !vm in
   for _ = 1 to 500 do
-    Cable.step cable ~vm ~iion ~istim:0.0 ~stim_lo:0 ~stim_hi:0
+    vm := Diffusion.solve op !vm
   done;
+  let vm = !vm in
   Helpers.check_close ~tol:1e-6 "mean conserved" m0 (mean vm);
   (* and the profile relaxes toward uniform *)
   let spread = Float.Array.get vm 0 -. Float.Array.get vm (n - 1) in
   Alcotest.(check bool) "diffusion smooths" true (Float.abs spread < 80.0)
 
 let test_cable_stimulus_depolarizes () =
-  let n = 16 in
-  let cable = Cable.create ~n ~dx:0.01 ~sigma:0.001 ~cm:1.0 ~dt:0.01 in
-  let vm = Float.Array.make n (-80.0) in
-  let iion = Float.Array.make n 0.0 in
+  (* explicit stimulus current on cells [0, 4), then the implicit solve *)
+  let n = 16 and dt = 0.01 in
+  let op = cable_op ~n ~sigma:0.001 ~dt in
+  let vm = ref (Float.Array.make n (-80.0)) in
   for _ = 1 to 100 do
-    Cable.step cable ~vm ~iion ~istim:50.0 ~stim_lo:0 ~stim_hi:4
+    let rhs =
+      Float.Array.mapi
+        (fun i v -> if i < 4 then v +. (dt *. 50.0) else v)
+        !vm
+    in
+    vm := Diffusion.solve op rhs
   done;
+  let vm = !vm in
   Alcotest.(check bool) "stimulated end depolarized" true
     (Float.Array.get vm 0 > -60.0);
   Alcotest.(check bool) "monotone decay along fibre" true
     (Float.Array.get vm 0 > Float.Array.get vm (n - 1))
 
 let test_conduction_velocity_helper () =
-  let act = [| 1.0; 2.0; 3.0; 4.0 |] in
-  (match Cable.conduction_velocity ~dx:0.1 act ~from_cell:0 ~to_cell:3 with
-  | Some cv -> Helpers.check_close ~tol:1e-12 "cv" 0.1 cv
+  (* cell c steps from -80 to 0 mV between samples t = c and c + 1, so
+     its interpolated -20 mV crossing is at c + 0.75 ms; cell 3 never
+     steps up before the last sample *)
+  let n = 4 in
+  let act = Tissue.Activation.create ~n () in
+  let t_prev = ref 0.0 in
+  List.iter
+    (fun t ->
+      let vm =
+        Float.Array.init n (fun c ->
+            if t >= float_of_int (c + 1) then 0.0 else -80.0)
+      in
+      Tissue.Activation.observe act ~t_prev:!t_prev ~t_now:t ~vm;
+      t_prev := t)
+    [ 0.0; 1.0; 2.0; 3.0; 3.5 ];
+  let cv =
+    Tissue.Activation.conduction_velocity act (Tissue.Geometry.cable ~n ~dx:0.1)
+  in
+  (match cv ~from_cell:0 ~to_cell:2 with
+  | Some v -> Helpers.check_close ~tol:1e-12 "cv" 0.1 v
   | None -> Alcotest.fail "cv expected");
-  match
-    Cable.conduction_velocity ~dx:0.1
-      [| 1.0; Float.infinity |]
-      ~from_cell:0 ~to_cell:1
-  with
+  match cv ~from_cell:0 ~to_cell:3 with
   | None -> ()
   | Some _ -> Alcotest.fail "unactivated cell must yield None"
 

@@ -22,6 +22,17 @@ let any_float : float QCheck.Gen.t =
            int64;
          ]))
 
+(* at least 0 and finite, signed zero and subnormals included *)
+let non_negative_float : float QCheck.Gen.t =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0.0; -0.0; 0.001 ];
+        map
+          (fun b -> Int64.float_of_bits (Int64.logand b 0x7FEFFFFFFFFFFFFFL))
+          int64;
+      ])
+
 (* strictly positive and finite, subnormals included *)
 let positive_float : float QCheck.Gen.t =
   QCheck.Gen.(
@@ -52,7 +63,7 @@ let spec_gen : S.t QCheck.Gen.t =
         (let* nx = int_range 2 512 in
          let* ny = int_range 1 64 in
          let* dx = positive_float in
-         let* sigma = any_float in
+         let* sigma = non_negative_float in
          let* splitting = oneofl (List.map snd S.splittings) in
          let* block_check = any_float in
          let* stim_width = int_range 0 16 in
@@ -254,6 +265,10 @@ let test_bad_flags () =
           cli "--threads" ("profile" :: "--threads" :: "0" :: ms);
           cli "--nx" ("tissue" :: "--nx" :: "1" :: ms);
           cli "--dx" ("tissue" :: "--dx" :: "0" :: ms);
+          cli "--sigma"
+            ("tissue" :: "--sigma=-1" :: "--checkpoint-dir" :: ck :: ms);
+          cli "--sigma" ("tissue" :: "--sigma" :: "nan" :: ms);
+          cli "--sigma" ("tissue" :: "--sigma" :: "nan" :: "--ny" :: "4" :: ms);
           cli "--ny" ("tissue" :: "--ny" :: "0" :: "--checkpoint-dir" :: ck :: ms);
           cli "--checkpoint-stride"
             ("run" :: "--checkpoint-dir" :: ck :: "--checkpoint-stride" :: "0" :: ms);
@@ -266,7 +281,12 @@ let test_bad_flags () =
           cli "--refresh" ("serve" :: "--port" :: "0" :: "--refresh" :: "0" :: ms);
           cli "--threads"
             [ "replay"; path "fixtures/ms_cells16_fused.ckpt"; "--threads"; "0" ];
+          (Test_native.cli, [ "check" ], "[no-models]");
           (bench, [ "NoSuchModel" ], "[unknown-model]");
+          (bench, [ "MitchellSchaeffer"; "--cells"; "0" ], "--cells must be");
+          (bench, [ "MitchellSchaeffer"; "--threads"; "0" ],
+           "--threads must be");
+          (bench, [ "MitchellSchaeffer"; "--dt"; "0" ], "--dt must be");
         ];
       Alcotest.(check bool) "no checkpoint written" false (Sys.file_exists ck))
 
