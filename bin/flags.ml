@@ -18,10 +18,11 @@ let positive (flag : string) (arg : int Term.t) : int Term.t =
   in
   Term.(const check $ arg)
 
-(* A float flag that must be positive; NaN is refused too. *)
+(* A float flag that must be positive and finite; NaN and ±inf are
+   refused too. *)
 let positive_float (flag : string) (arg : float Term.t) : float Term.t =
   let check x =
-    if x > 0.0 then x
-    else bad_flag ~flag ~need:"positive" (Printf.sprintf "%g" x)
+    if Float.is_finite x && x > 0.0 then x
+    else bad_flag ~flag ~need:"positive and finite" (Printf.sprintf "%g" x)
   in
   Term.(const check $ arg)

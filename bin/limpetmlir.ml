@@ -18,31 +18,45 @@
 
 open Cmdliner
 
+let error_diag (code : string) (msg : string) : Easyml.Diag.t =
+  Easyml.Diag.make ~sev:Easyml.Diag.Error ~code msg
+
+(* Report a diagnostic against [file] and exit 1: how every command
+   fails on input it cannot use. *)
+let die ~(file : string) (d : Easyml.Diag.t) : 'a =
+  Fmt.epr "%a@." (Easyml.Diag.pp ~file) d;
+  exit 1
+
+(* The whole of a file named on the command line.  A path that exists
+   but cannot be read (a directory, no permission) is a [load-failed]
+   diagnostic. *)
+let read_input (path : string) : (string, Easyml.Diag.t) result =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error msg ->
+      Error (error_diag "load-failed" (Fmt.str "cannot read %s (%s)" path msg))
+
+let read_input_or_die (path : string) : string =
+  match read_input path with Ok text -> text | Error d -> die ~file:path d
+
 let find_model (name : string) : (Easyml.Model.t, Easyml.Diag.t) result =
-  let error code msg = Error (Easyml.Diag.make ~sev:Easyml.Diag.Error ~code msg) in
   match Models.Registry.find name with
   | Some e -> Ok (Models.Registry.model e)
-  | None when Sys.file_exists name -> (
-      let src = In_channel.with_open_bin name In_channel.input_all in
-      match
-        Easyml.Sema.analyze_result
-          ~name:Filename.(remove_extension (basename name))
-          src
-      with
-      | Ok m -> Ok m
-      | Error msg -> error "load-failed" msg)
+  | None when Sys.file_exists name ->
+      Result.bind (read_input name) (fun src ->
+          Easyml.Sema.analyze_result
+            ~name:Filename.(remove_extension (basename name))
+            src
+          |> Result.map_error (error_diag "load-failed"))
   | None ->
-      error "unknown-model"
-        (Fmt.str "unknown model %s (not in registry, not a file)" name)
+      Error
+        (error_diag "unknown-model"
+           (Fmt.str "unknown model %s (not in registry, not a file)" name))
 
 (* Commands that cannot go on without their model report a load failure
    as a diagnostic and exit 1. *)
 let load_model (name : string) : Easyml.Model.t =
-  match find_model name with
-  | Ok m -> m
-  | Error d ->
-      Fmt.epr "%a@." (Easyml.Diag.pp ~file:name) d;
-      exit 1
+  match find_model name with Ok m -> m | Error d -> die ~file:name d
 
 (* -- flight recorder helpers ---------------------------------------- *)
 
@@ -259,8 +273,7 @@ let tile_arg =
 let specialize_arg =
   Arg.(value & opt bool true & info [ "specialize" ] ~docv:"BOOL"
          ~doc:"Partially evaluate the kernel over the run constants \
-               ($(b,dt), padded cell count) before executing, and split \
-               the time loop into constant-stimulus phases.  Bitwise \
+               ($(b,dt), padded cell count) before executing.  Bitwise \
                identical results either way; specialized artifacts are \
                cached per binding environment.  Default $(b,true).")
 
@@ -420,13 +433,9 @@ let check_cmd =
           Models.Registry.all
       else models
     in
-    if names = [] then begin
-      Fmt.epr "%a@."
-        (Easyml.Diag.pp ~file:"limpetmlir")
-        (Easyml.Diag.make ~sev:Easyml.Diag.Error ~code:"no-models"
-           "no models to check (name one or pass --all)");
-      exit 1
-    end;
+    if names = [] then
+      die ~file:"limpetmlir"
+        (error_diag "no-models" "no models to check (name one or pass --all)");
     if validate_passes then begin
       Codegen.Cache.set_validation true;
       Codegen.Cache.clear ()
@@ -672,12 +681,7 @@ let run_cmd =
     in
     if health then
       Sim.Driver.enable_health
-        ~cfg:
-          {
-            Obs.Health.default_config with
-            Obs.Health.stride = health_stride;
-            policy = Obs.Health.Abort;
-          }
+        ~cfg:{ Obs.Health.stride = health_stride; policy = Obs.Health.Abort }
         d;
     let stim = Sim.Stim.default in
     let writer = Option.map (fun create -> create spec) recorder in
@@ -935,12 +939,7 @@ let replay_cmd =
                  total minus the checkpoint's step index).")
   in
   let run file threads steps_override =
-    let ok = function
-      | Ok x -> x
-      | Error d ->
-          Fmt.epr "%a@." (Easyml.Diag.pp ~file) d;
-          exit 1
-    in
+    let ok = function Ok x -> x | Error d -> die ~file d in
     let ck = ok (Obs.Recorder.read file) in
     let spec = checked { (ok (Spec.of_checkpoint ck)) with threads } in
     let m = load_model spec.model in
@@ -1225,9 +1224,7 @@ let validate_metrics_cmd =
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file =
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
+    let text = read_input_or_die file in
     match Obs.Export.validate_prometheus text with
     | Ok n -> Fmt.pr "%s: %d sample(s), exposition OK@." file n
     | Error e ->
@@ -1268,11 +1265,8 @@ let parse_cmd =
   let doc = "Parse and verify a saved IR module (emit -o output)." in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file =
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Ir.Parser.parse_module_result text with
-    | Error e -> Fmt.epr "parse error: %s@." e
+    match Ir.Parser.parse_module_result (read_input_or_die file) with
+    | Error e -> die ~file (error_diag "ir-parse" e)
     | Ok m -> (
         match Ir.Verifier.verify_module m with
         | [] ->
@@ -1280,7 +1274,9 @@ let parse_cmd =
               (List.length m.Ir.Func.m_funcs)
               (List.fold_left (fun n f -> n + Ir.Func.op_count f) 0
                  m.Ir.Func.m_funcs)
-        | errs -> Fmt.epr "%s@." (Ir.Verifier.errors_to_string errs))
+        | errs ->
+            die ~file
+              (error_diag "ir-verify" (Ir.Verifier.errors_to_string errs)))
   in
   Cmd.v (Cmd.info "parse" ~doc) Term.(const run $ file)
 
@@ -1337,14 +1333,22 @@ let import_mmt_cmd =
            ~doc:"Also analyze, generate and verify the translated model.")
   in
   let run file vm iion check =
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let t = Easyml.Mmt.parse text in
+    let t =
+      match Easyml.Mmt.parse (read_input_or_die file) with
+      | t -> t
+      | exception Easyml.Mmt.Error { line; msg } ->
+          die ~file
+            (Easyml.Diag.make ~sev:Easyml.Diag.Error
+               ~loc:(Easyml.Loc.make ~line ~col:1) ~code:"mmt-parse" msg)
+    in
     let easyml = Easyml.Mmt.to_easyml ~vm ~iion t in
     print_string easyml;
     if check then begin
-      let m = Easyml.Sema.analyze_source ~name:t.Easyml.Mmt.name easyml in
+      let m =
+        match Easyml.Sema.analyze_result ~name:t.Easyml.Mmt.name easyml with
+        | Ok m -> m
+        | Error msg -> die ~file (error_diag "load-failed" msg)
+      in
       let g = Codegen.Kernel.generate (Codegen.Config.mlir ~width:8) m in
       Ir.Verifier.verify_module_exn g.modl;
       Fmt.epr "# %s: %d states, %d externals; vector kernel verifies OK@."

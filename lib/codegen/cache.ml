@@ -9,10 +9,10 @@
       model name × {!Config.describe} × pass-pipeline id × optimize flag.
 
     [Config.describe] covers every semantically relevant config field
-    (width, layout, LUT mode, math mode, parameter folding, parallel
-    marker), and the pipeline id is derived from the pass names of
-    {!Passes.Pipeline.standard}, so a future pipeline change invalidates
-    old keys rather than serving stale kernels.
+    (width, layout, LUT mode, math mode), and the pipeline id is derived
+    from the pass names of {!Passes.Pipeline.standard}, so a future
+    pipeline change invalidates old keys rather than serving stale
+    kernels.
 
     The table is guarded by a mutex so Domain-parallel harness code can
     share it; the cached {!Kernel.t} is immutable after generation (the
@@ -24,7 +24,6 @@ module M = Easyml.Model
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;
   compile_ms : float;  (** total milliseconds spent on cache misses *)
   spec_hits : int;  (** specialized-artifact lookups served from cache *)
   spec_misses : int;  (** specialization runs *)
@@ -44,7 +43,6 @@ let lock = Mutex.create ()
 let table : (string, Kernel.t) Hashtbl.t = Hashtbl.create 64
 let hits = ref 0
 let misses = ref 0
-let evictions = ref 0
 let compile_ms = ref 0.0
 let spec_hits = ref 0
 let spec_misses = ref 0
@@ -53,42 +51,6 @@ let native_hits = ref 0
 let native_misses = ref 0
 let native_disk_hits = ref 0
 let cc_ms = ref 0.0
-
-(* Optional LRU bound.  [last_use] stamps every lookup with a logical
-   tick; when a capacity is set, inserts over it evict the
-   least-recently-used entry (regeneration on a later miss is always
-   safe — kernels are deterministic for a given key). *)
-let cap : int option ref = ref None
-let tick = ref 0
-let last_use : (string, int) Hashtbl.t = Hashtbl.create 64
-
-let touch (k : string) : unit =
-  incr tick;
-  Hashtbl.replace last_use k !tick
-
-(* Call with [lock] held. *)
-let evict_to_capacity () : unit =
-  match !cap with
-  | None -> ()
-  | Some c ->
-      while Hashtbl.length table > max 1 c do
-        let victim =
-          Hashtbl.fold
-            (fun k _ acc ->
-              let t = Option.value ~default:0 (Hashtbl.find_opt last_use k) in
-              match acc with
-              | Some (_, t') when t' <= t -> acc
-              | _ -> Some (k, t))
-            table None
-        in
-        match victim with
-        | None -> ()
-        | Some (k, _) ->
-            Hashtbl.remove table k;
-            Hashtbl.remove last_use k;
-            incr evictions;
-            Obs.Tracer.count "cache.evict" 1.0
-      done
 
 let locked f =
   Mutex.lock lock;
@@ -160,12 +122,7 @@ let key ?(env : Passes.Specialize.env = []) ~(optimize : bool)
 let generate_named ?(optimize = true) (cfg : Config.t) ~(name : string)
     (parse : unit -> M.t) : Kernel.t =
   let k = key ~optimize cfg name in
-  match
-    locked (fun () ->
-        let r = Hashtbl.find_opt table k in
-        if r <> None then touch k;
-        r)
-  with
+  match locked (fun () -> Hashtbl.find_opt table k) with
   | Some g ->
       locked (fun () -> incr hits);
       Obs.Tracer.count "cache.hit" 1.0;
@@ -190,14 +147,11 @@ let generate_named ?(optimize = true) (cfg : Config.t) ~(name : string)
           match Hashtbl.find_opt table k with
           | Some g' ->
               incr hits;
-              touch k;
               g'
           | None ->
               incr misses;
               compile_ms := !compile_ms +. ms;
               Hashtbl.replace table k g;
-              touch k;
-              evict_to_capacity ();
               g)
 
 (** Like {!generate_named} for an already-analyzed model (keyed on
@@ -296,12 +250,7 @@ let specialize ?(optimize = true) (g : Kernel.t) ~(dt : float)
     ^ "|kd:"
     ^ kernel_digest g.Kernel.modl
   in
-  match
-    locked (fun () ->
-        let r = Hashtbl.find_opt table k in
-        if r <> None then touch k;
-        r)
-  with
+  match locked (fun () -> Hashtbl.find_opt table k) with
   | Some g' ->
       locked (fun () -> incr spec_hits);
       Obs.Tracer.count "specialize.hit" 1.0;
@@ -344,14 +293,11 @@ let specialize ?(optimize = true) (g : Kernel.t) ~(dt : float)
           match Hashtbl.find_opt table k with
           | Some g'' ->
               incr spec_hits;
-              touch k;
               g''
           | None ->
               incr spec_misses;
               spec_ms := !spec_ms +. ms;
               Hashtbl.replace table k g';
-              touch k;
-              evict_to_capacity ();
               g')
 
 (* -- native artifact cache ------------------------------------------- *)
@@ -505,24 +451,11 @@ let native_artifact (g : Kernel.t) : native_artifact option =
       locked (fun () ->
           Option.map (fun e -> e.ne_served) (Hashtbl.find_opt native_table k))
 
-(** Bound the number of resident kernels.  [Some n] evicts down to [n]
-    entries LRU-first (and keeps future inserts within [n]); [None]
-    removes the bound.  Safe at any point: evicted kernels regenerate on
-    their next miss. *)
-let set_capacity (c : int option) : unit =
-  locked (fun () ->
-      (match c with
-      | Some n when n < 1 -> invalid_arg "Cache.set_capacity: capacity < 1"
-      | _ -> ());
-      cap := c;
-      evict_to_capacity ())
-
 let stats () : stats =
   locked (fun () ->
       {
         hits = !hits;
         misses = !misses;
-        evictions = !evictions;
         compile_ms = !compile_ms;
         spec_hits = !spec_hits;
         spec_misses = !spec_misses;
@@ -537,7 +470,6 @@ let reset_stats () : unit =
   locked (fun () ->
       hits := 0;
       misses := 0;
-      evictions := 0;
       compile_ms := 0.0;
       spec_hits := 0;
       spec_misses := 0;
@@ -551,14 +483,12 @@ let reset_stats () : unit =
 let clear () : unit =
   locked (fun () ->
       Hashtbl.reset table;
-      Hashtbl.reset last_use;
       Hashtbl.reset certs;
       (* native entries survive clear(): bound closures hold raw function
          pointers into the loaded libraries, so they are never unloaded;
          the stats still reset so tests can count fresh compiles *)
       hits := 0;
       misses := 0;
-      evictions := 0;
       compile_ms := 0.0;
       spec_hits := 0;
       spec_misses := 0;
@@ -571,8 +501,8 @@ let clear () : unit =
 let describe_stats () : string =
   let s = stats () in
   Printf.sprintf
-    "cache: %d hits / %d misses / %d evictions / %.1f ms compiling; \
+    "cache: %d hits / %d misses / %.1f ms compiling; \
      specialize: %d hits / %d misses / %.1f ms; native: %d hits / %d misses \
      (%d from disk) / %.1f ms cc"
-    s.hits s.misses s.evictions s.compile_ms s.spec_hits s.spec_misses
+    s.hits s.misses s.compile_ms s.spec_hits s.spec_misses
     s.spec_ms s.native_hits s.native_misses s.native_disk_hits s.cc_ms

@@ -8,7 +8,6 @@
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;
   compile_ms : float;  (** total milliseconds spent on cache misses *)
   spec_hits : int;  (** specialized-artifact lookups served from cache *)
   spec_misses : int;  (** specialization runs *)
@@ -113,13 +112,6 @@ val native_artifact : Kernel.t -> native_artifact option
 (** How the latest {!native} request for this kernel was served; [None]
     when it has no loaded library. *)
 
-val set_capacity : int option -> unit
-(** Bound the number of resident kernels.  [Some n] evicts down to [n]
-    entries least-recently-used-first and keeps future inserts within
-    [n]; [None] (the default) removes the bound.  Evicted kernels simply
-    regenerate on their next miss.
-    @raise Invalid_argument on [Some n] with [n < 1]. *)
-
 val stats : unit -> stats
 val reset_stats : unit -> unit
 
@@ -127,6 +119,6 @@ val clear : unit -> unit
 (** Drop all entries and zero the statistics. *)
 
 val describe_stats : unit -> string
-(** One-line [cache: H hits / M misses / E evictions / C ms compiling]
+(** One-line [cache: H hits / M misses / C ms compiling]
     summary, with specialize and native segments (the native one counts
     disk hits among its misses). *)

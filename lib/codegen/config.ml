@@ -14,7 +14,6 @@ type t = {
       (** cubic Catmull-Rom interpolation instead of linear (the paper's
           section 7 future-work item); ~4x the per-column arithmetic for
           O(h^4) accuracy *)
-  fold_params : bool;  (** preprocessor parameter folding *)
   scalar_math : bool;  (** cost-model flag: math calls not SVML-vectorized *)
 }
 
@@ -24,7 +23,6 @@ let baseline = {
   layout = Runtime.Layout.AoS;
   use_lut = true;
   lut_spline = false;
-  fold_params = true;
   scalar_math = true;
 }
 
@@ -35,7 +33,6 @@ let mlir ~(width : int) = {
   layout = Runtime.Layout.AoSoA width;
   use_lut = true;
   lut_spline = false;
-  fold_params = true;
   scalar_math = false;
 }
 
@@ -46,7 +43,6 @@ let autovec ~(width : int) = {
   layout = Runtime.Layout.AoS;
   use_lut = true;
   lut_spline = false;
-  fold_params = true;
   scalar_math = true;
 }
 
@@ -61,11 +57,9 @@ let arch_name (c : t) : string =
 (* Covers every semantically relevant field — the compile cache keys on
    this string, so omitting a field here would alias distinct kernels
    (audited against the field list above: width+layout via arch/layout,
-   use_lut/lut_spline, scalar_math, fold_params).  The default fold
-   setting prints nothing, keeping the common labels short and stable. *)
+   use_lut/lut_spline, scalar_math). *)
 let describe (c : t) : string =
-  Printf.sprintf "%s/%s%s%s%s" (arch_name c)
+  Printf.sprintf "%s/%s%s%s" (arch_name c)
     (Runtime.Layout.name c.layout)
     (if c.use_lut then (if c.lut_spline then "+lutc" else "+lut") else "-lut")
     (if c.scalar_math then "-svml" else "+svml")
-    (if c.fold_params then "" else "+params")

@@ -27,7 +27,6 @@ type t = {
   nvars : int;
   state_index : (string * int) list;  (** state name → slot in sv buffer *)
   ext_order : string list;  (** order of external memref parameters *)
-  param_order : string list;  (** parameter buffer order when not folded *)
   lut_plans : lut_plan list;  (** order of the (table, row) parameter pairs *)
   updates : (string * A.expr) list;  (** per-state update exprs (post-LUT) *)
   assigns : (string * A.expr) list;  (** output definitions (post-LUT) *)
@@ -63,12 +62,12 @@ let plan_luts (cfg : Config.t) (model : M.t)
 (* Parameter list of [compute]:
      start, stop, ncells_pad : i64; dt, t : f64; sv : memref;
      one memref per external (in model order);
-     params : memref (only when parameters are not folded);
-     (table, row) : memref pair per lookup table. *)
-let compute_param_tys (model : M.t) ~(folded : bool) (nluts : int) : Ty.t list =
+     (table, row) : memref pair per lookup table.
+   Parameters are folded into literals by the front end, so no parameter
+   is passed at run time. *)
+let compute_param_tys (model : M.t) (nluts : int) : Ty.t list =
   [ Ty.I64; Ty.I64; Ty.I64; Ty.F64; Ty.F64; Ty.Memref ]
   @ List.map (fun _ -> Ty.Memref) model.M.externals
-  @ (if folded then [] else [ Ty.Memref ])
   @ List.concat_map (fun _ -> [ Ty.Memref; Ty.Memref ]) (List.init nluts Fun.id)
 
 (* Address of state variable [k] for the scalar cell index [iv]. *)
@@ -130,13 +129,11 @@ let store_state (b : Builder.t) (cfg : Config.t) ~(nvars : int)
 
 let gen_compute (ctx : Builder.ctx) (modl : Func.modl) (cfg : Config.t)
     (model : M.t) ~(state_index : (string * int) list)
-    ~(param_order : string list) ~(lut_plans : lut_plan list)
-    ~(updates : (string * A.expr) list) ~(assigns : (string * A.expr) list) :
-    Func.func =
+    ~(lut_plans : lut_plan list) ~(updates : (string * A.expr) list)
+    ~(assigns : (string * A.expr) list) : Func.func =
   let w = cfg.Config.width in
   let nvars = List.length state_index in
-  let folded = cfg.Config.fold_params in
-  let param_tys = compute_param_tys model ~folded (List.length lut_plans) in
+  let param_tys = compute_param_tys model (List.length lut_plans) in
   Builder.func ctx ~name:compute_name ~params:param_tys ~results:[]
     (fun b args ->
       let start, stop, ncells_pad, dt, t, sv, rest =
@@ -155,7 +152,6 @@ let gen_compute (ctx : Builder.ctx) (modl : Func.modl) (cfg : Config.t)
       let ext_mems =
         List.map (fun (e : M.ext_var) -> (e.M.ext_name, take ())) model.M.externals
       in
-      let pbuf = if folded then None else Some (take ()) in
       let luts =
         List.map
           (fun plan ->
@@ -181,21 +177,10 @@ let gen_compute (ctx : Builder.ctx) (modl : Func.modl) (cfg : Config.t)
                   (name, load_state b cfg ~nvars ~ncells_pad ~sv ~iv ~k))
                 state_index
             in
-            let param_vals =
-              match pbuf with
-              | None -> []
-              | Some mem ->
-                  List.mapi
-                    (fun k name ->
-                      let idx = Builder.consti b k in
-                      let v = Builder.load b ~mem ~idx in
-                      (name, Builder.broadcast b ~width:w v))
-                    param_order
-            in
             let dt_v = Builder.broadcast b ~width:w dt in
             let t_v = Builder.broadcast b ~width:w t in
             let base_bindings =
-              [ ("dt", dt_v); ("t", t_v) ] @ ext_vals @ state_vals @ param_vals
+              [ ("dt", dt_v); ("t", t_v) ] @ ext_vals @ state_vals
             in
             (* ---- lookup tables ------------------------------------ *)
             let lut_bindings =
@@ -345,7 +330,6 @@ let generate ?(optimize = true)
   let state_index =
     List.mapi (fun k (sv : M.state_var) -> (sv.M.sv_name, k)) model.M.states
   in
-  let param_order = List.map fst model.M.params in
   let updates =
     List.map
       (fun (sv : M.state_var) -> (sv.M.sv_name, Integrators.update_expr sv))
@@ -354,8 +338,7 @@ let generate ?(optimize = true)
   let lut_plans, updates, assigns = plan_luts cfg model updates in
   List.iter (fun p -> Func.add_func modl (gen_lut_init ctx p)) lut_plans;
   Func.add_func modl
-    (gen_compute ctx modl cfg model ~state_index ~param_order ~lut_plans
-       ~updates ~assigns);
+    (gen_compute ctx modl cfg model ~state_index ~lut_plans ~updates ~assigns);
   if optimize then Passes.Pipeline.optimize ?validate modl;
   {
     modl;
@@ -364,7 +347,6 @@ let generate ?(optimize = true)
     nvars = List.length state_index;
     state_index;
     ext_order = List.map (fun (e : M.ext_var) -> e.M.ext_name) model.M.externals;
-    param_order = (if cfg.Config.fold_params then [] else param_order);
     lut_plans;
     updates;
     assigns;

@@ -300,8 +300,7 @@ let parse (src : string) : t =
     equation is dropped (the simulator owns the Vm update, as in
     openCARP), its uses become the [Vm] external, and [Iion] is emitted as
     the external output. *)
-let to_easyml ?(lookup = Some (-100.0, 100.0, 0.05)) ?(rl_gates = true)
-    ~(vm : string) ~(iion : string) (t : t) : string =
+let to_easyml ~(vm : string) ~(iion : string) (t : t) : string =
   let canon n =
     match String.split_on_char '.' n with
     | [ c; v ] -> flat c v
@@ -311,10 +310,7 @@ let to_easyml ?(lookup = Some (-100.0, 100.0, 0.05)) ?(rl_gates = true)
   let buf = Buffer.create 4096 in
   let pr fmt = Fmt.kstr (Buffer.add_string buf) fmt in
   pr "# Translated from MMT (Myokit) source: model %s\n" t.name;
-  (match lookup with
-  | Some (lo, hi, step) ->
-      pr "Vm; .external(); .nodal(); .lookup(%g, %g, %g);\n" lo hi step
-  | None -> pr "Vm; .external(); .nodal();\n");
+  pr "Vm; .external(); .nodal(); .lookup(-100, 100, 0.05);\n";
   pr "Iion; .external(); .nodal();\n";
   (* substitution of vm by Vm in every expression *)
   let subst_vm e = Ast.subst ~x:vm ~by:(Ast.Var "Vm") e in
@@ -332,7 +328,7 @@ let to_easyml ?(lookup = Some (-100.0, 100.0, 0.05)) ?(rl_gates = true)
         pr "diff_%s = %s;\n" d.d_var (Ast.expr_to_string (subst_vm d.d_rhs));
         (* gates whose equation is syntactically affine in the state get
            Rush-Larsen, as a hand-ported openCARP model would *)
-        if rl_gates && Option.is_some (Linearity.affine ~y:d.d_var (subst_vm d.d_rhs))
+        if Option.is_some (Linearity.affine ~y:d.d_var (subst_vm d.d_rhs))
         then pr "%s; .method(rush_larsen);\n" d.d_var
       end
       else pr "%s = %s;\n" d.d_var (Ast.expr_to_string (subst_vm d.d_rhs)))
@@ -341,7 +337,6 @@ let to_easyml ?(lookup = Some (-100.0, 100.0, 0.05)) ?(rl_gates = true)
   Buffer.contents buf
 
 (** One-step convenience: MMT text → analyzed EasyML model. *)
-let import ?lookup ?rl_gates ~(vm : string) ~(iion : string) (src : string) :
-    Model.t =
+let import ~(vm : string) ~(iion : string) (src : string) : Model.t =
   let t = parse src in
-  Sema.analyze_source ~name:t.name (to_easyml ?lookup ?rl_gates ~vm ~iion t)
+  Sema.analyze_source ~name:t.name (to_easyml ~vm ~iion t)

@@ -20,23 +20,11 @@ type t = {
 val parse : string -> t
 (** Parse and name-resolve an MMT document. @raise Error. *)
 
-val to_easyml :
-  ?lookup:(float * float * float) option ->
-  ?rl_gates:bool ->
-  vm:string ->
-  iion:string ->
-  t ->
-  string
+val to_easyml : vm:string -> iion:string -> t -> string
 (** Render as EasyML.  [vm]/[iion] (as [comp.var] or flattened) become the
-    [Vm]/[Iion] externals; [rl_gates] (default true) marks affine gate
-    equations [.method(rush_larsen)]; [lookup] sets the Vm table bounds
-    (default [-100, 100] step 0.05, [None] disables). *)
+    [Vm]/[Iion] externals; affine gate equations are marked
+    [.method(rush_larsen)]; Vm gets a lookup table over [-100, 100] mV
+    at step 0.05. *)
 
-val import :
-  ?lookup:(float * float * float) option ->
-  ?rl_gates:bool ->
-  vm:string ->
-  iion:string ->
-  string ->
-  Model.t
+val import : vm:string -> iion:string -> string -> Model.t
 (** [parse] + [to_easyml] + semantic analysis in one step. *)

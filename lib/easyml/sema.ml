@@ -20,14 +20,6 @@ exception Error of string
 
 let errf fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 
-type options = {
-  fold_params : bool;
-      (** replace parameters by literals (the preprocessor); disabling this
-          keeps them as runtime loads — used by the preprocessor ablation *)
-}
-
-let default_options = { fold_params = true }
-
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
 
@@ -201,8 +193,7 @@ let check_calls (where : string) (e : Ast.expr) : unit =
   in
   go e
 
-let analyze ?(options = default_options) ~(name : string) (prog : Ast.program) :
-    Model.t =
+let analyze ~(name : string) (prog : Ast.program) : Model.t =
   let raw = collect prog in
   let warnings = ref [] in
   let warn ?sev ?loc ~code fmt =
@@ -256,11 +247,7 @@ let analyze ?(options = default_options) ~(name : string) (prog : Ast.program) :
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   (* preprocessor: fold parameters (and literal arithmetic) everywhere *)
-  let fold_tbl =
-    if options.fold_params then param_tbl
-    else Hashtbl.create 0 (* still folds literals, keeps params symbolic *)
-  in
-  let prep e = Fold.fold_expr fold_tbl e in
+  let prep e = Fold.fold_expr param_tbl e in
   (* -- split definitions ------------------------------------------ *)
   let inits : (string, float) Hashtbl.t = Hashtbl.create 16 in
   let diffs : (string, Ast.expr) Hashtbl.t = Hashtbl.create 16 in
@@ -344,7 +331,6 @@ let analyze ?(options = default_options) ~(name : string) (prog : Ast.program) :
     is_state v || is_external v
     || SMap.mem v assign_map
     || List.mem v Model.implicit_vars
-    || ((not options.fold_params) && Hashtbl.mem param_tbl v)
   in
   let check_refs where e =
     check_calls where e;
@@ -513,12 +499,12 @@ let analyze ?(options = default_options) ~(name : string) (prog : Ast.program) :
   }
 
 (** Parse + analyze in one step. *)
-let analyze_source ?options ~name (src : string) : Model.t =
+let analyze_source ~name (src : string) : Model.t =
   match Parser.parse src with
-  | Ok prog -> analyze ?options ~name prog
+  | Ok prog -> analyze ~name prog
   | Error msg -> raise (Error msg)
 
-let analyze_result ?options ~name (src : string) : (Model.t, string) result =
-  match analyze_source ?options ~name src with
+let analyze_result ~name (src : string) : (Model.t, string) result =
+  match analyze_source ~name src with
   | m -> Ok m
   | exception Error msg -> Error msg

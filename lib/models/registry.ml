@@ -22,14 +22,12 @@ let names () : string list = List.map (fun e -> e.name) all
 let memo : (string, Easyml.Model.t) Hashtbl.t = Hashtbl.create 64
 
 (** Parse + analyze a model (memoized). *)
-let model ?(options = Easyml.Sema.default_options) (e : entry) :
-    Easyml.Model.t =
-  let key = e.name ^ if options.Easyml.Sema.fold_params then "" else "#nofold" in
-  match Hashtbl.find_opt memo key with
+let model (e : entry) : Easyml.Model.t =
+  match Hashtbl.find_opt memo e.name with
   | Some m -> m
   | None ->
-      let m = Easyml.Sema.analyze_source ~options ~name:e.name e.source in
-      Hashtbl.replace memo key m;
+      let m = Easyml.Sema.analyze_source ~name:e.name e.source in
+      Hashtbl.replace memo e.name m;
       m
 
 let class_counts () : (cls * int) list =

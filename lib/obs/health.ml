@@ -60,14 +60,17 @@ let hard_reason = function
 
 type config = {
   stride : int;  (** sample every [stride]-th step *)
-  vm_lo : float;  (** membrane-potential watchdog window, mV *)
-  vm_hi : float;
   policy : policy;
-  max_trips : int;  (** distinct trips retained for the report *)
 }
 
-let default_config =
-  { stride = 16; vm_lo = -200.0; vm_hi = 200.0; policy = Warn; max_trips = 16 }
+let default_config = { stride = 16; policy = Warn }
+
+(* membrane-potential watchdog window, mV *)
+let vm_lo = -200.0
+let vm_hi = 200.0
+
+(* distinct trips retained for the report *)
+let max_trips = 16
 
 type var_spec = {
   v_name : string;
@@ -168,7 +171,6 @@ let create ?(cfg = default_config) ~(model : string) ~(layout : layout)
     ~(nvars : int) ~(ncells_pad : int) ~(vars : var_spec list)
     ?(warn = fun msg -> Printf.eprintf "%s\n%!" msg) () : t =
   if cfg.stride <= 0 then invalid_arg "Health.create: stride must be > 0";
-  if cfg.max_trips <= 0 then invalid_arg "Health.create: max_trips must be > 0";
   {
     h_id = Atomic.fetch_and_add next_id 1;
     h_model = model;
@@ -218,7 +220,7 @@ let offer_trip (h : t) ~(var : string) ~(reason : reason) ~(cell : int)
   let dup =
     List.exists (fun t -> t.t_var = var && t.t_reason = reason) h.h_trips
   in
-  if (not dup) && List.length h.h_trips < h.h_cfg.max_trips then begin
+  if (not dup) && List.length h.h_trips < max_trips then begin
     let t =
       { t_var = var; t_reason = reason; t_cell = cell; t_step = step;
         t_value = value }
@@ -286,7 +288,7 @@ let sample_chunk (h : t) ~(sv : floatarray) ~(vm : floatarray option)
           if
             (not (Float.is_nan x))
             && Float.abs x <> Float.infinity
-            && (x < h.h_cfg.vm_lo || x > h.h_cfg.vm_hi)
+            && (x < vm_lo || x > vm_hi)
           then begin
             a.a_range <- a.a_range + 1;
             if not a.a_seen_range then begin

@@ -1,10 +1,11 @@
 (** Numerical-health monitoring: streaming per-state-variable reducers
     (min/max/mean, NaN/Inf counts, gate clamp-violation counters, a
-    configurable membrane-potential watchdog) computed straight from
-    simulation state buffers — engine-independent, lock-free per-Domain
-    accumulators merged at {!snapshot} (the {!Tracer} design), one
-    atomic load per probe when disabled.  Reducers only read: sampled
-    runs are bitwise identical to unsampled ones. *)
+    membrane-potential watchdog on the window [-200, 200] mV) computed
+    straight from simulation state buffers — engine-independent,
+    lock-free per-Domain accumulators merged at {!snapshot} (the
+    {!Tracer} design), one atomic load per probe when disabled.
+    Reducers only read: sampled runs are bitwise identical to unsampled
+    ones. *)
 
 type layout =
   | Cell_major  (** AoS: [cell*nvars + var] *)
@@ -23,14 +24,11 @@ val reason_name : reason -> string
 
 type config = {
   stride : int;  (** sample every [stride]-th step *)
-  vm_lo : float;  (** membrane-potential watchdog window, mV *)
-  vm_hi : float;
   policy : policy;
-  max_trips : int;  (** distinct trips retained for the report *)
 }
 
 val default_config : config
-(** stride 16, Vm window [-200, 200] mV, [Warn], 16 trips. *)
+(** stride 16, [Warn].  The report keeps the first 16 distinct trips. *)
 
 type var_spec = {
   v_name : string;
@@ -63,7 +61,7 @@ val create :
     implicitly whenever {!sample_chunk} receives [?vm]).  [warn]
     receives one formatted report per (variable, reason) trip; the
     default prints to stderr.
-    @raise Invalid_argument on non-positive [stride] or [max_trips]. *)
+    @raise Invalid_argument on non-positive [stride]. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool

@@ -275,7 +275,6 @@ type writer = {
   w_dir : string;
   w_stride : int;
   w_keep : int;
-  w_verify : bool;
   w_extra : (string * string) list;
   mutable w_files : string list;  (** newest first *)
   mutable w_last_step : int;
@@ -291,7 +290,7 @@ let rec mkdir_p (dir : string) : unit =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let create_writer ?(keep = 3) ?(verify = true) ?(extra = []) ~(dir : string)
+let create_writer ?(keep = 3) ?(extra = []) ~(dir : string)
     ~(stride : int) () : writer =
   if stride <= 0 then invalid_arg "Recorder.create_writer: stride must be > 0";
   if keep <= 0 then invalid_arg "Recorder.create_writer: keep must be > 0";
@@ -300,7 +299,6 @@ let create_writer ?(keep = 3) ?(verify = true) ?(extra = []) ~(dir : string)
     w_dir = dir;
     w_stride = stride;
     w_keep = keep;
-    w_verify = verify;
     w_extra = extra;
     w_files = [];
     w_last_step = -1;
@@ -326,10 +324,9 @@ let record (w : writer) (ck : checkpoint) : string =
   in
   let t0 = Unix.gettimeofday () in
   let bytes = write ~path ck in
-  (if w.w_verify then
-     match read path with
-     | Ok ck' when digest ck' = digest ck -> ()
-     | Ok _ | Error _ -> w.w_verify_failures <- w.w_verify_failures + 1);
+  (match read path with
+  | Ok ck' when digest ck' = digest ck -> ()
+  | Ok _ | Error _ -> w.w_verify_failures <- w.w_verify_failures + 1);
   w.w_ms <- w.w_ms +. ((Unix.gettimeofday () -. t0) *. 1e3);
   w.w_files <- path :: List.filter (fun p -> p <> path) w.w_files;
   w.w_last_step <- ck.ck_step;

@@ -82,17 +82,15 @@ type writer
 
 val create_writer :
   ?keep:int ->
-  ?verify:bool ->
   ?extra:(string * string) list ->
   dir:string ->
   stride:int ->
   unit ->
   writer
-(** [keep] (default 3) bounds the retained files; [verify] (default
-    true) re-reads every write and counts digest failures; [extra] is
-    metadata merged into every recorded checkpoint (run-level facts the
-    captured object does not know: total steps, stimulus protocol, CLI
-    configuration).  Creates [dir] if needed.
+(** [keep] (default 3) bounds the retained files; every write is
+    re-read and digest failures are counted; [extra] is metadata merged
+    into every recorded checkpoint (run-level facts the captured object
+    does not know: total steps, stimulus protocol, CLI configuration).  Creates [dir] if needed.
     @raise Invalid_argument when [stride <= 0] or [keep <= 0]. *)
 
 val due : writer -> step:int -> bool

@@ -12,36 +12,20 @@ type t = { name : string; run : Ir.Func.func -> bool }
 let run_on_module (p : t) (m : Ir.Func.modl) : bool =
   List.fold_left (fun changed f -> p.run f || changed) false m.Ir.Func.m_funcs
 
-type pipeline_options = {
-  verify_each : bool;
-  deep_verify : bool;
-      (** verify with the dataflow-backed deep mode
-          ({!Analysis.Deep}) instead of the structural verifier *)
-}
+type pipeline_options = { verify_each : bool }
 
-let default_options = { verify_each = false; deep_verify = false }
+let default_options = { verify_each = false }
 
 exception Verification_failed of string * Ir.Verifier.error list
 
-(** Run a pipeline.  [analyses] is the shared per-pipeline analysis
-    cache: every function a pass changes is invalidated in it, so passes
-    and post-pipeline clients querying it always see facts for the
-    current body.  Pass a cache in to keep using it after the pipeline
-    returns.
-
-    [validate] turns on translation validation: before each pass the
-    module is deep-copied, and after the pass the callback receives
-    [(pass_name, input, output)] — clients prove the two equivalent
-    ({!Analysis.Transval.check_module}) and decide what to do with the
-    resulting certificate. *)
+(** Run a pipeline.  [validate] turns on translation validation: before
+    each pass the module is deep-copied, and after the pass the callback
+    receives [(pass_name, input, output)] — clients prove the two
+    equivalent ({!Analysis.Transval.check_module}) and decide what to do
+    with the resulting certificate. *)
 let run_pipeline ?(options = default_options)
-    ?(analyses = Analyses.create ())
     ?(validate : (string -> Ir.Func.modl -> Ir.Func.modl -> unit) option)
     (passes : t list) (m : Ir.Func.modl) : unit =
-  let verify () =
-    if options.deep_verify then Analysis.Deep.verify_module m
-    else Ir.Verifier.verify_module m
-  in
   List.iter
     (fun p ->
       let snapshot =
@@ -52,10 +36,8 @@ let run_pipeline ?(options = default_options)
       Obs.Tracer.with_span ("pass:" ^ p.name) (fun () ->
           List.iter
             (fun f ->
-              if p.run f then begin
-                Obs.Tracer.count ("pass." ^ p.name ^ ".rewrites") 1.0;
-                Analyses.invalidate analyses f
-              end)
+              if p.run f then
+                Obs.Tracer.count ("pass." ^ p.name ^ ".rewrites") 1.0)
             m.Ir.Func.m_funcs);
       (match (validate, snapshot) with
       | Some v, Some pre ->
@@ -64,19 +46,7 @@ let run_pipeline ?(options = default_options)
       | _ -> ());
       if options.verify_each then
         Obs.Tracer.with_span "pass:verify" (fun () ->
-            match verify () with
+            match Ir.Verifier.verify_module m with
             | [] -> ()
             | errs -> raise (Verification_failed (p.name, errs))))
     passes
-
-(** Run a pass list to fixpoint (bounded, the bound only guards against a
-    pass that oscillates). *)
-let run_fixpoint ?(max_iters = 8) (passes : t list) (m : Ir.Func.modl) : unit =
-  let rec go n =
-    if n < max_iters then
-      let changed =
-        List.fold_left (fun c p -> run_on_module p m || c) false passes
-      in
-      if changed then go (n + 1)
-  in
-  go 0

@@ -18,11 +18,8 @@ let standard : Pass.t list =
 (** [optimize ?validate m] runs the standard pipeline; [validate], when
     given, is called after every pass with [(pass_name, input, output)]
     for translation validation (see {!Pass.run_pipeline}). *)
-let optimize ?(verify = false) ?(deep = false) ?validate (m : Ir.Func.modl) :
-    unit =
-  Pass.run_pipeline
-    ~options:{ Pass.verify_each = verify; deep_verify = deep }
-    ?validate standard m
+let optimize ?(verify = false) ?validate (m : Ir.Func.modl) : unit =
+  Pass.run_pipeline ~options:{ Pass.verify_each = verify } ?validate standard m
 
 (** Pass registry for the CLI's [-pass] flag. *)
 let by_name : (string * Pass.t) list =

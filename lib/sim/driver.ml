@@ -23,7 +23,6 @@ type t = {
   dt : float;
   sv : floatarray;
   exts : (string * floatarray) list;
-  params_buf : floatarray option;
   tables : floatarray list;  (** one per lookup plan, row-major *)
   engine : engine;
   tile : int;
@@ -31,9 +30,8 @@ type t = {
           other engines); Domain-parallel chunk boundaries align to it *)
   specialized : bool;
       (** the kernel was partially evaluated over this driver's run
-          constants ({!Codegen.Cache.specialize}); also enables the
-          stimulus phase split in {!run} — results are bitwise identical
-          either way *)
+          constants ({!Codegen.Cache.specialize}) — results are bitwise
+          identical either way *)
   native : (string -> Rt.v array -> Rt.v array) option;
       (** symbol lookup into the JIT-compiled shared object
           ({!Codegen.Cache.native}); [Some] exactly when [engine] is
@@ -110,13 +108,6 @@ let reset (d : t) : unit =
       in
       Float.Array.fill buf 0 (Float.Array.length buf) init)
     d.exts;
-  (* parameters (when not folded) *)
-  (match d.params_buf with
-  | None -> ()
-  | Some buf ->
-      List.iteri
-        (fun k (_, v) -> Float.Array.set buf k v)
-        model.M.params);
   (* lookup tables *)
   let lookup = compile d in
   Obs.Tracer.with_span "driver.lut_init" (fun () ->
@@ -186,10 +177,6 @@ let create ?(engine = Batched) ?(tile = 0) ?(specialize = true)
       (fun name -> (name, Rt.buffer ncells_pad))
       gen.Codegen.Kernel.ext_order
   in
-  let params_buf =
-    if gen.Codegen.Kernel.param_order = [] then None
-    else Some (Rt.buffer (List.length gen.Codegen.Kernel.param_order))
-  in
   let tables =
     List.map
       (fun (plan : Easyml.Lut_cones.t) ->
@@ -215,7 +202,6 @@ let create ?(engine = Batched) ?(tile = 0) ?(specialize = true)
       dt;
       sv;
       exts;
-      params_buf;
       tables;
       engine;
       tile;
@@ -231,16 +217,6 @@ let create ?(engine = Batched) ?(tile = 0) ?(specialize = true)
   in
   reset d;
   d
-
-(** {!create} through the shared compile cache: generate (or reuse) the
-    kernel for [model] under [cfg] via {!Codegen.Cache}, then build the
-    driver.  Repeated drivers for the same model × config skip codegen
-    entirely. *)
-let create_cached ?engine ?tile ?specialize ?optimize
-    (cfg : Codegen.Config.t) (model : M.t) ~(ncells : int) ~(dt : float) : t =
-  create ?engine ?tile ?specialize
-    (Codegen.Cache.generate ?optimize cfg model)
-    ~ncells ~dt
 
 (* ------------------------------------------------------------------ *)
 (* Numerical-health monitoring                                         *)
@@ -315,26 +291,22 @@ let engine_name (e : engine) : string =
 
 (** Snapshot every mutable buffer of this driver into a checkpoint: the
     state variables (in whatever layout the config picked), every
-    external array, the parameter buffer, the step index and the
-    simulation clock.  Lookup tables are {e not} captured — {!reset}
-    rebuilds them deterministically from [dt], which the metadata pins
-    bit-exactly — so a restored driver is bitwise indistinguishable from
-    one that never stopped. *)
+    external array, the step index and the simulation clock.  Lookup
+    tables are {e not} captured — {!reset} rebuilds them
+    deterministically from [dt], which the metadata pins bit-exactly —
+    so a restored driver is bitwise indistinguishable from one that
+    never stopped. *)
 let capture (d : t) : Obs.Recorder.checkpoint =
   let cfg = d.gen.Codegen.Kernel.cfg in
   let sections =
-    ({ Obs.Recorder.sec_name = "sv"; sec_data = Float.Array.copy d.sv }
-     :: List.map
-          (fun (name, buf) ->
-            {
-              Obs.Recorder.sec_name = "ext:" ^ name;
-              sec_data = Float.Array.copy buf;
-            })
-          d.exts)
-    @ (match d.params_buf with
-      | None -> []
-      | Some b ->
-          [ { Obs.Recorder.sec_name = "params"; sec_data = Float.Array.copy b } ])
+    { Obs.Recorder.sec_name = "sv"; sec_data = Float.Array.copy d.sv }
+    :: List.map
+         (fun (name, buf) ->
+           {
+             Obs.Recorder.sec_name = "ext:" ^ name;
+             sec_data = Float.Array.copy buf;
+           })
+         d.exts
   in
   {
     Obs.Recorder.ck_meta =
@@ -412,9 +384,6 @@ let restore (d : t) (ck : Obs.Recorder.checkpoint) :
         blit ("ext:" ^ name) buf)
       (Ok ()) d.exts
   in
-  let* () =
-    match d.params_buf with None -> Ok () | Some b -> blit "params" b
-  in
   d.t_now <- ck.Obs.Recorder.ck_time;
   d.steps_done <- ck.Obs.Recorder.ck_step;
   Ok ()
@@ -445,7 +414,6 @@ let kernel_args (d : t) ~(start : int) ~(stop : int) ~(rows : floatarray list)
        Rt.M d.sv;
      ]
     @ List.map (fun (_, buf) -> Rt.M buf) d.exts
-    @ (match d.params_buf with None -> [] | Some b -> [ Rt.M b ])
     @ List.concat
         (List.map2 (fun table row -> [ Rt.M table; Rt.M row ]) d.tables rows))
 
@@ -521,13 +489,13 @@ let find_ext_buf (d : t) (name : string) : floatarray =
   | Some b -> b
   | None -> fail "model has no external variable %s" name
 
-(** Membrane update with a precomputed stimulus current [s]:
-    [Vm += dt * (s - Iion)] on every cell, when the model exposes the
-    conventional [Vm]/[Iion] externals.  The phase-split {!run} calls
-    this directly with one constant current per phase. *)
-let membrane_update_current (d : t) (s : float) : unit =
+(** Membrane update (solver-stage stand-in for single-cell runs):
+    [Vm += dt * (stim(t) - Iion)] on every cell, when the model exposes
+    the conventional [Vm]/[Iion] externals. *)
+let membrane_update ?(stim = Stim.none) (d : t) : unit =
   match (List.assoc_opt "Vm" d.exts, List.assoc_opt "Iion" d.exts) with
   | Some vm, Some iion ->
+      let s = Stim.at stim d.t_now in
       Obs.Tracer.with_span "driver.update" (fun () ->
           for c = 0 to d.ncells - 1 do
             Float.Array.set vm c
@@ -540,11 +508,6 @@ let membrane_update_current (d : t) (s : float) : unit =
             Float.Array.set vm c (Float.Array.get vm (d.ncells - 1))
           done)
   | _ -> ()
-
-(** Membrane update (solver-stage stand-in for single-cell runs):
-    [Vm += dt * (stim(t) - Iion)] on every cell. *)
-let membrane_update ?(stim = Stim.none) (d : t) : unit =
-  membrane_update_current d (Stim.at stim d.t_now)
 
 (** One full time step: compute stage + membrane update. *)
 let step ?(nthreads = 1) ?(stim = Stim.none) (d : t) : unit =
@@ -573,53 +536,22 @@ let tick (d : t) : unit =
   d.steps_done <- d.steps_done + 1
 
 (** Run [steps] time steps; returns wall-clock seconds spent in the compute
-    stage (the quantity the paper's figures report).
-
-    On a specialized driver the time loop is split into stimulus phases
-    ({!Stim.segments}): within each phase the stimulus current is a
-    constant, so the per-step body is branch-free — no pulse-edge test,
-    no [Float.rem] phase arithmetic.  The segment plan evaluates the
-    schedule at exactly the accumulated times the plain loop would use,
-    so both paths are bitwise identical. *)
+    stage (the quantity the paper's figures report). *)
 let run ?(nthreads = 1) ?(stim = Stim.none) ?ckpt (d : t) ~(steps : int) :
     float =
   let total = ref 0.0 in
-  (* periodic flight-recorder hook: captures never touch simulation
-     state (buffers are copied), so checkpointed runs stay bitwise
-     identical to plain ones; the wall-clock cost lands outside the
-     compute-stage timing, matching how the bench reports it *)
-  let maybe_ckpt () =
+  for _ = 1 to steps do
+    total := !total +. step_timed ~nthreads ~stim d;
+    (* periodic flight-recorder hook: captures never touch simulation
+       state (buffers are copied), so checkpointed runs stay bitwise
+       identical to plain ones; the wall-clock cost lands outside the
+       compute-stage timing, matching how the bench reports it *)
     match ckpt with
     | Some w when Obs.Recorder.due w ~step:d.steps_done ->
         Obs.Tracer.with_span "driver.checkpoint" (fun () ->
             ignore (Obs.Recorder.record w (capture d)))
     | _ -> ()
-  in
-  let phase (s : float) (n : int) : unit =
-    for _ = 1 to n do
-      let t0 = Unix.gettimeofday () in
-      compute_stage ~nthreads d;
-      total := !total +. (Unix.gettimeofday () -. t0);
-      membrane_update_current d s;
-      d.t_now <- d.t_now +. d.dt;
-      d.steps_done <- d.steps_done + 1;
-      maybe_ckpt ()
-    done
-  in
-  if d.specialized then
-    List.iter
-      (fun (s, n) -> phase s n)
-      (Stim.segments stim ~t0:d.t_now ~dt:d.dt ~steps)
-  else
-    for _ = 1 to steps do
-      let t0 = Unix.gettimeofday () in
-      compute_stage ~nthreads d;
-      total := !total +. (Unix.gettimeofday () -. t0);
-      membrane_update ~stim d;
-      d.t_now <- d.t_now +. d.dt;
-      d.steps_done <- d.steps_done + 1;
-      maybe_ckpt ()
-    done;
+  done;
   !total
 
 (* ------------------------------------------------------------------ *)

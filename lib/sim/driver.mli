@@ -33,7 +33,6 @@ type t = {
   dt : float;
   sv : floatarray;
   exts : (string * floatarray) list;
-  params_buf : floatarray option;
   tables : floatarray list;
   engine : engine;
   tile : int;
@@ -42,8 +41,8 @@ type t = {
           [tile × width] cells *)
   specialized : bool;
       (** the kernel was partially evaluated over this driver's run
-          constants ([dt], padded cell count) and {!run} uses the
-          stimulus phase split — bitwise identical either way *)
+          constants ([dt], padded cell count) — bitwise identical either
+          way *)
   native : (string -> Exec.Rt.v array -> Exec.Rt.v array) option;
       (** symbol lookup into the JIT-compiled shared object; [Some]
           exactly when [engine] is {!Native} *)
@@ -80,19 +79,6 @@ val create :
     returned [engine] field to see which engine actually runs.
     @raise Driver_error on non-positive [ncells]/[dt] or negative
     [tile]. *)
-
-val create_cached :
-  ?engine:engine ->
-  ?tile:int ->
-  ?specialize:bool ->
-  ?optimize:bool ->
-  Codegen.Config.t ->
-  Easyml.Model.t ->
-  ncells:int ->
-  dt:float ->
-  t
-(** {!create}, generating the kernel through the shared
-    {!Codegen.Cache} (repeat model × config pairs skip codegen). *)
 
 val reset : t -> unit
 (** Back to the initial state (also rebuilds tables). *)
@@ -177,9 +163,9 @@ val engine_name : engine -> string
 val capture : t -> Obs.Recorder.checkpoint
 (** Snapshot the driver's mutable state — state variables (all three
     layouts serialize through the same buffer), every external array,
-    the parameter buffer, step index and simulation clock — plus the
-    metadata to validate a restore (model, layout, width, population,
-    [dt] bit pattern, engine).  Lookup tables are rebuilt
+    step index and simulation clock — plus the metadata to validate a
+    restore (model, layout, width, population, [dt] bit pattern,
+    engine).  Lookup tables are rebuilt
     deterministically at {!create}/{!reset} and therefore not captured.
     Buffers are copied: capturing never perturbs the run. *)
 

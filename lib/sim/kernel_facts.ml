@@ -3,11 +3,11 @@
 
     The compute kernel's parameter list is a fixed ABI
     ([start; stop; ncells_pad; dt; t; sv] followed by the external
-    buffers, the optional parameter buffer and the per-plan
-    (table, row) pairs — see {!Codegen.Kernel}).  This module classifies
-    each position, says which buffers the driver's worker threads share,
-    and builds interval seeds for the loop bounds — the ingredients the
-    race checker ({!Racecheck}) needs to turn the generic analyses into
+    buffers and the per-plan (table, row) pairs — see
+    {!Codegen.Kernel}).  This module classifies each position, says
+    which buffers the driver's worker threads share, and builds interval
+    seeds for the loop bounds — the ingredients the race checker
+    ({!Racecheck}) needs to turn the generic analyses into
     kernel-specific proofs. *)
 
 module K = Codegen.Kernel
@@ -21,7 +21,6 @@ type param_info =
   | Ptime
   | Psv  (** shared state buffer *)
   | Pext of int  (** shared external buffer [k] *)
-  | Pparams  (** shared parameter buffer (when not folded) *)
   | Ptable of int  (** shared, read-only LUT table of plan [j] *)
   | Prow of int  (** per-thread LUT row scratch of plan [j] *)
 
@@ -29,13 +28,12 @@ let param_infos (gen : K.t) : param_info array =
   Array.of_list
     ([ Pstart; Pstop; Pncells; Pdt; Ptime; Psv ]
     @ List.mapi (fun k _ -> Pext k) gen.K.ext_order
-    @ (if gen.K.param_order = [] then [] else [ Pparams ])
     @ List.concat
         (List.mapi (fun j _ -> [ Ptable j; Prow j ]) gen.K.lut_plans))
 
 (** Is the buffer behind this compute parameter shared between the
     driver's worker threads?  Row scratch buffers are per-thread;
-    everything else (state, externals, params, tables) is one shared
+    everything else (state, externals, tables) is one shared
     allocation. *)
 let shared (infos : param_info array) (i : int) : bool =
   i >= Array.length infos

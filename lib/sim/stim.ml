@@ -68,30 +68,3 @@ let at_cell (s : spatial) ~(t : float) ~(cell : int) : float =
   | Weights w ->
       let a = at s.pulse t in
       if a = 0.0 then 0.0 else a *. Float.Array.get w cell
-
-(** Phase plan for a fixed-step run: the run-length encoding
-    [(current, steps); …] of the stimulus current over [steps] steps
-    starting at [t0], evaluated at exactly the accumulated time sequence
-    [t0, t0 +. dt, (t0 +. dt) +. dt, …] the driver produces — so a time
-    loop split into constant-current phases is bitwise identical to one
-    that calls {!at} every step.  A pulse train yields short segments at
-    each edge and two long branch-free phases per period. *)
-let segments (s : t) ~(t0 : float) ~(dt : float) ~(steps : int) :
-    (float * int) list =
-  if steps <= 0 then []
-  else begin
-    let t = ref t0 in
-    let cur = ref (at s !t) and count = ref 0 in
-    let acc = ref [] in
-    for _ = 1 to steps do
-      let v = at s !t in
-      if Float.equal v !cur then incr count
-      else begin
-        acc := (!cur, !count) :: !acc;
-        cur := v;
-        count := 1
-      end;
-      t := !t +. dt
-    done;
-    List.rev ((!cur, !count) :: !acc)
-  end

@@ -40,10 +40,3 @@ val at_cell : spatial -> t:float -> cell:int -> float
 (** Stimulus current for one cell at time [t].  With a [Uniform] mask
     this is {e bitwise} identical to [at s.pulse t] — the scalar path is
     untouched by the spatial lifting. *)
-
-val segments : t -> t0:float -> dt:float -> steps:int -> (float * int) list
-(** Run-length encoding [(current, steps); …] of the stimulus over a
-    fixed-step run, evaluated at exactly the accumulated time sequence
-    the driver produces — a time loop split into these constant-current
-    phases is bitwise identical to calling {!at} every step.  The
-    segment step counts sum to [steps]. *)

@@ -114,21 +114,23 @@ let to_meta (s : t) : (string * string) list =
     the value. *)
 type out_of_range = { key : string; flag : string; need : string; got : string }
 
-(** The first field of [s] that {!create} would refuse.  These lower
-    bounds are written only here: flag-built specs and checkpoint
-    metadata ({!of_checkpoint}) are both held to them. *)
+(** The first field of [s] that {!create} would refuse.  These bounds
+    are written only here: flag-built specs and checkpoint metadata
+    ({!of_checkpoint}) are both held to them. *)
 let out_of_range (s : t) : out_of_range option =
   let at_least lo key flag n =
     if n >= lo then None
     else
       Some { key; flag; need = Printf.sprintf "at least %d" lo; got = string_of_int n }
   in
-  (* comparisons are false on NaN, so NaN is refused too *)
+  (* NaN and ±inf are refused too: a non-finite step, spacing or
+     conductivity runs to a meaningless answer, never to an error *)
   let float_check ok need key flag x =
-    if ok x then None else Some { key; flag; need; got = Printf.sprintf "%g" x }
+    if Float.is_finite x && ok x then None
+    else Some { key; flag; need; got = Printf.sprintf "%g" x }
   in
-  let positive = float_check (fun x -> x > 0.0) "positive" in
-  let non_negative = float_check (fun x -> x >= 0.0) "at least 0" in
+  let positive = float_check (fun x -> x > 0.0) "positive and finite" in
+  let non_negative = float_check (fun x -> x >= 0.0) "finite and at least 0" in
   let shape =
     match s.shape with
     | Cells n -> [ at_least 1 "ncells" "cells" n ]

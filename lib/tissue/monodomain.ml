@@ -8,24 +8,13 @@ type splitting = Godunov | Strang
 
 type config = {
   sigma : float;
-  cm : float;
   splitting : splitting;
-  threshold : float;
-  reset : float;
   block_check_ms : float option;
   probes : (int * int) option;
 }
 
 let default_config : config =
-  {
-    sigma = 0.001;
-    cm = 1.0;
-    splitting = Godunov;
-    threshold = -20.0;
-    reset = -60.0;
-    block_check_ms = None;
-    probes = None;
-  }
+  { sigma = 0.001; splitting = Godunov; block_check_ms = None; probes = None }
 
 type t = {
   driver : Driver.t;
@@ -72,9 +61,7 @@ let create ?engine ?tile ?specialize ?(config = default_config)
     ~(dt : float) ~(protocol : Protocol.t) : t =
   let n = Geometry.cells geom in
   let driver = Driver.create ?engine ?tile ?specialize gen ~ncells:n ~dt in
-  let act =
-    Activation.create ~threshold:config.threshold ~reset:config.reset ~n ()
-  in
+  let act = Activation.create ~n () in
   let vm_buf = Driver.ext_buffer driver "Vm" in
   let iion_buf = Driver.ext_buffer driver "Iion" in
   let probe_a, probe_b =
@@ -202,9 +189,7 @@ let step (m : t) : unit =
             let istim = Protocol.current m.protocol ~t:t0 ~cell:i in
             Float.Array.set m.rhs i
               (Float.Array.get m.vm_buf i
-              +. dt
-                 *. (istim -. Float.Array.get m.iion_buf i)
-                 /. m.cfg.cm)
+              +. (dt *. (istim -. Float.Array.get m.iion_buf i)))
           done);
       (* … then (3) the implicit diffusion solve *)
       Obs.Tracer.with_span "tissue.diffusion" (fun () -> diffuse m m.op_full)
@@ -221,9 +206,7 @@ let step (m : t) : unit =
             let istim = Protocol.current m.protocol ~t:t0 ~cell:i in
             Float.Array.set m.vm_buf i
               (Float.Array.get m.vm_buf i
-              +. dt
-                 *. (istim -. Float.Array.get m.iion_buf i)
-                 /. m.cfg.cm)
+              +. (dt *. (istim -. Float.Array.get m.iion_buf i)))
           done);
       (* (3) implicit diffusion over dt/2 *)
       Obs.Tracer.with_span "tissue.diffusion" (fun () ->

@@ -5,16 +5,19 @@
     with an implicit diffusion step ({!Diffusion}: tridiagonal Thomas on
     cables, CG on sheets):
 
-      Cm dVm/dt = σ ∇²Vm − Iion + Istim
+      dVm/dt = σ ∇²Vm − Iion + Istim
+
+    with the membrane capacitance fixed at Cm = 1 µF/cm², so the
+    reaction term carries no scale factor.
 
     {b Splitting order} (test-pinned, see DESIGN.md §12):
     - [Godunov] — per step: (1) ionic compute stage at the current state,
       (2) IMEX exchange+diffusion
-      [(I − dt·λ·L) Vm' = Vm + dt·(Istim − Iion)/Cm] — reaction
+      [(I − dt·λ·L) Vm' = Vm + dt·(Istim − Iion)] — reaction
       explicit, diffusion implicit, first-order in the splitting.
     - [Strang] — per step: (1) implicit diffusion over [dt/2], (2) the
       full-[dt] ionic stage plus explicit reaction update
-      [Vm += dt·(Istim − Iion)/Cm], (3) implicit diffusion over [dt/2]
+      [Vm += dt·(Istim − Iion)], (3) implicit diffusion over [dt/2]
       — second-order.  The ionic kernel's [dt] is baked in by runtime
       specialization, so only the diffusion operator is halved.
 
@@ -29,10 +32,7 @@ type splitting = Godunov | Strang
 
 type config = {
   sigma : float;  (** effective diffusivity σ/(Cm·χ), cm²/ms *)
-  cm : float;  (** membrane capacitance scale for the reaction term *)
   splitting : splitting;
-  threshold : float;  (** upstroke detection threshold, mV *)
-  reset : float;  (** rearm threshold for reactivation counting, mV *)
   block_check_ms : float option;
       (** when set: at this simulation time, trip the conduction-block
           detector unless some cell {e outside} every stimulated region
@@ -43,8 +43,9 @@ type config = {
 }
 
 val default_config : config
-(** σ = 0.001 cm²/ms, Cm = 1, [Godunov], threshold −20 mV, reset
-    −60 mV, no block check, default probes. *)
+(** σ = 0.001 cm²/ms, [Godunov], no block check, default probes.
+    Activation is detected at {!Activation.create}'s defaults (upstroke
+    at −20 mV, rearm below −60 mV). *)
 
 type t
 

@@ -1,9 +1,8 @@
 (* Code-generation tests: every configuration of the generator must produce
-   the same simulation results (vectorization, data layouts, parameter
-   folding are all semantics-preserving), LUT approximation stays within
-   tolerance, the generated kernel matches an independent AST-level
-   reference step, and the shared compile cache keys, hits and evicts
-   correctly. *)
+   the same simulation results (vectorization and data layouts are
+   semantics-preserving), LUT approximation stays within tolerance, the
+   generated kernel matches an independent AST-level reference step, and
+   the shared compile cache keys and hits correctly. *)
 
 module K = Codegen.Kernel
 module C = Codegen.Config
@@ -40,9 +39,7 @@ Iion = I_Na + I_K + I_L;
 let the_model = lazy (Easyml.Sema.analyze_source ~name:"hhmix" model_src)
 
 let run_config ?(steps = 120) (cfg : C.t) : (string * float) list =
-  let options = { Easyml.Sema.fold_params = cfg.C.fold_params } in
-  let m = Easyml.Sema.analyze_source ~options ~name:"hhmix" model_src in
-  let g = K.generate cfg m in
+  let g = K.generate cfg (Lazy.force the_model) in
   Ir.Verifier.verify_module_exn g.K.modl;
   let d = Sim.Driver.create g ~ncells:8 ~dt:0.01 in
   let stim = Sim.Stim.make ~amplitude:20.0 ~start:0.2 ~duration:0.5 () in
@@ -76,13 +73,6 @@ let test_layouts_agree () =
         (run_config { (C.mlir ~width:4) with layout }))
     [ Runtime.Layout.AoS; Runtime.Layout.SoA; Runtime.Layout.AoSoA 4;
       Runtime.Layout.AoSoA 8 ]
-
-let test_param_folding_agrees () =
-  let reference = run_config C.baseline in
-  check_same "params as runtime loads" reference
-    (run_config { C.baseline with fold_params = false });
-  check_same "vector + runtime params" reference
-    (run_config { (C.mlir ~width:8) with fold_params = false })
 
 let test_autovec_agrees () =
   check_same "autovec profile" (run_config C.baseline)
@@ -297,44 +287,10 @@ let test_cache_distinguishes_configs () =
   let s = Codegen.Cache.stats () in
   Alcotest.(check int) "three misses, no aliasing" 3 s.Codegen.Cache.misses
 
-let test_cache_lru_eviction () =
-  Codegen.Cache.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      (* other tests share the process-wide cache: restore unbounded *)
-      Codegen.Cache.set_capacity None;
-      Codegen.Cache.clear ())
-    (fun () ->
-      (match Codegen.Cache.set_capacity (Some 0) with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "capacity 0 must be rejected");
-      Codegen.Cache.set_capacity (Some 2);
-      let m =
-        Models.Registry.model (Models.Registry.find_exn "MitchellSchaeffer")
-      in
-      let ga = Codegen.Cache.generate C.baseline m in
-      let _ = Codegen.Cache.generate (C.mlir ~width:2) m in
-      (* touch the oldest entry so LRU order is baseline < width-2 *)
-      let ga' = Codegen.Cache.generate C.baseline m in
-      Alcotest.(check bool) "touch is a hit" true (ga == ga');
-      (* third insert over capacity 2 evicts width-2 (the LRU entry) *)
-      let _ = Codegen.Cache.generate (C.mlir ~width:4) m in
-      let s = Codegen.Cache.stats () in
-      Alcotest.(check int) "one eviction" 1 s.Codegen.Cache.evictions;
-      (* the survivor still hits; the victim must recompile *)
-      let ga'' = Codegen.Cache.generate C.baseline m in
-      Alcotest.(check bool) "LRU survivor kept" true (ga == ga'');
-      let misses_before = (Codegen.Cache.stats ()).Codegen.Cache.misses in
-      let _ = Codegen.Cache.generate (C.mlir ~width:2) m in
-      Alcotest.(check int) "evicted entry recompiles"
-        (misses_before + 1)
-        (Codegen.Cache.stats ()).Codegen.Cache.misses)
-
 let suite =
   [
     Alcotest.test_case "widths 2/4/8 == scalar" `Quick test_widths_agree;
     Alcotest.test_case "layouts agree" `Quick test_layouts_agree;
-    Alcotest.test_case "param folding agrees" `Quick test_param_folding_agrees;
     Alcotest.test_case "autovec agrees" `Quick test_autovec_agrees;
     Alcotest.test_case "optimization preserves kernel" `Quick
       test_unoptimized_agrees;
@@ -354,6 +310,4 @@ let suite =
       test_cache_hit_bitwise_identical;
     Alcotest.test_case "cache keys on config and pipeline" `Quick
       test_cache_distinguishes_configs;
-    Alcotest.test_case "cache LRU eviction under capacity" `Quick
-      test_cache_lru_eviction;
   ]

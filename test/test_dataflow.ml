@@ -1,7 +1,7 @@
 (* Dataflow-framework tests: interval soundness on random lowered IR and
    on the congruence algebra, footprint soundness over random address
-   chains, definite-initialization, kernel bounds proofs, the pipeline
-   analysis cache, deep verification over the catalogue, and the EasyML
+   chains, definite-initialization, kernel bounds proofs, deep
+   verification over the catalogue, and the EasyML
    lint (including the seeded bad model the CLI test rejects). *)
 
 open Ir
@@ -180,36 +180,6 @@ let test_meminit_loop_sweep_covers () =
     "no issues" 0
     (List.length (A.Meminit.check_func f))
 
-(* -- pipeline analysis cache ------------------------------------------ *)
-
-let test_analyses_cache_and_invalidation () =
-  let m = Models.Registry.model (Models.Registry.find_exn "MitchellSchaeffer") in
-  let g = Codegen.Kernel.generate ~optimize:false (C.mlir ~width:4) m in
-  let f = List.hd g.Codegen.Kernel.modl.Func.m_funcs in
-  let t = Passes.Analyses.create () in
-  let st1 = Passes.Analyses.interval t f in
-  let st2 = Passes.Analyses.interval t f in
-  Alcotest.(check bool) "second query hits the cache" true (st1 == st2);
-  Alcotest.(check int) "one cached state" 1 (Passes.Analyses.cached_intervals t);
-  Passes.Analyses.invalidate t f;
-  Alcotest.(check int) "invalidation drops it" 0
-    (Passes.Analyses.cached_intervals t);
-  let st3 = Passes.Analyses.interval t f in
-  Alcotest.(check bool) "recomputed after invalidation" true (st3 != st1);
-  (* running the pipeline with a shared cache must leave only valid
-     entries (every changed function was invalidated) *)
-  let t2 = Passes.Analyses.create () in
-  List.iter
-    (fun f -> ignore (Passes.Analyses.interval t2 f))
-    g.Codegen.Kernel.modl.Func.m_funcs;
-  ignore
-    (Passes.Pass.run_pipeline ~analyses:t2 Passes.Pipeline.standard
-       g.Codegen.Kernel.modl);
-  Alcotest.(check bool)
-    "pipeline invalidated rewritten functions" true
-    (Passes.Analyses.cached_intervals t2
-    < List.length g.Codegen.Kernel.modl.Func.m_funcs)
-
 (* -- deep verification over the catalogue ------------------------------ *)
 
 let test_all_models_deep_verify () =
@@ -314,8 +284,6 @@ let suite =
       test_meminit_flags_uninitialized_read;
     Alcotest.test_case "meminit: loop sweep covers buffer" `Quick
       test_meminit_loop_sweep_covers;
-    Alcotest.test_case "analysis cache memoizes and invalidates" `Quick
-      test_analyses_cache_and_invalidation;
     Alcotest.test_case "all 43: deep verification is clean" `Slow
       test_all_models_deep_verify;
     Alcotest.test_case "lint flags the seeded bad model" `Quick

@@ -1,5 +1,6 @@
 (* Simulation-driver tests: initialization, reset, padding, accessors,
-   determinism, per-thread kernel instances, timed stepping. *)
+   determinism, per-thread kernel instances, timed stepping, the
+   checkpointing time loop. *)
 
 module K = Codegen.Kernel
 module C = Codegen.Config
@@ -115,6 +116,42 @@ let test_step_timed () =
     (t >= 0.0 && t < 5.0);
   Helpers.fcheck "clock advanced" 0.01 (Sim.Driver.time d)
 
+(* [run] is [steps] calls of [step] plus the checkpoint hook: it ends
+   bitwise where stepping by hand ends, and records a checkpoint at every
+   due step equal by digest to a capture taken by hand at that step *)
+let test_run_is_stepping () =
+  let steps = 350 and stride = 100 in
+  let stim =
+    Sim.Stim.make ~amplitude:40.0 ~start:0.5 ~duration:1.0 ~period:1.5 ()
+  in
+  let create () =
+    Sim.Driver.create ~engine:Sim.Driver.Batched (Lazy.force gen8) ~ncells:10
+      ~dt:0.01
+  in
+  let digest d = Obs.Recorder.digest (Sim.Driver.capture d) in
+  let by_hand = create () in
+  let want = ref [] in
+  for _ = 1 to steps do
+    Sim.Driver.step ~stim by_hand;
+    if by_hand.Sim.Driver.steps_done mod stride = 0 then
+      want := digest by_hand :: !want
+  done;
+  Test_recorder.with_temp_dir (fun dir ->
+      let w = Obs.Recorder.create_writer ~keep:steps ~dir ~stride () in
+      let d = create () in
+      ignore (Sim.Driver.run ~stim ~ckpt:w d ~steps);
+      Alcotest.(check string) "final state" (digest by_hand) (digest d);
+      let recorded =
+        Sys.readdir dir |> Array.to_list |> List.sort String.compare
+        |> List.map (fun f ->
+               match Obs.Recorder.read (Filename.concat dir f) with
+               | Ok ck -> Obs.Recorder.digest ck
+               | Error e -> Alcotest.failf "%s: %s" f e.Easyml.Diag.message)
+      in
+      Alcotest.(check int) "one checkpoint per stride" (steps / stride)
+        (List.length recorded);
+      Alcotest.(check (list string)) "checkpoints" (List.rev !want) recorded)
+
 let test_accessor_errors () =
   let d = Sim.Driver.create (Lazy.force gen8) ~ncells:4 ~dt:0.01 in
   (match Sim.Driver.state d "not_a_state" 0 with
@@ -164,7 +201,6 @@ let test_default_engine () =
       Alcotest.(check string) what "batched"
         (Sim.Driver.engine_name d.Sim.Driver.engine))
     [
-      ("create_cached default", Sim.Driver.create_cached C.baseline m ~ncells:4 ~dt:0.01);
       ("create default", Sim.Driver.create g ~ncells:4 ~dt:0.01);
       ("~engine:Fused", Sim.Driver.create ~engine:Sim.Driver.Fused g ~ncells:4 ~dt:0.01);
     ]
@@ -179,6 +215,8 @@ let suite =
     Alcotest.test_case "cells independent across lanes" `Quick
       test_cells_independent;
     Alcotest.test_case "step_timed" `Quick test_step_timed;
+    Alcotest.test_case "run == step loop + checkpoint hook" `Quick
+      test_run_is_stepping;
     Alcotest.test_case "accessor errors" `Quick test_accessor_errors;
     Alcotest.test_case "create validation" `Quick test_create_validation;
     Alcotest.test_case "compute stage leaves Vm" `Quick

@@ -305,16 +305,6 @@ Iion = 2.0 * Vm^2.0 - (-Vm)^2.0 + Vm * 0.0;
   (* 2*9 - 9 = 9 *)
   Helpers.fcheck "2*Vm^2 - (-Vm)^2" 9.0 v
 
-let test_no_fold_params () =
-  let m =
-    Sema.analyze_source ~name:"t"
-      ~options:{ Sema.fold_params = false }
-      minimal
-  in
-  let sv = Option.get (Model.find_state m "y") in
-  Alcotest.(check bool) "param kept symbolic" true
-    (List.mem "g" (Ast.free_vars sv.sv_diff))
-
 let suite =
   [
     Alcotest.test_case "lex basic" `Quick test_lex_basic;
@@ -339,5 +329,4 @@ let suite =
     Alcotest.test_case "store/trace keep assigns" `Quick
       test_store_trace_keep_assigns;
     Alcotest.test_case "caret power extension" `Quick test_caret_power;
-    Alcotest.test_case "fold_params off" `Quick test_no_fold_params;
   ]

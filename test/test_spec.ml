@@ -1,10 +1,11 @@
 (* Run-spec tests: the checkpoint metadata round trip (property-based,
    special float bit patterns included), runs resumed through a spec
    read back from a written checkpoint finishing at the uninterrupted
-   digest, every dropped or garbled metadata key failing as a structured
-   diagnostic, checkpoints written by earlier releases replaying to the
-   digests those releases recorded, out-of-range flags failing as
-   diagnostics, and the old [fused] engine name running batched. *)
+   digest, every dropped, garbled or out-of-range metadata key failing as
+   a structured diagnostic, checkpoints written by earlier releases
+   replaying to the digests those releases recorded, out-of-range flags
+   and unusable input files failing as diagnostics, and the old [fused]
+   engine name running batched. *)
 
 module R = Obs.Recorder
 module S = Spec
@@ -212,7 +213,13 @@ let test_key_matrix () =
           let bad = if key = "model_ref" then "FentonKarma" else "zz" in
           expect ("garbled " ^ key)
             (List.map (fun (k, v) -> (k, if k = key then bad else v)) ck.R.ck_meta))
-        ck.R.ck_meta)
+        ck.R.ck_meta;
+      (* well-formed but out of range: the float bounds refuse ±inf *)
+      expect "infinite dt_bits"
+        (List.map
+           (fun (k, v) ->
+             (k, if k = "dt_bits" then R.hex_of_float Float.infinity else v))
+           ck.R.ck_meta))
     [ cells "BeelerReuter"; cable S.S1 ]
 
 (* test data, from the build tree or the repository root *)
@@ -244,13 +251,33 @@ let test_release_fixture () =
 (* Every value the create functions (or the recorder and health monitor)
    would refuse exits 1 with a diagnostic naming the flag, never 125 with
    an uncaught exception; [--ny 0] is refused up front rather than
-   written into checkpoints that replay then rejects. *)
+   written into checkpoints that replay then rejects.  Infinite float
+   flags are out of range like NaN, and an input file that cannot be
+   read, parsed or verified is a diagnostic too. *)
 let test_bad_flags () =
   let bench = Filename.concat (Filename.dirname Test_native.cli) "bench.exe" in
   Test_recorder.with_temp_dir (fun dir ->
       let ck = Filename.concat dir "ck" in
       let cli flag args = (Test_native.cli, args, flag ^ " must be") in
+      let diag code args = (Test_native.cli, args, "[" ^ code ^ "]") in
       let ms = [ "MitchellSchaeffer"; "--steps"; "10" ] in
+      let file name text =
+        let p = Filename.concat dir name in
+        Out_channel.with_open_bin p (fun oc -> output_string oc text);
+        p
+      in
+      let garbage_ir = file "garbage.mlir" "this is not IR\n" in
+      let ill_typed_ir =
+        file "ill_typed.mlir"
+          "module @m {\n  func.func @f(%0 : f64, %1 : i64) -> () {\n    \
+           %2 = arith.addf %0, %1 : (f64, i64) -> f64\n    func.return\n  }\n}\n"
+      in
+      let bad_mmt = file "bad.mmt" "[[model]]\nname: x\n[membrane]\nV = 1 +\n" in
+      let undefined_mmt =
+        file "undefined.mmt"
+          "[[model]]\nname: x\nmembrane.V = -80\n[membrane]\ndot(V) = -i_ion\n\
+           i_ion = nowhere * 2\n"
+      in
       List.iter
         (fun (exe, args, want) ->
           let code, _, err = Test_native.start_exe exe ~env:[] args () in
@@ -281,12 +308,22 @@ let test_bad_flags () =
           cli "--refresh" ("serve" :: "--port" :: "0" :: "--refresh" :: "0" :: ms);
           cli "--threads"
             [ "replay"; path "fixtures/ms_cells16_fused.ckpt"; "--threads"; "0" ];
-          (Test_native.cli, [ "check" ], "[no-models]");
+          diag "no-models" [ "check" ];
           (bench, [ "NoSuchModel" ], "[unknown-model]");
           (bench, [ "MitchellSchaeffer"; "--cells"; "0" ], "--cells must be");
           (bench, [ "MitchellSchaeffer"; "--threads"; "0" ],
            "--threads must be");
           (bench, [ "MitchellSchaeffer"; "--dt"; "0" ], "--dt must be");
+          cli "--dt" ("run" :: "--dt" :: "inf" :: "--checkpoint-dir" :: ck :: ms);
+          cli "--sigma" ("tissue" :: "--sigma" :: "inf" :: ms);
+          cli "--dx" ("tissue" :: "--dx" :: "inf" :: ms);
+          (bench, [ "MitchellSchaeffer"; "--dt"; "inf" ], "--dt must be");
+          diag "ir-parse" [ "parse"; garbage_ir ];
+          diag "ir-verify" [ "parse"; ill_typed_ir ];
+          diag "mmt-parse" [ "import-mmt"; bad_mmt ];
+          diag "load-failed" [ "import-mmt"; "--check"; undefined_mmt ];
+          diag "load-failed" [ "run"; dir; "--checkpoint-dir"; ck ];
+          diag "load-failed" [ "validate-metrics"; dir ];
         ];
       Alcotest.(check bool) "no checkpoint written" false (Sys.file_exists ck))
 

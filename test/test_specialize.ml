@@ -1,8 +1,8 @@
 (* Runtime-specialization tests: qcheck semantic-identity property on
    random straight-line kernels with random binding environments, the
    43-model bitwise differential (specialized == unspecialized on the
-   closure and batched engines), cache identity of specialized artifacts,
-   canonical env serialization, and the stimulus phase split. *)
+   closure and batched engines), cache identity of specialized artifacts
+   and canonical env serialization. *)
 
 open Exec
 module C = Codegen.Config
@@ -111,7 +111,7 @@ let spec_identity ~(w : int) name =
 
 (* Specialized == unspecialized, bitwise, for every bundled model on the
    closure and batched engines, scalar and vector configs: the exploited
-   run constants (dt, padded cell count, stimulus phases) fold without
+   run constants (dt, padded cell count) fold without
    perturbing a single bit of the trajectory. *)
 let test_all_models_specialized_bitwise () =
   List.iter
@@ -242,32 +242,6 @@ let test_driver_bindings_bound () =
     (Printf.sprintf "compute + lut_init bindings (got %d)" st.S.bound)
     true (st.S.bound >= 2)
 
-(* -- stimulus phase split ------------------------------------------------ *)
-
-let segments_exact_rle =
-  Helpers.qtest ~count:300 "stim segments are an exact RLE of at()"
-    QCheck.(
-      quad (float_range 0.0 2.0) (float_range 0.0 1.0)
-        (float_range 0.001 0.05) (int_range 0 300))
-    (fun (start, duration, dt, steps) ->
-      let s = Sim.Stim.make ~amplitude:40.0 ~start ~duration ~period:1.5 () in
-      let segs = Sim.Stim.segments s ~t0:0.0 ~dt ~steps in
-      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 segs in
-      if total <> steps then false
-      else begin
-        (* replaying the RLE reproduces at() on the exact accumulated
-           time sequence the driver walks *)
-        let t = ref 0.0 and ok = ref true in
-        List.iter
-          (fun (v, n) ->
-            for _ = 1 to n do
-              if not (Float.equal (Sim.Stim.at s !t) v) then ok := false;
-              t := !t +. dt
-            done)
-          segs;
-        !ok
-      end)
-
 let suite =
   [
     spec_identity ~w:1
@@ -285,5 +259,4 @@ let suite =
     Alcotest.test_case "canonical env serialization" `Quick test_canon_env;
     Alcotest.test_case "driver run constants all bind" `Quick
       test_driver_bindings_bound;
-    segments_exact_rle;
   ]
