@@ -18,12 +18,6 @@ type access = {
   acc_write : bool;
 }
 
-let pp_access ppf (a : access) =
-  Fmt.pf ppf "%s %s[%a] (%s)"
-    (if a.acc_write then "write" else "read")
-    (Fmt.str "%a" Interval.pp_origin a.acc_origin)
-    I.pp a.acc_itv (Op.kind_name a.acc_op.Op.kind)
-
 (* Vector ops at width [w] starting at index [i] touch [i .. i+w-1]. *)
 let widen_by (itv : I.t) (w : int) : I.t =
   if w <= 1 then itv else I.add itv (I.range 0 (w - 1))

@@ -10,8 +10,6 @@ type access = {
   acc_write : bool;
 }
 
-val pp_access : access Fmt.t
-
 val widen_by : Itv.I.t -> int -> Itv.I.t
 (** Vector ops at width [w] starting at index [i] touch [i .. i+w-1]:
     widen the start-index interval by the lane span. *)

@@ -368,8 +368,6 @@ end
 module Solver = Dataflow.Make (Client)
 
 let join = Client.join
-let equal_v = Client.equal
-let pp_v = Client.pp
 
 type state = Solver.state
 

@@ -57,5 +57,3 @@ val int_itv : state -> Ir.Value.t -> Itv.I.t
 val mem_origin : state -> Ir.Value.t -> origin
 
 val join : v -> v -> v
-val equal_v : v -> v -> bool
-val pp_v : v Fmt.t

@@ -27,9 +27,6 @@ module I = Itv.I
 
 type issue = { mi_op : Op.op; mi_alloc : int; mi_msg : string }
 
-let pp_issue ppf (i : issue) =
-  Fmt.pf ppf "%s: %s" (Op.kind_name i.mi_op.Op.kind) i.mi_msg
-
 (* -- coalesced range sets ------------------------------------------- *)
 
 type ranges = (int * int) list (* sorted, disjoint, non-adjacent *)

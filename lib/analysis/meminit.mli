@@ -15,8 +15,6 @@ type issue = {
   mi_msg : string;
 }
 
-val pp_issue : issue Fmt.t
-
 val check_func : Ir.Func.func -> issue list
 (** Reads of alloc'd buffers not provably preceded by covering writes,
     in program order. *)

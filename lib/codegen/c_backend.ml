@@ -11,15 +11,18 @@
    accident:
    - float constants print as C hex literals (exact bit patterns);
    - math builtins map to the same libm entry points the interpreter's
-     registry calls (OCaml's Float.exp etc. are direct libm externs);
+     registry calls (OCaml's Float.exp etc. are direct libm externs), and
+     every transcendental among them is one of Exec.Native.libm_calls,
+     whose -fno-builtin-<f> flags keep cc from evaluating it at compile
+     time with MPFR instead of glibc;
    - fmin/fmax/min/max and arith.minf/maxf use OCaml Float.min/Float.max
      semantics (NaN-propagating, -0 < +0), emitted as ml_fmin/ml_fmax
      rather than C fmin/fmax (which differ on NaN);
    - LUT interpolation (linear + Catmull-Rom) is emitted inline as an
      operation-for-operation transcription of Runtime.Lut;
    - the unit is compiled with -ffp-contract=off -fno-fast-math (see
-     Exec.Native.flags) so no FMA contraction or libm replacement can
-     perturb results. *)
+     Exec.Native.flags) so no FMA contraction or value-unsafe rewrite
+     can perturb results. *)
 
 open Ir
 
@@ -57,15 +60,6 @@ type ctx = {
   buf : Buffer.t;
   names : (int, string) Hashtbl.t; (* value id -> C local name *)
   locals : (string, unit) Hashtbl.t; (* names of module-local functions *)
-  consts : (int, unit) Hashtbl.t;
-      (* value ids the C compiler could prove compile-time constant;
-         transcendental calls over these are emitted behind a volatile
-         guard (see [mark_const]) *)
-  pconsts : (int, unit) Hashtbl.t;
-      (* value ids constant along at least one execution path — a select
-         with a constant arm, or pure arithmetic over such a value.  GCC
-         distributes a libm call over the phi and folds the constant arm
-         with MPFR, so these need the same volatile guard. *)
 }
 
 let pr ctx ind fmt =
@@ -137,7 +131,10 @@ let bbin_expr (k : Op.bbin) (a : string) (b : string) : string =
 
 (* One builtin registry mirror: must agree with Exec.Engine's
    unary_fn/binary_fn tables (same libm entry point, same argument
-   order).  Arguments are local names — pure, safe to repeat. *)
+   order).  Arguments are local names — pure, safe to repeat.  The
+   exactly-specified calls are listed here; the transcendentals come
+   from Exec.Native.libm_calls, so none is emitted without its
+   -fno-builtin flag. *)
 let math_expr (name : string) (a : string array) : string =
   match (name, Array.length a) with
   | "square", 1 -> Printf.sprintf "(%s * %s)" a.(0) a.(0)
@@ -146,85 +143,16 @@ let math_expr (name : string) (a : string array) : string =
   | ("min" | "fmin"), 2 -> Printf.sprintf "ml_fmin(%s, %s)" a.(0) a.(1)
   | ("max" | "fmax"), 2 -> Printf.sprintf "ml_fmax(%s, %s)" a.(0) a.(1)
   | "fmod", 2 -> Printf.sprintf "fmod(%s, %s)" a.(0) a.(1)
-  | (("pow" | "atan2" | "hypot") as f), 2 ->
-      Printf.sprintf "%s(%s, %s)" f a.(0) a.(1)
-  | ( (( "exp" | "expm1" | "log" | "log1p" | "log10" | "log2" | "sqrt"
-       | "cbrt" | "sin" | "cos" | "tan" | "tanh" | "sinh" | "cosh" | "asin"
-       | "acos" | "atan" | "floor" | "ceil" | "round" | "trunc" ) as f),
-      1 ) ->
+  | (("sqrt" | "floor" | "ceil" | "round" | "trunc") as f), 1 ->
       Printf.sprintf "%s(%s)" f a.(0)
+  | f, n
+    when List.mem f Exec.Native.libm_calls && n = Easyml.Builtins.arity_exn f
+    ->
+      Printf.sprintf "%s(%s)" f (String.concat ", " (Array.to_list a))
   | _ -> unsupported "math builtin %s/%d has no C lowering" name (Array.length a)
 
 let operand_names ctx (o : Op.op) : string array =
   Array.map (vname ctx) o.Op.operands
-
-(* Builtins whose C implementation may legitimately differ from libm by
-   1 ULP when the C compiler folds a constant-argument call at compile
-   time (GCC/Clang fold through correctly-rounded MPFR; glibc is only
-   faithfully rounded).  Exactly-specified operations — arithmetic,
-   sqrt, fabs, floor/ceil/trunc/round, fmod, and our ml_fmin/ml_fmax —
-   fold bitwise-identically and need no protection. *)
-let libm_folds = function
-  | "exp" | "expm1" | "log" | "log1p" | "log10" | "log2" | "cbrt" | "sin"
-  | "cos" | "tan" | "tanh" | "sinh" | "cosh" | "asin" | "acos" | "atan"
-  | "pow" | "atan2" | "hypot" ->
-      true
-  | _ -> false
-
-let all_operands_const ctx (o : Op.op) : bool =
-  Array.length o.Op.operands > 0
-  && Array.for_all
-       (fun (v : Value.t) -> Hashtbl.mem ctx.consts v.Value.id)
-       o.Op.operands
-
-(* Constant along at least one path (which includes fully constant). *)
-let is_pconst ctx (v : Value.t) : bool =
-  Hashtbl.mem ctx.consts v.Value.id || Hashtbl.mem ctx.pconsts v.Value.id
-
-(* Every operand provably constant along some common path — the
-   condition under which a C compiler can fold a libm call over that
-   path (splitting the select into a phi and folding the constant
-   arm). *)
-let all_operands_pconst ctx (o : Op.op) : bool =
-  Array.length o.Op.operands > 0 && Array.for_all (is_pconst ctx) o.Op.operands
-
-(* Track what a C compiler's constant propagation could prove: constants
-   themselves, pure element-wise ops fed only by constants, and —
-   path-wise — selects with a constant arm plus arithmetic over them.
-   Region results (For/If), loads and calls stay opaque.  A guarded
-   transcendental's result is deliberately NOT marked — the volatile
-   read below makes it unprovable, which also stops the guards from
-   cascading. *)
-let mark_const ctx (o : Op.op) : unit =
-  let mark () =
-    Array.iter
-      (fun (r : Value.t) -> Hashtbl.replace ctx.consts r.Value.id ())
-      o.Op.results
-  in
-  let mark_p () =
-    Array.iter
-      (fun (r : Value.t) -> Hashtbl.replace ctx.pconsts r.Value.id ())
-      o.Op.results
-  in
-  match o.Op.kind with
-  | Op.ConstF _ | Op.ConstI _ | Op.ConstB _ | Op.Iota _ -> mark ()
-  | Op.Select ->
-      if all_operands_const ctx o then mark ()
-      else if
-        (* a constant data arm is foldable along the path that takes it,
-           whatever the condition or the other arm hold *)
-        Array.length o.Op.operands = 3
-        && (is_pconst ctx o.Op.operands.(1) || is_pconst ctx o.Op.operands.(2))
-      then mark_p ()
-  | Op.BinF _ | Op.NegF | Op.BinI _ | Op.BinB _ | Op.NotB | Op.CmpF _
-  | Op.CmpI _ | Op.SIToFP | Op.FPToSI | Op.Broadcast | Op.VecExtract _ ->
-      if all_operands_const ctx o then mark ()
-      else if all_operands_pconst ctx o then mark_p ()
-  | Op.Math name ->
-      if not (libm_folds name) then
-        if all_operands_const ctx o then mark ()
-        else if all_operands_pconst ctx o then mark_p ()
-  | _ -> ()
 
 (* Element-wise op: scalar result defines a local directly; vector result
    declares an array and fills it with a constant-bound lane loop.
@@ -250,10 +178,6 @@ let emit_ew ctx ind (o : Op.op) (f : string array -> string) : unit =
         (f (operand_names ctx o))
 
 let rec emit_op ctx ind (o : Op.op) : unit =
-  emit_op_kind ctx ind o;
-  mark_const ctx o
-
-and emit_op_kind ctx ind (o : Op.op) : unit =
   let a = lazy (operand_names ctx o) in
   let an k = (Lazy.force a).(k) in
   match o.Op.kind with
@@ -275,41 +199,6 @@ and emit_op_kind ctx ind (o : Op.op) : unit =
   | Op.FPToSI ->
       (* OCaml int_of_float truncates toward zero, as does the C cast *)
       emit_ew ctx ind o (fun x -> Printf.sprintf "(int64_t)%s" x.(0))
-  | Op.Math m when libm_folds m && all_operands_pconst ctx o ->
-      (* The C compiler can prove every argument constant — outright, or
-         along one arm of a select it is free to split — and would fold
-         the call with its own correctly-rounded library (MPFR),
-         diverging by 1 ULP from the glibc call the OCaml engines make
-         at run time.  Route the first argument through a volatile
-         temporary so the call survives to run time.  Post-pipeline IR
-         carries no fully-constant such ops (the constant folder already
-         ate them with the host libm) — the scalar folder misses
-         constant *splats* and constant select arms though, so those
-         need this. *)
-      let r = o.Op.results.(0) in
-      let g = vname ctx r ^ "_cg" in
-      let guard x = Array.mapi (fun i e -> if i = 0 then g else e) x in
-      (match r.Value.ty with
-      | Ty.Vec (w, _) ->
-          decl ctx ind r;
-          let elems =
-            Array.map
-              (fun (v : Value.t) ->
-                match v.Value.ty with
-                | Ty.Vec _ -> vname ctx v ^ "[l]"
-                | _ -> vname ctx v)
-              o.Op.operands
-          in
-          pr ctx ind
-            "for (int l = 0; l < %d; l++) { volatile double %s = %s; %s[l] \
-             = %s; }"
-            w g elems.(0) (vname ctx r)
-            (math_expr m (guard elems))
-      | t ->
-          let x = Lazy.force a in
-          pr ctx ind "volatile double %s = %s;" g x.(0);
-          pr ctx ind "%s %s = %s;" (scalar_cty t) (vname ctx r)
-            (math_expr m (guard x)))
   | Op.Math m -> emit_ew ctx ind o (math_expr m)
   | Op.Broadcast ->
       let r = o.Op.results.(0) in
@@ -642,8 +531,6 @@ let emit_module ?(banner = []) (m : Func.modl) : string =
       buf = Buffer.create 8192;
       names = Hashtbl.create 256;
       locals = Hashtbl.create 8;
-      consts = Hashtbl.create 64;
-      pconsts = Hashtbl.create 64;
     }
   in
   List.iter

@@ -14,20 +14,14 @@
     Floating-point policy: constants are emitted as hex literals, libm
     names match the interpreter's builtin registry, [fmin]/[fmax] use
     OCaml [Float.min]/[Float.max] semantics (emitted inline), and the
-    unit is meant to be compiled with [-ffp-contract=off -fno-fast-math]
-    so trajectories stay bitwise-comparable to the OCaml engines.
-    A C compiler folds e.g. [tanh(<literal>)] at compile time with its
-    own correctly-rounded library (MPFR), which can differ by 1 ULP from
-    the glibc call the OCaml engines make at run time — so transcendental
-    calls whose arguments are provably compile-time constants — outright
-    or along one arm of a select the compiler can split — are emitted
-    with one argument routed through a [volatile] temporary, pinning
-    evaluation to run time.  Post-pipeline IR rarely carries such ops
-    (the scalar constant folder already ate the fully-constant ones,
-    using the host libm), but constant {e splats} in unspecialized
-    vector kernels and constant select arms do; exactly-specified
-    builtins (sqrt, fabs, floor, fmod, …) fold bitwise-identically and
-    stay unguarded.
+    unit is meant to be compiled with {!Exec.Native.flags} so
+    trajectories stay bitwise-comparable to the OCaml engines.  Every
+    transcendental call the emitter writes is one of
+    {!Exec.Native.libm_calls}, whose [-fno-builtin-<f>] flags stop the C
+    compiler from evaluating it at compile time with its own
+    correctly-rounded library (MPFR), which can differ by 1 ULP from the
+    glibc call the OCaml engines make at run time.  Exactly-specified
+    builtins (sqrt, fabs, floor, fmod, …) keep their builtins.
 
     Aliasing contract: because memref parameters are
     [restrict]-qualified, callers must pass pairwise-distinct buffers —

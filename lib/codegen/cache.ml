@@ -60,15 +60,10 @@ let locked f =
 
 exception Validation_failed of Analysis.Transval.cert
 
-(* Opt-in switch: the LIMPET_VALIDATE environment variable (1/true/on/
-   yes) or {!set_validation}.  When on, every pipeline run behind this
-   cache proves each pass application semantics-preserving and records
-   the certificates alongside the artifact's key. *)
-let validation =
-  ref
-    (match Sys.getenv_opt "LIMPET_VALIDATE" with
-    | Some ("1" | "true" | "on" | "yes") -> true
-    | _ -> false)
+(* Opt-in switch, {!set_validation}.  When on, every pipeline run behind
+   this cache proves each pass application semantics-preserving and
+   records the certificates alongside the artifact's key. *)
+let validation = ref false
 
 let set_validation (b : bool) : unit = locked (fun () -> validation := b)
 let validation_enabled () : bool = locked (fun () -> !validation)

@@ -28,10 +28,9 @@ val pipeline_id : string
 
 (** {2 Translation validation}
 
-    When enabled (the [LIMPET_VALIDATE] environment variable set to
-    [1]/[true]/[on]/[yes], or {!set_validation}), every pipeline run
-    behind this cache — kernel generation and specialization — proves
-    each pass application semantics-preserving with
+    When enabled ({!set_validation}), every pipeline run behind this
+    cache — kernel generation and specialization — proves each pass
+    application semantics-preserving with
     {!Analysis.Transval.check_module}, and the specializer additionally
     discharges its composite obligation (source under the binding
     environment ≡ specialized output, pass id ["specialize"]).
@@ -44,7 +43,6 @@ exception Validation_failed of Analysis.Transval.cert
     counterexample) is recorded before the raise. *)
 
 val set_validation : bool -> unit
-val validation_enabled : unit -> bool
 
 val certificates : unit -> (string * Analysis.Transval.cert list) list
 (** All recorded certificates, by cache key (sorted), each key's

@@ -117,8 +117,3 @@ let update_expr (sv : Model.state_var) : Ast.expr =
     | Model.MarkovBE -> markov_be sv
   in
   Fold.fold_alist [] e
-
-(** Reference evaluation of one update, used by tests: next value of [sv]
-    given bindings for every state, external, dt and t. *)
-let eval_update (sv : Model.state_var) (env : (string * float) list) : float =
-  Eval.eval_alist env (update_expr sv)

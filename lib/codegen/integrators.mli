@@ -28,5 +28,3 @@ val rush_larsen_update :
 
 val update_expr : Easyml.Model.state_var -> Easyml.Ast.expr
 (** The (folded) update expression under the state's declared method. *)
-
-val eval_update : Easyml.Model.state_var -> (string * float) list -> float

@@ -132,8 +132,6 @@ let rec pp_stmt ppf = function
       if els <> [] then
         Fmt.pf ppf "else {@[<v 2>@,%a@]@,}" (Fmt.list ~sep:Fmt.cut pp_stmt) els
 
-let pp_program = Fmt.list ~sep:Fmt.cut pp_stmt
-
 (** Free variables of an expression, in first-occurrence order. *)
 let free_vars (e : expr) : string list =
   let seen = Hashtbl.create 8 in

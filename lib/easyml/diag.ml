@@ -11,9 +11,6 @@ let severity_name = function
   | Warning -> "warning"
   | Error -> "error"
 
-(** Stable severity order: [Error] ranks highest. *)
-let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
-
 type t = {
   sev : severity;
   loc : Loc.t;  (** {!Loc.none} for model-level diagnostics *)

@@ -67,10 +67,6 @@ type t = {
           lint pass for located diagnostics *)
 }
 
-(** Messages of the accumulated diagnostics, for quick assertions. *)
-let warning_strings (m : t) : string list =
-  List.map (fun (d : Diag.t) -> d.Diag.message) m.warnings
-
 let find_loc (m : t) (name : string) : Loc.t =
   Option.value ~default:Loc.none (List.assoc_opt name m.locs)
 
@@ -80,8 +76,6 @@ let find_state (m : t) (name : string) : state_var option =
 let find_ext (m : t) (name : string) : ext_var option =
   List.find_opt (fun e -> String.equal e.ext_name name) m.externals
 
-let is_state (m : t) name = Option.is_some (find_state m name)
-let is_ext (m : t) name = Option.is_some (find_ext m name)
 let n_states (m : t) = List.length m.states
 
 (** Names an expression may legitimately reference besides definitions:

@@ -9,7 +9,19 @@ type origin = Disk | Compiled of float
 
 let so_path (l : lib) = l.path
 
-let flags = [ "-O3"; "-shared"; "-fPIC"; "-ffp-contract=off"; "-fno-fast-math" ]
+(* glibc computes these to within an ULP or so, not correctly rounded;
+   cc folds a call with arguments it can prove constant (outright, along
+   one arm of a select, or through an unrolled loop) with correctly
+   rounded MPFR instead, so each gets -fno-builtin-<f>. *)
+let libm_calls =
+  [ "exp"; "expm1"; "log"; "log1p"; "log10"; "log2"; "cbrt"; "sin"; "cos";
+    "tan"; "tanh"; "sinh"; "cosh"; "asin"; "acos"; "atan"; "pow"; "atan2";
+    "hypot" ]
+
+let flags =
+  [ "-O3"; "-shared"; "-fPIC"; "-ffp-contract=off"; "-fno-fast-math" ]
+  @ List.map (fun f -> "-fno-builtin-" ^ f) libm_calls
+
 let flags_id = String.concat " " flags
 
 exception

@@ -48,11 +48,19 @@ type origin =
   | Disk  (** loaded from a verified store entry *)
   | Compiled of float  (** the C compiler ran, for this many wall ms *)
 
+val libm_calls : string list
+(** The libm functions a kernel may call whose glibc results are not
+    exactly specified: [exp expm1 log log1p log10 log2 cbrt sin cos tan
+    tanh sinh cosh asin acos atan pow atan2 hypot]. *)
+
 val flags : string list
 (** Compilation flags: [-O3 -shared -fPIC -ffp-contract=off
-    -fno-fast-math].  FP-contract off and no fast-math are load-bearing:
-    they forbid FMA contraction and libm substitution, keeping native
-    trajectories bitwise-comparable to the OCaml engines. *)
+    -fno-fast-math], then [-fno-builtin-<f>] for each of {!libm_calls}.
+    All but the first three are load-bearing: they forbid FMA
+    contraction, value-unsafe rewrites and compile-time evaluation of
+    those calls (cc would use correctly-rounded MPFR, not glibc),
+    keeping native trajectories bitwise-comparable to the OCaml
+    engines. *)
 
 val flags_id : string
 (** The flags as one string (cache-key component). *)

@@ -43,11 +43,3 @@ let lookup (r : registry) name =
 
 (** A fresh zero-initialised buffer. *)
 let buffer (n : int) : floatarray = Float.Array.make n 0.0
-
-let buffer_of_list (l : float list) : floatarray =
-  let a = Float.Array.create (List.length l) in
-  List.iteri (Float.Array.set a) l;
-  a
-
-let buffer_to_list (a : floatarray) : float list =
-  List.init (Float.Array.length a) (Float.Array.get a)

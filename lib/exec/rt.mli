@@ -33,6 +33,3 @@ val lookup : registry -> string -> v array -> v array
 
 val buffer : int -> floatarray
 (** A fresh zero-initialised buffer. *)
-
-val buffer_of_list : float list -> floatarray
-val buffer_to_list : floatarray -> float list

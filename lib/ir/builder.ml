@@ -181,13 +181,6 @@ let broadcast b ~(width : int) (x : Value.t) : Value.t =
   if not (Ty.is_scalar x.ty) then terr "broadcast: operand must be scalar";
   if width = 1 then x else emit1 b Op.Broadcast [ x ] (Ty.vec width x.ty)
 
-let vec_extract b (v : Value.t) (lane : int) : Value.t =
-  match v.ty with
-  | Ty.Vec (w, e) when lane >= 0 && lane < w ->
-      emit1 b (Op.VecExtract lane) [ v ] e
-  | Ty.Vec (w, _) -> terr "vector.extract: lane %d out of range 0..%d" lane (w - 1)
-  | _ -> terr "vector.extract: operand must be a vector"
-
 let check_memref what (m : Value.t) =
   if not (Ty.equal m.ty Ty.Memref) then terr "%s: expected memref operand" what
 

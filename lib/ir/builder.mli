@@ -77,7 +77,6 @@ val math : t -> string -> Value.t list -> Value.t
 val broadcast : t -> width:int -> Value.t -> Value.t
 (** Identity at [width = 1]. *)
 
-val vec_extract : t -> Value.t -> int -> Value.t
 val vec_load : t -> width:int -> mem:Value.t -> idx:Value.t -> Value.t
 val vec_store : t -> vec:Value.t -> mem:Value.t -> idx:Value.t -> unit
 val gather : t -> mem:Value.t -> idxs:Value.t -> Value.t

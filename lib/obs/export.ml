@@ -120,8 +120,7 @@ let chrome (s : Tracer.snapshot) : string =
             ("pid", Num 1.0); ("tid", Num 0.0);
             ("args", Obj [ ("value", Num v) ]);
           ])
-      (s.Tracer.counters
-      @ List.map (fun (n, v) -> ("gauge:" ^ n, v)) s.Tracer.gauges)
+      s.Tracer.counters
   in
   to_string
     (Obj
@@ -249,13 +248,6 @@ let summary ?(health : Health.snapshot option) ?(build : build_info option)
         Buffer.add_string b (Printf.sprintf "%-32s %16.0f\n" name v))
       s.Tracer.counters
   end;
-  if s.Tracer.gauges <> [] then begin
-    Buffer.add_string b (Printf.sprintf "\n%-32s %16s\n" "gauge" "value");
-    List.iter
-      (fun (name, v) ->
-        Buffer.add_string b (Printf.sprintf "%-32s %16g\n" name v))
-      s.Tracer.gauges
-  end;
   if s.Tracer.dropped > 0 then
     Buffer.add_string b
       (Printf.sprintf "\n(%d event(s) dropped to ring overwrite)\n"
@@ -317,7 +309,8 @@ let prom_label (s : string) : string =
    [nan]/[inf]/[-inf], which Prometheus' Go parser happens to accept but
    OpenMetrics parsers reject; [NaN]/[+Inf]/[-Inf] are the exposition
    format's documented spellings ({!validate_prometheus} enforces them,
-   and health gauges legitimately carry NaN when nothing was sampled). *)
+   and health statistics legitimately carry NaN when nothing was
+   sampled). *)
 let prom_value (v : float) : string =
   if Float.is_nan v then "NaN"
   else if v = Float.infinity then "+Inf"
@@ -523,14 +516,6 @@ let prometheus ?(health : Health.snapshot option)
         (Printf.sprintf "limpetmlir_counter{name=\"%s\"} %s\n"
            (prom_label name) (prom_value v)))
     s.Tracer.counters;
-  Buffer.add_string b "# HELP limpetmlir_gauge Point-in-time gauges.\n";
-  Buffer.add_string b "# TYPE limpetmlir_gauge gauge\n";
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "limpetmlir_gauge{name=\"%s\"} %s\n" (prom_label name)
-           (prom_value v)))
-    s.Tracer.gauges;
   Option.iter (prom_health b) health;
   Option.iter (prom_tissue b) tissue;
   Option.iter (prom_build b) build;

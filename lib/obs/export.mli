@@ -37,7 +37,7 @@ type progress = {
   pg_steps_total : int;  (** planned steps (0 = unbounded) *)
   pg_time_ms : float;  (** simulation clock *)
 }
-(** Step-progress gauges for a live run ([limpetmlir_sim_*]). *)
+(** Step progress of a live run ([limpetmlir_sim_*] gauge families). *)
 
 val summarize : Tracer.snapshot -> span_stat list
 (** Per-name duration statistics over matched Begin/End pairs, sorted by
@@ -56,7 +56,7 @@ val validate_chrome : string -> (int, string) result
 val summary :
   ?health:Health.snapshot -> ?build:build_info -> Tracer.snapshot -> string
 (** Human-readable table: spans (count/total/mean/min/max), counters,
-    gauges, dropped-event note, plus a per-variable health section when
+    dropped-event note, plus a per-variable health section when
     [?health] is given.  [?build] prepends the build-identity lines
     (version, OCaml, pass-pipeline id, native toolchain). *)
 
@@ -85,10 +85,10 @@ val prometheus :
   ?progress:progress ->
   Tracer.snapshot ->
   string
-(** Prometheus text exposition: span totals and counts, counters,
-    gauges, and — when [?health] is given — the
-    [limpetmlir_health_*] metric families (steps sampled, per-variable
-    sample/NaN/Inf/range counters, min/mean/max state gauges, tripped
+(** Prometheus text exposition: span totals and counts, counters, and —
+    when [?health] is given — the [limpetmlir_health_*] metric families
+    (steps sampled, per-variable sample/NaN/Inf/range counters,
+    min/mean/max state values, tripped
     and unhealthy flags).  [?tissue] appends the [limpetmlir_tissue_*]
     families: cell count, activated cells, activation coverage,
     reactivated cells, conduction-block trips and measured conduction
@@ -96,7 +96,7 @@ val prometheus :
     [limpetmlir_build_info] gauge (constant 1, identity in the labels),
     [?checkpoint] the [limpetmlir_checkpoint_*] flight-recorder
     families, and [?progress] the [limpetmlir_sim_*] step-progress
-    gauges.  Everything emitted passes {!validate_prometheus}. *)
+    families.  Everything emitted passes {!validate_prometheus}. *)
 
 val validate_prometheus : string -> (int, string) result
 (** Check a Prometheus text exposition: [# HELP]/[# TYPE] pairing and

@@ -1,4 +1,4 @@
-(** Low-overhead runtime tracing: spans, counters and gauges.
+(** Low-overhead runtime tracing: spans and counters.
 
     The NMODL/Caliper-style telemetry core of the observability
     subsystem.  Design constraints, in order:
@@ -12,7 +12,7 @@
       parallel compute stage never takes a lock or bounces a cache line
       to trace; buffers merge only at {!snapshot} time;
     - {b bounded memory}: rings overwrite their oldest events once full
-      and count what they dropped; counters and gauges are per-Domain
+      and count what they dropped; counters are per-Domain
       accumulator cells (one float bump per hit, never an event), so
       hot counters cannot flood the ring.
 
@@ -46,7 +46,6 @@ type ring = {
       (** [[| last timestamp issued on this ring |]]; a floatarray cell,
           so updating it does not allocate *)
   r_counters : (string, float ref) Hashtbl.t;
-  r_gauges : (string, float * float) Hashtbl.t;  (** name -> (ts, value) *)
 }
 
 (* -- global state ----------------------------------------------------- *)
@@ -79,7 +78,6 @@ let make_ring () : ring =
       r_i = 0;
       r_last = Float.Array.make 1 0.0;
       r_counters = Hashtbl.create 16;
-      r_gauges = Hashtbl.create 8;
     }
   in
   Mutex.lock reg_lock;
@@ -95,8 +93,7 @@ let clear_ring (r : ring) : unit =
   r.r_n <- 0;
   r.r_i <- 0;
   Float.Array.set r.r_last 0 0.0;
-  Hashtbl.reset r.r_counters;
-  Hashtbl.reset r.r_gauges
+  Hashtbl.reset r.r_counters
 
 (* -- control ---------------------------------------------------------- *)
 
@@ -181,12 +178,6 @@ let count (name : string) (v : float) : unit =
     | None -> Hashtbl.add r.r_counters name (ref v)
   end
 
-let gauge (name : string) (v : float) : unit =
-  if Atomic.get on then begin
-    let r = my_ring () in
-    Hashtbl.replace r.r_gauges name (ring_now r, v)
-  end
-
 (* -- snapshot --------------------------------------------------------- *)
 
 type snapshot = {
@@ -194,7 +185,6 @@ type snapshot = {
       (** balanced and globally sorted by timestamp (per-Domain order
           preserved for equal stamps) *)
   counters : (string * float) list;  (** summed across domains, sorted *)
-  gauges : (string * float) list;  (** latest write wins, sorted *)
   dropped : int;  (** events lost to ring overwrite, all domains *)
 }
 
@@ -330,7 +320,6 @@ let snapshot () : snapshot =
     List.sort compare seqd |> List.map (fun (_, _, _, e) -> e)
   in
   let ctr : (string, float ref) Hashtbl.t = Hashtbl.create 32 in
-  let gau : (string, float * float) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun r ->
       Hashtbl.iter
@@ -338,22 +327,13 @@ let snapshot () : snapshot =
           match Hashtbl.find_opt ctr name with
           | Some c -> c := !c +. !cell
           | None -> Hashtbl.add ctr name (ref !cell))
-        r.r_counters;
-      Hashtbl.iter
-        (fun name (ts, v) ->
-          match Hashtbl.find_opt gau name with
-          | Some (ts', _) when ts' >= ts -> ()
-          | _ -> Hashtbl.replace gau name (ts, v))
-        r.r_gauges)
+        r.r_counters)
     rs;
-  let sorted_bindings h f =
-    Hashtbl.fold (fun k v acc -> (k, f v) :: acc) h []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   {
     events;
-    counters = sorted_bindings ctr (fun c -> !c);
-    gauges = sorted_bindings gau snd;
+    counters =
+      Hashtbl.fold (fun k c acc -> (k, !c) :: acc) ctr []
+      |> List.sort (fun (a, _) (b, _) -> compare a b);
     dropped =
       List.fold_left (fun acc r -> acc + max 0 (r.r_n - r.r_cap)) 0 rs;
   }

@@ -1,4 +1,4 @@
-(** Low-overhead runtime tracing: spans, counters and gauges.
+(** Low-overhead runtime tracing: spans and counters.
 
     Per-Domain lock-free ring buffers with monotonic timestamps; every
     recording entry point costs one atomic flag load when tracing is
@@ -24,7 +24,7 @@ val disable : unit -> unit
 (** Stop recording; buffered events stay readable via {!snapshot}. *)
 
 val reset : unit -> unit
-(** Clear every ring, counter and gauge.  Only call while no other
+(** Clear every ring and counter.  Only call while no other
     domain is recording. *)
 
 val set_capacity : int -> unit
@@ -42,15 +42,10 @@ val count : string -> float -> unit
 (** Accumulate into a per-Domain counter cell — no event is recorded, so
     counters are safe at any rate. *)
 
-val gauge : string -> float -> unit
-(** Record a point-in-time value; the latest write (by timestamp) wins at
-    snapshot. *)
-
 type snapshot = {
   events : event list;
       (** balanced (well-nested B/E per domain) and sorted by timestamp *)
   counters : (string * float) list;  (** summed across domains, sorted *)
-  gauges : (string * float) list;  (** latest write wins, sorted *)
   dropped : int;  (** events lost to ring overwrite, all domains *)
 }
 

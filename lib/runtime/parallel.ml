@@ -145,19 +145,12 @@ let run_on_pool (jobs : (unit -> unit) array) : unit =
 
 (* -- parallel loops ---------------------------------------------------- *)
 
-(** [parallel_for ~nthreads ~lo ~hi body] runs [body chunk_lo chunk_hi] for
-    every chunk of the static schedule, concurrently on [nthreads] domains.
-    [body] must only write to disjoint data per chunk. *)
-let parallel_for ~(nthreads : int) ~(lo : int) ~(hi : int)
-    (body : int -> int -> unit) : unit =
-  match List.filter (fun (l, h) -> h > l) (chunks ~nthreads ~lo ~hi) with
-  | [] -> ()
-  | [ (l, h) ] -> body l h
-  | cs -> run_on_pool (Array.of_list (List.map (fun (l, h) () -> body l h) cs))
-
-(** Like {!parallel_for} but the body also receives its chunk index, so
-    callers can select per-domain resources (kernel instances, scratch
-    rows) that must not be shared between domains. *)
+(** [parallel_for_chunks ~nthreads ~lo ~hi body] runs [body k chunk_lo
+    chunk_hi] for every chunk [k] of the static schedule, concurrently on
+    [nthreads] domains.  [body] must only write to disjoint data per
+    chunk; the chunk index lets callers select per-domain resources
+    (kernel instances, scratch rows) that must not be shared between
+    domains. *)
 let parallel_for_chunks ~(nthreads : int) ~(lo : int) ~(hi : int)
     (body : int -> int -> int -> unit) : unit =
   let cs = List.mapi (fun k c -> (k, c)) (chunks ~nthreads ~lo ~hi) in
@@ -167,13 +160,3 @@ let parallel_for_chunks ~(nthreads : int) ~(lo : int) ~(hi : int)
   | cs ->
       run_on_pool
         (Array.of_list (List.map (fun (k, (l, h)) () -> body k l h) cs))
-
-(** Like {!parallel_for} but each chunk body produces a value; returns the
-    values in chunk order. Used by reductions in the harness. *)
-let parallel_map_chunks ~(nthreads : int) ~(lo : int) ~(hi : int)
-    (body : int -> int -> 'a) : 'a list =
-  let cs = Array.of_list (chunks ~nthreads ~lo ~hi) in
-  let out = Array.make (Array.length cs) None in
-  run_on_pool
-    (Array.mapi (fun i (l, h) () -> out.(i) <- Some (body l h)) cs);
-  Array.to_list (Array.map Option.get out)

@@ -5,16 +5,9 @@ val chunks : nthreads:int -> lo:int -> hi:int -> (int * int) list
 (** Per-thread [(lo, hi)] ranges; a partition of [lo, hi) balanced to
     within one iteration. @raise Invalid_argument when [nthreads <= 0]. *)
 
-val parallel_for : nthreads:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** Run [body chunk_lo chunk_hi] for every chunk concurrently (chunk 0 on
-    the calling domain).  Bodies must write disjoint data. *)
-
 val parallel_for_chunks :
   nthreads:int -> lo:int -> hi:int -> (int -> int -> int -> unit) -> unit
-(** Like {!parallel_for} but the body also receives its chunk index
-    ([body k chunk_lo chunk_hi]), for per-domain resources such as
-    non-reentrant kernel instances. *)
-
-val parallel_map_chunks :
-  nthreads:int -> lo:int -> hi:int -> (int -> int -> 'a) -> 'a list
-(** Like {!parallel_for} but collects per-chunk results in chunk order. *)
+(** Run [body k chunk_lo chunk_hi] for every chunk [k] concurrently
+    (chunk 0 on the calling domain).  Bodies must write disjoint data;
+    the chunk index is for per-domain resources such as non-reentrant
+    kernel instances. *)

@@ -153,14 +153,3 @@ let check_tiles (gen : K.t) ~(ncells : int) ~(nthreads : int) ~(tile : int)
 
 let errors_to_string (cs : conflict list) : string =
   Fmt.str "@[<v>%a@]" (Fmt.list pp_conflict) cs
-
-(** Raise {!Driver.Driver_error} unless the partition is provably
-    race-free. *)
-let check_exn (gen : K.t) ~(ncells : int) ~(nthreads : int) : unit =
-  match check gen ~ncells ~nthreads with
-  | Ok _ -> ()
-  | Error cs ->
-      raise
-        (Driver.Driver_error
-           (Fmt.str "parallel compute stage is not provably race-free:@ %s"
-              (errors_to_string cs)))

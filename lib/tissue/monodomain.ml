@@ -22,8 +22,7 @@ type t = {
   cfg : config;
   nthreads : int;
   protocol : Protocol.t;
-  op_full : Diffusion.t;  (* Godunov: the dt operator *)
-  op_half : Diffusion.t;  (* Strang: the dt/2 operator *)
+  op : Diffusion.t;  (* over dt (Godunov) or dt/2 (Strang) *)
   act : Activation.t;
   vm_buf : floatarray;  (* the driver's padded Vm external, in place *)
   iion_buf : floatarray;
@@ -75,8 +74,9 @@ let create ?engine ?tile ?specialize ?(config = default_config)
     cfg = config;
     nthreads;
     protocol;
-    op_full = Diffusion.assemble geom ~sigma:config.sigma ~dt;
-    op_half = Diffusion.assemble geom ~sigma:config.sigma ~dt:(dt /. 2.0);
+    op =
+      Diffusion.assemble geom ~sigma:config.sigma
+        ~dt:(match config.splitting with Godunov -> dt | Strang -> dt /. 2.0);
     act;
     vm_buf;
     iion_buf;
@@ -192,12 +192,12 @@ let step (m : t) : unit =
               +. (dt *. (istim -. Float.Array.get m.iion_buf i)))
           done);
       (* … then (3) the implicit diffusion solve *)
-      Obs.Tracer.with_span "tissue.diffusion" (fun () -> diffuse m m.op_full)
+      Obs.Tracer.with_span "tissue.diffusion" (fun () -> diffuse m m.op)
   | Strang ->
       (* (1) implicit diffusion over dt/2 *)
       Obs.Tracer.with_span "tissue.diffusion" (fun () ->
           Float.Array.blit m.vm_buf 0 m.rhs 0 n;
-          diffuse m m.op_half);
+          diffuse m m.op);
       (* (2) full-dt ionic stage + explicit reaction update *)
       Obs.Tracer.with_span "tissue.ionic" (fun () ->
           Driver.compute_stage ~nthreads:m.nthreads m.driver);
@@ -211,7 +211,7 @@ let step (m : t) : unit =
       (* (3) implicit diffusion over dt/2 *)
       Obs.Tracer.with_span "tissue.diffusion" (fun () ->
           Float.Array.blit m.vm_buf 0 m.rhs 0 n;
-          diffuse m m.op_half));
+          diffuse m m.op));
   Driver.tick m.driver;
   Activation.observe m.act ~t_prev:t0 ~t_now:(Driver.time m.driver)
     ~vm:m.vm_buf;

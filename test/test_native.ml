@@ -177,24 +177,37 @@ let lower_loop ~(w : int) (e : Easyml.Ast.expr) : Ir.Func.modl =
          B.ret b []));
   m
 
-let run_native (m : Ir.Func.modl) ~(n : int) (in1 : floatarray)
-    (in2 : floatarray) : floatarray =
+(* Call the module's function "f" compiled to native code. *)
+let call_native (m : Ir.Func.modl) (args : Rt.v array) : unit =
   let tc = Option.get (Native.toolchain ()) in
   let src = Codegen.C_backend.emit_module m in
   let lib, _origin = Native.compile tc ~src in
-  let f =
+  let f = List.find (fun f -> f.Ir.Func.f_name = "f") m.Ir.Func.m_funcs in
+  let call =
     Native.bind lib ~symbol:(Codegen.C_backend.symbol "f")
-      ~params:[ Ir.Ty.Memref; Ir.Ty.Memref; Ir.Ty.Memref; Ir.Ty.I64 ]
+      ~params:(List.map (fun (p : Ir.Value.t) -> p.Ir.Value.ty) f.Ir.Func.f_params)
   in
-  let out = Float.Array.make n 0.0 in
-  ignore (f [| Rt.M in1; Rt.M in2; Rt.M out; Rt.I n |]);
-  out
+  ignore (call args)
 
-let run_closure (m : Ir.Func.modl) ~(n : int) (in1 : floatarray)
-    (in2 : floatarray) : floatarray =
-  let out = Float.Array.make n 0.0 in
-  ignore (Engine.run m "f" [| Rt.M in1; Rt.M in2; Rt.M out; Rt.I n |]);
-  out
+(* The buffer [f] writes, on the native and on the closure engine;
+   [args out] is its argument vector. *)
+let both_engines (m : Ir.Func.modl) ~(n : int) (args : floatarray -> Rt.v array)
+    : floatarray * floatarray =
+  let run call =
+    let out = Float.Array.make n 0.0 in
+    call m (args out);
+    out
+  in
+  (run call_native, run (fun m a -> ignore (Engine.run m "f" a)))
+
+(* [lower_loop]'s outputs on both engines. *)
+let run_loop (m : Ir.Func.modl) ~(n : int) (in1 : floatarray)
+    (in2 : floatarray) : floatarray * floatarray =
+  both_engines m ~n (fun out -> [| Rt.M in1; Rt.M in2; Rt.M out; Rt.I n |])
+
+let loop_inputs n =
+  ( Float.Array.init n (fun i -> Float.sin (float_of_int (i + 1))),
+    Float.Array.init n (fun i -> Float.cos (float_of_int i)) )
 
 let native_matches_closure_on_loops ~(w : int) name =
   (* each case invokes the C compiler once; keep the count moderate *)
@@ -207,16 +220,14 @@ let native_matches_closure_on_loops ~(w : int) name =
       = false
       ||
       (* raw lowered IR, deliberately unoptimized: constant-argument
-         transcendentals survive to the emitter, exercising its volatile
-         guard against the C compiler's own (correctly-rounded MPFR)
-         compile-time libm *)
+         transcendentals survive to the emitter, exercising the flags
+         that keep the C compiler's own (correctly-rounded MPFR)
+         compile-time libm out of the kernel *)
       let m = lower_loop ~w e in
       Ir.Verifier.verify_module_exn m;
       let n = 12 in
-      let in1 = Float.Array.init n (fun i -> Float.sin (float_of_int (i + 1)))
-      and in2 = Float.Array.init n (fun i -> Float.cos (float_of_int i)) in
-      let want = run_closure m ~n in1 in2 in
-      let got = run_native m ~n in1 in2 in
+      let in1, in2 = loop_inputs n in
+      let got, want = run_loop m ~n in1 in2 in
       let ok = ref true in
       for i = 0 to n - 1 do
         if
@@ -226,6 +237,54 @@ let native_matches_closure_on_loops ~(w : int) name =
         then ok := false
       done;
       !ok)
+
+(* A C compiler folds a libm call whose argument it can prove constant
+   with its own correctly-rounded library (MPFR), which differs from
+   glibc by an ULP or two on some arguments; [Native.flags] forbid it
+   per function.  Two shapes of unoptimized IR whose calls cc -O3 sees
+   as constant: a select with a constant arm (cc splits the select and
+   folds the arm), and a constant-trip loop (cc unrolls it and folds
+   through it). *)
+let test_constant_libm_calls_run_at_run_time () =
+  skip_without_cc ();
+  let check what (got : floatarray) (want : floatarray) =
+    Float.Array.iteri
+      (fun i w ->
+        let g = Float.Array.get got i in
+        if not (Helpers.same_float g w) then
+          Alcotest.failf "%s, element %d: native %h, closure %h" what i g w)
+      want
+  in
+  let select_arm =
+    match
+      Easyml.Parser.parse_program
+        "r = exp(tanh(x * 1.3886991415001999 < 0.5 ? 2.8357135923780508 * \
+         -3.5638115879208803 : tanh(-2.3515081841209851)));"
+    with
+    | [ Easyml.Ast.Assign (_, _, e) ] -> e
+    | _ -> assert false
+  in
+  List.iter
+    (fun w ->
+      let n = 12 in
+      let in1, in2 = loop_inputs n in
+      let got, want = run_loop (lower_loop ~w select_arm) ~n in1 in2 in
+      check (Printf.sprintf "select with a constant arm, w=%d" w) got want)
+    [ 1; 4 ];
+  (* log1p of 0x1.0b4a645decc5cp+2 doubled twice *)
+  let m = Ir.Func.create_module "nat_fold_loop" in
+  let c = B.create_ctx () in
+  Ir.Func.add_func m
+    (B.func c ~name:"f" ~params:[ Ir.Ty.Memref ] ~results:[] (fun b args ->
+         let x =
+           B.for_ b ~lb:(B.consti b 0) ~ub:(B.consti b 2) ~step:(B.consti b 1)
+             ~inits:[ B.constf b 0x1.0b4a645decc5cp+2 ]
+             (fun ~iv:_ ~iters -> List.map (fun x -> B.addf b x x) iters)
+         in
+         B.store b (B.math b "log1p" x) ~mem:(List.hd args) ~idx:(B.consti b 0);
+         B.ret b []));
+  let got, want = both_engines m ~n:1 (fun out -> [| Rt.M out |]) in
+  check "constant two-trip loop into log1p" got want
 
 (* -- artifact cache ----------------------------------------------------- *)
 
@@ -680,6 +739,8 @@ let suite =
       "native == closure on random scalar loops";
     native_matches_closure_on_loops ~w:4
       "native == closure on random vector loops";
+    Alcotest.test_case "constant libm calls run at run time" `Quick
+      test_constant_libm_calls_run_at_run_time;
     Alcotest.test_case "artifact cache hits and accounting" `Quick
       test_cache_accounting;
     Alcotest.test_case "binding env distinguishes artifacts" `Quick

@@ -22,12 +22,10 @@ let test_disabled_records_nothing () =
   Alcotest.(check bool) "disabled by default" false (T.enabled ());
   T.span_begin "a";
   T.with_span "b" (fun () -> T.count "c" 1.0);
-  T.gauge "g" 2.0;
   T.span_end "a";
   let s = T.snapshot () in
   Alcotest.(check int) "no events" 0 (List.length s.T.events);
-  Alcotest.(check int) "no counters" 0 (List.length s.T.counters);
-  Alcotest.(check int) "no gauges" 0 (List.length s.T.gauges)
+  Alcotest.(check int) "no counters" 0 (List.length s.T.counters)
 
 let test_spans_and_counters () =
   fresh ();
@@ -35,8 +33,6 @@ let test_spans_and_counters () =
   T.with_span "outer" (fun () ->
       T.with_span "inner" (fun () -> T.count "n" 2.0);
       T.count "n" 3.0);
-  T.gauge "depth" 1.0;
-  T.gauge "depth" 4.0;
   T.disable ();
   let s = T.snapshot () in
   Alcotest.(check int) "two B/E pairs" 4 (List.length s.T.events);
@@ -44,10 +40,6 @@ let test_spans_and_counters () =
     "counter summed"
     [ ("n", 5.0) ]
     s.T.counters;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "gauge keeps the last write"
-    [ ("depth", 4.0) ]
-    s.T.gauges;
   (* with_span is exception-safe: the End is recorded on raise *)
   T.enable ();
   (match T.with_span "raises" (fun () -> failwith "boom") with
@@ -240,8 +232,8 @@ let test_prometheus_nonfinite_values () =
      exposition format (and validate_prometheus) rejects *)
   fresh ();
   T.enable ();
-  T.gauge "worst_residual" Float.nan;
-  T.gauge "hard_ceiling" Float.infinity;
+  T.count "worst_residual" Float.nan;
+  T.count "hard_ceiling" Float.infinity;
   T.count "steps" 42.0;
   T.disable ();
   let text = E.prometheus (T.snapshot ()) in
@@ -251,7 +243,7 @@ let test_prometheus_nonfinite_values () =
     (Helpers.contains text "+Inf");
   match E.validate_prometheus text with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "nonfinite gauges broke the exposition: %s" e
+  | Error e -> Alcotest.failf "nonfinite values broke the exposition: %s" e
 
 let prometheus_roundtrip =
   (* arbitrary span/counter names (quotes, backslashes, newlines)
@@ -483,7 +475,7 @@ let suite =
   [
     Alcotest.test_case "disabled records nothing" `Quick
       test_disabled_records_nothing;
-    Alcotest.test_case "spans, counters, gauges" `Quick test_spans_and_counters;
+    Alcotest.test_case "spans and counters" `Quick test_spans_and_counters;
     Alcotest.test_case "snapshot balances open spans" `Quick
       test_snapshot_balances;
     Alcotest.test_case "timestamps monotonic" `Quick test_monotonic_timestamps;

@@ -250,19 +250,17 @@ let chunks_partition =
 let test_parallel_for () =
   let n = 1000 in
   let out = Array.make n 0 in
-  Parallel.parallel_for ~nthreads:4 ~lo:0 ~hi:n (fun lo hi ->
+  let chunk_of = Array.make n (-1) in
+  Parallel.parallel_for_chunks ~nthreads:4 ~lo:0 ~hi:n (fun k lo hi ->
       for i = lo to hi - 1 do
-        out.(i) <- i * i
+        out.(i) <- i * i;
+        chunk_of.(i) <- k
       done);
   Alcotest.(check bool) "all cells written" true
-    (Array.for_all Fun.id (Array.init n (fun i -> out.(i) = i * i)))
-
-let test_parallel_map_chunks () =
-  let sums =
-    Parallel.parallel_map_chunks ~nthreads:3 ~lo:0 ~hi:10 (fun lo hi ->
-        List.fold_left ( + ) 0 (List.init (hi - lo) (fun i -> lo + i)))
-  in
-  Alcotest.(check int) "sum over chunks" 45 (List.fold_left ( + ) 0 sums)
+    (Array.for_all Fun.id (Array.init n (fun i -> out.(i) = i * i)));
+  let got_chunk k (lo, hi) = Array.for_all (( = ) k) (Array.sub chunk_of lo (hi - lo)) in
+  Alcotest.(check bool) "body k ran the schedule's k-th chunk" true
+    (List.for_all Fun.id (List.mapi got_chunk (Parallel.chunks ~nthreads:4 ~lo:0 ~hi:n)))
 
 (* -- stimulus -------------------------------------------------------------- *)
 
@@ -298,6 +296,5 @@ let suite =
     Alcotest.test_case "svml vectors" `Quick test_svml_vectors;
     chunks_partition;
     Alcotest.test_case "parallel_for" `Quick test_parallel_for;
-    Alcotest.test_case "parallel_map_chunks" `Quick test_parallel_map_chunks;
     Alcotest.test_case "stimulus protocol" `Quick test_stim;
   ]
