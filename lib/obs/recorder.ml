@@ -51,29 +51,58 @@ let set_meta (ck : checkpoint) (key : string) (v : string) : checkpoint =
 (* -- digest ----------------------------------------------------------- *)
 
 (* MD5 over exact bit patterns (metadata excluded: runs reaching the
-   same state through different CLI spellings compare digest-equal). *)
+   same state through different CLI spellings compare digest-equal),
+   hashed from one buffer of exactly the digested size. *)
 let digest (ck : checkpoint) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "step";
-  Buffer.add_char b '\000';
-  Buffer.add_int64_le b (Int64.of_int ck.ck_step);
-  Buffer.add_string b "time";
-  Buffer.add_char b '\000';
-  Buffer.add_int64_le b (Int64.bits_of_float ck.ck_time);
-  List.iter
-    (fun s ->
-      Buffer.add_string b s.sec_name;
-      Buffer.add_char b '\000';
-      Float.Array.iter
-        (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v))
-        s.sec_data)
-    ck.ck_sections;
-  Digest.to_hex (Digest.bytes (Buffer.to_bytes b))
+  let size =
+    List.fold_left
+      (fun acc s ->
+        acc + String.length s.sec_name + 1 + (8 * Float.Array.length s.sec_data))
+      (2 * (4 + 1 + 8))
+      ck.ck_sections
+  in
+  let b = Bytes.create size in
+  let put_name pos name =
+    let len = String.length name in
+    Bytes.blit_string name 0 b pos len;
+    Bytes.set b (pos + len) '\000';
+    pos + len + 1
+  in
+  let pos = put_name 0 "step" in
+  Bytes.set_int64_le b pos (Int64.of_int ck.ck_step);
+  let pos = put_name (pos + 8) "time" in
+  Bytes.set_int64_le b pos (Int64.bits_of_float ck.ck_time);
+  let (_ : int) =
+    List.fold_left
+      (fun pos s ->
+        let pos = put_name pos s.sec_name and data = s.sec_data in
+        for i = 0 to Float.Array.length data - 1 do
+          Bytes.set_int64_le b
+            (pos + (8 * i))
+            (Int64.bits_of_float (Float.Array.get data i))
+        done;
+        pos + (8 * Float.Array.length data))
+      (pos + 8) ck.ck_sections
+  in
+  Digest.to_hex (Digest.bytes b)
 
 (* -- serialization ---------------------------------------------------- *)
 
+let hex_digits = "0123456789abcdef"
+
+(* the 16 lowercase hex digits of [v]'s bit pattern, appended to [b] *)
+let add_hex (b : Buffer.t) (v : float) : unit =
+  let bits = Int64.bits_of_float v in
+  for k = 0 to 15 do
+    Buffer.add_char b
+      hex_digits.[Int64.to_int (Int64.shift_right_logical bits (60 - (4 * k)))
+                  land 0xf]
+  done
+
 let hex_of_float (v : float) : string =
-  Printf.sprintf "%016Lx" (Int64.bits_of_float v)
+  let b = Buffer.create 16 in
+  add_hex b v;
+  Buffer.contents b
 
 let float_of_hex (tok : string) : float option =
   if String.length tok <> 16 then None
@@ -82,44 +111,64 @@ let float_of_hex (tok : string) : float option =
     | Some bits -> Some (Int64.float_of_bits bits)
     | None -> None
 
-let to_string (ck : checkpoint) : string =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b (Printf.sprintf "%s v%d\n" magic version);
-  Buffer.add_string b (Printf.sprintf "step %d\n" ck.ck_step);
-  Buffer.add_string b
-    (Printf.sprintf "time %016Lx\n" (Int64.bits_of_float ck.ck_time));
+(* The serialization of [ck] with [digest] on its last line, handed to
+   [out] one line at a time in a buffer reused for every line, so
+   nothing the size of the checkpoint is built. *)
+let emit (out : Buffer.t -> unit) ~(digest : string) (ck : checkpoint) : unit
+    =
   List.iter
     (fun (k, v) ->
       if k = "" || String.contains k ' ' || String.contains k '\n' then
         invalid_arg "Recorder.to_string: meta keys must be non-empty, space-free";
       if String.contains v '\n' then
-        invalid_arg "Recorder.to_string: meta values must be newline-free";
-      Buffer.add_string b (Printf.sprintf "meta %s %s\n" k v))
+        invalid_arg "Recorder.to_string: meta values must be newline-free")
     ck.ck_meta;
+  let b = Buffer.create 256 in
+  let line fmt =
+    Printf.kbprintf
+      (fun b ->
+        out b;
+        Buffer.clear b)
+      b fmt
+  in
+  line "%s v%d\n" magic version;
+  line "step %d\n" ck.ck_step;
+  line "time %s\n" (hex_of_float ck.ck_time);
+  List.iter (fun (k, v) -> line "meta %s %s\n" k v) ck.ck_meta;
   List.iter
     (fun s ->
       let n = Float.Array.length s.sec_data in
-      Buffer.add_string b (Printf.sprintf "section %s %d\n" s.sec_name n);
+      line "section %s %d\n" s.sec_name n;
       for i = 0 to n - 1 do
-        Buffer.add_string b (hex_of_float (Float.Array.get s.sec_data i));
-        Buffer.add_char b (if i mod 8 = 7 || i = n - 1 then '\n' else ' ')
+        add_hex b (Float.Array.get s.sec_data i);
+        if i mod 8 = 7 || i = n - 1 then begin
+          Buffer.add_char b '\n';
+          out b;
+          Buffer.clear b
+        end
+        else Buffer.add_char b ' '
       done)
     ck.ck_sections;
-  Buffer.add_string b (Printf.sprintf "digest %s\n" (digest ck));
-  Buffer.contents b
+  line "digest %s\n" digest
+
+let to_string (ck : checkpoint) : string =
+  let text = Buffer.create 65536 in
+  emit (Buffer.add_buffer text) ~digest:(digest ck) ck;
+  Buffer.contents text
 
 let err ?(code = "checkpoint-format") fmt =
   Fmt.kstr
     (fun msg -> Error (Easyml.Diag.make ~sev:Easyml.Diag.Error ~code msg))
     fmt
 
-let of_string (text : string) : (checkpoint, Easyml.Diag.t) result =
+(* Parse and verify the lines [next] yields, split as
+   [In_channel.input_line] splits a file; the checkpoint comes back with
+   its verified digest. *)
+let parse (next : unit -> string option) :
+    (checkpoint * string, Easyml.Diag.t) result =
   let ( let* ) r f = Result.bind r f in
-  let lines = String.split_on_char '\n' text in
-  let* header, rest =
-    match lines with
-    | h :: rest -> Ok (h, rest)
-    | [] -> err "empty checkpoint"
+  let* header =
+    match next () with Some h -> Ok h | None -> err "empty checkpoint"
   in
   let* () =
     if header = Printf.sprintf "%s v%d" magic version then Ok ()
@@ -150,8 +199,9 @@ let of_string (text : string) : (checkpoint, Easyml.Diag.t) result =
           Ok ()
         end
   in
-  let rec go lineno = function
-    | [] -> (
+  let rec go lineno =
+    match next () with
+    | None -> (
         let* () = finish_section () in
         match (!step, !time, !stored_digest) with
         | None, _, _ -> err "missing step line"
@@ -171,9 +221,9 @@ let of_string (text : string) : (checkpoint, Easyml.Diag.t) result =
               err ~code:"checkpoint-digest"
                 "content digest mismatch: file says %s, data hashes to %s"
                 stored actual
-            else Ok ck)
-    | "" :: rest -> go (lineno + 1) rest
-    | line :: rest -> (
+            else Ok (ck, actual))
+    | Some "" -> go (lineno + 1)
+    | Some line -> (
         let* () =
           if !stored_digest <> None then
             err "line %d: content after the digest line" lineno
@@ -208,22 +258,22 @@ let of_string (text : string) : (checkpoint, Easyml.Diag.t) result =
               if !filled = Float.Array.length data then finish_section ()
               else Ok ()
             in
-            go (lineno + 1) rest
+            go (lineno + 1)
         | None, [ "step"; n ] -> (
             match int_of_string_opt n with
             | Some n when n >= 0 ->
                 step := Some n;
-                go (lineno + 1) rest
+                go (lineno + 1)
             | _ -> err "line %d: bad step %S" lineno n)
         | None, [ "time"; tok ] -> (
             match float_of_hex tok with
             | Some t ->
                 time := Some t;
-                go (lineno + 1) rest
+                go (lineno + 1)
             | None -> err "line %d: bad time bit pattern %S" lineno tok)
         | None, "meta" :: k :: v ->
             metas := (k, String.concat " " v) :: !metas;
-            go (lineno + 1) rest
+            go (lineno + 1)
         | None, [ "section"; name; n ] -> (
             match int_of_string_opt n with
             | Some n when n >= 0 ->
@@ -231,43 +281,72 @@ let of_string (text : string) : (checkpoint, Easyml.Diag.t) result =
                   sections :=
                     { sec_name = name; sec_data = Float.Array.create 0 }
                     :: !sections;
-                  go (lineno + 1) rest
+                  go (lineno + 1)
                 end
                 else begin
                   cur := Some (name, Float.Array.create n, ref 0);
-                  go (lineno + 1) rest
+                  go (lineno + 1)
                 end
             | _ -> err "line %d: bad section length %S" lineno n)
         | None, [ "digest"; d ] ->
             stored_digest := Some d;
-            go (lineno + 1) rest
+            go (lineno + 1)
         | None, _ -> err "line %d: unrecognized line %S" lineno line)
   in
-  go 2 rest
+  go 2
+
+let of_string (text : string) : (checkpoint, Easyml.Diag.t) result =
+  let pos = ref 0 in
+  let next () =
+    if !pos >= String.length text then None
+    else
+      let stop =
+        Option.value ~default:(String.length text)
+          (String.index_from_opt text !pos '\n')
+      in
+      let line = String.sub text !pos (stop - !pos) in
+      pos := stop + 1;
+      Some line
+  in
+  Result.map fst (parse next)
 
 (* -- file I/O --------------------------------------------------------- *)
 
 let io_err fmt = err ~code:"checkpoint-io" fmt
 
-let write ~(path : string) (ck : checkpoint) : int =
-  let text = to_string ck in
+(* [write], also returning the digest written *)
+let write_digest ~(path : string) (ck : checkpoint) : int * string =
+  let d = digest ck in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  output_string oc text;
+  (try emit (Buffer.output_buffer oc) ~digest:d ck
+   with e ->
+     close_out_noerr oc;
+     raise e);
+  let bytes = pos_out oc in
   close_out oc;
   Sys.rename tmp path;
-  String.length text
+  (bytes, d)
+
+let write ~(path : string) (ck : checkpoint) : int =
+  fst (write_digest ~path ck)
+
+(* [read], also returning the digest verified *)
+let read_digest (path : string) : (checkpoint * string, Easyml.Diag.t) result
+    =
+  match open_in_bin path with
+  | exception Sys_error msg -> io_err "%s" msg
+  | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> parse (fun () -> In_channel.input_line ic))
+      with
+      | r -> r
+      | exception Sys_error msg -> io_err "%s" msg)
 
 let read (path : string) : (checkpoint, Easyml.Diag.t) result =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> io_err "%s" msg
-  | exception End_of_file -> io_err "%s: unexpected end of file" path
-  | text -> of_string text
+  Result.map fst (read_digest path)
 
 (* -- periodic writer -------------------------------------------------- *)
 
@@ -323,10 +402,16 @@ let record (w : writer) (ck : checkpoint) : string =
     Filename.concat w.w_dir (Printf.sprintf "checkpoint-%012d.ckpt" ck.ck_step)
   in
   let t0 = Unix.gettimeofday () in
-  let bytes = write ~path ck in
-  (match read path with
-  | Ok ck' when digest ck' = digest ck -> ()
+  let bytes, written = write_digest ~path ck in
+  (match read_digest path with
+  | Ok (_, verified) when String.equal verified written -> ()
   | Ok _ | Error _ -> w.w_verify_failures <- w.w_verify_failures + 1);
+  (* The digest buffers, the re-read copy and usually the capture are
+     garbage now.  In a run whose steps allocate nothing, checkpoints
+     are its only major-heap garbage, and a collector paced by
+     allocation would keep several of them in the heap at once, so the
+     run's peak RSS grows; finishing the cycle here frees them. *)
+  Gc.major ();
   w.w_ms <- w.w_ms +. ((Unix.gettimeofday () -. t0) *. 1e3);
   w.w_files <- path :: List.filter (fun p -> p <> path) w.w_files;
   w.w_last_step <- ck.ck_step;

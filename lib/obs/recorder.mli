@@ -65,11 +65,14 @@ val of_string : string -> (checkpoint, Easyml.Diag.t) result
     never an exception. *)
 
 val write : path:string -> checkpoint -> int
-(** Serialize to [path] atomically (temp file + rename); returns the
-    byte count written. *)
+(** Serialize to [path] atomically (temp file + rename), streaming the
+    {!to_string} bytes line by line into the file, so no copy of the
+    text is built; returns the byte count written. *)
 
 val read : string -> (checkpoint, Easyml.Diag.t) result
-(** {!of_string} on a file's contents; I/O failures become
+(** Parse and verify a file line by line as it is read, through the
+    parser {!of_string} runs over a string: the same checkpoint or the
+    same diagnostic, word for word.  I/O failures become
     [checkpoint-io] diagnostics. *)
 
 (** {2 Periodic writer} *)
@@ -98,7 +101,11 @@ val due : writer -> step:int -> bool
 
 val record : writer -> checkpoint -> string
 (** Merge the writer's [extra] metadata, write
-    [dir/checkpoint-<step>.ckpt], verify, rotate; returns the path. *)
+    [dir/checkpoint-<step>.ckpt], verify (re-read and re-parse the file
+    and check its data against the digest written), rotate; returns the
+    path.  The digest is computed once on each side, and the major GC
+    cycle is finished before returning, so a checkpoint's temporary
+    buffers do not stay in the heap. *)
 
 val last : writer -> string option
 (** Path of the most recent retained checkpoint. *)

@@ -60,11 +60,13 @@ let region (s : t) ~(n : int) ~(lo : int) ~(hi : int) : spatial =
   done;
   { pulse = s; mask = Weights w }
 
+(** One cell's share of the pulse value [a] (an {!at} result). *)
+let apply_mask (s : spatial) (a : float) ~(cell : int) : float =
+  match s.mask with
+  | Uniform -> a
+  | Weights w -> if a = 0.0 then 0.0 else a *. Float.Array.get w cell
+
 (** Stimulus current for one cell at time [t].  With a [Uniform] mask
     this is {e bitwise} [at s.pulse t] — no scaling is applied at all. *)
 let at_cell (s : spatial) ~(t : float) ~(cell : int) : float =
-  match s.mask with
-  | Uniform -> at s.pulse t
-  | Weights w ->
-      let a = at s.pulse t in
-      if a = 0.0 then 0.0 else a *. Float.Array.get w cell
+  apply_mask s (at s.pulse t) ~cell

@@ -36,6 +36,13 @@ val region : t -> n:int -> lo:int -> hi:int -> spatial
 (** Weight 1 on cells [lo, hi) of an [n]-cell population, 0 elsewhere.
     @raise Invalid_argument unless [0 <= lo <= hi <= n]. *)
 
+val apply_mask : spatial -> float -> cell:int -> float
+(** [apply_mask s a ~cell] is [cell]'s share of the pulse value [a]:
+    [a] itself under a [Uniform] mask, [a *. w.(cell)] under
+    [Weights w], and [0.0] whenever [a = 0.0].  With [a = at s.pulse t]
+    it is {!at_cell}, bit for bit, so a caller can evaluate the pulse
+    once for many cells. *)
+
 val at_cell : spatial -> t:float -> cell:int -> float
 (** Stimulus current for one cell at time [t].  With a [Uniform] mask
     this is {e bitwise} identical to [at s.pulse t] — the scalar path is

@@ -46,16 +46,23 @@ let of_triplets ~(n : int) (triplets : (int * int * float) list) : t =
 
 let nnz (m : t) = m.row_ptr.(m.n)
 
-(** y = A x *)
+(** y = A x, each row summed in column order *)
+let mul_into (m : t) (x : floatarray) ~(y : floatarray) : unit =
+  if Float.Array.length x <> m.n || Float.Array.length y <> m.n then
+    invalid_arg "Sparse.mul: length mismatch";
+  for r = 0 to m.n - 1 do
+    let acc = ref 0.0 in
+    for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
+      acc :=
+        !acc +. (Float.Array.get m.values k *. Float.Array.get x m.col_idx.(k))
+    done;
+    Float.Array.set y r !acc
+  done
+
 let mul (m : t) (x : floatarray) : floatarray =
-  if Float.Array.length x <> m.n then invalid_arg "Sparse.mul: length mismatch";
-  Float.Array.init m.n (fun r ->
-      let acc = ref 0.0 in
-      for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-        acc :=
-          !acc +. (Float.Array.get m.values k *. Float.Array.get x m.col_idx.(k))
-      done;
-      !acc)
+  let y = Float.Array.make m.n 0.0 in
+  mul_into m x ~y;
+  y
 
 let diagonal (m : t) : floatarray =
   Float.Array.init m.n (fun r ->

@@ -1,9 +1,16 @@
 (** Implicit diffusion operator: [(I − dt·λ·L) x = b] with λ = σ/dx²
     and L the Neumann-boundary Laplacian of the geometry. *)
 
+(* What a solve reads that never changes from step to step is built at
+   [assemble]: the cable's elimination, the sheet's CG vectors. *)
 type op =
-  | Tri of { sub : floatarray; diag : floatarray; sup : floatarray }
-  | Csr of Solver.Sparse.t
+  | Tri of {
+      sub : floatarray;
+      diag : floatarray;
+      sup : floatarray;
+      lu : Solver.Tridiag.factored;
+    }
+  | Csr of { m : Solver.Sparse.t; ws : Solver.Cg.workspace }
 
 type t = { n : int; op : op; mutable last_cg : Solver.Cg.stats option }
 
@@ -21,7 +28,7 @@ let assemble_cable ~(n : int) ~(lambda : float) : op =
     Float.Array.set sup i (if right then -.lambda else 0.0);
     Float.Array.set diag i (1.0 +. (lambda *. deg))
   done;
-  Tri { sub; diag; sup }
+  Tri { sub; diag; sup; lu = Solver.Tridiag.factor ~a:sub ~b:diag ~c:sup }
 
 let assemble_sheet ~(nx : int) ~(ny : int) ~(lambda : float) : op =
   (* 5-point stencil, Neumann boundaries: diagonal 1 + λ·degree,
@@ -47,7 +54,8 @@ let assemble_sheet ~(nx : int) ~(ny : int) ~(lambda : float) : op =
         neighbors
     done
   done;
-  Csr (Solver.Sparse.of_triplets ~n:(nx * ny) !triplets)
+  let m = Solver.Sparse.of_triplets ~n:(nx * ny) !triplets in
+  Csr { m; ws = Solver.Cg.workspace m }
 
 let assemble (g : Geometry.t) ~(sigma : float) ~(dt : float) : t =
   if sigma < 0.0 then invalid_arg "Diffusion.assemble: sigma must be >= 0";
@@ -61,20 +69,25 @@ let assemble (g : Geometry.t) ~(sigma : float) ~(dt : float) : t =
   in
   { n = Geometry.cells g; op; last_cg = None }
 
-let solve (t : t) (b : floatarray) : floatarray =
+let solve_into (t : t) (b : floatarray) ~(x : floatarray) : unit =
   if Float.Array.length b <> t.n then
     invalid_arg "Diffusion.solve: rhs length mismatch";
   match t.op with
-  | Tri { sub; diag; sup } -> Solver.Tridiag.solve ~a:sub ~b:diag ~c:sup ~d:b
-  | Csr m ->
-      let x, stats = Solver.Cg.solve ~tol:cg_tol ~max_iters:cg_max_iters m b in
-      t.last_cg <- Some stats;
-      x
+  | Tri { lu; _ } -> Solver.Tridiag.solve_into lu ~d:b ~x
+  | Csr { ws; _ } ->
+      t.last_cg <-
+        Some
+          (Solver.Cg.solve_into ~tol:cg_tol ~max_iters:cg_max_iters ws b ~x)
+
+let solve (t : t) (b : floatarray) : floatarray =
+  let x = Float.Array.make t.n 0.0 in
+  solve_into t b ~x;
+  x
 
 let matrix (t : t) : Solver.Sparse.t =
   match t.op with
-  | Csr m -> m
-  | Tri { sub; diag; sup } ->
+  | Csr { m; _ } -> m
+  | Tri { sub; diag; sup; _ } ->
       let triplets = ref [] in
       for i = 0 to t.n - 1 do
         triplets := (i, i, Float.Array.get diag i) :: !triplets;

@@ -12,11 +12,20 @@ val assemble : Geometry.t -> sigma:float -> dt:float -> t
     with effective diffusivity [sigma] (cm²/ms).
     @raise Invalid_argument when [sigma < 0] or [dt <= 0]. *)
 
+val solve_into : t -> floatarray -> x:floatarray -> unit
+(** [solve_into op b ~x] writes [x] with [(I − dt·λ·L) x = b] into
+    [x.(0..n-1)] and allocates nothing.  [x] may be longer than the
+    cell count (the driver's padded Vm) and may be [b] itself.  The
+    direct 1-D path is exact (Thomas, eliminated once at {!assemble});
+    the CG path iterates from a zero start to relative residual [1e-12]
+    (documented tolerance — far below the splitting error) in vectors
+    allocated at {!assemble}, and is deterministic, so repeated runs are
+    bitwise identical.
+    @raise Invalid_argument when [b] is not one value per cell or [x]
+    is shorter. *)
+
 val solve : t -> floatarray -> floatarray
-(** [solve op b] returns [x] with [(I − dt·λ·L) x = b].  The direct 1-D
-    path is exact (Thomas); the CG path iterates to relative residual
-    [1e-12] (documented tolerance — far below the splitting error) and
-    is deterministic, so repeated runs are bitwise identical. *)
+(** [solve op b] is {!solve_into} a fresh array. *)
 
 val matrix : t -> Solver.Sparse.t
 (** The operator as CSR (cross-validation against the direct solve). *)

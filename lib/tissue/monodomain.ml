@@ -22,6 +22,7 @@ type t = {
   cfg : config;
   nthreads : int;
   protocol : Protocol.t;
+  pulses : Protocol.pulses;  (* the protocol at the step being taken *)
   op : Diffusion.t;  (* over dt (Godunov) or dt/2 (Strang) *)
   act : Activation.t;
   vm_buf : floatarray;  (* the driver's padded Vm external, in place *)
@@ -74,6 +75,7 @@ let create ?engine ?tile ?specialize ?(config = default_config)
     cfg = config;
     nthreads;
     protocol;
+    pulses = Protocol.pulses protocol;
     op =
       Diffusion.assemble geom ~sigma:config.sigma
         ~dt:(match config.splitting with Godunov -> dt | Strang -> dt /. 2.0);
@@ -94,16 +96,6 @@ let activation (m : t) = m.act
 let protocol (m : t) = m.protocol
 let time (m : t) = Driver.time m.driver
 let probes (m : t) = (m.probe_a, m.probe_b)
-
-(* write the diffusion solution back into the driver's padded Vm buffer
-   (padded lanes mirror the last real cell — the driver's invariant) *)
-let write_back (m : t) (x : floatarray) : unit =
-  let n = Geometry.cells m.geom in
-  Float.Array.blit x 0 m.vm_buf 0 n;
-  let last = Float.Array.get x (n - 1) in
-  for i = n to Float.Array.length m.vm_buf - 1 do
-    Float.Array.set m.vm_buf i last
-  done
 
 let check_block (m : t) : unit =
   match m.cfg.block_check_ms with
@@ -157,12 +149,17 @@ let cg_diag (m : t) ~(cell : int) (s : Solver.Cg.stats) : Easyml.Diag.t =
          Printf.sprintf " (right-hand side %g at cell %d)"
            (Float.Array.get m.rhs cell) cell)
 
-(* Solve [op x = m.rhs] into the driver's Vm.  A CG solve that stopped
-   short of its tolerance never passes for a solution: with a health
-   monitor it is a hard trip, without one the run stops here. *)
-let diffuse (m : t) (op : Diffusion.t) : unit =
-  let x = Diffusion.solve op m.rhs in
-  (match Diffusion.cg_stats op with
+(* Solve [op x = m.rhs] straight into the driver's Vm; its padded lanes
+   then mirror the last real cell, the driver's invariant.  A CG solve
+   that stopped short of its tolerance never passes for a solution: with
+   a health monitor it is a hard trip, without one the run stops here. *)
+let diffuse (m : t) : unit =
+  let n = Geometry.cells m.geom in
+  Diffusion.solve_into m.op m.rhs ~x:m.vm_buf;
+  Float.Array.fill m.vm_buf n
+    (Float.Array.length m.vm_buf - n)
+    (Float.Array.get m.vm_buf (n - 1));
+  match Diffusion.cg_stats m.op with
   | Some s when not (Diffusion.converged s) -> (
       let cell = first_nonfinite m.rhs in
       match Driver.health m.driver with
@@ -171,47 +168,53 @@ let diffuse (m : t) (op : Diffusion.t) : unit =
             ~residual:s.Solver.Cg.residual;
           Obs.Health.enforce h
       | _ -> raise (Solver_failed (cg_diag m ~cell s)))
-  | _ -> ());
-  write_back m x
+  | _ -> ()
+
+(* [dst.(i) <- Vm.(i) + dt·(Istim − Iion.(i))] with the stimulus at the
+   pre-step time [t0].  Each pulse is evaluated once; on a step with
+   none on, every cell's current is the literal 0.0 that
+   [Protocol.current] gives, so the cell loop reads no mask. *)
+let exchange (m : t) ~(t0 : float) (dst : floatarray) : unit =
+  let n = Geometry.cells m.geom and dt = m.driver.Driver.dt in
+  let vm = m.vm_buf and iion = m.iion_buf in
+  if Protocol.eval m.pulses ~t:t0 then
+    for i = 0 to n - 1 do
+      let istim = Protocol.cell_current m.pulses ~cell:i in
+      Float.Array.set dst i
+        (Float.Array.get vm i +. (dt *. (istim -. Float.Array.get iion i)))
+    done
+  else
+    for i = 0 to n - 1 do
+      Float.Array.set dst i
+        (Float.Array.get vm i +. (dt *. (0.0 -. Float.Array.get iion i)))
+    done
 
 let step (m : t) : unit =
   let n = Geometry.cells m.geom in
   let t0 = Driver.time m.driver in
-  let dt = m.driver.Driver.dt in
   (match m.cfg.splitting with
   | Godunov ->
       (* (1) ionic stage at the current state *)
       Obs.Tracer.with_span "tissue.ionic" (fun () ->
           Driver.compute_stage ~nthreads:m.nthreads m.driver);
       (* (2) exchange: fold reaction and stimulus into the rhs … *)
-      Obs.Tracer.with_span "tissue.exchange" (fun () ->
-          for i = 0 to n - 1 do
-            let istim = Protocol.current m.protocol ~t:t0 ~cell:i in
-            Float.Array.set m.rhs i
-              (Float.Array.get m.vm_buf i
-              +. (dt *. (istim -. Float.Array.get m.iion_buf i)))
-          done);
+      Obs.Tracer.with_span "tissue.exchange" (fun () -> exchange m ~t0 m.rhs);
       (* … then (3) the implicit diffusion solve *)
-      Obs.Tracer.with_span "tissue.diffusion" (fun () -> diffuse m m.op)
+      Obs.Tracer.with_span "tissue.diffusion" (fun () -> diffuse m)
   | Strang ->
       (* (1) implicit diffusion over dt/2 *)
       Obs.Tracer.with_span "tissue.diffusion" (fun () ->
           Float.Array.blit m.vm_buf 0 m.rhs 0 n;
-          diffuse m m.op);
+          diffuse m);
       (* (2) full-dt ionic stage + explicit reaction update *)
       Obs.Tracer.with_span "tissue.ionic" (fun () ->
           Driver.compute_stage ~nthreads:m.nthreads m.driver);
       Obs.Tracer.with_span "tissue.exchange" (fun () ->
-          for i = 0 to n - 1 do
-            let istim = Protocol.current m.protocol ~t:t0 ~cell:i in
-            Float.Array.set m.vm_buf i
-              (Float.Array.get m.vm_buf i
-              +. (dt *. (istim -. Float.Array.get m.iion_buf i)))
-          done);
+          exchange m ~t0 m.vm_buf);
       (* (3) implicit diffusion over dt/2 *)
       Obs.Tracer.with_span "tissue.diffusion" (fun () ->
           Float.Array.blit m.vm_buf 0 m.rhs 0 n;
-          diffuse m m.op));
+          diffuse m));
   Driver.tick m.driver;
   Activation.observe m.act ~t_prev:t0 ~t_now:(Driver.time m.driver)
     ~vm:m.vm_buf;

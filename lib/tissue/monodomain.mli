@@ -87,7 +87,9 @@ exception Solver_failed of Easyml.Diag.t
 
 val step : t -> unit
 (** One operator-split step: ionic stage(s), exchange, diffusion
-    solve(s), clock tick, activation observation, block check.  Phases
+    solve(s), clock tick, activation observation, block check.  The
+    stimulus is evaluated once per step, and the solve writes straight
+    into the driver's Vm through buffers made at {!create}.  Phases
     record {!Obs.Tracer} spans ([tissue.ionic], [tissue.exchange],
     [tissue.diffusion]) when tracing is enabled.  A diffusion solve
     that did not converge is a hard [solver-failure] trip of an enabled

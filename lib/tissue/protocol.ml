@@ -10,6 +10,34 @@ let current (p : t) ~(t : float) ~(cell : int) : float =
   | stims ->
       List.fold_left (fun acc s -> acc +. Stim.at_cell s ~t ~cell) 0.0 stims
 
+(* every pulse's [Stim.at] value at one time, shared by all cells *)
+type pulses = { spatial : Stim.spatial array; values : floatarray }
+
+let pulses (p : t) : pulses =
+  let spatial = Array.of_list p.stims in
+  { spatial; values = Float.Array.make (Array.length spatial) 0.0 }
+
+let eval (e : pulses) ~(t : float) : bool =
+  let on = ref false in
+  for k = 0 to Array.length e.spatial - 1 do
+    let a = Stim.at e.spatial.(k).Stim.pulse t in
+    Float.Array.set e.values k a;
+    if a <> 0.0 then on := true
+  done;
+  !on
+
+(* [current]'s sum, term for term, over the evaluated pulses *)
+let cell_current (e : pulses) ~(cell : int) : float =
+  match e.spatial with
+  | [| s |] -> Stim.apply_mask s (Float.Array.get e.values 0) ~cell
+  | spatial ->
+      let acc = ref 0.0 in
+      for k = 0 to Array.length spatial - 1 do
+        acc :=
+          !acc +. Stim.apply_mask spatial.(k) (Float.Array.get e.values k) ~cell
+      done;
+      !acc
+
 (* weight 1 on the strip x < width, 0 elsewhere *)
 let strip_mask (g : Geometry.t) ~(width : int) : floatarray =
   let n = Geometry.cells g in

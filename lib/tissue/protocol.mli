@@ -13,6 +13,24 @@ val current : t -> t:float -> cell:int -> float
     every pulse's {!Sim.Stim.at_cell}.  With a single pulse the sum is
     the pulse's value itself — no arithmetic is added. *)
 
+(** {2 Evaluating once per step} *)
+
+type pulses
+(** Every pulse's value at one time, evaluated once and shared by every
+    cell of a step. *)
+
+val pulses : t -> pulses
+(** Room for the protocol's pulse values; allocate once per simulation. *)
+
+val eval : pulses -> t:float -> bool
+(** [eval e ~t] evaluates each pulse's {!Sim.Stim.at} at [t], once, and
+    says whether any is on.  When none is, every cell's {!current} at
+    [t] is the literal [0.0]. *)
+
+val cell_current : pulses -> cell:int -> float
+(** [cell_current e ~cell] after [eval e ~t] is [current p ~t ~cell],
+    bit for bit. *)
+
 val s1 :
   ?amplitude:float ->
   ?start:float ->

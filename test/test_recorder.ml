@@ -127,6 +127,14 @@ let serialization_roundtrip =
          | Ok ck' ->
              checkpoint_equal ck ck' && String.equal (R.digest ck) (R.digest ck')))
 
+(* every float is written as [%016Lx] of its bit pattern *)
+let hex_format =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"hex_of_float is %016Lx of the bits"
+       (QCheck.make float_bits_gen) (fun v ->
+         String.equal (R.hex_of_float v)
+           (Printf.sprintf "%016Lx" (Int64.bits_of_float v))))
+
 (* -- structured errors on corrupt input ------------------------------- *)
 
 let sample_checkpoint () : R.checkpoint =
@@ -143,17 +151,42 @@ let sample_checkpoint () : R.checkpoint =
       ];
   }
 
+let write_text (path : string) (text : string) : unit =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let read_file (path : string) : string =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* [text] must fail to parse, and [R.read] of a file holding it must
+   fail with the same diagnostic, word for word *)
 let expect_error (label : string) (text : string) : unit =
-  match R.of_string text with
-  | Ok _ -> Alcotest.failf "%s: corrupt input parsed as Ok" label
-  | Error d ->
+  let from_file =
+    with_temp_dir (fun dir ->
+        let path = Filename.concat dir "corrupt.ckpt" in
+        write_text path text;
+        R.read path)
+  in
+  match (R.of_string text, from_file) with
+  | Ok _, _ -> Alcotest.failf "%s: corrupt input parsed as Ok" label
+  | _, Ok _ -> Alcotest.failf "%s: corrupt file read as Ok" label
+  | Error d, Error d' ->
       if
         not
           (List.mem d.Easyml.Diag.code
              [ "checkpoint-format"; "checkpoint-digest"; "checkpoint-io" ])
       then
         Alcotest.failf "%s: unexpected diagnostic code %s" label
-          d.Easyml.Diag.code
+          d.Easyml.Diag.code;
+      Alcotest.(check string) (label ^ ": read's code") d.Easyml.Diag.code
+        d'.Easyml.Diag.code;
+      Alcotest.(check string)
+        (label ^ ": read's message") d.Easyml.Diag.message
+        d'.Easyml.Diag.message
 
 let test_corrupt_inputs () =
   let good = R.to_string (sample_checkpoint ()) in
@@ -232,7 +265,12 @@ let test_layout_roundtrip () =
       let ck = D.capture d1 in
       with_temp_dir (fun dir ->
           let path = Filename.concat dir "ck" in
-          ignore (R.write ~path ck);
+          let bytes = R.write ~path ck in
+          let text = read_file path in
+          Alcotest.(check int) (layout ^ ": write returns the byte count")
+            (String.length text) bytes;
+          Alcotest.(check bool) (layout ^ ": file bytes == to_string") true
+            (String.equal text (R.to_string ck));
           match R.read path with
           | Error e ->
               Alcotest.failf "%s: re-read failed: %s" layout
@@ -461,39 +499,52 @@ let test_crash_dump_bundle () =
 let test_tissue_roundtrip () =
   let m = Models.Registry.model (Option.get (Models.Registry.find "FentonKarma")) in
   let g = Codegen.Cache.generate (C.mlir ~width:4) m in
-  let geom = Tissue.Geometry.cable ~n:32 ~dx:0.01 in
-  let mk () =
+  let mk geom =
     Tissue.Monodomain.create g ~geom ~dt:0.01
       ~protocol:(Tissue.Protocol.s1 ~width:4 geom)
   in
-  let s0 = mk () in
-  ignore (Tissue.Monodomain.run s0 ~steps:900);
-  let want = R.digest (Tissue.Monodomain.capture s0) in
-  let s1 = mk () in
-  ignore (Tissue.Monodomain.run s1 ~steps:400);
-  let ck = Tissue.Monodomain.capture s1 in
-  Alcotest.(check (option string))
-    "tissue kind" (Some "tissue") (R.meta ck "kind");
-  let s2 = mk () in
-  (match Tissue.Monodomain.restore s2 ck with
-  | Error e ->
-      Alcotest.failf "tissue restore failed: %s"
-        (Easyml.Diag.to_string ~file:"<mem>" e)
-  | Ok () -> ());
-  ignore (Tissue.Monodomain.run s2 ~steps:500);
-  Alcotest.(check string) "tissue resumed digest matches" want
-    (R.digest (Tissue.Monodomain.capture s2));
-  (* the activation detector resumed exactly: identical maps *)
-  Alcotest.(check string) "activation map identical"
-    (Tissue.Activation.to_csv (Tissue.Monodomain.activation s0) geom)
-    (Tissue.Activation.to_csv (Tissue.Monodomain.activation s2) geom);
-  (* a restored checkpoint refuses a different geometry *)
-  let other_geom = Tissue.Geometry.cable ~n:48 ~dx:0.01 in
-  let s3 =
-    Tissue.Monodomain.create g ~geom:other_geom ~dt:0.01
-      ~protocol:(Tissue.Protocol.s1 ~width:4 other_geom)
+  (* an uninterrupted run against one captured at step 400, written,
+     re-read and restored into a fresh simulation: on the sheet the
+     fresh simulation's CG vectors have solved nothing yet *)
+  let roundtrip geom =
+    let label = Tissue.Geometry.describe geom in
+    let s0 = mk geom in
+    ignore (Tissue.Monodomain.run s0 ~steps:900);
+    let want = R.digest (Tissue.Monodomain.capture s0) in
+    let s1 = mk geom in
+    ignore (Tissue.Monodomain.run s1 ~steps:400);
+    let ck = Tissue.Monodomain.capture s1 in
+    Alcotest.(check (option string))
+      "tissue kind" (Some "tissue") (R.meta ck "kind");
+    let ck' =
+      with_temp_dir (fun dir ->
+          let path = Filename.concat dir "tissue.ckpt" in
+          ignore (R.write ~path ck);
+          match R.read path with
+          | Ok ck' -> ck'
+          | Error e ->
+              Alcotest.failf "%s: re-read failed: %s" label
+                (Easyml.Diag.to_string ~file:path e))
+    in
+    let s2 = mk geom in
+    (match Tissue.Monodomain.restore s2 ck' with
+    | Error e ->
+        Alcotest.failf "%s: tissue restore failed: %s" label
+          (Easyml.Diag.to_string ~file:"<mem>" e)
+    | Ok () -> ());
+    ignore (Tissue.Monodomain.run s2 ~steps:500);
+    Alcotest.(check string) (label ^ ": resumed digest matches") want
+      (R.digest (Tissue.Monodomain.capture s2));
+    (* the activation detector resumed exactly: identical maps *)
+    Alcotest.(check string) (label ^ ": activation map identical")
+      (Tissue.Activation.to_csv (Tissue.Monodomain.activation s0) geom)
+      (Tissue.Activation.to_csv (Tissue.Monodomain.activation s2) geom);
+    ck
   in
-  match Tissue.Monodomain.restore s3 ck with
+  let ck = roundtrip (Tissue.Geometry.cable ~n:32 ~dx:0.01) in
+  ignore (roundtrip (Tissue.Geometry.sheet ~nx:16 ~ny:16 ~dx:0.01));
+  (* a restored checkpoint refuses a different geometry *)
+  match Tissue.Monodomain.restore (mk (Tissue.Geometry.cable ~n:48 ~dx:0.01)) ck with
   | Ok () -> Alcotest.fail "restore into a different geometry succeeded"
   | Error e ->
       Alcotest.(check string) "geometry mismatch code" "checkpoint-mismatch"
@@ -502,6 +553,7 @@ let test_tissue_roundtrip () =
 let suite =
   [
     serialization_roundtrip;
+    hex_format;
     Alcotest.test_case "corrupt inputs fail structurally" `Quick
       test_corrupt_inputs;
     Alcotest.test_case "capture/restore across the three layouts" `Quick

@@ -46,6 +46,61 @@ let tridiag_residual =
       done;
       !ok)
 
+(* Textbook Thomas: eliminate and sweep in one pass into fresh arrays.
+   The reference the factored solve must match bit for bit. *)
+let thomas_reference ~a ~b ~c ~d =
+  let n = Float.Array.length b in
+  let get = Float.Array.get and set = Float.Array.set in
+  let cp = Float.Array.make n 0.0 and dp = Float.Array.make n 0.0 in
+  set cp 0 (get c 0 /. get b 0);
+  set dp 0 (get d 0 /. get b 0);
+  for i = 1 to n - 1 do
+    let m = get b i -. (get a i *. get cp (i - 1)) in
+    set cp i (get c i /. m);
+    set dp i ((get d i -. (get a i *. get dp (i - 1))) /. m)
+  done;
+  let x = Float.Array.make n 0.0 in
+  set x (n - 1) (get dp (n - 1));
+  for i = n - 2 downto 0 do
+    set x i (get dp i -. (get cp i *. get x (i + 1)))
+  done;
+  x
+
+let same_bits x y =
+  let bits v i = Int64.bits_of_float (Float.Array.get v i) in
+  Float.Array.length x = Float.Array.length y
+  && List.for_all
+       (fun i -> Int64.equal (bits x i) (bits y i))
+       (List.init (Float.Array.length x) Fun.id)
+
+let tridiag_factored_bitwise =
+  Helpers.qtest ~count:300 "factored Thomas == textbook Thomas (bitwise)"
+    QCheck.(pair (int_range 1 300) int)
+    (fun (n, seed) ->
+      (* diagonally dominant, coefficients over several magnitudes *)
+      let st = Random.State.make [| seed |] in
+      let r () =
+        (Random.State.float st 2.0 -. 1.0)
+        *. (10.0 ** float_of_int (Random.State.int st 7 - 3))
+      in
+      let a = Float.Array.init n (fun i -> if i = 0 then 0.0 else r ()) in
+      let c = Float.Array.init n (fun i -> if i = n - 1 then 0.0 else r ()) in
+      let b =
+        Float.Array.init n (fun i ->
+            let off = Float.abs (Float.Array.get a i) +. Float.abs (Float.Array.get c i) in
+            let dom = off +. Float.abs (r ()) +. 1e-3 in
+            if Random.State.bool st then dom else -.dom)
+      in
+      let d = Float.Array.init n (fun _ -> r ()) in
+      let want = thomas_reference ~a ~b ~c ~d in
+      let f = Tridiag.factor ~a ~b ~c in
+      let fresh = Float.Array.make n Float.nan in
+      Tridiag.solve_into f ~d ~x:fresh;
+      let in_place = Float.Array.copy d in
+      Tridiag.solve_into f ~d:in_place ~x:in_place;
+      same_bits want fresh && same_bits want in_place
+      && same_bits want (Tridiag.solve ~a ~b ~c ~d))
+
 let test_tridiag_singular () =
   let z = fa [ 0.0; 0.0 ] in
   match Tridiag.solve ~a:z ~b:z ~c:z ~d:z with
@@ -274,6 +329,7 @@ let suite =
     Alcotest.test_case "tridiag known system" `Quick test_tridiag_known;
     solver_oracle;
     tridiag_residual;
+    tridiag_factored_bitwise;
     Alcotest.test_case "tridiag singular" `Quick test_tridiag_singular;
     Alcotest.test_case "csr mul" `Quick test_csr_mul;
     Alcotest.test_case "csr duplicate triplets" `Quick test_csr_duplicates_combine;

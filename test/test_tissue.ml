@@ -30,6 +30,31 @@ let fixture_gen () =
 
 (* -- spatial stimulus masks ------------------------------------------ *)
 
+(* Step [steps] times of [dt] from 0, as the driver's clock does, and at
+   every step time check the once-per-step evaluation against
+   [Protocol.current] for every one of [n] cells, bit for bit: a step
+   with no pulse on must give every cell the literal 0.0.  Returns the
+   number of steps on which some pulse switched on. *)
+let check_per_step_current (p : Protocol.t) ~(n : int) ~(dt : float)
+    ~(steps : int) : int =
+  let e = Protocol.pulses p in
+  let bits = Int64.bits_of_float in
+  let t = ref 0.0 and was_on = ref false and on_edges = ref 0 in
+  for _ = 0 to steps do
+    let on = Protocol.eval e ~t:!t in
+    if on && not !was_on then incr on_edges;
+    was_on := on;
+    for cell = 0 to n - 1 do
+      let want = Protocol.current p ~t:!t ~cell in
+      let got = if on then Protocol.cell_current e ~cell else 0.0 in
+      if not (Int64.equal (bits want) (bits got)) then
+        Alcotest.failf "%s: per-step current %h <> current %h at t=%h, cell %d"
+          p.Protocol.name got want !t cell
+    done;
+    t := !t +. dt
+  done;
+  !on_edges
+
 let stim_uniform_bitwise =
   (* The spatial lifting must leave the scalar path untouched: a Uniform
      mask is bit-for-bit the plain [Stim.at] result at every (t, cell),
@@ -59,7 +84,28 @@ let test_stim_region () =
   Alcotest.(check (float 0.0)) "after pulse" 0.0 (Stim.at_cell s ~t:6.0 ~cell:3);
   Alcotest.check_raises "bad region"
     (Invalid_argument "Stim.region: need 0 <= lo <= hi <= n") (fun () ->
-      ignore (Stim.region pulse ~n:4 ~lo:2 ~hi:5))
+      ignore (Stim.region pulse ~n:4 ~lo:2 ~hi:5));
+  (* a periodic region pulse summed with a weighted one: every wrap of
+     the period is an on and an off edge of the once-per-step path *)
+  let paced = Stim.make ~amplitude:80.0 ~start:1.0 ~duration:2.0 ~period:7.0 () in
+  let p =
+    {
+      Protocol.name = "paced";
+      stims =
+        [
+          Stim.region paced ~n:10 ~lo:0 ~hi:3;
+          Stim.weighted
+            (Stim.make ~amplitude:(-3.5) ~start:4.5 ~duration:0.25 ())
+            (Float.Array.init 10 (fun c -> float_of_int c /. 3.0));
+        ];
+    }
+  in
+  Alcotest.(check int) "paced: every period and the weighted pulse" 7
+    (check_per_step_current p ~n:10 ~dt:0.01 ~steps:3700);
+  Alcotest.(check int) "paced alone: every period switches on" 6
+    (check_per_step_current
+       { p with Protocol.stims = [ List.hd p.Protocol.stims ] }
+       ~n:10 ~dt:0.01 ~steps:3700)
 
 (* -- geometry -------------------------------------------------------- *)
 
@@ -324,6 +370,32 @@ let assert_same_trajectory name a b =
     then Alcotest.failf "%s: activation time differs at cell %d" name i
   done
 
+(* A step reuses every buffer it writes.  After warm-up, a Godunov step on
+   a 512-node cable (Thomas) and on a 24×24 sheet (CG) adds almost
+   nothing to the major heap: one per-step array of the population's
+   size would be over 256 words, which go straight to the major heap. *)
+let test_step_major_heap () =
+  List.iter
+    (fun geom ->
+      let sim =
+        Monodomain.create ~engine:Sim.Driver.Batched (fixture_gen ()) ~geom
+          ~dt:0.01 ~protocol:(Protocol.s1 geom)
+      in
+      for _ = 1 to 50 do
+        Monodomain.step sim
+      done;
+      (* promote what set-up left young, so only the steps are counted *)
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      for _ = 1 to 200 do
+        Monodomain.step sim
+      done;
+      let per_step = ((Gc.quick_stat ()).Gc.major_words -. before) /. 200.0 in
+      if per_step >= 64.0 then
+        Alcotest.failf "%s: %.1f major-heap words per step"
+          (Geometry.describe geom) per_step)
+    [ Geometry.cable ~n:512 ~dx:0.01; Geometry.sheet ~nx:24 ~ny:24 ~dx:0.01 ]
+
 let test_engines_bitwise () =
   let steps = 2000 in
   let closure = run_cable (cable_sim ~engine:Sim.Driver.Compiled ()) ~steps in
@@ -490,7 +562,22 @@ let test_restitution_protocol () =
         (Protocol.current p ~t ~cell:3))
     [ 1.5; 11.5; 21.5; 26.5 ];
   Helpers.check_close ~tol:0.0 "between pulses" 0.0
-    (Protocol.current p ~t:8.0 ~cell:0)
+    (Protocol.current p ~t:8.0 ~cell:0);
+  (* the once-per-step evaluation the monodomain step uses equals
+     [Protocol.current] at every step time, on a cable and on a sheet *)
+  List.iter
+    (fun geom ->
+      let n = Geometry.cells geom in
+      let per_step p = check_per_step_current p ~n ~dt:0.01 ~steps:3500 in
+      Alcotest.(check int) "s1 switches on once" 1
+        (per_step (Protocol.s1 ~width:2 geom));
+      Alcotest.(check int) "s1s2 switches on twice" 2
+        (per_step (Protocol.s1s2 ~width:2 ~s2_start:20.0 geom));
+      Alcotest.(check int) "restitution switches on per pulse" 4
+        (per_step
+           (Protocol.restitution ~amplitude:10.0 ~start:1.0 ~duration:1.0
+              ~width:2 ~n_s1:3 ~interval:10.0 ~s2_coupling:5.0 geom)))
+    [ Geometry.cable ~n:6 ~dx:0.01; Geometry.sheet ~nx:6 ~ny:5 ~dx:0.01 ]
 
 let test_prometheus_tissue_families () =
   let sim = run_cable (cable_sim ~n:40 ()) ~steps:3000 in
@@ -545,6 +632,8 @@ let suite =
       test_splitting_order_godunov;
     Alcotest.test_case "strang order pinned" `Quick
       test_splitting_order_strang;
+    Alcotest.test_case "step adds nothing to the major heap" `Quick
+      test_step_major_heap;
     Alcotest.test_case "closure == batched (bitwise)" `Quick
       test_engines_bitwise;
     Alcotest.test_case "1 thread == 2 threads (bitwise)" `Quick
