@@ -16,11 +16,18 @@
       accumulator cells (one float bump per hit, never an event), so
       hot counters cannot flood the ring.
 
-    Timestamps are microseconds relative to the {!enable} call and are
-    clamped per ring to be non-decreasing, so every per-Domain track is
-    monotonic by construction.  Recording never touches simulation
-    state: traced runs are bitwise identical to untraced runs (a
-    differential test over the whole model catalogue enforces this). *)
+    Events are stamped in raw clock ticks (the x86-64 time-stamp
+    counter, a few nanoseconds a read) clamped per ring to be
+    non-decreasing, so every per-Domain track is monotonic by
+    construction.  {!snapshot} and {!tail} turn ticks into microseconds
+    since the {!enable} call, scaled by how far the ticks and
+    CLOCK_MONOTONIC have advanced since the process started.  A span's
+    Begin reads the clock before its bookkeeping and its End after, so
+    a span's duration covers its own recording work: a caller timing
+    the call from outside sees only the clock reads on top.  Recording
+    never touches simulation state: traced runs are bitwise identical
+    to untraced runs (a differential test over the whole model
+    catalogue enforces this). *)
 
 type kind = Begin | End
 
@@ -37,14 +44,12 @@ type event = {
 type ring = {
   r_dom : int;
   r_cap : int;
-  r_ts : floatarray;  (** slot timestamps *)
+  r_ts : int array;  (** slot timestamps, in ticks *)
   r_kind : Bytes.t;  (** slot kinds: ['B'] or ['E'] *)
   r_name : string array;  (** slot names *)
   mutable r_n : int;  (** total events ever written *)
   mutable r_i : int;  (** next slot, [r_n mod r_cap] without the division *)
-  r_last : floatarray;
-      (** [[| last timestamp issued on this ring |]]; a floatarray cell,
-          so updating it does not allocate *)
+  mutable r_last : int;  (** last timestamp issued on this ring *)
   r_counters : (string, float ref) Hashtbl.t;
 }
 
@@ -59,24 +64,40 @@ let capacity = ref default_capacity
 let reg_lock = Mutex.create ()
 let rings : ring list ref = ref []
 
-(* Epoch of the current tracing session; timestamps are relative to it. *)
-let t0 = Atomic.make 0.0
+(* Epoch of the current tracing session, in ticks; timestamps are
+   relative to it. *)
+let t0 = Atomic.make 0
 
 external monotonic_ns : unit -> int = "limpet_obs_monotonic_ns" [@@noalloc]
+external ticks : unit -> int = "limpet_obs_ticks" [@@noalloc]
+external ticks_begin : unit -> int = "limpet_obs_ticks_begin" [@@noalloc]
 
-let[@inline] now_abs_us () = float_of_int (monotonic_ns ()) *. 1e-3
+(* Both clocks at start-up, read in the order [us_per_tick] reads them. *)
+let anchor_ticks = ticks ()
+let anchor_ns = monotonic_ns ()
+
+(* Microseconds per tick over the process's lifetime so far.  Its error
+   is the skew of two clock-read pairs, under a microsecond, over all
+   the time since start-up: a part in 10^6 once a process has traced
+   for a second. *)
+let us_per_tick () : float =
+  let tk = ticks () in
+  let ns = monotonic_ns () in
+  if tk > anchor_ticks && ns > anchor_ns then
+    1e-3 *. float_of_int (ns - anchor_ns) /. float_of_int (tk - anchor_ticks)
+  else 1e-3
 
 let make_ring () : ring =
   let r =
     {
       r_dom = (Domain.self () :> int);
       r_cap = !capacity;
-      r_ts = Float.Array.make !capacity 0.0;
+      r_ts = Array.make !capacity 0;
       r_kind = Bytes.make !capacity 'E';
       r_name = Array.make !capacity "";
       r_n = 0;
       r_i = 0;
-      r_last = Float.Array.make 1 0.0;
+      r_last = 0;
       r_counters = Hashtbl.create 16;
     }
   in
@@ -92,7 +113,7 @@ let clear_ring (r : ring) : unit =
   Array.fill r.r_name 0 r.r_cap "";
   r.r_n <- 0;
   r.r_i <- 0;
-  Float.Array.set r.r_last 0 0.0;
+  r.r_last <- 0;
   Hashtbl.reset r.r_counters
 
 (* -- control ---------------------------------------------------------- *)
@@ -110,7 +131,7 @@ let reset () =
 
 let enable () =
   reset ();
-  Atomic.set t0 (now_abs_us ());
+  Atomic.set t0 (ticks ());
   Atomic.set on true
 
 let disable () = Atomic.set on false
@@ -123,50 +144,62 @@ let set_capacity (n : int) : unit =
 
 (* -- recording -------------------------------------------------------- *)
 
-(* Per-ring clock: clamping to the last issued value keeps every
-   per-Domain track non-decreasing whatever the clock does. *)
-let[@inline] ring_now (r : ring) : float =
-  let t = now_abs_us () -. Atomic.get t0 in
-  let last = Float.Array.get r.r_last 0 in
-  let t = if t < last then last else t in
-  Float.Array.set r.r_last 0 t;
-  t
-
-let emit (k : kind) (name : string) : unit =
-  let r = my_ring () in
-  let i = r.r_i in
-  Float.Array.set r.r_ts i (ring_now r);
-  Bytes.set r.r_kind i (match k with Begin -> 'B' | End -> 'E');
-  r.r_name.(i) <- name;
+(* Store the timestamp of the event in slot [i], whose kind and name
+   are in place, and publish it.  Clamping to the last issued value
+   keeps every per-Domain track non-decreasing whatever the clock
+   does. *)
+let[@inline] stamp (r : ring) (i : int) (t : int) : unit =
+  let t = if t < r.r_last then r.r_last else t in
+  r.r_last <- t;
+  r.r_ts.(i) <- t;
   r.r_i <- (if i + 1 = r.r_cap then 0 else i + 1);
   r.r_n <- r.r_n + 1
 
-(* The event in slot [i] of a ring (or of a copy of its arrays). *)
-let slot_event (r : ring) ts kind name (i : int) : event =
+(* Begin reads the clock before its bookkeeping, End after, so the
+   span's duration covers its own recording work. *)
+let[@inline] emit_begin (name : string) : unit =
+  let t = ticks_begin () in
+  let r = my_ring () in
+  let i = r.r_i in
+  Bytes.set r.r_kind i 'B';
+  r.r_name.(i) <- name;
+  stamp r i t
+
+let[@inline] emit_end (name : string) : unit =
+  let r = my_ring () in
+  let i = r.r_i in
+  Bytes.set r.r_kind i 'E';
+  r.r_name.(i) <- name;
+  stamp r i (ticks ())
+
+(* The event in slot [i] of a ring (or of a copy of its arrays), with
+   its ticks turned into microseconds since [epoch]. *)
+let slot_event (r : ring) ~(epoch : int) ~(scale : float) ts kind name
+    (i : int) : event =
   {
-    ev_ts = Float.Array.get ts i;
+    ev_ts = float_of_int (max 0 (ts.(i) - epoch)) *. scale;
     ev_dom = r.r_dom;
     ev_kind = (if Bytes.get kind i = 'B' then Begin else End);
     ev_name = name.(i);
   }
 
 let span_begin (name : string) : unit =
-  if Atomic.get on then emit Begin name
+  if Atomic.get on then emit_begin name
 
 let span_end (name : string) : unit =
-  if Atomic.get on then emit End name
+  if Atomic.get on then emit_end name
 
 let with_span (name : string) (f : unit -> 'a) : 'a =
   if not (Atomic.get on) then f ()
   else begin
-    emit Begin name;
+    emit_begin name;
     match f () with
     | v ->
-        if Atomic.get on then emit End name;
+        if Atomic.get on then emit_end name;
         v
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        if Atomic.get on then emit End name;
+        if Atomic.get on then emit_end name;
         Printexc.raise_with_backtrace e bt
   end
 
@@ -189,12 +222,13 @@ type snapshot = {
 }
 
 (* Events of one ring, oldest first (ring order). *)
-let ring_events (r : ring) : event list =
+let ring_events (r : ring) ~epoch ~scale : event list =
   let n = r.r_n and cap = r.r_cap in
   let first = if n > cap then n - cap else 0 in
   let out = ref [] in
   for k = n - 1 downto first do
-    out := slot_event r r.r_ts r.r_kind r.r_name (k mod cap) :: !out
+    out :=
+      slot_event r ~epoch ~scale r.r_ts r.r_kind r.r_name (k mod cap) :: !out
   done;
   !out
 
@@ -232,9 +266,9 @@ let balance (evs : event list) : event list =
    Concurrency can shrink the usable window (a fast writer lapping the
    ring drops it to empty) but never hand us a torn or misordered
    event. *)
-let ring_tail (r : ring) ~(limit : int) : event list =
+let ring_tail (r : ring) ~epoch ~scale ~(limit : int) : event list =
   let n0 = r.r_n in
-  let ts = Float.Array.copy r.r_ts
+  let ts = Array.copy r.r_ts
   and kind = Bytes.copy r.r_kind
   and name = Array.copy r.r_name in
   let n1 = r.r_n in
@@ -242,7 +276,7 @@ let ring_tail (r : ring) ~(limit : int) : event list =
   let lo = max 0 (max (n1 - cap + 1) (n0 - limit)) in
   let out = ref [] in
   for k = n0 - 1 downto lo do
-    out := slot_event r ts kind name (k mod cap) :: !out
+    out := slot_event r ~epoch ~scale ts kind name (k mod cap) :: !out
   done;
   (* belt and braces for counter staleness under the relaxed memory
      model: keep only the longest timestamp-monotonic suffix, so the
@@ -262,7 +296,10 @@ let tail ?(limit = 256) () : event list =
     Mutex.lock reg_lock;
     let rs = !rings in
     Mutex.unlock reg_lock;
-    let per_dom = List.map (fun r -> balance (ring_tail r ~limit)) rs in
+    let epoch = Atomic.get t0 and scale = us_per_tick () in
+    let per_dom =
+      List.map (fun r -> balance (ring_tail r ~epoch ~scale ~limit)) rs
+    in
     let seqd =
       List.concat_map
         (fun evs -> List.mapi (fun i e -> (e.ev_ts, e.ev_dom, i, e)) evs)
@@ -308,7 +345,8 @@ let snapshot () : snapshot =
   Mutex.lock reg_lock;
   let rs = !rings in
   Mutex.unlock reg_lock;
-  let per_dom = List.map (fun r -> balance (ring_events r)) rs in
+  let epoch = Atomic.get t0 and scale = us_per_tick () in
+  let per_dom = List.map (fun r -> balance (ring_events r ~epoch ~scale)) rs in
   (* stable merge: sort by timestamp, keeping each domain's order (sort
      keys extended with the per-domain sequence number) *)
   let seqd =

@@ -471,6 +471,44 @@ let test_tail_concurrent_writers () =
   check_tail_invariants t ~limit:64;
   Alcotest.(check bool) "tail nonempty after recording" true (t <> [])
 
+(* Timestamps are microseconds: a span around a sleep lasts at least the
+   sleep, and within 10 us of what the caller's own clock saw around the
+   call (the span's stamps lie inside it, a few hundred nanoseconds from
+   its ends).  A tick-to-microsecond scale off by 0.05 % fails one bound
+   or the other on the 40 ms sleep. *)
+let test_span_durations_in_microseconds () =
+  fresh ();
+  T.enable ();
+  let sleeps_ms = [ 5; 20; 40 ] in
+  let outside_us =
+    List.map
+      (fun ms ->
+        let a = Unix.gettimeofday () in
+        T.with_span "sleep" (fun () -> Unix.sleepf (float_of_int ms *. 1e-3));
+        (Unix.gettimeofday () -. a) *. 1e6)
+      sleeps_ms
+  in
+  T.disable ();
+  let rec spans open_ts acc = function
+    | [] -> List.rev acc
+    | (e : T.event) :: rest -> (
+        match e.T.ev_kind with
+        | T.Begin -> spans e.T.ev_ts acc rest
+        | T.End -> spans open_ts ((e.T.ev_ts -. open_ts) :: acc) rest)
+  in
+  let durs = spans 0.0 [] (T.snapshot ()).T.events in
+  Alcotest.(check int) "one span per sleep" 3 (List.length durs);
+  List.iteri
+    (fun i dur ->
+      let slept = float_of_int (List.nth sleeps_ms i) *. 1e3
+      and outside = List.nth outside_us i in
+      (* gettimeofday truncates to whole microseconds: 1 us per read *)
+      if dur < Float.max slept (outside -. 10.0) || dur > outside +. 2.0 then
+        Alcotest.failf
+          "span %.1f us around a %.0f us sleep timed %.1f us outside" dur
+          slept outside)
+    durs
+
 let suite =
   [
     Alcotest.test_case "disabled records nothing" `Quick
@@ -498,4 +536,6 @@ let suite =
     tail_qcheck;
     Alcotest.test_case "tail under concurrent writers" `Quick
       test_tail_concurrent_writers;
+    Alcotest.test_case "span durations in microseconds" `Quick
+      test_span_durations_in_microseconds;
   ]
