@@ -1,20 +1,31 @@
 (* C backend: lowered IR -> one self-contained C translation unit.
 
-   Every SSA value becomes a C local ([v<id>]); scalars map to
-   double/int64_t/int, vectors to fixed-size stack arrays written by
-   constant-trip-count lane loops that cc -O3 unrolls and SLP-vectorizes.
-   scf.for becomes a plain countable [for] (the compute kernel's parallel
-   tile loop auto-vectorizes), scf.if becomes an if/else assigning
-   pre-declared result locals.
+   Every SSA value becomes a C local ([v<id>]).  Scalars map to
+   double/int64_t/int.  A vector value is one GCC/Clang vector-extension
+   value: [f64x<w>] for vector<wxf64>, [i64x<w>] for vector<wxi64> and
+   for vector<wxi1>, whose lanes are all-ones/zero masks as vector
+   compares produce them; the prelude typedefs the widths the unit uses.
+   Arithmetic, negation, compares, mask logic, selects (a bitwise blend
+   on the mask: C has no vector ?:), broadcasts (an initializer list)
+   and AoSoA loads/stores (unaligned memcpy) are single vector
+   expressions, which cc maps onto the vector ISA Exec.Native.flags
+   selects for the host.  Only ops with no exact whole-vector C form —
+   libm calls, ml_fmin/ml_fmax, fmod, integer div/rem, int<->float
+   conversion, gathers, scatters, iota and the LUT helpers — run a
+   constant-trip lane loop that subscripts the vector value; a mask lane
+   read as a number is 0/1.  scf.for becomes a plain countable [for],
+   scf.if an if/else assigning pre-declared result locals.
 
    Bitwise parity with the OCaml engines is the design constraint, not an
    accident:
    - float constants print as C hex literals (exact bit patterns);
+   - vector lanes see exactly the IEEE operations the OCaml engines apply
+     per lane; a blend or broadcast moves bits, never computes on them;
    - math builtins map to the same libm entry points the interpreter's
-     registry calls (OCaml's Float.exp etc. are direct libm externs), and
-     every transcendental among them is one of Exec.Native.libm_calls,
-     whose -fno-builtin-<f> flags keep cc from evaluating it at compile
-     time with MPFR instead of glibc;
+     registry calls (OCaml's Float.exp etc. are direct libm externs), one
+     scalar call per lane, and every transcendental among them is one of
+     Exec.Native.libm_calls, whose -fno-builtin-<f> flags keep cc from
+     evaluating it at compile time with MPFR instead of glibc;
    - fmin/fmax/min/max and arith.minf/maxf use OCaml Float.min/Float.max
      semantics (NaN-propagating, -0 < +0), emitted as ml_fmin/ml_fmax
      rather than C fmin/fmax (which differ on NaN);
@@ -45,6 +56,17 @@ let scalar_cty : Ty.t -> string = function
   | Ty.I64 -> "int64_t"
   | Ty.I1 -> "int"
   | t -> unsupported "no scalar C type for %s" (Ty.to_string t)
+
+(* The vector-extension typedef of a vector's lanes ([vector_typedefs]);
+   i1 lanes are int64_t masks. *)
+let vec_cty (w : int) : Ty.t -> string = function
+  | Ty.F64 -> Printf.sprintf "f64x%d" w
+  | Ty.I64 | Ty.I1 -> Printf.sprintf "i64x%d" w
+  | t -> unsupported "no vector C type for %s" (Ty.to_string t)
+
+let cty : Ty.t -> string = function
+  | Ty.Vec (w, e) -> vec_cty w e
+  | t -> scalar_cty t
 
 (* Exact-bit float literals.  %h prints C99 hex floats; NaN/inf have no
    literal syntax, so synthesize them arithmetically (evaluated at
@@ -80,18 +102,24 @@ let vname ctx (v : Value.t) : string =
 
 (* Declare (without initializing) storage for a value. *)
 let decl ctx ind (v : Value.t) : unit =
-  match v.Value.ty with
-  | Ty.Vec (w, e) -> pr ctx ind "%s %s[%d];" (scalar_cty e) (vname ctx v) w
-  | t -> pr ctx ind "%s %s;" (scalar_cty t) (vname ctx v)
+  pr ctx ind "%s %s;" (cty v.Value.ty) (vname ctx v)
 
-(* Assign previously-declared [dst] from the local named [src]
-   (element-wise for vectors — C arrays are not assignable). *)
+(* Declare [r] initialized to the C expression [e]. *)
+let define ctx ind (r : Value.t) (e : string) : unit =
+  pr ctx ind "%s %s = %s;" (cty r.Value.ty) (vname ctx r) e
+
+(* Assign previously-declared [dst] from the local named [src] (vector
+   values are assignable like scalars). *)
 let assign ctx ind (dst : Value.t) (src : string) : unit =
-  match dst.Value.ty with
-  | Ty.Vec (w, _) ->
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s[l];" w
-        (vname ctx dst) src
-  | _ -> pr ctx ind "%s = %s;" (vname ctx dst) src
+  pr ctx ind "%s = %s;" (vname ctx dst) src
+
+(* Lane [i] of [v] as a scalar (a scalar [v] stands for every lane): a
+   mask lane, all ones or zero, reads as the i1 scalar 0/1. *)
+let lane ctx (v : Value.t) (i : string) : string =
+  match v.Value.ty with
+  | Ty.Vec (_, Ty.I1) -> Printf.sprintf "(%s[%s] != 0)" (vname ctx v) i
+  | Ty.Vec _ -> Printf.sprintf "%s[%s]" (vname ctx v) i
+  | _ -> vname ctx v
 
 let cmp_op : Op.cmp -> string = function
   | Op.Lt -> "<"
@@ -124,10 +152,22 @@ let ibin_expr (k : Op.ibin) (a : string) (b : string) : string =
   Printf.sprintf "(%s %s %s)" a op b
 
 let bbin_expr (k : Op.bbin) (a : string) (b : string) : string =
-  (* bool-like values are canonical 0/1, so bitwise ops implement the
-     (non-short-circuiting, as in Lower) logical connectives *)
+  (* bool-like values are canonical (0/1 scalars, all-ones/zero mask
+     lanes), so bitwise ops implement the (non-short-circuiting, as in
+     Lower) logical connectives *)
   let op = match k with Op.BAnd -> "&" | Op.BOr -> "|" | Op.BXor -> "^" in
   Printf.sprintf "(%s %s %s)" a op b
+
+(* [c ? a : b] of type [ty].  On vectors it blends bits under the mask
+   [c], through the lanes' integer view for f64. *)
+let select_expr (ty : Ty.t) (c : string) (a : string) (b : string) : string =
+  match ty with
+  | Ty.Vec (w, Ty.F64) ->
+      let m = vec_cty w Ty.I64 in
+      Printf.sprintf "(%s)((%s & (%s)%s) | (~%s & (%s)%s))" (vec_cty w Ty.F64)
+        c m a c m b
+  | Ty.Vec _ -> Printf.sprintf "((%s & %s) | (~%s & %s))" c a c b
+  | _ -> Printf.sprintf "(%s ? %s : %s)" c a b
 
 (* One builtin registry mirror: must agree with Exec.Engine's
    unary_fn/binary_fn tables (same libm entry point, same argument
@@ -154,92 +194,83 @@ let math_expr (name : string) (a : string array) : string =
 let operand_names ctx (o : Op.op) : string array =
   Array.map (vname ctx) o.Op.operands
 
-(* Element-wise op: scalar result defines a local directly; vector result
-   declares an array and fills it with a constant-bound lane loop.
-   Scalar operands inside a vector op (none today post-verifier) stay
-   unindexed. *)
-let emit_ew ctx ind (o : Op.op) (f : string array -> string) : unit =
+(* An op with no exact whole-vector C form: a scalar result is defined
+   directly, a vector result by a constant-trip lane loop over its
+   operands' lanes. *)
+let emit_lanes ctx ind (o : Op.op) (f : string array -> string) : unit =
   let r = o.Op.results.(0) in
   match r.Value.ty with
   | Ty.Vec (w, _) ->
       decl ctx ind r;
-      let elems =
-        Array.map
-          (fun (v : Value.t) ->
-            match v.Value.ty with
-            | Ty.Vec _ -> vname ctx v ^ "[l]"
-            | _ -> vname ctx v)
-          o.Op.operands
-      in
       pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s;" w (vname ctx r)
-        (f elems)
-  | t ->
-      pr ctx ind "%s %s = %s;" (scalar_cty t) (vname ctx r)
-        (f (operand_names ctx o))
+        (f (Array.map (fun v -> lane ctx v "l") o.Op.operands))
+  | _ -> define ctx ind r (f (operand_names ctx o))
 
 let rec emit_op ctx ind (o : Op.op) : unit =
   let a = lazy (operand_names ctx o) in
   let an k = (Lazy.force a).(k) in
+  (* the same C expression on scalars and on whole vectors *)
+  let expr e = define ctx ind o.Op.results.(0) e in
   match o.Op.kind with
-  | Op.ConstF f -> emit_ew ctx ind o (fun _ -> float_lit f)
-  | Op.ConstI n -> emit_ew ctx ind o (fun _ -> Printf.sprintf "INT64_C(%d)" n)
-  | Op.ConstB b -> emit_ew ctx ind o (fun _ -> if b then "1" else "0")
-  | Op.BinF k -> emit_ew ctx ind o (fun x -> fbin_expr k x.(0) x.(1))
-  | Op.NegF -> emit_ew ctx ind o (fun x -> Printf.sprintf "(-%s)" x.(0))
-  | Op.BinI k -> emit_ew ctx ind o (fun x -> ibin_expr k x.(0) x.(1))
-  | Op.BinB k -> emit_ew ctx ind o (fun x -> bbin_expr k x.(0) x.(1))
-  | Op.NotB -> emit_ew ctx ind o (fun x -> Printf.sprintf "(!%s)" x.(0))
+  | Op.ConstF f -> expr (float_lit f)
+  | Op.ConstI n -> expr (Printf.sprintf "INT64_C(%d)" n)
+  | Op.ConstB b -> expr (if b then "1" else "0")
+  | Op.BinF ((Op.FAdd | Op.FSub | Op.FMul | Op.FDiv) as k) ->
+      expr (fbin_expr k (an 0) (an 1))
+  | Op.BinF k -> emit_lanes ctx ind o (fun x -> fbin_expr k x.(0) x.(1))
+  | Op.NegF -> expr (Printf.sprintf "(-%s)" (an 0))
+  | Op.BinI ((Op.IAdd | Op.ISub | Op.IMul) as k) ->
+      expr (ibin_expr k (an 0) (an 1))
+  | Op.BinI k -> emit_lanes ctx ind o (fun x -> ibin_expr k x.(0) x.(1))
+  | Op.BinB k -> expr (bbin_expr k (an 0) (an 1))
+  | Op.NotB ->
+      (* C's ! is scalar-only; ~ complements a mask *)
+      (match o.Op.results.(0).Value.ty with
+      | Ty.Vec _ -> expr (Printf.sprintf "(~%s)" (an 0))
+      | _ -> expr (Printf.sprintf "(!%s)" (an 0)))
   | Op.CmpF c | Op.CmpI c ->
-      emit_ew ctx ind o (fun x ->
-          Printf.sprintf "(%s %s %s)" x.(0) (cmp_op c) x.(1))
+      let e = Printf.sprintf "(%s %s %s)" (an 0) (cmp_op c) (an 1) in
+      (match o.Op.results.(0).Value.ty with
+      | Ty.Vec (w, _) -> expr (Printf.sprintf "(%s)%s" (vec_cty w Ty.I1) e)
+      | _ -> expr e)
   | Op.Select ->
-      emit_ew ctx ind o (fun x ->
-          Printf.sprintf "(%s ? %s : %s)" x.(0) x.(1) x.(2))
-  | Op.SIToFP -> emit_ew ctx ind o (fun x -> Printf.sprintf "(double)%s" x.(0))
+      expr (select_expr o.Op.results.(0).Value.ty (an 0) (an 1) (an 2))
+  | Op.SIToFP ->
+      emit_lanes ctx ind o (fun x -> Printf.sprintf "(double)%s" x.(0))
   | Op.FPToSI ->
       (* OCaml int_of_float truncates toward zero, as does the C cast *)
-      emit_ew ctx ind o (fun x -> Printf.sprintf "(int64_t)%s" x.(0))
-  | Op.Math m -> emit_ew ctx ind o (math_expr m)
+      emit_lanes ctx ind o (fun x -> Printf.sprintf "(int64_t)%s" x.(0))
+  | Op.Math (("square" | "cube") as m) -> expr (math_expr m (Lazy.force a))
+  | Op.Math m -> emit_lanes ctx ind o (math_expr m)
   | Op.Broadcast ->
+      (* an initializer, not [x + 0.0] (which turns -0.0 into +0.0); an
+         i1 scalar becomes a mask lane *)
       let r = o.Op.results.(0) in
-      let w = Ty.width r.Value.ty in
-      decl ctx ind r;
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s;" w (vname ctx r)
-        (an 0)
-  | Op.VecExtract lane ->
-      let r = o.Op.results.(0) in
-      pr ctx ind "%s %s = %s[%d];"
-        (scalar_cty r.Value.ty)
-        (vname ctx r) (an 0) lane
+      let x =
+        match r.Value.ty with
+        | Ty.Vec (_, Ty.I1) -> Printf.sprintf "-(int64_t)%s" (an 0)
+        | _ -> an 0
+      in
+      expr
+        (Printf.sprintf "{%s}"
+           (String.concat ", " (List.init (Ty.width r.Value.ty) (fun _ -> x))))
+  | Op.VecExtract k ->
+      expr (lane ctx o.Op.operands.(0) (string_of_int k))
   | Op.VecLoad ->
-      let r = o.Op.results.(0) in
-      let w = Ty.width r.Value.ty in
-      decl ctx ind r;
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s[%s + l];" w
-        (vname ctx r) (an 0) (an 1)
+      let r = vname ctx o.Op.results.(0) in
+      decl ctx ind o.Op.results.(0);
+      pr ctx ind "memcpy(&%s, %s + %s, sizeof %s);" r (an 0) (an 1) r
   | Op.VecStore ->
-      let w = Ty.width o.Op.operands.(0).Value.ty in
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[%s + l] = %s[l];" w (an 1)
-        (an 2) (an 0)
+      pr ctx ind "memcpy(%s + %s, &%s, sizeof %s);" (an 1) (an 2) (an 0) (an 0)
   | Op.Gather ->
-      let r = o.Op.results.(0) in
-      let w = Ty.width r.Value.ty in
-      decl ctx ind r;
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s[%s[l]];" w
-        (vname ctx r) (an 0) (an 1)
+      emit_lanes ctx ind o (fun x -> Printf.sprintf "%s[%s]" x.(0) x.(1))
   | Op.Scatter ->
-      let w = Ty.width o.Op.operands.(0).Value.ty in
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[%s[l]] = %s[l];" w (an 1)
-        (an 2) (an 0)
-  | Op.Iota _ ->
-      let r = o.Op.results.(0) in
-      let w = Ty.width r.Value.ty in
-      decl ctx ind r;
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = l;" w (vname ctx r)
+      let v = o.Op.operands.(0) and idxs = o.Op.operands.(2) in
+      pr ctx ind "for (int l = 0; l < %d; l++) %s[%s] = %s;"
+        (Ty.width v.Value.ty) (an 1) (lane ctx idxs "l") (lane ctx v "l")
+  | Op.Iota _ -> emit_lanes ctx ind o (fun _ -> "l")
   | Op.Alloc -> unsupported "memref.alloc has no C lowering"
-  | Op.MemLoad ->
-      let r = o.Op.results.(0) in
-      pr ctx ind "double %s = %s[%s];" (vname ctx r) (an 0) (an 1)
+  | Op.MemLoad -> expr (Printf.sprintf "%s[%s]" (an 0) (an 1))
   | Op.MemStore -> pr ctx ind "%s[%s] = %s;" (an 1) (an 2) (an 0)
   | Op.For _ ->
       let lb = an 0 and ub = an 1 and step = an 2 in
@@ -315,19 +346,25 @@ and emit_extern_call ctx ind (callee : string) (o : Op.op) : unit =
   match callee with
   | "lut_interp" | "lut_interp_vec" | "lut_interp_cubic" | "lut_interp_cubic_vec"
     ->
-      (* (table, row, x, lo, step, rows, cols); dispatch scalar/vector on
-         the lookup operand's actual shape *)
+      (* (table, row, x, lo, step, rows, cols); one helper call per lane
+         of the lookup operand, which fills that lane of the row *)
       let a = operand_names ctx o in
-      let cubic = callee = "lut_interp_cubic" || callee = "lut_interp_cubic_vec" in
-      (match o.Op.operands.(2).Value.ty with
+      let helper =
+        if callee = "lut_interp_cubic" || callee = "lut_interp_cubic_vec" then
+          "lut_cubic"
+        else "lut_linear"
+      in
+      let call ind x w l =
+        pr ctx ind "%s(%s, %s, %s, %s, %s, %s, %s, %d, %s);" helper a.(0) a.(1)
+          x a.(3) a.(4) a.(5) a.(6) w l
+      in
+      let x = o.Op.operands.(2) in
+      (match x.Value.ty with
       | Ty.Vec (w, Ty.F64) ->
-          pr ctx ind "%s(%s, %s, %s, %d, %s, %s, %s, %s);"
-            (if cubic then "lut_cubic_vec" else "lut_linear_vec")
-            a.(0) a.(1) a.(2) w a.(3) a.(4) a.(5) a.(6)
-      | Ty.F64 ->
-          pr ctx ind "%s(%s, %s, %s, %s, %s, %s, %s);"
-            (if cubic then "lut_cubic" else "lut_linear")
-            a.(0) a.(1) a.(2) a.(3) a.(4) a.(5) a.(6)
+          pr ctx ind "for (int l = 0; l < %d; l++) {" w;
+          call (ind + 1) (lane ctx x "l") w "l";
+          pr ctx ind "}"
+      | Ty.F64 -> call ind a.(2) 1 "0"
       | t -> unsupported "%s lookup operand of type %s" callee (Ty.to_string t))
   | _ -> unsupported "extern %s has no C lowering" callee
 
@@ -350,13 +387,15 @@ static inline double ml_fmax(double x, double y) {
 
 (* Operation-for-operation transcription of Runtime.Lut.interp_row /
    interp_row_vec (row-major table, vector row buffer column-major by
-   lane) and the Catmull-Rom variants.  Index/fraction clamping and the
-   evaluation order of the spline polynomial match the OCaml source
-   exactly so results are bitwise identical. *)
+   lane) and the Catmull-Rom variants.  A call interpolates at [x] into
+   lane [l] of a row of [w] lanes per column ([w] = 1, [l] = 0: a scalar
+   row).  Index/fraction clamping and the evaluation order of the spline
+   polynomial match the OCaml source exactly so results are bitwise
+   identical. *)
 let lut_linear_helpers =
   {|static void lut_linear(const double *restrict tab, double *restrict row,
                        double x, double lo, double step,
-                       int64_t rows, int64_t cols) {
+                       int64_t rows, int64_t cols, int w, int l) {
   double pos = (x - lo) / step;
   int64_t idx;
   double frac;
@@ -366,25 +405,7 @@ let lut_linear_helpers =
   const double *r0 = tab + idx * cols;
   const double *r1 = r0 + cols;
   for (int64_t c = 0; c < cols; c++)
-    row[c] = r0[c] + frac * (r1[c] - r0[c]);
-}
-
-static void lut_linear_vec(const double *restrict tab, double *restrict row,
-                           const double *restrict xs, int w,
-                           double lo, double step,
-                           int64_t rows, int64_t cols) {
-  for (int l = 0; l < w; l++) {
-    double pos = (xs[l] - lo) / step;
-    int64_t idx;
-    double frac;
-    if (pos <= 0.0) { idx = 0; frac = 0.0; }
-    else if (pos >= (double)(rows - 1)) { idx = rows - 2; frac = 1.0; }
-    else { idx = (int64_t)floor(pos); frac = pos - (double)idx; }
-    const double *r0 = tab + idx * cols;
-    const double *r1 = r0 + cols;
-    for (int64_t c = 0; c < cols; c++)
-      row[c * w + l] = r0[c] + frac * (r1[c] - r0[c]);
-  }
+    row[c * w + l] = r0[c] + frac * (r1[c] - r0[c]);
 }
 |}
 
@@ -411,8 +432,11 @@ static inline double catmull_rom(double p0, double p1, double p2, double p3,
 
 static void lut_cubic(const double *restrict tab, double *restrict row,
                       double x, double lo, double step,
-                      int64_t rows, int64_t cols) {
-  if (rows < 4) { lut_linear(tab, row, x, lo, step, rows, cols); return; }
+                      int64_t rows, int64_t cols, int w, int l) {
+  if (rows < 4) {
+    lut_linear(tab, row, x, lo, step, rows, cols, w, l);
+    return;
+  }
   int64_t idx;
   double u;
   lut_locate_cubic((x - lo) / step, rows, &idx, &u);
@@ -421,28 +445,7 @@ static void lut_cubic(const double *restrict tab, double *restrict row,
   const double *q2 = q1 + cols;
   const double *q3 = q2 + cols;
   for (int64_t c = 0; c < cols; c++)
-    row[c] = catmull_rom(q0[c], q1[c], q2[c], q3[c], u);
-}
-
-static void lut_cubic_vec(const double *restrict tab, double *restrict row,
-                          const double *restrict xs, int w,
-                          double lo, double step,
-                          int64_t rows, int64_t cols) {
-  if (rows < 4) {
-    lut_linear_vec(tab, row, xs, w, lo, step, rows, cols);
-    return;
-  }
-  for (int l = 0; l < w; l++) {
-    int64_t idx;
-    double u;
-    lut_locate_cubic((xs[l] - lo) / step, rows, &idx, &u);
-    const double *q0 = tab + (idx - 1) * cols;
-    const double *q1 = q0 + cols;
-    const double *q2 = q1 + cols;
-    const double *q3 = q2 + cols;
-    for (int64_t c = 0; c < cols; c++)
-      row[c * w + l] = catmull_rom(q0[c], q1[c], q2[c], q3[c], u);
-  }
+    row[c * w + l] = catmull_rom(q0[c], q1[c], q2[c], q3[c], u);
 }
 |}
 
@@ -525,6 +528,22 @@ let uses_luts (m : Func.modl) : bool * bool =
     m.Func.m_funcs;
   (!linear || !cubic, !cubic)
 
+(* The vector widths of the module's values, ascending.  Every value is
+   an op result or typed like one (loop-carried arguments like their
+   loop's results; parameters are never vectors). *)
+let vector_widths (m : Func.modl) : int list =
+  List.concat_map
+    (fun (f : Func.func) ->
+      Op.fold_region
+        (fun acc o ->
+          Array.fold_left
+            (fun acc (v : Value.t) ->
+              match v.Value.ty with Ty.Vec (w, _) -> w :: acc | _ -> acc)
+            acc o.Op.results)
+        [] f.Func.f_body)
+    m.Func.m_funcs
+  |> List.sort_uniq compare
+
 let emit_module ?(banner = []) (m : Func.modl) : string =
   let ctx =
     {
@@ -552,7 +571,20 @@ let emit_module ?(banner = []) (m : Func.modl) : string =
   pr ctx 0 "";
   pr ctx 0 "#include <stdint.h>";
   pr ctx 0 "#include <math.h>";
+  pr ctx 0 "#include <string.h>";
   pr ctx 0 "";
+  (* one f64 and one i64 vector type per width; gcc and clang take
+     power-of-two lane counts only *)
+  List.iter
+    (fun w ->
+      if w land (w - 1) <> 0 then
+        unsupported "vector width %d is not a power of two" w;
+      pr ctx 0 "typedef double %s __attribute__((vector_size(%d)));"
+        (vec_cty w Ty.F64) (8 * w);
+      pr ctx 0 "typedef int64_t %s __attribute__((vector_size(%d)));"
+        (vec_cty w Ty.I64) (8 * w);
+      pr ctx 0 "")
+    (vector_widths m);
   Buffer.add_string ctx.buf minmax_helpers;
   Buffer.add_char ctx.buf '\n';
   let any_lut, cubic = uses_luts m in

@@ -11,11 +11,19 @@
     [ma], each in declaration order) — the calling convention
     {!Exec.Native.bind} marshals to.
 
+    Vector values are GCC/Clang vector-extension values, one
+    [vector_size] type per element class and width the unit uses
+    ([vector<wxi1>] is an all-ones/zero [int64_t] mask); ops with no
+    exact whole-vector C form (libm calls, [fmin]/[fmax], [fmod],
+    integer div/rem, conversions, gathers, scatters, iota, LUT helpers)
+    run one lane loop each.
+
     Floating-point policy: constants are emitted as hex literals, libm
     names match the interpreter's builtin registry, [fmin]/[fmax] use
-    OCaml [Float.min]/[Float.max] semantics (emitted inline), and the
-    unit is meant to be compiled with {!Exec.Native.flags} so
-    trajectories stay bitwise-comparable to the OCaml engines.  Every
+    OCaml [Float.min]/[Float.max] semantics (emitted inline), selects
+    blend bits and broadcasts copy them, and the unit is meant to be
+    compiled with {!Exec.Native.flags} so trajectories stay
+    bitwise-comparable to the OCaml engines.  Every
     transcendental call the emitter writes is one of
     {!Exec.Native.libm_calls}, whose [-fno-builtin-<f>] flags stop the C
     compiler from evaluating it at compile time with its own
@@ -30,9 +38,10 @@
 
 exception Unsupported of string
 (** Raised by {!emit_module} on IR with no C lowering (vector-typed
-    function parameters, [memref.alloc], calls with results, unknown
-    externs).  Kernels produced by {!Kernel.generate} never trip this;
-    it exists so arbitrary modules degrade with a diagnostic instead of
+    function parameters, vector widths that are not a power of two,
+    [memref.alloc], calls with results, unknown externs).  Kernels
+    produced by {!Kernel.generate} trip it only at such a width; it
+    exists so arbitrary modules degrade with a diagnostic instead of
     emitting wrong code. *)
 
 val symbol : string -> string

@@ -18,9 +18,14 @@ let libm_calls =
     "tan"; "tanh"; "sinh"; "cosh"; "asin"; "acos"; "atan"; "pow"; "atan2";
     "hypot" ]
 
+external isa_probe : unit -> string = "limpet_native_isa_flag"
+
+let isa_flag = match isa_probe () with "" -> None | f -> Some f
+
 let flags =
   [ "-O3"; "-shared"; "-fPIC"; "-ffp-contract=off"; "-fno-fast-math" ]
   @ List.map (fun f -> "-fno-builtin-" ^ f) libm_calls
+  @ Option.to_list isa_flag
 
 let flags_id = String.concat " " flags
 
@@ -384,34 +389,35 @@ let bind (l : lib) ~(symbol : string) ~(params : Ir.Ty.t list) :
                invalid_arg ("Native.bind: vector parameter for " ^ symbol))
          params)
   in
-  let count c = Array.fold_left (fun n x -> if x = c then n + 1 else n) 0 classes in
-  (* preallocated packs: one bound closure per thread, like every engine *)
-  let ia = Array.make (count CI) 0 in
-  let fa = Float.Array.make (count CF) 0.0 in
-  let ma = Array.make (count CM) (Float.Array.create 0) in
+  (* each argument's slot in its class's pack *)
+  let ni = ref 0 and nf = ref 0 and nm = ref 0 in
+  let slots =
+    Array.map
+      (fun c ->
+        let n = match c with CI -> ni | CF -> nf | CM -> nm in
+        incr n;
+        !n - 1)
+      classes
+  in
+  (* preallocated packs: one bound closure per thread, like every engine;
+     a call fills them in place and allocates nothing *)
+  let ia = Array.make !ni 0 in
+  let fa = Float.Array.make !nf 0.0 in
+  let ma = Array.make !nm (Float.Array.create 0) in
   fun (args : Rt.v array) ->
     if Array.length args <> Array.length classes then
       invalid_arg ("Native: arity mismatch calling " ^ symbol);
-    let ki = ref 0 and kf = ref 0 and km = ref 0 in
-    Array.iteri
-      (fun k (a : Rt.v) ->
-        match (classes.(k), a) with
-        | CI, Rt.I n ->
-            ia.(!ki) <- n;
-            incr ki
-        | CI, Rt.B b ->
-            ia.(!ki) <- (if b then 1 else 0);
-            incr ki
-        | CF, Rt.F x ->
-            Float.Array.set fa !kf x;
-            incr kf
-        | CM, Rt.M m ->
-            ma.(!km) <- m;
-            incr km
-        | _, a ->
-            invalid_arg
-              (Printf.sprintf "Native: argument %d of %s has type %s" k symbol
-                 (Rt.type_name a)))
-      args;
+    for k = 0 to Array.length args - 1 do
+      let s = slots.(k) in
+      match (classes.(k), args.(k)) with
+      | CI, Rt.I n -> ia.(s) <- n
+      | CI, Rt.B b -> ia.(s) <- Bool.to_int b
+      | CF, Rt.F x -> Float.Array.set fa s x
+      | CM, Rt.M m -> ma.(s) <- m
+      | _, a ->
+          invalid_arg
+            (Printf.sprintf "Native: argument %d of %s has type %s" k symbol
+               (Rt.type_name a))
+    done;
     call_kernel fn ia fa ma;
     [||]

@@ -53,17 +53,25 @@ val libm_calls : string list
     exactly specified: [exp expm1 log log1p log10 log2 cbrt sin cos tan
     tanh sinh cosh asin acos atan pow atan2 hypot]. *)
 
+val isa_flag : string option
+(** The flag for the widest vector ISA this host runs, from one CPUID
+    probe at start-up: [-mavx512f], else [-mavx2], else [None] (always
+    [None] off x86-64). *)
+
 val flags : string list
 (** Compilation flags: [-O3 -shared -fPIC -ffp-contract=off
-    -fno-fast-math], then [-fno-builtin-<f>] for each of {!libm_calls}.
-    All but the first three are load-bearing: they forbid FMA
-    contraction, value-unsafe rewrites and compile-time evaluation of
-    those calls (cc would use correctly-rounded MPFR, not glibc),
-    keeping native trajectories bitwise-comparable to the OCaml
-    engines. *)
+    -fno-fast-math], then [-fno-builtin-<f>] for each of {!libm_calls},
+    then {!isa_flag} if any.  The middle ones are load-bearing: they
+    forbid FMA contraction, value-unsafe rewrites and compile-time
+    evaluation of those calls (cc would use correctly-rounded MPFR, not
+    glibc), keeping native trajectories bitwise-comparable to the OCaml
+    engines.  The ISA flag lets cc map the kernel's vector values onto
+    the host's vector registers; it changes no result. *)
 
 val flags_id : string
-(** The flags as one string (cache-key component). *)
+(** The flags as one string (cache-key component): store keys, the
+    provenance banner and [emit -c] follow the host's ISA, so a store
+    shared between hosts never serves a kernel built for another. *)
 
 exception
   Compile_error of { cc : string; file : string; status : int; log : string }

@@ -1,5 +1,5 @@
-/* dlopen/dlsym/dlclose bindings plus the one trampoline that calls a
- * JIT-compiled kernel.
+/* dlopen/dlsym/dlclose bindings, the one trampoline that calls a
+ * JIT-compiled kernel, and the probe of the host's vector ISA.
  *
  * Kernels are compiled by Exec.Native from C emitted by
  * Codegen.C_backend and expose the packed ABI
@@ -28,6 +28,20 @@
 
 typedef void (*limpet_kernel)(const int64_t *ia, const double *fa,
                               double *const *ma);
+
+/* The compiler flag for the widest vector ISA this host runs:
+ * "-mavx512f", else "-mavx2", else "" (and "" off x86-64).  The
+ * compiler's CPUID probe also checks that the OS saves the registers. */
+CAMLprim value limpet_native_isa_flag(value unit)
+{
+  (void)unit;
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) return caml_copy_string("-mavx512f");
+  if (__builtin_cpu_supports("avx2")) return caml_copy_string("-mavx2");
+#endif
+  return caml_copy_string("");
+}
 
 CAMLprim value limpet_native_dlopen(value vpath)
 {

@@ -41,7 +41,10 @@ type t = {
   mutable runners : (Rt.v array -> Rt.v array) array;
       (** one compiled kernel instance per thread (engines are not
           reentrant: each has its own register file) *)
-  mutable rows : floatarray list array;  (** per-thread LUT row buffers *)
+  mutable args : Rt.v array array;
+      (** each runner's argument vector, over its own LUT row buffers,
+          built with the runner; a call rewrites only its chunk bounds
+          and the clock *)
   mutable t_now : float;
   mutable steps_done : int;
   mutable health : Obs.Health.t option;
@@ -123,7 +126,7 @@ let reset (d : t) : unit =
      same trace (compile spans included), so consecutive traced runs are
      comparable event for event *)
   d.runners <- [||];
-  d.rows <- [||];
+  d.args <- [||];
   d.t_now <- 0.0;
   d.steps_done <- 0
 
@@ -209,7 +212,7 @@ let create ?(engine = Batched) ?(tile = 0) ?(specialize = true)
       native;
       registry;
       runners = [||];
-      rows = [||];
+      args = [||];
       t_now = 0.0;
       steps_done = 0;
       health = None;
@@ -388,26 +391,13 @@ let restore (d : t) (ck : Obs.Recorder.checkpoint) :
   d.steps_done <- ck.Obs.Recorder.ck_step;
   Ok ()
 
-(* Make sure we have per-thread kernel instances and row buffers. *)
-let ensure_threads (d : t) (nthreads : int) : unit =
-  let cur = Array.length d.runners in
-  if cur < nthreads then begin
-    let extra_runners =
-      Array.init (nthreads - cur) (fun _ -> compile d Codegen.Kernel.compute_name)
-    in
-    let extra_rows =
-      Array.init (nthreads - cur) (fun _ -> make_rows d.gen)
-    in
-    d.runners <- Array.append d.runners extra_runners;
-    d.rows <- Array.append d.rows extra_rows
-  end
-
-let kernel_args (d : t) ~(start : int) ~(stop : int) ~(rows : floatarray list)
-    : Rt.v array =
+(* A runner's argument vector, over fresh LUT row buffers.  Slots 0, 1
+   and 4 ([start], [stop], [t_now]) are rewritten before every call. *)
+let kernel_args (d : t) : Rt.v array =
   Array.of_list
     ([
-       Rt.I start;
-       Rt.I stop;
+       Rt.I 0;
+       Rt.I d.ncells_pad;
        Rt.I d.ncells_pad;
        Rt.F d.dt;
        Rt.F d.t_now;
@@ -415,12 +405,68 @@ let kernel_args (d : t) ~(start : int) ~(stop : int) ~(rows : floatarray list)
      ]
     @ List.map (fun (_, buf) -> Rt.M buf) d.exts
     @ List.concat
-        (List.map2 (fun table row -> [ Rt.M table; Rt.M row ]) d.tables rows))
+        (List.map2
+           (fun table row -> [ Rt.M table; Rt.M row ])
+           d.tables (make_rows d.gen)))
+
+(* Make sure we have per-thread kernel instances and their arguments. *)
+let ensure_threads (d : t) (nthreads : int) : unit =
+  let cur = Array.length d.runners in
+  if cur < nthreads then begin
+    let extra_runners =
+      Array.init (nthreads - cur) (fun _ -> compile d Codegen.Kernel.compute_name)
+    in
+    let extra_args = Array.init (nthreads - cur) (fun _ -> kernel_args d) in
+    d.runners <- Array.append d.runners extra_runners;
+    d.args <- Array.append d.args extra_args
+  end
+
+(* Thread [k]'s kernel instance over cells [start, stop), then, when the
+   health probe is due, its sample of those cells. *)
+let run_chunk (d : t) (k : int) ~(start : int) ~(stop : int)
+    (probe : Obs.Health.t option) (vm_buf : floatarray option) : unit =
+  let args = d.args.(k) in
+  args.(0) <- Rt.I start;
+  args.(1) <- Rt.I stop;
+  args.(4) <- Rt.F d.t_now;
+  ignore (d.runners.(k) args);
+  match probe with
+  | None -> ()
+  | Some h ->
+      (* clamp to the real cell count: padded lanes mirror real cells and
+         would double-count their values *)
+      let hi = min stop d.ncells in
+      if hi > start then
+        Obs.Tracer.with_span "driver.health" (fun () ->
+            Obs.Health.sample_chunk h ~sv:d.sv ~vm:vm_buf ~lo:start ~hi
+              ~step:d.steps_done)
+
+let compute_chunks (d : t) ~(nthreads : int) (probe : Obs.Health.t option)
+    (vm_buf : floatarray option) : unit =
+  if nthreads = 1 then run_chunk d 0 ~start:0 ~stop:d.ncells_pad probe vm_buf
+  else
+    (* chunk boundaries must be aligned to the vector width, so the
+       parallel-for runs over AoSoA blocks rather than cells; for the
+       batched engine they additionally align to whole tiles, so no
+       domain processes a partial tile in its interior.  Each domain
+       uses its own kernel instance and LUT scratch rows (register
+       files and tile scratch are not reentrant). *)
+    let unit_blocks = match d.engine with Batched -> d.tile | _ -> 1 in
+    let uw = unit_blocks * width d in
+    let nunits = (d.ncells_pad + uw - 1) / uw in
+    Runtime.Parallel.parallel_for_chunks ~nthreads ~lo:0 ~hi:nunits
+      (fun k ulo uhi ->
+        (* runs on the worker domain, so the span lands on that
+           domain's track in the trace *)
+        Obs.Tracer.with_span "driver.chunk" (fun () ->
+            let start = ulo * uw and stop = min (uhi * uw) d.ncells_pad in
+            (* the sample reduces this chunk into the worker Domain's
+               own accumulators while its cells are still cache-hot *)
+            if stop > start then run_chunk d k ~start ~stop probe vm_buf))
 
 (** Run the compute stage once over all cells with [nthreads] domains. *)
 let compute_stage ?(nthreads = 1) (d : t) : unit =
   ensure_threads d nthreads;
-  let w = width d in
   (* resolve the health probe once per step: [None] when monitoring is
      off or this step is not due, so the hot path pays one atomic load *)
   let probe =
@@ -431,51 +477,12 @@ let compute_stage ?(nthreads = 1) (d : t) : unit =
   let vm_buf =
     match probe with Some _ -> List.assoc_opt "Vm" d.exts | None -> None
   in
-  let sample h ~lo ~hi =
-    (* clamp to the real cell count: padded lanes mirror real cells and
-       would double-count their values *)
-    let hi = min hi d.ncells in
-    if hi > lo then
-      Obs.Tracer.with_span "driver.health" (fun () ->
-          Obs.Health.sample_chunk h ~sv:d.sv ~vm:vm_buf ~lo ~hi
-            ~step:d.steps_done)
-  in
-  Obs.Tracer.with_span "driver.compute" (fun () ->
-      if nthreads = 1 then begin
-        let args =
-          kernel_args d ~start:0 ~stop:d.ncells_pad ~rows:d.rows.(0)
-        in
-        ignore (d.runners.(0) args);
-        match probe with
-        | Some h -> sample h ~lo:0 ~hi:d.ncells
-        | None -> ()
-      end
-      else
-        (* chunk boundaries must be aligned to the vector width, so the
-           parallel-for runs over AoSoA blocks rather than cells; for the
-           batched engine they additionally align to whole tiles, so no
-           domain processes a partial tile in its interior.  Each domain
-           uses its own kernel instance and LUT scratch rows (register
-           files and tile scratch are not reentrant). *)
-        let unit_blocks = match d.engine with Batched -> d.tile | _ -> 1 in
-        let uw = unit_blocks * w in
-        let nunits = (d.ncells_pad + uw - 1) / uw in
-        Runtime.Parallel.parallel_for_chunks ~nthreads ~lo:0 ~hi:nunits
-          (fun k ulo uhi ->
-            (* runs on the worker domain, so the span lands on that
-               domain's track in the trace *)
-            Obs.Tracer.with_span "driver.chunk" (fun () ->
-                let start = ulo * uw
-                and stop = min (uhi * uw) d.ncells_pad in
-                if stop > start then begin
-                  let args = kernel_args d ~start ~stop ~rows:d.rows.(k) in
-                  ignore (d.runners.(k) args);
-                  (* reduce this chunk into the worker Domain's own
-                     accumulators while its cells are still cache-hot *)
-                  match probe with
-                  | Some h -> sample h ~lo:start ~hi:stop
-                  | None -> ()
-                end)));
+  (* untraced, no span closure: a single-domain stage then allocates
+     only the kernel arguments [run_chunk] rewrites *)
+  if Obs.Tracer.enabled () then
+    Obs.Tracer.with_span "driver.compute" (fun () ->
+        compute_chunks d ~nthreads probe vm_buf)
+  else compute_chunks d ~nthreads probe vm_buf;
   match probe with
   | Some h ->
       Obs.Health.note_sampled h;

@@ -48,7 +48,9 @@ type t = {
           exactly when [engine] is {!Native} *)
   registry : Exec.Rt.registry;
   mutable runners : (Exec.Rt.v array -> Exec.Rt.v array) array;
-  mutable rows : floatarray list array;
+  mutable args : Exec.Rt.v array array;
+      (** each runner's argument vector (built once with the runner; a
+          call rewrites only its chunk bounds and the clock) *)
   mutable t_now : float;
   mutable steps_done : int;
   mutable health : Obs.Health.t option;

@@ -8,14 +8,16 @@
 
 type stats = { iterations : int; residual : float }
 
-let dot (a : floatarray) (b : floatarray) : float =
+(* [dot] and [axpy] are inlined, so a solve's iteration boxes no float:
+   called, each would allocate the float it returns or takes. *)
+let[@inline] dot (a : floatarray) (b : floatarray) : float =
   let acc = ref 0.0 in
   for i = 0 to Float.Array.length a - 1 do
     acc := !acc +. (Float.Array.get a i *. Float.Array.get b i)
   done;
   !acc
 
-let axpy ~(alpha : float) (x : floatarray) (y : floatarray) : unit =
+let[@inline] axpy ~(alpha : float) (x : floatarray) (y : floatarray) : unit =
   (* y <- y + alpha x *)
   for i = 0 to Float.Array.length y - 1 do
     Float.Array.set y i (Float.Array.get y i +. (alpha *. Float.Array.get x i))

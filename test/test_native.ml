@@ -1,9 +1,11 @@
 (* Native (JIT-compiled C) engine tests: trajectory differential against
    the batched engine on the full model catalogue, qcheck differential of
-   the C emitter vs. the closure engine on random lowered loops,
-   parallel == sequential, artifact-cache accounting, and the failure
-   paths (no toolchain, failing compiler, malformed C) — all of which
-   must surface structured diagnostics or degrade, never crash.
+   the C emitter vs. the closure engine on random lowered loops, vector
+   lane edge cases (NaN, -0.0, masks), parallel == sequential,
+   artifact-cache accounting, the ISA probe, per-step allocation, and
+   the failure paths (no toolchain, failing compiler, malformed C) — all
+   of which must surface structured diagnostics or degrade, never
+   crash.
 
    Every test that needs a C compiler skips cleanly when none is
    available (the suite still reports the availability status). *)
@@ -13,7 +15,13 @@ module C = Codegen.Config
 module B = Ir.Builder
 
 let stim = Sim.Stim.make ~amplitude:40.0 ~start:0.5 ~duration:1.0 ()
-let configs = [ ("scalar", C.baseline); ("vector", C.mlir ~width:4) ]
+let configs =
+  [
+    ("scalar", C.baseline);
+    ("w2", C.mlir ~width:2);
+    ("w4", C.mlir ~width:4);
+    ("w8", C.mlir ~width:8);
+  ]
 let ncells = 13
 
 let have_cc () = Native.available ()
@@ -55,8 +63,8 @@ let check_snapshots_ulp ~ctx a b =
 (* -- 43-model trajectory differential ----------------------------------- *)
 
 (* native == batched within the documented ULP bound (bitwise in practice)
-   on every model, scalar and vector, over a stimulated 50-step
-   trajectory. *)
+   on every model, scalar and at vector widths 2, 4 and 8, over a
+   stimulated 50-step trajectory. *)
 let test_all_models_native_vs_batched () =
   skip_without_cc ();
   List.iter
@@ -101,6 +109,8 @@ let test_cubic_lut_native () =
       in
       let run engine =
         let d = Sim.Driver.create ~engine g ~ncells ~dt:0.01 in
+        if d.Sim.Driver.engine <> engine then
+          Alcotest.failf "%s: driver fell back from the requested engine" name;
         for _ = 1 to 50 do
           Sim.Driver.step ~stim d
         done;
@@ -225,7 +235,8 @@ let native_matches_closure_on_loops ~(w : int) name =
          compile-time libm out of the kernel *)
       let m = lower_loop ~w e in
       Ir.Verifier.verify_module_exn m;
-      let n = 12 in
+      (* whole blocks at every width *)
+      let n = 24 in
       let in1, in2 = loop_inputs n in
       let got, want = run_loop m ~n in1 in2 in
       let ok = ref true in
@@ -401,20 +412,27 @@ let test_malformed_c_compile_error () =
         (Sys.file_exists file)
 
 let test_unsupported_ir_diagnostic () =
-  (* vector-typed function parameters have no C lowering: the emitter
-     must refuse with Unsupported (which Cache.native turns into a
-     structured diagnostic), not emit wrong code *)
-  let m = Ir.Func.create_module "bad" in
-  let c = B.create_ctx () in
-  Ir.Func.add_func m
-    (B.func c ~name:"f"
-       ~params:[ Ir.Ty.Vec (4, Ir.Ty.F64) ]
-       ~results:[] (fun b _args -> B.ret b []));
-  match Codegen.C_backend.emit_module m with
-  | _ -> Alcotest.fail "vector parameter emitted"
-  | exception Codegen.C_backend.Unsupported msg ->
-      Alcotest.(check bool) "message names the problem" true
-        (Helpers.contains msg "vector")
+  (* vector-typed function parameters, and vector widths gcc and clang
+     have no vector type for, have no C lowering: the emitter must
+     refuse with Unsupported (which Cache.native turns into a structured
+     diagnostic), not emit wrong code *)
+  let refused what (build : B.t -> Ir.Value.t list -> unit) params =
+    let m = Ir.Func.create_module "bad" in
+    let c = B.create_ctx () in
+    Ir.Func.add_func m (B.func c ~name:"f" ~params ~results:[] build);
+    match Codegen.C_backend.emit_module m with
+    | _ -> Alcotest.failf "%s emitted" what
+    | exception Codegen.C_backend.Unsupported msg ->
+        Alcotest.(check bool) (what ^ ": message names the problem") true
+          (Helpers.contains msg "vector")
+  in
+  refused "vector parameter" (fun b _ -> B.ret b []) [ Ir.Ty.Vec (4, Ir.Ty.F64) ];
+  refused "3-lane vector"
+    (fun b args ->
+      let v = B.vec_load b ~width:3 ~mem:(List.hd args) ~idx:(B.consti b 0) in
+      B.vec_store b ~vec:v ~mem:(List.hd args) ~idx:(B.consti b 0);
+      B.ret b [])
+    [ Ir.Ty.Memref ]
 
 (* -- the persistent kernel store ------------------------------------------ *)
 
@@ -719,6 +737,177 @@ let test_failed_unit_kept () =
       Alcotest.(check bool) "log survives the process" true
         (Sys.file_exists (Filename.chop_suffix file ".c" ^ ".log")))
 
+(* -- vector lanes: masks, blends, broadcasts ------------------------------ *)
+
+(* Lane pairs (x, y) the vector forms must treat exactly as the OCaml
+   engines do: NaNs of both signs and another payload, signed zeros,
+   infinities, ties. *)
+let edge_pairs =
+  let nan2 = Int64.float_of_bits 0x7ff8000000000001L in
+  [|
+    (Float.nan, 1.0); (1.0, Float.nan); (Float.nan, -.Float.nan); (0.0, -0.0);
+    (-0.0, 0.0); (1.0, 2.0); (2.0, 1.0); (Float.infinity, Float.neg_infinity);
+    (-1.5, -1.5); (-0.0, -0.0); (nan2, 0.0); (-0.5, nan2);
+    (Float.neg_infinity, -0.0); (3.0, 3.0); (-2.0, -0.5); (0.0, 0.0);
+  |]
+
+let edge_outputs = 14
+
+(* [f(x, y, out, n)] over blocks of [w] lanes: vector output [k] of a
+   block goes to [out.(k * n + iv ..)].  Outputs [11] and [12] hold, per
+   lane, a scalar select on that lane of [x < y] extracted as an i1 and
+   an scf.if on its negation (an xor with true, which only a 0/1 lane
+   gets right); output [13] selects on lane 0 broadcast back to a
+   mask. *)
+let lane_edge_module ~(w : int) : Ir.Func.modl =
+  let m = Ir.Func.create_module "nat_lanes" in
+  let c = B.create_ctx () in
+  Ir.Func.add_func m
+    (B.func c ~name:"f"
+       ~params:[ Ir.Ty.Memref; Ir.Ty.Memref; Ir.Ty.Memref; Ir.Ty.I64 ]
+       ~results:[]
+       (fun b args ->
+         let in1, in2, out, n =
+           match args with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
+         in
+         ignore
+           (B.for_ b ~lb:(B.consti b 0) ~ub:n ~step:(B.consti b w) ~inits:[]
+              (fun ~iv ~iters:_ ->
+                let x = B.vec_load b ~width:w ~mem:in1 ~idx:iv
+                and y = B.vec_load b ~width:w ~mem:in2 ~idx:iv in
+                let at k = B.addi b iv (B.muli b (B.consti b k) n) in
+                let put k v = B.vec_store b ~vec:v ~mem:out ~idx:(at k) in
+                let splat f = B.broadcast b ~width:w (B.constf b f) in
+                let cmp c = B.cmpf b c x y in
+                let lt = cmp Ir.Op.Lt in
+                put 0 (B.select b lt x y);
+                put 1 (B.select b (cmp Ir.Op.Ne) x y);
+                put 2 (B.select b (cmp Ir.Op.Eq) x (splat (-0.0)));
+                put 3 (B.select b (B.notb b (cmp Ir.Op.Ge)) y x);
+                put 4
+                  (B.select b
+                     (B.andb b (cmp Ir.Op.Le) (B.cmpf b Ir.Op.Gt x (splat (-1.0))))
+                     x y);
+                put 5 (B.select b (B.binb b Ir.Op.BXor lt (cmp Ir.Op.Gt)) x y);
+                put 6 (splat (-0.0));
+                put 7 (B.minf b x y);
+                put 8 (B.maxf b x y);
+                put 9 (B.math b "fmin" [ x; y ]);
+                put 10 (B.math b "fmax" [ y; x ]);
+                for k = 0 to w - 1 do
+                  let lane v ty = B.emit1 b (Ir.Op.VecExtract k) [ v ] ty in
+                  let ck = lane lt Ir.Ty.I1 in
+                  let idx j = B.addi b (at j) (B.consti b k) in
+                  B.store b
+                    (B.select b ck (lane x Ir.Ty.F64) (lane y Ir.Ty.F64))
+                    ~mem:out ~idx:(idx 11);
+                  match
+                    B.if_ b
+                      ~cond:(B.binb b Ir.Op.BXor ck (B.constb b true))
+                      ~then_:(fun () -> [ B.constf b 1.0 ])
+                      ~else_:(fun () -> [ B.constf b (-0.0) ])
+                  with
+                  | [ t ] -> B.store b t ~mem:out ~idx:(idx 12)
+                  | _ -> assert false
+                done;
+                let lane0 = B.emit1 b (Ir.Op.VecExtract 0) [ lt ] Ir.Ty.I1 in
+                put 13 (B.select b (B.broadcast b ~width:w lane0) x y);
+                []));
+         B.ret b []));
+  m
+
+(* Compares and blends with NaN lanes, a -0.0 broadcast, mask lanes
+   read back as i1 scalars, and fmin/fmax on NaN and signed-zero lanes:
+   the native kernel writes the closure engine's bits at widths 2, 4
+   and 8. *)
+let test_lane_edge_cases () =
+  skip_without_cc ();
+  let n = Array.length edge_pairs in
+  let in1 = Float.Array.init n (fun i -> fst edge_pairs.(i))
+  and in2 = Float.Array.init n (fun i -> snd edge_pairs.(i)) in
+  List.iter
+    (fun w ->
+      let m = lane_edge_module ~w in
+      Ir.Verifier.verify_module_exn m;
+      let got, want =
+        both_engines m ~n:(edge_outputs * n) (fun out ->
+            [| Rt.M in1; Rt.M in2; Rt.M out; Rt.I n |])
+      in
+      Float.Array.iteri
+        (fun i wv ->
+          let gv = Float.Array.get got i in
+          if Int64.bits_of_float gv <> Int64.bits_of_float wv then
+            Alcotest.failf "w=%d output %d, lane pair %d: native %h, closure %h"
+              w (i / n) (i mod n) gv wv)
+        want)
+    [ 2; 4; 8 ]
+
+(* The vector-ISA flag follows the host: [Native.flags] ends in the
+   probe's flag exactly when it reports one (and names no other), the
+   kernel's own CPU feature list agrees where there is one, and emit -c's
+   banner shows the flags. *)
+let test_isa_flag () =
+  let isa = List.filter (String.starts_with ~prefix:"-mavx") Native.flags in
+  Alcotest.(check (list string)) "ISA flags in Native.flags"
+    (Option.to_list Native.isa_flag) isa;
+  (match Native.isa_flag with
+  | Some f ->
+      Alcotest.(check string) "appended last" f (List.hd (List.rev Native.flags))
+  | None -> ());
+  (match
+     List.find_opt
+       (String.starts_with ~prefix:"flags")
+       (String.split_on_char '\n' (read_text "/proc/cpuinfo"))
+   with
+  | Some line ->
+      let has f = List.mem f (String.split_on_char ' ' line) in
+      let want =
+        if has "avx512f" then Some "-mavx512f"
+        else if has "avx2" then Some "-mavx2"
+        else None
+      in
+      Alcotest.(check (option string)) "probe agrees with /proc/cpuinfo" want
+        Native.isa_flag
+  | None -> ());
+  if Sys.file_exists cli then begin
+    let code, out, err =
+      run_cli ~env:[] [ "emit"; "MitchellSchaeffer"; "-w"; "8"; "-c" ]
+    in
+    if code <> 0 then Alcotest.failf "emit -c: exit %d\n%s" code err;
+    Alcotest.(check bool) "emit -c banner shows the flags" true
+      (List.mem
+         ("/* flags:    " ^ String.concat " " Native.flags ^ " */")
+         (String.split_on_char '\n' out))
+  end
+
+(* -- per-step allocation ------------------------------------------------- *)
+
+(* A step reuses its runner's argument vector and the binding's
+   marshalling packs: after warm-up, a compute stage on a 64-cell native
+   driver allocates only the three arguments it rewrites (chunk bounds
+   and clock).  The calls run on this domain, so its own counters
+   measure them. *)
+let test_compute_stage_minor_words () =
+  skip_without_cc ();
+  let e = Models.Registry.find_exn "LuoRudy91" in
+  let g =
+    Codegen.Cache.generate_named (C.mlir ~width:8) ~name:e.Models.Model_def.name
+      (fun () -> Models.Registry.model e)
+  in
+  let d = Sim.Driver.create ~engine:Sim.Driver.Native g ~ncells:64 ~dt:0.01 in
+  Alcotest.(check bool) "runs native" true
+    (d.Sim.Driver.engine = Sim.Driver.Native);
+  for _ = 1 to 20 do
+    Sim.Driver.compute_stage d
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 200 do
+    Sim.Driver.compute_stage d
+  done;
+  let per_step = (Gc.minor_words () -. before) /. 200.0 in
+  if per_step >= 16.0 then
+    Alcotest.failf "%.1f minor words per compute stage" per_step
+
 let test_availability_report () =
   (* not an assertion about the box — just surface the probe result in
      the test log so CI artifacts show which path ran *)
@@ -767,4 +956,11 @@ let suite =
       test_store_capacity;
     Alcotest.test_case "store: failed unit outlives the process" `Quick
       test_failed_unit_kept;
+    native_matches_closure_on_loops ~w:8
+      "native == closure on random w=8 loops";
+    Alcotest.test_case "vector lanes: NaN, -0.0, masks as i1" `Quick
+      test_lane_edge_cases;
+    Alcotest.test_case "ISA flag follows the probe" `Quick test_isa_flag;
+    Alcotest.test_case "compute stage allocates only its arguments" `Quick
+      test_compute_stage_minor_words;
   ]

@@ -324,6 +324,25 @@ let solver_oracle =
       done;
       !ok)
 
+(* The iteration boxes no float: a solve allocates its returned stats
+   and nothing that grows with the iteration count. *)
+let test_cg_solve_allocation () =
+  let n = 64 in
+  let m = Diffusion.matrix (cable_op ~n ~sigma:0.1 ~dt:0.02) in
+  let ws = Cg.workspace m in
+  let b = Float.Array.init n (fun i -> Float.cos (float_of_int i /. 5.0)) in
+  let x = Float.Array.make n 0.0 in
+  let words iters =
+    let before = Gc.minor_words () in
+    let s = Cg.solve_into ~tol:0.0 ~max_iters:iters ws b ~x in
+    let after = Gc.minor_words () in
+    Alcotest.(check int) "iterations run" iters s.Cg.iterations;
+    after -. before
+  in
+  let w10 = words 10 and w40 = words 40 in
+  Alcotest.(check (float 0.0)) "same words at 10 and 40 iterations" w10 w40;
+  if w10 > 8.0 then Alcotest.failf "a solve allocates %.0f words" w10
+
 let suite =
   [
     Alcotest.test_case "tridiag known system" `Quick test_tridiag_known;
@@ -343,4 +362,6 @@ let suite =
       test_cable_stimulus_depolarizes;
     Alcotest.test_case "conduction velocity helper" `Quick
       test_conduction_velocity_helper;
+    Alcotest.test_case "cg iteration allocates nothing" `Quick
+      test_cg_solve_allocation;
   ]
