@@ -385,37 +385,20 @@ type wall_row = {
           re-run of the same driver — nonzero NaN fails the CI smoke *)
 }
 
-(* Each engine variant knows how to build its driver.  The base rows pin
-   [~specialize:false] so their historical meaning is stable;
-   "batched-spec" is the same batched engine with the runtime
-   specializer on ([dt] and the padded cell count folded to IR
-   constants, constant rows prefilled), so the batched/batched-spec
-   pair measures what specialization buys. *)
+(* Each engine variant knows how to build its driver.  The native
+   (JIT-C) engine exists only when a C toolchain is actually present:
+   without one, Driver.create silently degrades to batched and every
+   native row — and the native_vs_batched headline gated in CI — would
+   be a fabricated 1.0. *)
 let wall_engines =
+  let mk engine g n = Sim.Driver.create ~engine g ~ncells:n ~dt:0.01 in
   [
-    ("interp",
-     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Reference ~specialize:false g ~ncells:n ~dt:0.01);
-    ("closure",
-     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Compiled ~specialize:false g ~ncells:n ~dt:0.01);
-    ("batched",
-     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~specialize:false g ~ncells:n ~dt:0.01);
-    ("batched-spec",
-     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~specialize:true g ~ncells:n ~dt:0.01);
+    ("interp", mk Sim.Driver.Reference);
+    ("closure", mk Sim.Driver.Compiled);
+    ("batched", mk Sim.Driver.Batched);
   ]
-
-(* The native (JIT-C) engine exists only when a C toolchain is actually
-   present: without one, Driver.create silently degrades to batched and
-   every native row — and the native_vs_batched headline gated in CI —
-   would be a fabricated 1.0.  Specialization on, like production
-   [--engine native].  Kept out of [wall_engines] because it is
-   measured in its own bechamel pass (see [wallclock]): retaining its
-   dlopen'ed kernels during the main matrix measurement perturbs the
-   batched/batched-spec rows by a few percent, enough to flip the
-   specialization geomean gate. *)
-let native_engine =
-  if Exec.Native.available () then
-    [ ("native",
-       fun g n -> Sim.Driver.create ~engine:Sim.Driver.Native ~specialize:true g ~ncells:n ~dt:0.01) ]
+  @
+  if Exec.Native.available () then [ ("native", mk Sim.Driver.Native) ]
   else []
 
 let wall_configs =
@@ -638,7 +621,7 @@ let wallclock () =
   (* keep each label's driver so the phase breakdown below re-runs the
      exact kernel instance bechamel measured *)
   let drivers : (string, Sim.Driver.t) Hashtbl.t = Hashtbl.create 64 in
-  let mk_tests engines =
+  let tests =
     List.concat_map
       (fun name ->
         let e = Models.Registry.find_exn name in
@@ -653,11 +636,10 @@ let wallclock () =
                 Bechamel.Test.make ~name:label
                   (Bechamel.Staged.stage (fun () ->
                        Sim.Driver.step ~stim:wall_stim d)))
-              engines)
+              wall_engines)
           wall_configs)
       wall_reps
   in
-  let tests = mk_tests wall_engines in
   let test = Bechamel.Test.make_grouped ~name:"kernels" ~fmt:"%s %s" tests in
   (* the preceding sections leave a large heap behind; compact so GC churn
      does not pollute the measurements *)
@@ -667,22 +649,6 @@ let wallclock () =
   let quota = if !wall_limit < 300 then 0.1 else 1.0 in
   let cfg = Benchmark.cfg ~limit:!wall_limit ~quota:(Time.second quota) () in
   let raw = Benchmark.all cfg [ instance ] test in
-  (* Second pass: the native (JIT-C) engine, measured with the main
-     matrix already done — its drivers (and the shared objects they
-     dlopen) must not be resident while the interpreted engines are
-     being timed, or the batched/batched-spec rows shift by a few
-     percent and the specialization gate flips on noise.  Labels merge
-     into the same raw table; medians are host-comparable since
-     bechamel runs everything sequentially anyway. *)
-  (match native_engine with
-  | [] -> ()
-  | nat ->
-      let ntest =
-        Test.make_grouped ~name:"kernels" ~fmt:"%s %s" (mk_tests nat)
-      in
-      Gc.compact ();
-      let nraw = Benchmark.all cfg [ instance ] ntest in
-      Hashtbl.iter (fun k v -> Hashtbl.replace raw k v) nraw);
   let clock = Measure.label instance in
   let median_of label : (float * float * int) option =
     match Hashtbl.find_opt raw ("kernels " ^ label) with
@@ -734,7 +700,7 @@ let wallclock () =
                       }
                       :: !rows;
                     Some (ename, ns))
-              (wall_engines @ native_engine)
+              wall_engines
           in
           let ns ename = List.assoc_opt ename by_engine in
           (match (ns "interp", ns "closure", ns "batched") with
@@ -803,24 +769,6 @@ let wallclock () =
   Fmt.pr "@.large-class batched-vs-closure median speedup: scalar %.2fx, \
           vector %.2fx, geomean %.2fx@."
     sc ve all;
-  (* headline: runtime specialization on the batched engine, all model
-     classes (the specializer's wins are not class-specific) *)
-  let ssc =
-    geo_or_nan (ratios ~num:"batched" ~den:"batched-spec" ~cls_filter:any
-                  ~cfg_filter:(fun c -> c = "scalar"))
-  in
-  let sve =
-    geo_or_nan (ratios ~num:"batched" ~den:"batched-spec" ~cls_filter:any
-                  ~cfg_filter:(fun c -> c = "vector"))
-  in
-  let sall =
-    geo_or_nan
-      (ratios ~num:"batched" ~den:"batched-spec" ~cls_filter:any
-         ~cfg_filter:any)
-  in
-  Fmt.pr "specialized-vs-batched median speedup: scalar %.2fx, vector \
-          %.2fx, geomean %.2fx@."
-    ssc sve sall;
   (* headline: the JIT-C native engine vs the batched engine over every
      model class (rows only exist when a toolchain is present; the
      geomean is gated >= 1.0 in CI) *)
@@ -871,9 +819,6 @@ let wallclock () =
           ("large_batched_vs_closure_scalar", sc);
           ("large_batched_vs_closure_vector", ve);
           ("large_batched_vs_closure_geomean", all);
-          ("specialized_vs_batched_scalar", ssc);
-          ("specialized_vs_batched_vector", sve);
-          ("specialized_vs_batched_geomean", sall);
           ("native_vs_batched_scalar", nsc);
           ("native_vs_batched_vector", nve);
           ("native_vs_batched_geomean", nall);

@@ -79,7 +79,9 @@ let main =
     Flags.positive_float "dt"
       Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS")
   in
-  let width = Arg.(value & opt int 8 & info [ "w"; "width" ] ~docv:"W") in
+  let width =
+    Flags.width Arg.(value & opt int 8 & info [ "w"; "width" ] ~docv:"W")
+  in
   let threads =
     Flags.positive "threads"
       Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T")

@@ -26,3 +26,12 @@ let positive_float (flag : string) (arg : float Term.t) : float Term.t =
     else bad_flag ~flag ~need:"positive and finite" (Printf.sprintf "%g" x)
   in
   Term.(const check $ arg)
+
+(* A vector width flag: one of {!Codegen.Config.widths}. *)
+let width (arg : int Term.t) : int Term.t =
+  let check n =
+    match Spec.width_out_of_range n with
+    | None -> n
+    | Some r -> bad_flag ~flag:r.Spec.flag ~need:r.Spec.need r.Spec.got
+  in
+  Term.(const check $ arg)

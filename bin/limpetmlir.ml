@@ -217,8 +217,10 @@ let model_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL")
 
 let width_arg =
-  Arg.(value & opt int 8 & info [ "w"; "width" ] ~docv:"W"
-         ~doc:"Vector width: 1 (scalar baseline), 2 (SSE), 4 (AVX2), 8 (AVX-512).")
+  Flags.width
+    Arg.(value & opt int 8 & info [ "w"; "width" ] ~docv:"W"
+           ~doc:"Vector width: 1 (scalar baseline), 2 (SSE), 4 (AVX2), 8 \
+                 (AVX-512).")
 
 let layout_arg =
   let layout =
@@ -270,13 +272,6 @@ let tile_arg =
          ~doc:"Batched-engine tile size in vector blocks \
                (0 = auto-size for L1; ignored by the other engines).")
 
-let specialize_arg =
-  Arg.(value & opt bool true & info [ "specialize" ] ~docv:"BOOL"
-         ~doc:"Partially evaluate the kernel over the run constants \
-               ($(b,dt), padded cell count) before executing.  Bitwise \
-               identical results either way; specialized artifacts are \
-               cached per binding environment.  Default $(b,true).")
-
 let dt_arg = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS")
 let threads_arg = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T")
 
@@ -288,15 +283,14 @@ let cells_arg (default : int) =
    supplies its shape. *)
 let spec_t ~(steps : int) ~(steps_doc : string) :
     (Spec.shape -> Spec.t) Term.t =
-  let make model codegen engine tile specialize dt steps threads shape =
-    checked
-      { Spec.model; codegen; engine; tile; specialize; dt; steps; threads; shape }
+  let make model codegen engine tile dt steps threads shape =
+    checked { Spec.model; codegen; engine; tile; dt; steps; threads; shape }
   in
   let steps =
     Arg.(value & opt int steps & info [ "steps" ] ~docv:"N" ~doc:steps_doc)
   in
-  Term.(const make $ model_arg $ codegen_t $ engine_arg $ tile_arg
-        $ specialize_arg $ dt_arg $ steps $ threads_arg)
+  Term.(const make $ model_arg $ codegen_t $ engine_arg $ tile_arg $ dt_arg
+        $ steps $ threads_arg)
 
 let ckpt_dir_arg =
   Arg.(value & opt (some string) None
@@ -414,12 +408,11 @@ let check_cmd =
   let validate_passes =
     Arg.(value & flag & info [ "validate-passes" ]
            ~doc:"Translation validation: compile each model's scalar and \
-                 vector kernels (and a specialized variant) with the \
-                 optimization pipeline in validating mode, proving every \
-                 pass application semantics-preserving.  A refutation is \
-                 an error (with the first diverging symbolic terms and \
-                 the responsible pass); an undecided obligation is a \
-                 warning.")
+                 vector kernels with the optimization pipeline in \
+                 validating mode, proving every pass application \
+                 semantics-preserving.  A refutation is an error (with the \
+                 first diverging symbolic terms and the responsible pass); \
+                 an undecided obligation is a warning.")
   in
   let certs_out =
     Arg.(value & opt (some string) None & info [ "certs-out" ] ~docv:"FILE"
@@ -494,22 +487,7 @@ let check_cmd =
                            ~code:"codegen-failed" "%s (%s)"
                            (Printexc.to_string e)
                            (Codegen.Config.describe cfg))
-                  | g -> (
-                      (* Also validate the specialized pipeline, including
-                         the composite specialize obligation. *)
-                      match
-                        Codegen.Cache.specialize g ~dt:0.01 ~ncells_pad:64
-                      with
-                      | exception Codegen.Cache.Validation_failed cert ->
-                          Option.iter (emit_diag ~file:name)
-                            (Analysis.Transval.diag_of_cert cert)
-                      | exception e ->
-                          emit_diag ~file:name
-                            (Easyml.Diag.makef ~sev:Easyml.Diag.Error
-                               ~code:"specialize-failed" "%s (%s)"
-                               (Printexc.to_string e)
-                               (Codegen.Config.describe cfg))
-                      | _ -> ()))
+                  | _ -> ())
                 [ Codegen.Config.baseline; Codegen.Config.mlir ~width:8 ])
       names;
     if validate_passes then begin
@@ -653,9 +631,8 @@ let run_cmd =
   let validate =
     Arg.(value & flag & info [ "validate" ]
            ~doc:"Run the optimization pipeline in validating mode: prove \
-                 every pass application (and the specializer) \
-                 semantics-preserving before simulating.  A refutation \
-                 aborts with exit code 4.")
+                 every pass application semantics-preserving before \
+                 simulating.  A refutation aborts with exit code 4.")
   in
   let run spec cells every trace health health_stride validate recorder
       final_digest =

@@ -246,14 +246,13 @@ let markov_diags (m : M.t) : Diag.t list =
 (* run-constant discipline                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The runtime specializer ({!Codegen.Cache.specialize} over
-   [Passes.Specialize]) folds the driver-bound run constants — [dt] and
-   the declared [.param()]s — into kernels as literals.  A model that
-   *writes* one of these inside the per-step body breaks that contract
-   silently: parameter folding already replaced every read with the
-   compile-time value, so a same-named integrated state diverges from
-   what every read saw, and an assignment to [dt]/[t] shadows the value
-   the kernel was specialized on.  Both are rejected here. *)
+(* Sema folds every declared [.param()] into the kernel as a literal,
+   and the driver passes [dt] and [t] to every kernel call.  A model
+   that *writes* one of these inside the per-step body breaks that
+   contract silently: parameter folding already replaced every read with
+   the compile-time value, so a same-named integrated state diverges
+   from what every read saw, and an assignment to [dt]/[t] shadows the
+   value the driver passes.  Both are rejected here. *)
 let run_constant_diags (m : M.t) : Diag.t list =
   let param_states =
     List.filter_map
@@ -265,9 +264,8 @@ let run_constant_diags (m : M.t) : Diag.t list =
                  ~loc:(M.find_loc m p)
                  ~code:"run-constant-write"
                  "parameter %s is a run constant (folded to %g at compile \
-                  time) but is also integrated as a state every step; reads \
-                  and the specializer use the constant while the state \
-                  silently diverges"
+                  time) but is also integrated as a state every step; every \
+                  read uses the constant while the state silently diverges"
                  p v)
         | None -> None)
       m.M.params
@@ -281,7 +279,7 @@ let run_constant_diags (m : M.t) : Diag.t list =
                ~loc:(M.find_loc m x)
                ~code:"run-constant-write"
                "%s is a driver-bound run constant; assigning it inside the \
-                step body shadows the value kernels are specialized on"
+                step body shadows the value the driver passes to the kernel"
                x)
         else None)
       m.M.assigns

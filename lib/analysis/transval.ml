@@ -274,8 +274,8 @@ let rec fview_splat (t : Term.t) =
   | Node.Bcast (_, s) -> fview_splat s
   | _ -> None
 
-(* The specializer's splat folding resolves vector selects whose
-   condition is a splat of a known boolean. *)
+(* A vector select whose condition is a splat of a known boolean
+   resolves to one arm, like a scalar select on a constant. *)
 let rec bview_splat (t : Term.t) =
   match node t with
   | Node.Cst (KB x) -> Some x
@@ -290,7 +290,7 @@ let is_fone t =
 
 (* Scalar constant folding — the exact semantics of
    {!Passes.Const_fold.eval_op}: OCaml float primitives are IEEE, the
-   comparison operators below specialize to IEEE float compares (NaN
+   comparison operators below are IEEE float compares (NaN
    makes every comparison but [<>] false), and math builtins fold only
    on non-NaN arguments to finite results. *)
 let fold_scalar (c : ctx) (kind : Op.kind) (args : Term.t array) :
@@ -389,9 +389,9 @@ let bcast (c : ctx) ~(w : int) (t : Term.t) : Term.t =
 
 (* [apply] normalizes a pure op over already-normalized operands.  The
    broadcast law in [elementwise] — op over all-splat operands is the
-   splat of the scalar op — subsumes the specializer's splat folding and
-   lets [check_widen] collapse widened bodies; recursion is on strictly
-   smaller (scalar) operands, so it terminates. *)
+   splat of the scalar op — lets [check_widen] collapse widened bodies;
+   recursion is on strictly smaller (scalar) operands, so it
+   terminates. *)
 let rec apply (c : ctx) (kind : Op.kind) (args : Term.t array) : Term.t =
   match kind with
   | Op.BinF op -> binf c op args.(0) args.(1)
@@ -491,8 +491,9 @@ and vext c lane a =
   | Node.IotaV _ -> ci c lane
   | _ -> mk c (Node.Prim (Op.VecExtract lane, [| a |]))
 
-(* Heap select: mirror the value-level constant-condition rules so a
-   specialized [scf.if] and its source agree on merged heaps. *)
+(* Heap select: mirror the value-level constant-condition rules so an
+   [scf.if] folded on a constant condition and its source agree on
+   merged heaps. *)
 let hite c cond h1 h2 =
   if h1 == h2 then h1
   else
@@ -703,18 +704,15 @@ type summary = {
   s_evs : Term.t array;
 }
 
-let eval_func (c : ctx) ?(bind : (int * const) list = [])
-    ?(param : (int -> Value.t -> Term.t) option) (f : Func.func) : summary =
+let eval_func (c : ctx) ?(param : (int -> Value.t -> Term.t) option)
+    (f : Func.func) : summary =
   let st =
     { c; vals = Hashtbl.create 256; heaps = []; evs = []; next_loop = 0;
       next_call = 0; next_alloc = 0 }
   in
-  let default_param i _ =
-    match List.assoc_opt i bind with
-    | Some k -> cst c k
-    | None -> mk c (Node.Param i)
+  let param =
+    Option.value param ~default:(fun i _ -> mk c (Node.Param i))
   in
-  let param = Option.value param ~default:default_param in
   List.iteri
     (fun i (p : Value.t) -> Hashtbl.replace st.vals p.Value.id (param i p))
     f.Func.f_params;
@@ -964,8 +962,7 @@ let timed (f : unit -> int * verdict) : int * verdict * float =
   in
   (obligations, verdict, (Unix.gettimeofday () -. t0) *. 1000.)
 
-let check_module ?(env : Func.func -> (int * const) list = fun _ -> [])
-    ~(pass : string) (src : Func.modl) (tgt : Func.modl) : cert =
+let check_module ~(pass : string) (src : Func.modl) (tgt : Func.modl) : cert =
   let obligations, verdict, ms =
     timed (fun () ->
         let c = create_ctx () in
@@ -992,9 +989,8 @@ let check_module ?(env : Func.func -> (int * const) list = fun _ -> [])
                       cx_src = "function present";
                       cx_tgt = "(no such function)" }
               | Some g ->
-                  let bind = env f in
-                  let sa = eval_func c ~bind f in
-                  let sb = eval_func c ~bind g in
+                  let sa = eval_func c f in
+                  let sb = eval_func c g in
                   obligations := !obligations + obligations_of sa;
                   (match compare_summaries ~fname:f.Func.f_name c sa sb with
                   | Ok () -> go rest

@@ -15,9 +15,7 @@
       [x*1], [x/1], [--x], [not (not x)], constant/equal-arm selects,
       [i*1], [i+0]);
     - splat/broadcast laws (an elementwise op on broadcasts is the
-      broadcast of the scalar op) used by {!Passes.Widen} and the
-      specializer's splat folding;
-    - binding-environment substitution for {!Passes.Specialize}.
+      broadcast of the scalar op) used by {!Passes.Widen}.
 
     No reassociation rule is included — no pass is declared bitwise-safe
     for it — so a reassociated float add refutes.  No load-forwarding
@@ -27,9 +25,6 @@
     On divergence the checker reports the first differing obligation as
     a structured counterexample; on success it emits a certificate
     carrying IR digests, obligation count and wall time. *)
-
-type const = KF of float | KI of int | KB of bool
-(** Binding-environment constants ([KF] compares bit-exactly). *)
 
 type counterexample = {
   cx_func : string;  (** function whose summaries diverge *)
@@ -49,7 +44,7 @@ type verdict =
           error. *)
 
 type cert = {
-  c_pass : string;  (** pass id, e.g. ["cse"] or ["specialize"] *)
+  c_pass : string;  (** pass id, e.g. ["cse"] *)
   c_src_digest : string;  (** MD5 of the printed input IR *)
   c_tgt_digest : string;  (** MD5 of the printed output IR *)
   c_obligations : int;  (** proof obligations discharged (or attempted) *)
@@ -60,18 +55,10 @@ type cert = {
 val module_digest : Ir.Func.modl -> string
 (** MD5 hex digest of the module's printed form. *)
 
-val check_module :
-  ?env:(Ir.Func.func -> (int * const) list) ->
-  pass:string ->
-  Ir.Func.modl ->
-  Ir.Func.modl ->
-  cert
+val check_module : pass:string -> Ir.Func.modl -> Ir.Func.modl -> cert
 (** [check_module ~pass src tgt] proves every function of [src]
     equivalent to its namesake in [tgt] (and that [tgt] adds none).
-    [env] gives per-function parameter bindings applied to {e both}
-    sides — the specializer's obligation: [src] under the binding
-    environment must equal the specialized [tgt].  Never raises; any
-    internal failure becomes an [Unknown] verdict. *)
+    Never raises; any internal failure becomes an [Unknown] verdict. *)
 
 val check_widen : w:int -> Ir.Func.func -> Ir.Func.func -> cert
 (** [check_widen ~w f f_vec] proves the {!Passes.Widen} contract: with

@@ -25,9 +25,7 @@ type stats = {
   hits : int;
   misses : int;
   compile_ms : float;  (** total milliseconds spent on cache misses *)
-  spec_hits : int;  (** specialized-artifact lookups served from cache *)
-  spec_misses : int;  (** specialization runs *)
-  spec_ms : float;  (** total milliseconds spent specializing *)
+  spec_misses : int;  (** always 0 *)
   native_hits : int;  (** shared objects served from this process's table *)
   native_misses : int;  (** shared objects this process had to obtain *)
   native_disk_hits : int;  (** the misses served by the on-disk store *)
@@ -44,9 +42,6 @@ let table : (string, Kernel.t) Hashtbl.t = Hashtbl.create 64
 let hits = ref 0
 let misses = ref 0
 let compile_ms = ref 0.0
-let spec_hits = ref 0
-let spec_misses = ref 0
-let spec_ms = ref 0.0
 let native_hits = ref 0
 let native_misses = ref 0
 let native_disk_hits = ref 0
@@ -90,26 +85,15 @@ let certificates () : (string * Analysis.Transval.cert list) list =
 (* The per-pass callback handed to {!Passes.Pipeline.optimize}: prove
    input ≡ output, record the certificate under the artifact key, and
    abort the pipeline on a refutation. *)
-let validator ?env (k : string) : string -> Ir.Func.modl -> Ir.Func.modl -> unit
-    =
+let validator (k : string) : string -> Ir.Func.modl -> Ir.Func.modl -> unit =
  fun pass_name pre post ->
-  let cert = Analysis.Transval.check_module ?env ~pass:pass_name pre post in
+  let cert = Analysis.Transval.check_module ~pass:pass_name pre post in
   record_cert k cert;
   if Analysis.Transval.is_refuted cert then raise (Validation_failed cert)
 
-(* [env] is the run-constant binding environment of a specialized
-   artifact, serialized canonically ({!Passes.Specialize.canon_env}:
-   sorted bindings, exact float bit patterns) — logically identical envs
-   always produce the same key regardless of binding order, and [-0.0]
-   never aliases [0.0]. *)
-let key ?(env : Passes.Specialize.env = []) ~(optimize : bool)
-    (cfg : Config.t) (name : string) : string =
-  Printf.sprintf "%s|%s|%s|%s%s" name (Config.describe cfg)
+let key ~(optimize : bool) (cfg : Config.t) (name : string) : string =
+  Printf.sprintf "%s|%s|%s|v1" name (Config.describe cfg)
     (if optimize then pipeline_id else "no-opt")
-    "v1"
-    (match env with
-    | [] -> ""
-    | env -> "|spec:" ^ Passes.Specialize.canon_env env)
 
 (** [generate_named ?optimize cfg ~name parse] returns the cached kernel
     for [name] under [cfg], calling [parse] (the parse+analyze front end)
@@ -156,12 +140,12 @@ let generate ?optimize (cfg : Config.t) (model : M.t) : Kernel.t =
 
 (* Content identity of a kernel module: an MD5 of the printed IR
    ([%.17g] floats round-trip, so distinct constants stay distinct).
-   Specialized artifacts key on this rather than on the model name
-   alone — a kernel handed to {!specialize} need not have come through
-   this cache (tests and tools call {!Kernel.generate} directly), and
-   two different modules under one model name must never share
-   specializations.  Memoized per module instance (physical equality):
-   the common path specializes the same cached kernel repeatedly. *)
+   Native libraries key on this rather than on the model name alone — a
+   kernel handed to {!native} need not have come through this cache
+   (tests and tools call {!Kernel.generate} directly), and two different
+   modules under one model name must never share a library.  Memoized
+   per module instance (physical equality): every driver of a run asks
+   for the same cached kernel. *)
 let digest_memo : (Ir.Func.modl * string) list ref = ref []
 
 let kernel_digest (m : Ir.Func.modl) : string =
@@ -177,130 +161,15 @@ let kernel_digest (m : Ir.Func.modl) : string =
             (m, d) :: List.filteri (fun i _ -> i < 127) !digest_memo);
       d
 
-(* The kernel ABI positions of the run constants a driver binds for the
-   lifetime of a simulation: the compute kernel takes
-   [start; stop; ncells_pad; dt; t; …] and every LUT initializer takes
-   [table; dt] (see {!Kernel}). *)
-let spec_bindings ~(dt : float) ~(ncells_pad : int)
-    (fn : Ir.Func.func) : (Ir.Value.t * Passes.Specialize.binding) list =
-  let nth k = List.nth_opt fn.Ir.Func.f_params k in
-  if String.equal fn.Ir.Func.f_name Kernel.compute_name then
-    List.filter_map
-      (fun x -> x)
-      [
-        Option.map (fun v -> (v, Passes.Specialize.BI ncells_pad)) (nth 2);
-        Option.map (fun v -> (v, Passes.Specialize.BF dt)) (nth 3);
-      ]
-  else if String.length fn.Ir.Func.f_name >= 9
-          && String.equal (String.sub fn.Ir.Func.f_name 0 9) "lut_init_" then
-    match nth 1 with
-    | Some v -> [ (v, Passes.Specialize.BF dt) ]
-    | None -> []
-  else []
-
-(* The same bindings as positional (param index, constant) pairs — the
-   binding environment under which {!Analysis.Transval} discharges the
-   specializer's composite obligation: source-under-environment must
-   equal the specialized output. *)
-let tv_env ~(dt : float) ~(ncells_pad : int) (fn : Ir.Func.func) :
-    (int * Analysis.Transval.const) list =
-  let pos_of (v : Ir.Value.t) : int option =
-    let rec go i = function
-      | [] -> None
-      | (p : Ir.Value.t) :: rest ->
-          if Ir.Value.equal p v then Some i else go (i + 1) rest
-    in
-    go 0 fn.Ir.Func.f_params
-  in
-  spec_bindings ~dt ~ncells_pad fn
-  |> List.filter_map (fun ((v : Ir.Value.t), b) ->
-         Option.map
-           (fun i ->
-             ( i,
-               match b with
-               | Passes.Specialize.BF x -> Analysis.Transval.KF x
-               | Passes.Specialize.BI x -> Analysis.Transval.KI x ))
-           (pos_of v))
-
-(** [specialize g ~dt ~ncells_pad] returns [g] with its module partially
-    evaluated over the driver's run constants ({!Passes.Specialize}):
-    [dt] and the padded cell count become IR constants and the pipeline
-    re-runs over them.  Semantically the identity — bitwise-equal
-    results on every engine — and the function signatures are unchanged,
-    so the returned kernel is a drop-in for [g].  Artifacts are cached
-    under the base kernel's key extended with the canonical binding-env
-    serialization, so repeated runs and concurrent tenants with the same
-    (model, config, dt, cell count) share one compile. *)
-let specialize ?(optimize = true) (g : Kernel.t) ~(dt : float)
-    ~(ncells_pad : int) : Kernel.t =
-  let name = g.Kernel.model.M.name in
-  let env =
-    [
-      ("dt", Passes.Specialize.BF dt);
-      ("ncells_pad", Passes.Specialize.BI ncells_pad);
-    ]
-  in
-  let k =
-    key ~env ~optimize g.Kernel.cfg name
-    ^ "|kd:"
-    ^ kernel_digest g.Kernel.modl
-  in
-  match locked (fun () -> Hashtbl.find_opt table k) with
-  | Some g' ->
-      locked (fun () -> incr spec_hits);
-      Obs.Tracer.count "specialize.hit" 1.0;
-      g'
-  | None ->
-      Obs.Tracer.count "specialize.miss" 1.0;
-      let t0 = Unix.gettimeofday () in
-      let g' =
-        Obs.Tracer.with_span ("specialize:" ^ name) (fun () ->
-            let validating = validation_enabled () in
-            let validate = if validating then Some (validator k) else None in
-            let modl, st =
-              Passes.Specialize.run ~optimize ?validate g.Kernel.modl
-                ~bind:(spec_bindings ~dt ~ncells_pad)
-            in
-            (* composite obligation: the unspecialized kernel, under the
-               binding environment, is equivalent to the specialized
-               output end to end *)
-            if validating then begin
-              let cert =
-                Analysis.Transval.check_module
-                  ~env:(tv_env ~dt ~ncells_pad) ~pass:"specialize"
-                  g.Kernel.modl modl
-              in
-              record_cert k cert;
-              if Analysis.Transval.is_refuted cert then
-                raise (Validation_failed cert)
-            end;
-            Ir.Verifier.verify_module_exn modl;
-            Obs.Tracer.count ("specialize.folded_ops:" ^ name)
-              (float_of_int (max 0 (st.Passes.Specialize.ops_before
-                                    - st.Passes.Specialize.ops_after)));
-            Obs.Tracer.count ("specialize.splat_folded:" ^ name)
-              (float_of_int st.Passes.Specialize.splat_folded);
-            { g with Kernel.modl })
-      in
-      let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-      Obs.Tracer.count "specialize.ms" ms;
-      locked (fun () ->
-          match Hashtbl.find_opt table k with
-          | Some g'' ->
-              incr spec_hits;
-              g''
-          | None ->
-              incr spec_misses;
-              spec_ms := !spec_ms +. ms;
-              Hashtbl.replace table k g';
-              g')
+let specialize (g : Kernel.t) ~dt:(_ : float) ~ncells_pad:(_ : int) : Kernel.t =
+  g
 
 (* -- native artifact cache ------------------------------------------- *)
 
 (* Loaded shared objects, keyed on IR content digest × compiler
    identity × flags — never on the model name, so two modules that print
-   identically share one .so and a changed pipeline/config/specialization
-   (different printed IR) can never serve a stale library.  A miss here
+   identically share one .so and a changed pipeline or config (different
+   printed IR) can never serve a stale library.  A miss here
    goes to the on-disk store ({!Exec.Native.compile}), which keys on the
    emitted translation unit itself and only runs the C compiler when no
    earlier process left an intact library.  Entries are kept for the
@@ -452,9 +321,7 @@ let stats () : stats =
         hits = !hits;
         misses = !misses;
         compile_ms = !compile_ms;
-        spec_hits = !spec_hits;
-        spec_misses = !spec_misses;
-        spec_ms = !spec_ms;
+        spec_misses = 0;
         native_hits = !native_hits;
         native_misses = !native_misses;
         native_disk_hits = !native_disk_hits;
@@ -466,9 +333,6 @@ let reset_stats () : unit =
       hits := 0;
       misses := 0;
       compile_ms := 0.0;
-      spec_hits := 0;
-      spec_misses := 0;
-      spec_ms := 0.0;
       native_hits := 0;
       native_misses := 0;
       native_disk_hits := 0;
@@ -485,9 +349,6 @@ let clear () : unit =
       hits := 0;
       misses := 0;
       compile_ms := 0.0;
-      spec_hits := 0;
-      spec_misses := 0;
-      spec_ms := 0.0;
       native_hits := 0;
       native_misses := 0;
       native_disk_hits := 0;
@@ -496,8 +357,7 @@ let clear () : unit =
 let describe_stats () : string =
   let s = stats () in
   Printf.sprintf
-    "cache: %d hits / %d misses / %.1f ms compiling; \
-     specialize: %d hits / %d misses / %.1f ms; native: %d hits / %d misses \
-     (%d from disk) / %.1f ms cc"
-    s.hits s.misses s.compile_ms s.spec_hits s.spec_misses
-    s.spec_ms s.native_hits s.native_misses s.native_disk_hits s.cc_ms
+    "cache: %d hits / %d misses / %.1f ms compiling; native: %d hits / %d \
+     misses (%d from disk) / %.1f ms cc"
+    s.hits s.misses s.compile_ms s.native_hits s.native_misses
+    s.native_disk_hits s.cc_ms

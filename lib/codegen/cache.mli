@@ -9,9 +9,9 @@ type stats = {
   hits : int;
   misses : int;
   compile_ms : float;  (** total milliseconds spent on cache misses *)
-  spec_hits : int;  (** specialized-artifact lookups served from cache *)
-  spec_misses : int;  (** specialization runs *)
-  spec_ms : float;  (** total milliseconds spent specializing *)
+  spec_misses : int;
+      (** always 0: kept, with {!specialize}, for callers written when
+          kernels were partially evaluated per run *)
   native_hits : int;  (** shared objects served from this process's table *)
   native_misses : int;
       (** shared objects this process had to obtain: C emissions, each
@@ -29,16 +29,12 @@ val pipeline_id : string
 (** {2 Translation validation}
 
     When enabled ({!set_validation}), every pipeline run behind this
-    cache — kernel generation and specialization — proves each pass
-    application semantics-preserving with
-    {!Analysis.Transval.check_module}, and the specializer additionally
-    discharges its composite obligation (source under the binding
-    environment ≡ specialized output, pass id ["specialize"]).
-    Certificates are recorded per cache key, so cached kernels carry
-    their proof provenance. *)
+    cache proves each pass application semantics-preserving with
+    {!Analysis.Transval.check_module}.  Certificates are recorded per
+    cache key, so cached kernels carry their proof provenance. *)
 
 exception Validation_failed of Analysis.Transval.cert
-(** Raised from {!generate}/{!generate_named}/{!specialize} when a pass
+(** Raised from {!generate}/{!generate_named} when a pass
     application is refuted.  The certificate (including its
     counterexample) is recorded before the raise. *)
 
@@ -57,39 +53,24 @@ val generate_named :
 val generate : ?optimize:bool -> Config.t -> Easyml.Model.t -> Kernel.t
 (** {!generate_named} for an already-analyzed model, keyed on its name. *)
 
-val spec_bindings :
-  dt:float ->
-  ncells_pad:int ->
-  Ir.Func.func ->
-  (Ir.Value.t * Passes.Specialize.binding) list
-(** The run-constant bindings of one kernel function, by ABI position:
-    the compute kernel's [ncells_pad] (param 2) and [dt] (param 3), and
-    every LUT initializer's [dt] (param 1).  Other functions bind
-    nothing.  This is the [bind] callback {!specialize} hands to
-    {!Passes.Specialize.run}. *)
-
-val specialize :
-  ?optimize:bool -> Kernel.t -> dt:float -> ncells_pad:int -> Kernel.t
-(** Partial evaluation of a cached kernel over the driver's run
-    constants ([dt], padded cell count) via {!Passes.Specialize} —
-    semantically the identity, bitwise-equal results on every engine,
-    unchanged signatures.  Artifacts are memoized under the base
-    kernel's key extended with the canonical, order-independent binding
-    environment serialization (exact float bit patterns), so logically
-    identical envs never miss. *)
+val specialize : Kernel.t -> dt:float -> ncells_pad:int -> Kernel.t
+(** The kernel itself.  Kept, with [stats.spec_misses], for callers
+    written when kernels were partially evaluated over [dt] and the
+    padded cell count; both are kernel arguments now. *)
 
 val native :
   Kernel.t ->
   (string -> Exec.Rt.v array -> Exec.Rt.v array, Easyml.Diag.t) result
-(** Machine-code artifact for a (typically specialized) kernel.  The
-    process-wide table in front is keyed on the IR content digest ×
-    compiler identity × flags, so identical content shares one library
-    and a changed pipeline, config, or binding environment can never
-    serve a stale one.  On a miss the kernel is emitted as C with
-    {!C_backend.emit_module} and handed to [Exec.Native.compile], which
-    loads it from the persistent on-disk store when an earlier process
-    already compiled that exact translation unit, and otherwise runs the
-    probed system toolchain and publishes the result.  [Ok lookup]
+(** Machine-code artifact for a kernel.  The process-wide table in
+    front is keyed on the IR content digest × compiler identity × flags,
+    so identical content shares one library and a changed pipeline or
+    config can never serve a stale one: one library per model × config,
+    whatever the run's [dt] or cell count.  On a miss the kernel is
+    emitted as C with {!C_backend.emit_module} and handed to
+    [Exec.Native.compile], which loads it from the persistent on-disk
+    store when an earlier process already compiled that exact
+    translation unit, and otherwise runs the probed system toolchain and
+    publishes the result.  [Ok lookup]
     returns a fresh binding per call (each driver thread gets private
     marshalling buffers); [Error diag] covers every failure mode — no
     toolchain, IR without a C lowering, compiler failure, an unwritable
@@ -117,6 +98,5 @@ val clear : unit -> unit
 (** Drop all entries and zero the statistics. *)
 
 val describe_stats : unit -> string
-(** One-line [cache: H hits / M misses / C ms compiling]
-    summary, with specialize and native segments (the native one counts
-    disk hits among its misses). *)
+(** One-line [cache: H hits / M misses / C ms compiling] summary, with
+    a native segment that counts disk hits among its misses. *)

@@ -17,6 +17,9 @@ type t = {
   scalar_math : bool;  (** cost-model flag: math calls not SVML-vectorized *)
 }
 
+(** Every supported [width]: scalar, SSE, AVX2 and AVX-512. *)
+let widths = [ 1; 2; 4; 8 ]
+
 (** openCARP baseline: scalar code, AoS layout, scalar LUT interpolation. *)
 let baseline = {
   width = 1;

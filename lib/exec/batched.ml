@@ -1214,8 +1214,8 @@ let plan_loop (c : E.fctx) ~(uc : (int, int) Hashtbl.t) (fn : Func.func)
                 ops
             in
             (* constant provenance of values defined outside the loop:
-               literal consts and broadcasts of them (the specializer's
-               splat folding produces many of the latter).  Body-defined
+               literal consts and broadcasts of them (every literal a
+               vector kernel uses is the latter).  Body-defined
                values can land in this map too, but they are never import
                candidates, so the lookup below only ever sees live-ins. *)
             let prov : (int, pre) Hashtbl.t = Hashtbl.create 64 in

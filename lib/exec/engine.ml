@@ -381,8 +381,8 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
       match (res ()).ty with
       | Ty.F64 ->
           let a = fslot (op1 ()) and c_ = fslot (op2 ()) and d = fslot (res ()) in
-          (* specialize the four common arithmetic ops to avoid a
-             closure call per operation *)
+          (* dedicated closures for the four common arithmetic ops
+             avoid a closure call per operation *)
           (match k with
           | Op.FAdd -> fun () -> f.(d) <- f.(a) +. f.(c_)
           | Op.FSub -> fun () -> f.(d) <- f.(a) -. f.(c_)

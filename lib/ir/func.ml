@@ -54,8 +54,8 @@ let op_count (f : func) : int = Op.count_ops f.f_body
 
 (* Fresh op records with fresh operand/result arrays (passes mutate
    region op lists and operand arrays in place, so snapshots for
-   validation — and specialization of shared cache entries — must not
-   alias the source).  Value records are immutable and stay shared. *)
+   validation must not alias the source).  Value records are immutable
+   and stay shared. *)
 let rec copy_region (r : Op.region) : Op.region =
   { Op.r_args = r.Op.r_args; r_ops = List.map copy_op r.Op.r_ops }
 

@@ -17,8 +17,7 @@
     v}
 
     Floats are written as the 16 hex digits of their [Int64] bit
-    pattern, so [-0.0], NaN payloads and subnormals round-trip exactly —
-    the same canonicalization PR 6 uses for specialization cache keys.
+    pattern, so [-0.0], NaN payloads and subnormals round-trip exactly.
     The trailing digest is MD5 over the step, the clock bits and every
     section's name + raw little-endian bit patterns; {!of_string}
     recomputes and compares it, so corruption and truncation surface as

@@ -28,10 +28,6 @@ type t = {
   tile : int;
       (** resolved batched-engine tile size in vector blocks (1 for the
           other engines); Domain-parallel chunk boundaries align to it *)
-  specialized : bool;
-      (** the kernel was partially evaluated over this driver's run
-          constants ({!Codegen.Cache.specialize}) — results are bitwise
-          identical either way *)
   native : (string -> Rt.v array -> Rt.v array) option;
       (** symbol lookup into the JIT-compiled shared object
           ({!Codegen.Cache.native}); [Some] exactly when [engine] is
@@ -132,13 +128,10 @@ let reset (d : t) : unit =
 
 (** [create ?engine gen ~ncells ~dt] builds a driver.  [tile] sets the
     batched engine's tile size in vector blocks (default 0 = auto-size
-    for L1); results are bitwise identical for every tile size.
-    [specialize] (default true) partially evaluates the kernel over this
-    driver's run constants — [dt] and the padded cell count become IR
-    constants and the pass pipeline re-runs over them
-    ({!Codegen.Cache.specialize}); the reference interpreter always runs
-    the unspecialized module so differentials keep a pristine baseline. *)
-let create ?(engine = Batched) ?(tile = 0) ?(specialize = true)
+    for L1); results are bitwise identical for every tile size.  [dt]
+    and the padded cell count reach the kernel as arguments, so every
+    driver of one model × config shares one kernel. *)
+let create ?(engine = Batched) ?(tile = 0) ?specialize:(_ : bool option)
     (gen : Codegen.Kernel.t) ~(ncells : int) ~(dt : float) : t =
   if ncells <= 0 then fail "ncells must be positive";
   if dt <= 0.0 then fail "dt must be positive";
@@ -148,12 +141,6 @@ let create ?(engine = Batched) ?(tile = 0) ?(specialize = true)
   (* pad the cell count so every vector chunk is full (openCARP pads its
      state arrays the same way) *)
   let ncells_pad = (ncells + w - 1) / w * w in
-  (* specialize before anything downstream: tile planning and
-     compilation must both see the module that will actually run *)
-  let specialize = specialize && engine <> Reference in
-  let gen =
-    if specialize then Codegen.Cache.specialize gen ~dt ~ncells_pad else gen
-  in
   (* the native engine resolves its machine-code artifact eagerly so a
      missing/failing toolchain degrades here — once, with a warning, to
      the batched engine — rather than raising later inside a worker;
@@ -208,7 +195,6 @@ let create ?(engine = Batched) ?(tile = 0) ?(specialize = true)
       tables;
       engine;
       tile;
-      specialized = specialize;
       native;
       registry;
       runners = [||];
@@ -325,7 +311,6 @@ let capture (d : t) : Obs.Recorder.checkpoint =
         ("dt_bits", Obs.Recorder.hex_of_float d.dt);
         ("engine", engine_name d.engine);
         ("tile", string_of_int d.tile);
-        ("specialized", string_of_bool d.specialized);
       ];
     ck_step = d.steps_done;
     ck_time = d.t_now;

@@ -20,7 +20,7 @@ type engine =
   | Compiled  (** closure engine (one instance per thread) *)
   | Reference  (** tree-walking interpreter (slow; differential tests) *)
   | Native
-      (** machine code: the lowered (and specialized) kernel is emitted
+      (** machine code: the lowered kernel is emitted
           as C, compiled by the system toolchain and [dlopen]ed
           ({!Codegen.Cache.native}).  When no C compiler is available
           (or the compile fails), {!create} degrades to {!Batched} with
@@ -39,10 +39,6 @@ type t = {
       (** resolved batched-engine tile size in vector blocks (1 for the
           other engines); parallel chunk boundaries align to
           [tile × width] cells *)
-  specialized : bool;
-      (** the kernel was partially evaluated over this driver's run
-          constants ([dt], padded cell count) — bitwise identical either
-          way *)
   native : (string -> Exec.Rt.v array -> Exec.Rt.v array) option;
       (** symbol lookup into the JIT-compiled shared object; [Some]
           exactly when [engine] is {!Native} *)
@@ -69,12 +65,11 @@ val create :
     [engine] defaults to {!Batched}; {!Fused} builds a {!Batched}
     driver too.  [tile] sets the batched engine's tile size in vector
     blocks (default 0 = auto-size for L1); ignored by the other
-    engines, and results are bitwise identical for every value.
-    [specialize] (default true) partially evaluates the kernel over this
-    driver's run constants — [dt] and the padded cell count become IR
-    constants and the pass pipeline re-runs over them
-    ({!Codegen.Cache.specialize}); bitwise identical, and ignored by the
-    reference interpreter so differentials keep a pristine baseline.
+    engines, and results are bitwise identical for every value.  [dt]
+    and the padded cell count reach the kernel as arguments, so every
+    driver of one model × config shares one kernel (and one native
+    library).  [specialize] is ignored: it is kept for callers written
+    when kernels were partially evaluated per driver.
     [~engine:Native] resolves the machine-code artifact eagerly: if no C
     toolchain is available or compilation fails, the driver is built on
     {!Batched} instead (one warning on stderr, no exception) — check the

@@ -66,6 +66,23 @@ let apply_mask (s : spatial) (a : float) ~(cell : int) : float =
   | Uniform -> a
   | Weights w -> if a = 0.0 then 0.0 else a *. Float.Array.get w cell
 
+(* [apply_mask] for every cell, written out per mask so that no share
+   is boxed: a float returned from a call that is not inlined is. *)
+let mask_into ~(add : bool) (s : spatial) (a : float) (dst : floatarray) :
+    unit =
+  let n = Float.Array.length dst in
+  match s.mask with
+  | Uniform ->
+      for i = 0 to n - 1 do
+        Float.Array.set dst i (if add then Float.Array.get dst i +. a else a)
+      done
+  | Weights w ->
+      for i = 0 to n - 1 do
+        let share = if a = 0.0 then 0.0 else a *. Float.Array.get w i in
+        Float.Array.set dst i
+          (if add then Float.Array.get dst i +. share else share)
+      done
+
 (** Stimulus current for one cell at time [t].  With a [Uniform] mask
     this is {e bitwise} [at s.pulse t] — no scaling is applied at all. *)
 let at_cell (s : spatial) ~(t : float) ~(cell : int) : float =

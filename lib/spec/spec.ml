@@ -33,7 +33,7 @@ type shape = Cells of int | Tissue of tissue
 
 type t = {
   model : string;  (** registry name or EasyML file path *)
-  codegen : codegen; engine : Sim.Driver.engine; tile : int; specialize : bool;
+  codegen : codegen; engine : Sim.Driver.engine; tile : int;
   dt : float; steps : int;  (** total steps of the run *)
   threads : int; shape : shape;
 }
@@ -56,7 +56,7 @@ let hex = Obs.Recorder.hex_of_float
 
 (** The spec as checkpoint metadata, in checkpoint key order: a run's
     {!Obs.Recorder.writer} [extra], and the manifest's [spec].  [kind],
-    [engine], [tile], [specialized], [dt_bits] and (cells) [ncells] are
+    [engine], [tile], [dt_bits] and (cells) [ncells] are
     also written by {!Sim.Driver.capture}; a writer keeps the capture's
     values, so checkpoints record the engine and tile that actually ran. *)
 let to_meta (s : t) : (string * string) list =
@@ -74,7 +74,6 @@ let to_meta (s : t) : (string * string) list =
     ("engine_req", engine);
     ("engine", engine);
     ("tile", string_of_int s.tile);
-    ("specialized", string_of_bool s.specialize);
     ("dt_bits", hex s.dt);
   ]
   @
@@ -114,6 +113,16 @@ let to_meta (s : t) : (string * string) list =
     the value. *)
 type out_of_range = { key : string; flag : string; need : string; got : string }
 
+(** [Some] unless [n] is one of {!Codegen.Config.widths}: the check of
+    every [-w] flag and of a checkpoint's [cli_width]. *)
+let width_out_of_range (n : int) : out_of_range option =
+  if List.mem n Codegen.Config.widths then None
+  else
+    let need =
+      "one of " ^ String.concat ", " (List.map string_of_int Codegen.Config.widths)
+    in
+    Some { key = "cli_width"; flag = "width"; need; got = string_of_int n }
+
 (** The first field of [s] that {!create} would refuse.  These bounds
     are written only here: flag-built specs and checkpoint metadata
     ({!of_checkpoint}) are both held to them. *)
@@ -147,7 +156,7 @@ let out_of_range (s : t) : out_of_range option =
   List.find_map Fun.id
     ([ at_least 0 "steps_total" "steps" s.steps;
        at_least 1 "threads" "threads" s.threads;
-       at_least 1 "cli_width" "width" s.codegen.width;
+       width_out_of_range s.codegen.width;
        at_least 0 "tile" "tile" s.tile; positive "dt_bits" "dt" s.dt ]
     @ shape)
 
@@ -188,7 +197,8 @@ let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
   let* _ = among Sim.Driver.engines "engine_req" in
   let* engine = among Sim.Driver.engines "engine" in
   let* tile = int "tile" in
-  let* specialize = bool "specialized" in
+  (* checkpoints of earlier releases also carry [specialized]; any value
+     of it replays *)
   let* dt = float "dt_bits" in
   let* shape =
     match Obs.Recorder.meta ck "kind" with
@@ -219,7 +229,7 @@ let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
   in
   let s =
     { model; codegen = { width; layout; no_lut; autovec; spline }; engine;
-      tile; specialize; dt; steps; threads; shape }
+      tile; dt; steps; threads; shape }
   in
   match out_of_range s with
   | None -> Ok s
@@ -247,13 +257,13 @@ let protocol (t : tissue) (geom : Tissue.Geometry.t) : Tissue.Protocol.t =
         stims = [ Sim.Stim.region pulse ~n ~lo:0 ~hi:(min width n) ] }
 
 (** {!Sim.Driver.create} or {!Tissue.Monodomain.create} on the spec's
-    engine, tile, specialization, [dt] and shape.
+    engine, tile, [dt] and shape.
     @raise Sim.Driver.Driver_error or [Invalid_argument] as those do. *)
 let create (s : t) (g : Codegen.Kernel.t) : sim =
-  let engine = s.engine and tile = s.tile and specialize = s.specialize in
+  let engine = s.engine and tile = s.tile in
   match s.shape with
   | Cells ncells ->
-      Cell_sim (Sim.Driver.create ~engine ~tile ~specialize g ~ncells ~dt:s.dt)
+      Cell_sim (Sim.Driver.create ~engine ~tile g ~ncells ~dt:s.dt)
   | Tissue t ->
       let geom =
         if t.ny <= 1 then Tissue.Geometry.cable ~n:t.nx ~dx:t.dx
@@ -266,7 +276,7 @@ let create (s : t) (g : Codegen.Kernel.t) : sim =
             (if t.block_check > 0.0 then Some t.block_check else None) }
       in
       Tissue_sim
-        (Monodomain.create ~engine ~tile ~specialize ~config ~nthreads:s.threads g
+        (Monodomain.create ~engine ~tile ~config ~nthreads:s.threads g
            ~geom ~dt:s.dt ~protocol:(protocol t geom))
 
 let driver = function Cell_sim d -> d | Tissue_sim m -> Monodomain.driver m

@@ -10,12 +10,21 @@ let current (p : t) ~(t : float) ~(cell : int) : float =
   | stims ->
       List.fold_left (fun acc s -> acc +. Stim.at_cell s ~t ~cell) 0.0 stims
 
-(* every pulse's [Stim.at] value at one time, shared by all cells *)
-type pulses = { spatial : Stim.spatial array; values : floatarray }
+(* every pulse's [Stim.at] value at one time, shared by all cells, and
+   room for every cell's current *)
+type pulses = {
+  spatial : Stim.spatial array;
+  values : floatarray;
+  currents : floatarray;
+}
 
-let pulses (p : t) : pulses =
+let pulses (p : t) ~(n : int) : pulses =
   let spatial = Array.of_list p.stims in
-  { spatial; values = Float.Array.make (Array.length spatial) 0.0 }
+  {
+    spatial;
+    values = Float.Array.make (Array.length spatial) 0.0;
+    currents = Float.Array.make n 0.0;
+  }
 
 let eval (e : pulses) ~(t : float) : bool =
   let on = ref false in
@@ -26,17 +35,19 @@ let eval (e : pulses) ~(t : float) : bool =
   done;
   !on
 
-(* [current]'s sum, term for term, over the evaluated pulses *)
-let cell_current (e : pulses) ~(cell : int) : float =
-  match e.spatial with
-  | [| s |] -> Stim.apply_mask s (Float.Array.get e.values 0) ~cell
+(* [current]'s sum, term for term, over the evaluated pulses: each
+   cell's sum starts from 0.0 and adds the pulses in order *)
+let currents (e : pulses) : floatarray =
+  (match e.spatial with
+  | [| s |] ->
+      Stim.mask_into ~add:false s (Float.Array.get e.values 0) e.currents
   | spatial ->
-      let acc = ref 0.0 in
+      Float.Array.fill e.currents 0 (Float.Array.length e.currents) 0.0;
       for k = 0 to Array.length spatial - 1 do
-        acc :=
-          !acc +. Stim.apply_mask spatial.(k) (Float.Array.get e.values k) ~cell
-      done;
-      !acc
+        Stim.mask_into ~add:true spatial.(k) (Float.Array.get e.values k)
+          e.currents
+      done);
+  e.currents
 
 (* weight 1 on the strip x < width, 0 elsewhere *)
 let strip_mask (g : Geometry.t) ~(width : int) : floatarray =

@@ -17,19 +17,21 @@ val current : t -> t:float -> cell:int -> float
 
 type pulses
 (** Every pulse's value at one time, evaluated once and shared by every
-    cell of a step. *)
+    cell of a step, and every cell's current. *)
 
-val pulses : t -> pulses
-(** Room for the protocol's pulse values; allocate once per simulation. *)
+val pulses : t -> n:int -> pulses
+(** Room for the protocol's pulse values and the currents of [n] cells;
+    allocate once per simulation. *)
 
 val eval : pulses -> t:float -> bool
 (** [eval e ~t] evaluates each pulse's {!Sim.Stim.at} at [t], once, and
     says whether any is on.  When none is, every cell's {!current} at
     [t] is the literal [0.0]. *)
 
-val cell_current : pulses -> cell:int -> float
-(** [cell_current e ~cell] after [eval e ~t] is [current p ~t ~cell],
-    bit for bit. *)
+val currents : pulses -> floatarray
+(** [currents e] after [eval e ~t] holds [current p ~t ~cell] at every
+    [cell], bit for bit.  The array is [e]'s own, overwritten by the
+    next call; filling it boxes no float per cell. *)
 
 val s1 :
   ?amplitude:float ->

@@ -14,7 +14,6 @@ let () =
       ("engine", Test_engine.suite);
       ("batched", Test_batched.suite);
       ("passes", Test_passes.suite);
-      ("specialize", Test_specialize.suite);
       ("integrators", Test_integrators.suite);
       ("runtime", Test_runtime.suite);
       ("solver", Test_solver.suite);

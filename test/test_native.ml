@@ -329,28 +329,33 @@ let test_cache_accounting () =
   Alcotest.(check bool) "describe_stats mentions native" true
     (Helpers.contains (Codegen.Cache.describe_stats ()) "native")
 
-(* A second driver at a different cell count specializes to different
-   run constants — different printed IR, so a fresh artifact, never a
-   stale hit. *)
-let test_cache_distinguishes_bindings () =
+(* [dt] and the cell count are kernel arguments: drivers at another
+   population or step share the model × config's one library, and only
+   another config compiles a second. *)
+let test_one_artifact_per_config () =
   skip_without_cc ();
   let e = Models.Registry.find_exn "BeelerReuter" in
-  let g =
-    Codegen.Cache.generate_named (C.mlir ~width:4)
-      ~name:e.Models.Model_def.name (fun () -> Models.Registry.model e)
+  let gen cfg =
+    Codegen.Cache.generate_named cfg ~name:e.Models.Model_def.name (fun () ->
+        Models.Registry.model e)
   in
+  (* configs no other test compiles BeelerReuter under natively, so the
+     first driver of each is a miss *)
+  let g = gen (C.autovec ~width:2) in
   Codegen.Cache.reset_stats ();
-  let d1 =
-    Sim.Driver.create ~engine:Sim.Driver.Native g ~ncells:64 ~dt:0.005
+  let misses () = (Codegen.Cache.stats ()).Codegen.Cache.native_misses in
+  let native g ~ncells ~dt =
+    let d = Sim.Driver.create ~engine:Sim.Driver.Native g ~ncells ~dt in
+    Alcotest.(check bool) "runs native" true
+      (d.Sim.Driver.engine = Sim.Driver.Native)
   in
-  let s1 = Codegen.Cache.stats () in
-  let d2 =
-    Sim.Driver.create ~engine:Sim.Driver.Native g ~ncells:96 ~dt:0.005
-  in
-  let s2 = Codegen.Cache.stats () in
-  ignore (d1, d2);
-  Alcotest.(check bool) "different ncells_pad compiles a fresh artifact" true
-    (s2.Codegen.Cache.native_misses > s1.Codegen.Cache.native_misses)
+  native g ~ncells:64 ~dt:0.005;
+  native g ~ncells:96 ~dt:0.005;
+  native g ~ncells:7 ~dt:0.02;
+  Alcotest.(check int) "one native miss for three populations and steps" 1
+    (misses ());
+  native (gen (C.autovec ~width:4)) ~ncells:64 ~dt:0.005;
+  Alcotest.(check int) "another config is a new miss" 2 (misses ())
 
 (* -- failure paths ------------------------------------------------------ *)
 
@@ -932,8 +937,8 @@ let suite =
       test_constant_libm_calls_run_at_run_time;
     Alcotest.test_case "artifact cache hits and accounting" `Quick
       test_cache_accounting;
-    Alcotest.test_case "binding env distinguishes artifacts" `Quick
-      test_cache_distinguishes_bindings;
+    Alcotest.test_case "one artifact per model and config" `Quick
+      test_one_artifact_per_config;
     Alcotest.test_case "no toolchain: driver degrades to batched" `Quick
       test_fallback_without_toolchain;
     Alcotest.test_case "failing compiler: structured diagnostic" `Quick

@@ -12,8 +12,8 @@
      unsound hoist) injected into each standard pass must each be
      refuted, with the certificate blaming the sabotaged pass;
    - the 43-model sweep: every bundled model, scalar and vector configs,
-     default and specialized pipelines, must validate with zero
-     refutations and no more Unknowns than the checked-in baseline. *)
+     must validate with zero refutations and no more Unknowns than the
+     checked-in baseline. *)
 
 open Ir
 module B = Ir.Builder
@@ -25,6 +25,52 @@ module C = Codegen.Config
 (* qcheck: validated pipeline == interpreter semantics                     *)
 (* ---------------------------------------------------------------------- *)
 
+(* A random expression over two loaded streams and one scalar parameter
+   [k], lowered into a parallel loop. *)
+let lower_kernel ~(w : int) (e : Easyml.Ast.expr) : Ir.Func.modl =
+  let m = Ir.Func.create_module "tv_loop" in
+  let c = B.create_ctx () in
+  Ir.Func.add_func m
+    (B.func c ~name:"f"
+       ~params:[ Ir.Ty.Memref; Ir.Ty.Memref; Ir.Ty.Memref; Ir.Ty.I64; Ir.Ty.F64 ]
+       ~results:[]
+       (fun b args ->
+         let in1 = List.nth args 0
+         and in2 = List.nth args 1
+         and out = List.nth args 2
+         and n = List.nth args 3
+         and k = List.nth args 4 in
+         ignore
+           (B.for_ b ~parallel:true ~lb:(B.consti b 0) ~ub:n
+              ~step:(B.consti b w) ~inits:[]
+              (fun ~iv ~iters:_ ->
+                let x, y =
+                  if w = 1 then
+                    (B.load b ~mem:in1 ~idx:iv, B.load b ~mem:in2 ~idx:iv)
+                  else
+                    ( B.vec_load b ~width:w ~mem:in1 ~idx:iv,
+                      B.vec_load b ~width:w ~mem:in2 ~idx:iv )
+                in
+                let kv = if w = 1 then k else B.broadcast b ~width:w k in
+                let env =
+                  Codegen.Lower.make_env ~b ~width:w
+                    [ ("x", x); ("y", y); ("k", kv) ]
+                in
+                let r = Codegen.Lower.lower_num env e in
+                if w = 1 then B.store b r ~mem:out ~idx:iv
+                else B.vec_store b ~vec:r ~mem:out ~idx:iv;
+                []));
+         B.ret b []));
+  m
+
+let run_kernel (m : Ir.Func.modl) ~(n : int) ~(k : float) (in1 : floatarray)
+    (in2 : floatarray) : floatarray =
+  let out = Float.Array.make n 0.0 in
+  ignore
+    (Exec.Engine.run m "f"
+       [| Exec.Rt.M in1; Exec.Rt.M in2; Exec.Rt.M out; Exec.Rt.I n; Exec.Rt.F k |]);
+  out
+
 let in1 = Float.Array.init 12 (fun i -> Float.sin (float_of_int (i + 1)))
 let in2 = Float.Array.init 12 (fun i -> Float.cos (float_of_int i))
 
@@ -32,7 +78,7 @@ let validated_pipeline ~w name =
   Helpers.qtest ~count:80 name
     (Helpers.arbitrary_expr [ "x"; "y"; "k" ])
     (fun e ->
-      let m = Test_specialize.lower_kernel ~w e in
+      let m = lower_kernel ~w e in
       Ir.Verifier.verify_module_exn m;
       let m0 = Ir.Func.copy_module m in
       let certs = ref [] in
@@ -49,8 +95,8 @@ let validated_pipeline ~w name =
       (* the proof must agree with the concrete semantics: optimized ==
          unoptimized, bitwise, on the closure engine *)
       let n = 12 in
-      let want = Test_specialize.run_kernel ~engine:`Closure m0 ~n ~k:0.7 in1 in2
-      and got = Test_specialize.run_kernel ~engine:`Closure m ~n ~k:0.7 in1 in2 in
+      let want = run_kernel m0 ~n ~k:0.7 in1 in2
+      and got = run_kernel m ~n ~k:0.7 in1 in2 in
       let ok = ref true in
       for i = 0 to n - 1 do
         if
@@ -68,7 +114,7 @@ let normalization_stable ~w name =
   Helpers.qtest ~count:120 name
     (Helpers.arbitrary_expr [ "x"; "y"; "k" ])
     (fun e ->
-      let m = Test_specialize.lower_kernel ~w e in
+      let m = lower_kernel ~w e in
       Passes.Pipeline.optimize m;
       match TV.self_check m with
       | Ok n -> n > 0
@@ -437,7 +483,7 @@ let assert_refutes ~pass sab fixture () =
       | None -> Alcotest.fail "refutation produced no diagnostic")
 
 (* ---------------------------------------------------------------------- *)
-(* 43-model sweep: default + specialized pipelines, zero refutations      *)
+(* 43-model sweep: default pipelines, zero refutations                    *)
 (* ---------------------------------------------------------------------- *)
 
 let unknown_baseline () =
@@ -469,11 +515,9 @@ let test_sweep () =
         (fun (e : Models.Model_def.entry) ->
           List.iter
             (fun cfg ->
-              let g =
-                Codegen.Cache.generate_named cfg ~name:e.name (fun () ->
-                    Models.Registry.model e)
-              in
-              ignore (Codegen.Cache.specialize g ~dt:0.02 ~ncells_pad:32))
+              ignore
+                (Codegen.Cache.generate_named cfg ~name:e.name (fun () ->
+                     Models.Registry.model e)))
             [ C.baseline; C.mlir ~width:8 ])
         Models.Registry.all;
       let certs = Codegen.Cache.certificates () in
@@ -498,37 +542,13 @@ let test_sweep () =
         (Printf.sprintf "Unknown count %d within baseline" !unknown)
         true
         (!unknown <= unknown_baseline ());
-      (* every model contributes certificates for both configs, default
-         and specialized pipelines *)
+      (* every model contributes one certificate per pass for both
+         configs *)
       let nmodels = List.length Models.Registry.all in
       Alcotest.(check bool)
         (Printf.sprintf "expected coverage (got %d certificates)" !total)
         true
-        (!total >= nmodels * 2 * 2))
-
-(* The specialize composite obligation is part of the sweep; check its
-   pass id is present so CI can gate on it. *)
-let test_specialize_obligation () =
-  Codegen.Cache.set_validation true;
-  Codegen.Cache.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Codegen.Cache.set_validation false;
-      Codegen.Cache.clear ())
-    (fun () ->
-      let e = Models.Registry.find_exn "MitchellSchaeffer" in
-      let g =
-        Codegen.Cache.generate_named C.baseline ~name:e.name (fun () ->
-            Models.Registry.model e)
-      in
-      ignore (Codegen.Cache.specialize g ~dt:0.015 ~ncells_pad:16);
-      let passes =
-        List.concat_map
-          (fun (_, cs) -> List.map (fun (c : TV.cert) -> c.TV.c_pass) cs)
-          (Codegen.Cache.certificates ())
-      in
-      Alcotest.(check bool) "composite specialize obligation recorded" true
-        (List.mem "specialize" passes))
+        (!total >= nmodels * 2 * List.length Passes.Pipeline.standard))
 
 let suite =
   [
@@ -551,8 +571,5 @@ let suite =
     Alcotest.test_case "mutation: licm hoists load past store -> refuted"
       `Quick
       (assert_refutes ~pass:"licm" sab_hoist_load fixture_hoist);
-    Alcotest.test_case "43-model sweep: default + specialized, 0 refutations"
-      `Slow test_sweep;
-    Alcotest.test_case "specialize composite obligation recorded" `Quick
-      test_specialize_obligation;
+    Alcotest.test_case "43-model sweep: default pipelines" `Slow test_sweep;
   ]
