@@ -1226,10 +1226,10 @@ let passes_cmd =
     Fmt.pr "%-14s %8s@." "pass" "ops";
     Fmt.pr "%-14s %8d@." "(none)" (count ());
     List.iter
-      (fun (name, p) ->
+      (fun (p : Passes.Pass.t) ->
         ignore (Passes.Pass.run_on_module p g.modl);
-        Fmt.pr "%-14s %8d@." name (count ()))
-      Passes.Pipeline.by_name;
+        Fmt.pr "%-14s %8d@." p.name (count ()))
+      Passes.Pipeline.standard;
     match Ir.Verifier.verify_module g.modl with
     | [] -> Fmt.pr "module verifies after pipeline@."
     | errs -> Fmt.epr "%s@." (Ir.Verifier.errors_to_string errs)

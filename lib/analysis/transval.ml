@@ -12,12 +12,15 @@
     - one event term per observable side effect in program order
       (calls, and loops/branches containing them).
 
-    Soundness rests on the smart constructors applying only identities
-    that are bitwise-true on IEEE doubles (or are exactly the foldings
-    {!Passes.Const_fold} performs, so validator and pass agree by
-    construction).  Completeness — zero false refutations over the
-    pipeline — rests on the constructors applying {e all} identities the
-    passes are licensed to use, and on the passes' structural contract:
+    Soundness rests on the smart constructors applying only laws that
+    are bitwise-true on IEEE doubles: an elementwise op over splats is
+    the splat of the scalar op, a lane of a splat is its scalar, and a
+    select between equal arms is that arm.  Nothing is folded and no
+    algebraic identity is applied — not even [x + 0.0 = x], which is
+    false at [x = -0.0].  Completeness — zero false refutations over the
+    pipeline — rests on CSE, LICM and DCE changing only sharing,
+    placement and liveness, never an op's kind or operands, and on the
+    passes' structural contract:
     no pass reorders, duplicates, introduces or removes impure ops
     (stores, calls, allocs, loops, branches), which keeps the serial
     numbers the evaluator assigns to loops/calls/allocs stable across a
@@ -257,133 +260,6 @@ let cf c x = cst c (KF x)
 let ci c x = cst c (KI x)
 let cb c x = cst c (KB x)
 
-let fview (t : Term.t) =
-  match node t with Node.Cst (KF x) -> Some x | _ -> None
-
-let iview (t : Term.t) =
-  match node t with Node.Cst (KI x) -> Some x | _ -> None
-
-let bview (t : Term.t) =
-  match node t with Node.Cst (KB x) -> Some x | _ -> None
-
-(* Canonicalize's [is_c] looks through broadcasts of constants; mirror
-   that: a splat of a float constant counts as that constant. *)
-let rec fview_splat (t : Term.t) =
-  match node t with
-  | Node.Cst (KF x) -> Some x
-  | Node.Bcast (_, s) -> fview_splat s
-  | _ -> None
-
-(* A vector select whose condition is a splat of a known boolean
-   resolves to one arm, like a scalar select on a constant. *)
-let rec bview_splat (t : Term.t) =
-  match node t with
-  | Node.Cst (KB x) -> Some x
-  | Node.Bcast (_, s) -> bview_splat s
-  | _ -> None
-
-let is_fzero t =
-  match fview_splat t with Some x -> Float.equal x 0.0 | None -> false
-
-let is_fone t =
-  match fview_splat t with Some x -> Float.equal x 1.0 | None -> false
-
-(* Scalar constant folding — the exact semantics of
-   {!Passes.Const_fold.eval_op}: OCaml float primitives are IEEE, the
-   comparison operators below are IEEE float compares (NaN
-   makes every comparison but [<>] false), and math builtins fold only
-   on non-NaN arguments to finite results. *)
-let fold_scalar (c : ctx) (kind : Op.kind) (args : Term.t array) :
-    Term.t option =
-  let f k = fview args.(k) in
-  let i k = iview args.(k) in
-  let b k = bview args.(k) in
-  let open Op in
-  match kind with
-  | BinF op -> (
-      match (f 0, f 1) with
-      | Some x, Some y ->
-          let g =
-            match op with
-            | FAdd -> ( +. )
-            | FSub -> ( -. )
-            | FMul -> ( *. )
-            | FDiv -> ( /. )
-            | FMin -> Float.min
-            | FMax -> Float.max
-            | FRem -> Float.rem
-          in
-          Some (cf c (g x y))
-      | _ -> None)
-  | NegF -> ( match f 0 with Some x -> Some (cf c (-.x)) | None -> None)
-  | BinI op -> (
-      match (i 0, i 1) with
-      | Some x, Some y -> (
-          match op with
-          | IAdd -> Some (ci c (x + y))
-          | ISub -> Some (ci c (x - y))
-          | IMul -> Some (ci c (x * y))
-          | IDiv -> if y = 0 then None else Some (ci c (x / y))
-          | IRem -> if y = 0 then None else Some (ci c (x mod y)))
-      | _ -> None)
-  | BinB op -> (
-      match (b 0, b 1) with
-      | Some x, Some y ->
-          Some
-            (cb c
-               (match op with
-               | BAnd -> x && y
-               | BOr -> x || y
-               | BXor -> x <> y))
-      | _ -> None)
-  | NotB -> ( match b 0 with Some x -> Some (cb c (not x)) | None -> None)
-  | CmpF cmp -> (
-      match (f 0, f 1) with
-      | Some x, Some y ->
-          let g : float -> float -> bool =
-            match cmp with
-            | Lt -> ( < )
-            | Le -> ( <= )
-            | Gt -> ( > )
-            | Ge -> ( >= )
-            | Eq -> ( = )
-            | Ne -> ( <> )
-          in
-          Some (cb c (g x y))
-      | _ -> None)
-  | CmpI cmp -> (
-      match (i 0, i 1) with
-      | Some x, Some y ->
-          let g : int -> int -> bool =
-            match cmp with
-            | Lt -> ( < )
-            | Le -> ( <= )
-            | Gt -> ( > )
-            | Ge -> ( >= )
-            | Eq -> ( = )
-            | Ne -> ( <> )
-          in
-          Some (cb c (g x y))
-      | _ -> None)
-  | SIToFP -> (
-      match i 0 with Some x -> Some (cf c (float_of_int x)) | None -> None)
-  | FPToSI -> (
-      match f 0 with Some x -> Some (ci c (int_of_float x)) | None -> None)
-  | Math name -> (
-      match Easyml.Builtins.find name with
-      | None -> None
-      | Some bi -> (
-          let vals =
-            Array.init bi.arity (fun k ->
-                match f k with Some x -> x | None -> Float.nan)
-          in
-          if Array.exists Float.is_nan vals then None
-          else
-            match bi.eval vals with
-            | v when Float.is_finite v -> Some (cf c v)
-            | _ -> None))
-  | _ -> None
-
 let bcast (c : ctx) ~(w : int) (t : Term.t) : Term.t =
   if w <= 1 then t else mk c (Node.Bcast (w, t))
 
@@ -391,23 +267,12 @@ let bcast (c : ctx) ~(w : int) (t : Term.t) : Term.t =
    broadcast law in [elementwise] — op over all-splat operands is the
    splat of the scalar op — lets [check_widen] collapse widened bodies;
    recursion is on strictly smaller (scalar) operands, so it
-   terminates. *)
+   terminates.  No other law is applied: no folding, no identity. *)
 let rec apply (c : ctx) (kind : Op.kind) (args : Term.t array) : Term.t =
   match kind with
-  | Op.BinF op -> binf c op args.(0) args.(1)
-  | Op.NegF -> negf c args.(0)
-  | Op.BinI op -> bini c op args.(0) args.(1)
-  | Op.BinB _ | Op.CmpF _ | Op.CmpI _ | Op.SIToFP | Op.FPToSI | Op.Math _ ->
-      fold_or_elementwise c kind args
-  | Op.NotB -> notb c args.(0)
   | Op.Select -> ite c args.(0) args.(1) args.(2)
   | Op.VecExtract lane -> vext c lane args.(0)
-  | _ -> mk c (Node.Prim (kind, args))
-
-and fold_or_elementwise c kind args =
-  match fold_scalar c kind args with
-  | Some t -> t
-  | None -> elementwise c kind args
+  | _ -> elementwise c kind args
 
 and elementwise c kind args =
   let w =
@@ -431,59 +296,16 @@ and elementwise c kind args =
     bcast c ~w (apply c kind scalars)
   else mk c (Node.Prim (kind, args))
 
-and binf c op a b =
-  match fold_scalar c (Op.BinF op) [| a; b |] with
-  | Some t -> t
-  | None -> (
-      (* Canonicalize's IEEE-safe identities, verbatim *)
-      match op with
-      | Op.FAdd when is_fzero b -> a
-      | Op.FAdd when is_fzero a -> b
-      | Op.FSub when is_fzero b -> a
-      | Op.FMul when is_fone b -> a
-      | Op.FMul when is_fone a -> b
-      | Op.FDiv when is_fone b -> a
-      | _ -> elementwise c (Op.BinF op) [| a; b |])
-
-and negf c a =
-  match fold_scalar c Op.NegF [| a |] with
-  | Some t -> t
-  | None -> (
-      match node a with
-      | Node.Prim (Op.NegF, xs) -> xs.(0)
-      | _ -> elementwise c Op.NegF [| a |])
-
-and notb c a =
-  match fold_scalar c Op.NotB [| a |] with
-  | Some t -> t
-  | None -> (
-      match node a with
-      | Node.Prim (Op.NotB, xs) -> xs.(0)
-      | _ -> elementwise c Op.NotB [| a |])
-
-and bini c op a b =
-  match fold_scalar c (Op.BinI op) [| a; b |] with
-  | Some t -> t
-  | None -> (
-      match (op, node a, node b) with
-      | Op.IMul, _, Node.Cst (KI 1) -> a
-      | Op.IMul, Node.Cst (KI 1), _ -> b
-      | Op.IAdd, _, Node.Cst (KI 0) -> a
-      | Op.IAdd, Node.Cst (KI 0), _ -> b
-      | _ -> elementwise c (Op.BinI op) [| a; b |])
-
+(* A select between equal arms is that arm whatever the condition; a
+   select over splats is the splat of the scalar select. *)
 and ite c cond a b =
-  match bview_splat cond with
-  | Some true -> a
-  | Some false -> b
-  | None ->
-      if a == b then a
-      else (
-        match (node cond, node a, node b) with
-        | Node.Bcast (w, c'), Node.Bcast (w2, a'), Node.Bcast (w3, b')
-          when w = w2 && w = w3 ->
-            bcast c ~w (ite c c' a' b')
-        | _ -> mk c (Node.IteV (cond, a, b)))
+  if a == b then a
+  else
+    match (node cond, node a, node b) with
+    | Node.Bcast (w, c'), Node.Bcast (w2, a'), Node.Bcast (w3, b')
+      when w = w2 && w = w3 ->
+        bcast c ~w (ite c c' a' b')
+    | _ -> mk c (Node.IteV (cond, a, b))
 
 and vext c lane a =
   match node a with
@@ -491,16 +313,10 @@ and vext c lane a =
   | Node.IotaV _ -> ci c lane
   | _ -> mk c (Node.Prim (Op.VecExtract lane, [| a |]))
 
-(* Heap select: mirror the value-level constant-condition rules so an
-   [scf.if] folded on a constant condition and its source agree on
-   merged heaps. *)
+(* Heap select: a root neither arm of an [scf.if] writes keeps its
+   heap. *)
 let hite c cond h1 h2 =
-  if h1 == h2 then h1
-  else
-    match bview_splat cond with
-    | Some true -> h1
-    | Some false -> h2
-    | None -> mk c (Node.HIte (cond, h1, h2))
+  if h1 == h2 then h1 else mk c (Node.HIte (cond, h1, h2))
 
 (* -- symbolic evaluator ---------------------------------------------- *)
 

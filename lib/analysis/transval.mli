@@ -6,21 +6,16 @@
     loops/branches that contain them).  Two functions are declared
     equivalent when their normalized summaries are tag-identical.
 
-    The normalization engine implements {e exactly} the algebraic
-    identities the optimization passes are licensed to use:
-
-    - constant folding with the exact float semantics of
-      {!Passes.Const_fold.eval_op} (IEEE via OCaml float primitives);
-    - the IEEE-safe identities of {!Passes.Canonicalize} ([x+0], [x-0],
-      [x*1], [x/1], [--x], [not (not x)], constant/equal-arm selects,
-      [i*1], [i+0]);
-    - splat/broadcast laws (an elementwise op on broadcasts is the
-      broadcast of the scalar op) used by {!Passes.Widen}.
-
-    No reassociation rule is included — no pass is declared bitwise-safe
-    for it — so a reassociated float add refutes.  No load-forwarding
-    rule is included, so reusing a load across an intervening store
-    (stale CSE) refutes structurally.
+    Normalization applies only laws that are bitwise-true on IEEE
+    doubles: the splat/broadcast laws {!Passes.Widen} needs (an
+    elementwise op on broadcasts is the broadcast of the scalar op, a
+    lane of a broadcast is its scalar) and the equal-arm select.  CSE,
+    LICM and DCE change sharing, placement and liveness only, so hash
+    consing alone proves them.  No constant is folded and no algebraic
+    identity is applied: [x + 0.0] is not [x] (at [x = -0.0]), a
+    reassociated float add and a wrong constant refute, and so does
+    reusing a load across an intervening store (stale CSE), since no
+    load-forwarding rule is included.
 
     On divergence the checker reports the first differing obligation as
     a structured counterexample; on success it emits a certificate

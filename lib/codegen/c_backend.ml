@@ -401,6 +401,7 @@ let lut_linear_helpers =
   double frac;
   if (pos <= 0.0) { idx = 0; frac = 0.0; }
   else if (pos >= (double)(rows - 1)) { idx = rows - 2; frac = 1.0; }
+  else if (isnan(pos)) { idx = 0; frac = pos; }
   else { idx = (int64_t)floor(pos); frac = pos - (double)idx; }
   const double *r0 = tab + idx * cols;
   const double *r1 = r0 + cols;
@@ -416,6 +417,9 @@ let lut_cubic_helpers =
   else if (pos >= (double)(rows - 3)) {
     *idx = rows - 3;
     *u = ml_fmin(2.0, pos - (double)(rows - 3));
+  } else if (isnan(pos)) {
+    *idx = 1;
+    *u = pos;
   } else {
     *idx = (int64_t)floor(pos);
     *u = pos - (double)*idx;

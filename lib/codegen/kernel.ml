@@ -70,19 +70,36 @@ let compute_param_tys (model : M.t) (nluts : int) : Ty.t list =
   @ List.map (fun _ -> Ty.Memref) model.M.externals
   @ List.concat_map (fun _ -> [ Ty.Memref; Ty.Memref ]) (List.init nluts Fun.id)
 
-(* Address of state variable [k] for the scalar cell index [iv]. *)
+(* Address of state variable [k] for the scalar cell index [iv].  Every
+   constant is an OCaml int here, so no [+ 0] or [* 1] term is emitted. *)
 let state_addr (b : Builder.t) (cfg : Config.t) ~(nvars : int)
     ~(ncells_pad : Value.t) ~(iv : Value.t) ~(k : int) : Value.t =
   match cfg.Config.layout with
   | Runtime.Layout.AoS ->
-      Builder.addi b (Builder.muli b iv (Builder.consti b nvars)) (Builder.consti b k)
+      let cell =
+        if nvars = 1 then iv else Builder.muli b iv (Builder.consti b nvars)
+      in
+      if k = 0 then cell else Builder.addi b cell (Builder.consti b k)
   | Runtime.Layout.SoA ->
-      Builder.addi b (Builder.muli b (Builder.consti b k) ncells_pad) iv
+      if k = 0 then iv
+      else
+        let col =
+          if k = 1 then ncells_pad
+          else Builder.muli b (Builder.consti b k) ncells_pad
+        in
+        Builder.addi b col iv
   | Runtime.Layout.AoSoA w ->
       (* (iv / w) * (nvars*w) + k*w + iv mod w *)
       let wv = Builder.consti b w in
-      let blk = Builder.muli b (Builder.divi b iv wv) (Builder.consti b (nvars * w)) in
-      let off = Builder.addi b (Builder.consti b (k * w)) (Builder.remi b iv wv) in
+      let q = Builder.divi b iv wv in
+      let blk =
+        if nvars * w = 1 then q
+        else Builder.muli b q (Builder.consti b (nvars * w))
+      in
+      let lane = Builder.remi b iv wv in
+      let off =
+        if k = 0 then lane else Builder.addi b (Builder.consti b (k * w)) lane
+      in
       Builder.addi b blk off
 
 (* Load/store state variable [k] at vector width.  The cell index [iv] is
@@ -297,11 +314,17 @@ let gen_lut_init (ctx : Builder.ctx) (plan : lut_plan) : Func.func =
               Lower.make_env ~b ~width:1
                 [ (spec.M.lut_var, x); ("dt", dt) ]
             in
-            let rowbase = Builder.muli b iv (Builder.consti b cols) in
+            let rowbase =
+              if cols = 1 then iv else Builder.muli b iv (Builder.consti b cols)
+            in
             List.iter
               (fun (col : LC.column) ->
                 let v = Lower.lower_num env col.LC.col_expr in
-                let idx = Builder.addi b rowbase (Builder.consti b col.LC.col_index) in
+                let idx =
+                  if col.LC.col_index = 0 then rowbase
+                  else
+                    Builder.addi b rowbase (Builder.consti b col.LC.col_index)
+                in
                 Builder.store b v ~mem:table ~idx)
               plan.LC.columns;
             [])

@@ -568,11 +568,11 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
           and dst = Array.unsafe_get lb k_buf in
           let stride = cols * w in
           let len = Float.Array.length tbl in
-          (* Mirrors {!Runtime.Lut} operation for operation; the [safe]
-             fast path drops per-access table checks once the geometry is
-             known to fit (clamping bounds every non-NaN index), and any
-             residual out-of-range index (NaN lookups) takes the checked
-             path, raising exactly as the extern would. *)
+          (* Mirrors {!Runtime.Lut} operation for operation, NaN branch
+             included; the [safe] fast path drops per-access table checks
+             once the geometry is known to fit (clamping bounds every
+             index), and a table shorter than its geometry takes the
+             checked path, raising exactly as the extern would. *)
           if k_cubic && rows >= 4 then begin
             let safe = rows * cols <= len in
             let hi_i = float_of_int (rows - 3) in
@@ -584,6 +584,7 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
                 let idx, u =
                   if pos <= 1.0 then (1, Float.max (-1.0) (pos -. 1.0))
                   else if pos >= hi_i then (rows - 3, Float.min 2.0 (pos -. hi_i))
+                  else if Float.is_nan pos then (1, pos)
                   else
                     let idx = int_of_float (Float.floor pos) in
                     (idx, pos -. float_of_int idx)
@@ -632,6 +633,7 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
                 let idx, frac =
                   if pos <= 0.0 then (0, 0.0)
                   else if pos >= hi_i then (rows - 2, 1.0)
+                  else if Float.is_nan pos then (0, pos)
                   else
                     let idx = int_of_float (Float.floor pos) in
                     (idx, pos -. float_of_int idx)

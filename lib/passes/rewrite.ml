@@ -20,20 +20,6 @@ let rec resolve (s : subst) (v : Value.t) : Value.t =
 let add_subst (s : subst) ~(from : Value.t) ~(to_ : Value.t) : unit =
   Hashtbl.replace s from.id to_
 
-(** Apply a function to every region op list, innermost first, rebuilding
-    each region's op list.  [f] receives the ops of one region and returns
-    the new list. *)
-let rec map_region_ops (f : Op.region -> Op.op list -> Op.op list)
-    (r : Op.region) : unit =
-  List.iter
-    (fun (o : Op.op) -> Array.iter (map_region_ops f) o.Op.regions)
-    r.Op.r_ops;
-  r.Op.r_ops <- f r r.Op.r_ops
-
-(** All values used by an op (operands only; region internals counted
-    separately by walking the nested ops). *)
-let uses (o : Op.op) : Value.t array = o.Op.operands
-
 (** Count value uses across a whole function body, including nested
     regions. *)
 let use_counts (fbody : Op.region) : (int, int) Hashtbl.t =

@@ -33,11 +33,13 @@ let build ~(lo : float) ~(hi : float) ~(step : float)
   { lo; step; rows; cols; data }
 
 (* Index and interpolation fraction for a lookup value, clamped to the
-   table domain as openCARP does. *)
+   table domain as openCARP does.  NaN fails both clamps; it gets the
+   first row and a NaN fraction, so every column interpolates to NaN. *)
 let locate (t : table) (x : float) : int * float =
   let pos = (x -. t.lo) /. t.step in
   if pos <= 0.0 then (0, 0.0)
   else if pos >= float_of_int (t.rows - 1) then (t.rows - 2, 1.0)
+  else if Float.is_nan pos then (0, pos)
   else
     let idx = int_of_float (Float.floor pos) in
     (idx, pos -. float_of_int idx)
@@ -75,13 +77,15 @@ let interp_row_vec (t : table) (xs : floatarray) ~(row : floatarray) : unit =
 (* ------------------------------------------------------------------ *)
 
 (* index and fraction such that interpolation uses rows idx-1..idx+2,
-   clamped so all four rows exist *)
+   clamped so all four rows exist; NaN, as in {!locate}, reads rows 0..3
+   with a NaN fraction *)
 let locate_cubic (t : table) (x : float) : int * float =
   let pos = (x -. t.lo) /. t.step in
   let lo_i = 1.0 and hi_i = float_of_int (t.rows - 3) in
   if t.rows < 4 then locate t x
   else if pos <= lo_i then (1, Float.max (-1.0) (pos -. 1.0))
   else if pos >= hi_i then (t.rows - 3, Float.min 2.0 (pos -. float_of_int (t.rows - 3)))
+  else if Float.is_nan pos then (1, pos)
   else
     let idx = int_of_float (Float.floor pos) in
     (idx, pos -. float_of_int idx)

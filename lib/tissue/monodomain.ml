@@ -144,6 +144,12 @@ let first_nonfinite (a : floatarray) : int =
   in
   go 0
 
+let rhs_note (m : t) ~(cell : int) : string =
+  if cell < 0 then ""
+  else
+    Printf.sprintf " (right-hand side %g at cell %d)"
+      (Float.Array.get m.rhs cell) cell
+
 let cg_diag (m : t) ~(cell : int) (s : Solver.Cg.stats) : Easyml.Diag.t =
   let step = m.driver.Driver.steps_done and t = time m in
   if Float.is_finite s.Solver.Cg.residual then
@@ -155,16 +161,33 @@ let cg_diag (m : t) ~(cell : int) (s : Solver.Cg.stats) : Easyml.Diag.t =
     Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"cg-nonfinite"
       "diffusion CG solve at step %d (t=%g ms) has no solution: its \
        residual is not finite%s"
-      step t
-      (if cell < 0 then ""
-       else
-         Printf.sprintf " (right-hand side %g at cell %d)"
-           (Float.Array.get m.rhs cell) cell)
+      step t (rhs_note m ~cell)
+
+let cable_diag (m : t) ~(cell : int) ~(vm0 : float) : Easyml.Diag.t =
+  Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"cable-nonfinite"
+    "diffusion solve of the cable at step %d (t=%g ms) has no solution: \
+     Vm at cell 0 is %g%s"
+    m.driver.Driver.steps_done (time m) vm0 (rhs_note m ~cell)
+
+(* A failed solve is a hard trip with a health monitor on; without one
+   the run stops here.  [value] is what the trip records: the residual,
+   or the non-finite Vm. *)
+let solve_failed (m : t) ~(value : float) (diag : cell:int -> Easyml.Diag.t)
+    : unit =
+  let cell = first_nonfinite m.rhs in
+  match Driver.health m.driver with
+  | Some h when Obs.Health.enabled h ->
+      Obs.Health.note_solver h ~cell ~step:m.driver.Driver.steps_done
+        ~residual:value;
+      Obs.Health.enforce h
+  | _ -> raise (Solver_failed (diag ~cell))
 
 (* Solve [op x = m.rhs] straight into the driver's Vm; its padded lanes
-   then mirror the last real cell, the driver's invariant.  A CG solve
-   that stopped short of its tolerance never passes for a solution: with
-   a health monitor it is a hard trip, without one the run stops here. *)
+   then mirror the last real cell, the driver's invariant.  A solve that
+   has no solution never passes for one: a CG solve that stopped short
+   of its tolerance, or a cable whose Vm.(0) is not finite — both
+   Thomas sweeps carry a non-finite right-hand side anywhere down to
+   x.(0), so one read per step sees it. *)
 let diffuse (m : t) : unit =
   let n = Geometry.cells m.geom in
   Diffusion.solve_into m.op m.rhs ~x:m.vm_buf;
@@ -172,15 +195,13 @@ let diffuse (m : t) : unit =
     (Float.Array.length m.vm_buf - n)
     (Float.Array.get m.vm_buf (n - 1));
   match Diffusion.cg_stats m.op with
-  | Some s when not (Diffusion.converged s) -> (
-      let cell = first_nonfinite m.rhs in
-      match Driver.health m.driver with
-      | Some h when Obs.Health.enabled h ->
-          Obs.Health.note_solver h ~cell ~step:m.driver.Driver.steps_done
-            ~residual:s.Solver.Cg.residual;
-          Obs.Health.enforce h
-      | _ -> raise (Solver_failed (cg_diag m ~cell s)))
-  | _ -> ()
+  | Some s ->
+      if not (Diffusion.converged s) then
+        solve_failed m ~value:s.Solver.Cg.residual (cg_diag m s)
+  | None ->
+      let vm0 = Float.Array.get m.vm_buf 0 in
+      if not (Float.is_finite vm0) then
+        solve_failed m ~value:vm0 (cable_diag m ~vm0)
 
 (* [dst.(i) <- Vm.(i) + dt·(Istim − Iion.(i))] with the stimulus at the
    pre-step time [t0].  Each pulse is evaluated once; on a step with

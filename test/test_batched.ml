@@ -133,7 +133,31 @@ let test_cubic_lut_macro_op_bitwise () =
       in
       check_snapshots
         ~ctx:(name ^ " cubic batched/closure")
-        (run Sim.Driver.Batched) (run Sim.Driver.Compiled))
+        (run Sim.Driver.Batched) (run Sim.Driver.Compiled);
+      (* NaN row: a NaN Vm in cell 6 reaches the table lookup; its lane
+         goes NaN, its block's other lanes stay finite, and both engines
+         agree bit for bit *)
+      let nan_stage engine =
+        let d = Sim.Driver.create ~engine g ~ncells ~dt:0.01 in
+        Sim.Driver.set_ext d "Vm" 6 Float.nan;
+        Sim.Driver.compute_stage d;
+        List.init ncells (Sim.Driver.snapshot d)
+      in
+      List.iteri
+        (fun cell (a, b) ->
+          let ctx = Printf.sprintf "%s NaN lookup, cell %d" name cell in
+          if cell = 6 then begin
+            if not (List.exists (fun (_, x) -> Float.is_nan x) a) then
+              Alcotest.failf "%s: no NaN" ctx;
+            List.iter2
+              (fun (n, x) (_, y) ->
+                if not (Helpers.same_float x y) then
+                  Alcotest.failf "%s: mismatch on %s: %.17g vs %.17g" ctx n x y)
+              a b
+          end
+          else check_snapshots ~ctx a b)
+        (List.combine (nan_stage Sim.Driver.Batched)
+           (nan_stage Sim.Driver.Compiled)))
     [ "MitchellSchaeffer"; "LuoRudy91"; "TenTusscher" ]
 
 (* Domain-parallel batched stepping: tile-aligned chunks are proved

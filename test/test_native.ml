@@ -119,7 +119,42 @@ let test_cubic_lut_native () =
       check_snapshots_ulp
         ~ctx:(name ^ " cubic native/batched")
         (run Sim.Driver.Native) (run Sim.Driver.Batched))
-    [ "MitchellSchaeffer"; "LuoRudy91"; "TenTusscher" ]
+    [ "MitchellSchaeffer"; "LuoRudy91"; "TenTusscher" ];
+  (* NaN row, through both C helpers: a NaN Vm in cell 6 interpolates to
+     NaN without a read outside the table, and every other lane of its
+     vector block stays finite and equal to batched *)
+  List.iter
+    (fun (name, spline) ->
+      let cfg = { (C.mlir ~width:4) with C.lut_spline = spline } in
+      let e = Models.Registry.find_exn name in
+      let g =
+        Codegen.Cache.generate_named cfg ~name:e.Models.Model_def.name
+          (fun () -> Models.Registry.model e)
+      in
+      let nan_stage engine =
+        let d = Sim.Driver.create ~engine g ~ncells ~dt:0.01 in
+        if d.Sim.Driver.engine <> engine then
+          Alcotest.failf "%s: driver fell back from the requested engine" name;
+        Sim.Driver.set_ext d "Vm" 6 Float.nan;
+        Sim.Driver.compute_stage d;
+        List.init ncells (Sim.Driver.snapshot d)
+      in
+      List.iteri
+        (fun cell (a, b) ->
+          let ctx =
+            Printf.sprintf "%s NaN lookup (spline %b), cell %d" name spline
+              cell
+          in
+          if cell = 6 then
+            List.iter2
+              (fun (n, x) (_, y) ->
+                if Int64.compare (ulp_diff x y) native_ulp_bound > 0 then
+                  Alcotest.failf "%s: %s: %.17g vs %.17g" ctx n x y)
+              a b
+          else check_snapshots_ulp ~ctx a b)
+        (List.combine (nan_stage Sim.Driver.Native)
+           (nan_stage Sim.Driver.Batched)))
+    [ ("LuoRudy91", false); ("LuoRudy91", true); ("TenTusscher", true) ]
 
 (* Domain-parallel native stepping is bitwise identical to sequential:
    per-thread bindings marshal into private buffers and chunks are

@@ -41,9 +41,9 @@ let each_pass_preserves =
   Helpers.qtest ~count:150 "each pass individually preserves results"
     QCheck.(
       pair (Helpers.arbitrary_expr [ "x"; "y" ])
-        (QCheck.int_range 0 (List.length Passes.Pipeline.by_name - 1)))
+        (QCheck.int_range 0 (List.length Passes.Pipeline.standard - 1)))
     (fun (e, k) ->
-      let _, pass = List.nth Passes.Pipeline.by_name k in
+      let pass = List.nth Passes.Pipeline.standard k in
       let m = lower_expr_func e in
       let x = 1.25 and y = -0.75 in
       let before = run1 m x y in
@@ -110,48 +110,79 @@ let test_dce_keeps_stores () =
   ignore (Engine.run m "f" [| Rt.M buf |]);
   Helpers.fcheck "store survived DCE" 9.0 (Float.Array.get buf 0)
 
-(* -- const fold ---------------------------------------------------------- *)
+(* -- no identity is licensed ----------------------------------------------- *)
 
-let test_const_fold () =
-  let e =
-    Easyml.Ast.(
-      Binary
-        ( Add,
-          Var "x",
-          Binary (Mul, Num 3.0, Call ("sqrt", [ Num 16.0 ])) ))
+(* [x + 0.0] is not [x]: at [x = -0.0] the sum is [+0.0].  The pipeline
+   must keep [1 / (x + 0.0)] at +inf there, and every pass application
+   must still validate. *)
+let test_signed_zero_survives () =
+  let m = Func.create_module "t" in
+  let c = Builder.create_ctx () in
+  Func.add_func m
+    (Builder.func c ~name:"f" ~params:[ Ty.F64; Ty.F64 ] ~results:[ Ty.F64 ]
+       (fun b args ->
+         let sum = Builder.addf b (List.hd args) (Builder.constf b 0.0) in
+         Builder.ret b [ Builder.divf b (Builder.constf b 1.0) sum ]));
+  let is_pos_inf what =
+    Alcotest.(check bool) what true (run1 m (-0.0) 0.0 = Float.infinity)
   in
-  let m = lower_expr_func e in
-  ignore (Passes.Pass.run_on_module Passes.Const_fold.pass m);
-  ignore (Passes.Pass.run_on_module Passes.Dce.pass m);
-  (* after folding, no math op should remain *)
-  let maths =
-    List.fold_left
-      (fun n f ->
-        Op.fold_region
-          (fun n (o : Op.op) ->
-            match o.Op.kind with Op.Math _ -> n + 1 | _ -> n)
-          n f.Func.f_body)
-      0 m.Func.m_funcs
+  is_pos_inf "1/(-0 + 0) is +inf before";
+  let validate pass pre post =
+    let cert = Analysis.Transval.check_module ~pass pre post in
+    if cert.Analysis.Transval.c_verdict <> Analysis.Transval.Proved then
+      Alcotest.failf "%s: %s" pass (Analysis.Transval.cert_to_json cert)
   in
-  Alcotest.(check int) "math folded away" 0 maths;
-  Helpers.fcheck "value" 13.0 (run1 m 1.0 0.0)
+  Passes.Pipeline.optimize ~verify:true ~validate m;
+  is_pos_inf "1/(-0 + 0) is +inf after"
 
-(* -- canonicalize --------------------------------------------------------- *)
-
-let test_canonicalize_identities () =
-  let e =
-    Easyml.Ast.(
-      Binary
-        ( Add,
-          Binary (Mul, Var "x", Num 1.0),
-          Binary (Sub, Binary (Add, Var "y", Num 0.0), Num 0.0) ))
+(* Address arithmetic is built from OCaml ints, so the lowering never
+   emits an integer [+ 0] or [* 1] for a pass to remove. *)
+let test_no_integer_identity () =
+  let layouts =
+    [
+      Codegen.Config.baseline;
+      { Codegen.Config.baseline with layout = Runtime.Layout.SoA };
+      Codegen.Config.mlir ~width:4;
+      Codegen.Config.mlir ~width:8;
+      { (Codegen.Config.mlir ~width:8) with layout = Runtime.Layout.SoA };
+      Codegen.Config.autovec ~width:8;
+    ]
   in
-  let m = lower_expr_func e in
-  let before = op_count m in
-  ignore (Passes.Pass.run_on_module Passes.Canonicalize.pass m);
-  ignore (Passes.Pass.run_on_module Passes.Dce.pass m);
-  Alcotest.(check bool) "ops eliminated" true (op_count m < before);
-  Helpers.fcheck "value" 3.5 (run1 m 1.25 2.25)
+  List.iter
+    (fun (e : Models.Model_def.entry) ->
+      let model = Models.Registry.model e in
+      List.iter
+        (fun cfg ->
+          let g = Codegen.Kernel.generate ~optimize:false cfg model in
+          List.iter
+            (fun (f : Func.func) ->
+              let consts = Hashtbl.create 64 in
+              Op.iter_region
+                (fun (o : Op.op) ->
+                  match o.Op.kind with
+                  | Op.ConstI x ->
+                      Hashtbl.replace consts o.Op.results.(0).Value.id x
+                  | _ -> ())
+                f.Func.f_body;
+              let literal k (v : Value.t) =
+                Hashtbl.find_opt consts v.Value.id = Some k
+              in
+              Op.iter_region
+                (fun (o : Op.op) ->
+                  let identity =
+                    match o.Op.kind with
+                    | Op.BinI Op.IAdd -> Array.exists (literal 0) o.Op.operands
+                    | Op.BinI Op.IMul -> Array.exists (literal 1) o.Op.operands
+                    | _ -> false
+                  in
+                  if identity then
+                    Alcotest.failf "%s %s %s: %s with an identity operand"
+                      e.name (Codegen.Config.describe cfg) f.Func.f_name
+                      (Op.kind_name o.Op.kind))
+                f.Func.f_body)
+            g.Codegen.Kernel.modl.Func.m_funcs)
+        layouts)
+    Models.Registry.all
 
 (* -- LICM ----------------------------------------------------------------- *)
 
@@ -265,9 +296,10 @@ let suite =
     Alcotest.test_case "cse dedups" `Quick test_cse_dedups;
     Alcotest.test_case "dce removes dead code" `Quick test_dce_removes_dead;
     Alcotest.test_case "dce keeps stores" `Quick test_dce_keeps_stores;
-    Alcotest.test_case "const fold" `Quick test_const_fold;
-    Alcotest.test_case "canonicalize identities" `Quick
-      test_canonicalize_identities;
+    Alcotest.test_case "signed zero survives the pipeline" `Quick
+      test_signed_zero_survives;
+    Alcotest.test_case "kernels carry no integer identity" `Quick
+      test_no_integer_identity;
     Alcotest.test_case "licm hoists invariants" `Quick test_licm_hoists;
     widen_lanes_match;
     Alcotest.test_case "widen rejects non-widenable" `Quick test_widen_rejects;

@@ -87,7 +87,28 @@ let test_lut_clamps () =
   Lut.interp_row t (-5.0) ~row;
   Helpers.fcheck "clamped low" 0.0 (Float.Array.get row 0);
   Lut.interp_row t 42.0 ~row;
-  Helpers.fcheck "clamped high" 1.0 (Float.Array.get row 0)
+  Helpers.fcheck "clamped high" 1.0 (Float.Array.get row 0);
+  (* NaN fails both clamps: every column is NaN, in every lane it
+     occupies, and the other lanes keep their exact values *)
+  let t2 = Lut.build ~lo:0.0 ~hi:1.0 ~step:0.25 [| Fun.id; Float.exp |] in
+  let row2 = Float.Array.make 2 0.0 in
+  Lut.interp_row t2 Float.nan ~row:row2;
+  Alcotest.(check bool) "NaN in every column" true
+    (Float.Array.for_all Float.is_nan row2);
+  let xs = Float.Array.of_list [ 0.3; Float.nan; 0.7; -.Float.nan ] in
+  let vrow = Float.Array.make 8 0.0 in
+  Lut.interp_row_vec t2 xs ~row:vrow;
+  Float.Array.iteri
+    (fun l x ->
+      Lut.interp_row t2 x ~row:row2;
+      for c = 0 to 1 do
+        let got = Float.Array.get vrow ((c * 4) + l) in
+        if Float.is_nan x <> Float.is_nan got then
+          Alcotest.failf "vector lane %d column %d: %g" l c got;
+        if not (Helpers.same_float got (Float.Array.get row2 c)) then
+          Alcotest.failf "vector lane %d column %d differs from scalar" l c
+      done)
+    xs
 
 let vec_interp_matches_scalar =
   Helpers.qtest ~count:200 "vector interpolation == scalar per lane"
@@ -152,7 +173,24 @@ let test_cubic_clamps () =
     (Float.is_finite (Float.Array.get row 0));
   Lut.interp_row_cubic t (-99.0) ~row;
   Alcotest.(check bool) "finite when clamped low" true
-    (Float.is_finite (Float.Array.get row 0))
+    (Float.is_finite (Float.Array.get row 0));
+  (* NaN reads rows 0..3 only and interpolates to NaN in every column *)
+  let t2 = Lut.build ~lo:0.0 ~hi:1.0 ~step:0.1 [| Fun.id; Float.sin |] in
+  let row2 = Float.Array.make 2 0.0 in
+  Lut.interp_row_cubic t2 Float.nan ~row:row2;
+  Alcotest.(check bool) "NaN in every column" true
+    (Float.Array.for_all Float.is_nan row2);
+  let xs = Float.Array.of_list [ Float.nan; 0.45 ] in
+  let vrow = Float.Array.make 4 0.0 in
+  Lut.interp_row_cubic_vec t2 xs ~row:vrow;
+  Lut.interp_row_cubic t2 0.45 ~row:row2;
+  for c = 0 to 1 do
+    Alcotest.(check bool) "NaN lane" true
+      (Float.is_nan (Float.Array.get vrow (c * 2)));
+    Alcotest.(check bool) "finite lane keeps its bits" true
+      (Helpers.same_float (Float.Array.get vrow ((c * 2) + 1))
+         (Float.Array.get row2 c))
+  done
 
 let cubic_vec_matches_scalar =
   Helpers.qtest ~count:200 "cubic vector interpolation == scalar per lane"

@@ -8,9 +8,10 @@
      normalization is deterministic and idempotent ({!Transval.self_check});
      widening is proved lane-exact ({!Transval.check_widen});
    - a mutation harness: deliberate miscompiles (dropped store,
-     wrong-constant fold, reassociated float add, stale CSE reuse, an
-     unsound hoist) injected into each standard pass must each be
-     refuted, with the certificate blaming the sabotaged pass;
+     wrong constant, reassociated float add, stale CSE reuse, an
+     unsound hoist, [x + 0.0] rewritten to [x]) injected into a
+     standard pass must each be refuted, with the certificate blaming
+     the sabotaged pass;
    - the 43-model sweep: every bundled model, scalar and vector configs,
      must validate with zero refutations and no more Unknowns than the
      checked-in baseline. *)
@@ -229,6 +230,26 @@ let fixture_hoist () : Func.modl =
          B.ret b []));
   m
 
+(* Fixture D: out[i] = 1 / (x + 0.0) — [x + 0.0] is [+0.0] at
+   [x = -0.0], so rewriting it to [x] flips the quotient's sign. *)
+let fixture_plus_zero () : Func.modl =
+  let m = Func.create_module "mut_plus_zero" in
+  let c = B.create_ctx () in
+  Func.add_func m
+    (B.func c ~name:"f" ~params:[ Ty.Memref; Ty.Memref; Ty.I64 ] ~results:[]
+       (fun b args ->
+         let mem = List.nth args 0
+         and out = List.nth args 1
+         and n = List.nth args 2 in
+         ignore
+           (B.for_ b ~lb:(B.consti b 0) ~ub:n ~step:(B.consti b 1) ~inits:[]
+              (fun ~iv ~iters:_ ->
+                let sum = B.addf b (B.load b ~mem ~idx:iv) (B.constf b 0.0) in
+                B.store b (B.divf b (B.constf b 1.0) sum) ~mem:out ~idx:iv;
+                []));
+         B.ret b []));
+  m
+
 (* -- sabotage primitives ------------------------------------------------ *)
 
 (* Walk regions outer-to-inner, returning the first region whose op list
@@ -354,6 +375,36 @@ let sab_reassoc (f : Func.func) : bool =
           mk_add 1_000_002 [| b; c |] [| bc |];
           mk_add 1_000_003 [| a; bc |] o.Op.results;
         ];
+      true
+
+(* Signed-zero miscompile: rewrite uses of [x + 0.0] to [x]. *)
+let sab_drop_plus_zero (f : Func.func) : bool =
+  let zeros = Hashtbl.create 8 in
+  Op.iter_region
+    (fun (o : Op.op) ->
+      match o.Op.kind with
+      | Op.ConstF 0.0 -> Hashtbl.replace zeros o.Op.results.(0).Value.id ()
+      | _ -> ())
+    f.Func.f_body;
+  let target = ref None in
+  Op.iter_region
+    (fun (o : Op.op) ->
+      match o.Op.kind with
+      | Op.BinF Op.FAdd
+        when !target = None && Hashtbl.mem zeros o.Op.operands.(1).Value.id ->
+          target := Some (o.Op.results.(0), o.Op.operands.(0))
+      | _ -> ())
+    f.Func.f_body;
+  match !target with
+  | None -> false
+  | Some (from, into) ->
+      Op.iter_region
+        (fun (o : Op.op) ->
+          Array.iteri
+            (fun i (v : Value.t) ->
+              if v.Value.id = from.Value.id then o.Op.operands.(i) <- into)
+            o.Op.operands)
+        f.Func.f_body;
       true
 
 (* Stale CSE reuse: rewrite uses of a reload to the pre-store load of
@@ -560,16 +611,17 @@ let suite =
     widen_proved "widening proved lane-exact on random pure functions";
     Alcotest.test_case "mutation: dce drops a store -> refuted" `Quick
       (assert_refutes ~pass:"dce" sab_drop_store fixture_loop);
-    Alcotest.test_case "mutation: const-fold folds wrong constant -> refuted"
+    Alcotest.test_case "mutation: licm folds wrong constant -> refuted"
       `Quick
-      (assert_refutes ~pass:"const-fold" sab_wrong_fold fixture_loop);
-    Alcotest.test_case "mutation: canonicalize reassociates fadd -> refuted"
-      `Quick
-      (assert_refutes ~pass:"canonicalize" sab_reassoc fixture_loop);
+      (assert_refutes ~pass:"licm" sab_wrong_fold fixture_loop);
+    Alcotest.test_case "mutation: cse reassociates fadd -> refuted" `Quick
+      (assert_refutes ~pass:"cse" sab_reassoc fixture_loop);
     Alcotest.test_case "mutation: cse reuses stale load -> refuted" `Quick
       (assert_refutes ~pass:"cse" sab_stale_cse fixture_reload);
     Alcotest.test_case "mutation: licm hoists load past store -> refuted"
       `Quick
       (assert_refutes ~pass:"licm" sab_hoist_load fixture_hoist);
     Alcotest.test_case "43-model sweep: default pipelines" `Slow test_sweep;
+    Alcotest.test_case "mutation: x + 0.0 rewritten to x -> refuted" `Quick
+      (assert_refutes ~pass:"cse" sab_drop_plus_zero fixture_plus_zero);
   ]
