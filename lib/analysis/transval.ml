@@ -14,8 +14,9 @@
 
     Soundness rests on the smart constructors applying only laws that
     are bitwise-true on IEEE doubles: an elementwise op over splats is
-    the splat of the scalar op, a lane of a splat is its scalar, and a
-    select between equal arms is that arm.  Nothing is folded and no
+    the splat of the scalar op, a lane of a splat is its scalar (lane
+    [l] of an iota is [l]), and a select between equal arms is that
+    arm.  Nothing is folded and no
     algebraic identity is applied — not even [x + 0.0 = x], which is
     false at [x = -0.0].  Completeness — zero false refutations over the
     pipeline — rests on CSE, LICM and DCE changing only sharing,

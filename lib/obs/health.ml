@@ -313,9 +313,11 @@ let note_block (h : t) ~(cell : int) ~(step : int) : unit =
       ~value:Float.nan
 
 (** Linear-solver hook for tissue-scale simulations: the monodomain
-    engine calls this when a diffusion solve stopped without meeting its
-    tolerance (non-finite residual or used-up iteration budget).  Records
-    one [Solver_failure] trip against [Vm] carrying the residual. *)
+    engine calls this when a diffusion solve has no solution (a CG solve
+    with a non-finite residual or a used-up iteration budget, or a cable
+    whose Vm at cell 0 came out non-finite).  Records one
+    [Solver_failure] trip against [Vm] carrying the residual, or that
+    Vm. *)
 let note_solver (h : t) ~(cell : int) ~(step : int) ~(residual : float) : unit =
   if Atomic.get h.h_on then
     offer_trip h ~var:"Vm" ~reason:Solver_failure ~cell ~step ~value:residual

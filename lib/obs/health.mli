@@ -95,9 +95,11 @@ val note_block : t -> cell:int -> step:int -> unit
 
 val note_solver : t -> cell:int -> step:int -> residual:float -> unit
 (** Linear-solver hook (tissue simulations): record one [Solver_failure]
-    trip against [Vm] when a diffusion solve stopped without meeting its
-    tolerance — a non-finite residual or a used-up iteration budget.
-    [cell] is the first non-finite right-hand-side entry, or -1.
+    trip against [Vm] when a diffusion solve has no solution — a CG
+    solve with a non-finite residual or a used-up iteration budget, or a
+    cable solve that left Vm at cell 0 non-finite ([residual] is then
+    that Vm).  [cell] is the first non-finite right-hand-side entry, or
+    -1.
     Hard, deduped, no-op while disabled, like {!note_block}. *)
 
 exception Tripped of string

@@ -199,6 +199,7 @@ let diffuse (m : t) : unit =
       if not (Diffusion.converged s) then
         solve_failed m ~value:s.Solver.Cg.residual (cg_diag m s)
   | None ->
+      (* the cable's Thomas solve *)
       let vm0 = Float.Array.get m.vm_buf 0 in
       if not (Float.is_finite vm0) then
         solve_failed m ~value:vm0 (cable_diag m ~vm0)

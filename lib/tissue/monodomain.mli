@@ -82,10 +82,12 @@ val time : t -> float
 (** Current simulation time, ms. *)
 
 exception Solver_failed of Easyml.Diag.t
-(** A CG diffusion solve stopped short of {!Diffusion.cg_tol} — a
-    non-finite residual ([cg-nonfinite], naming the first non-finite
-    right-hand-side cell) or a used-up iteration budget
-    ([cg-max-iters]) — with no enabled health monitor to report it to. *)
+(** A diffusion solve has no solution — a CG solve stopped short of
+    {!Diffusion.cg_tol} with a non-finite residual ([cg-nonfinite]) or
+    a used-up iteration budget ([cg-max-iters]), or a cable's solve left
+    Vm at cell 0 non-finite ([cable-nonfinite]) — with no enabled health
+    monitor to report it to.  The non-finite diagnostics name the first
+    non-finite right-hand-side cell. *)
 
 val step : t -> unit
 (** One operator-split step: ionic stage(s), exchange, diffusion
@@ -94,7 +96,7 @@ val step : t -> unit
     into the driver's Vm through buffers made at {!create}.  Phases
     record {!Obs.Tracer} spans ([tissue.ionic], [tissue.exchange],
     [tissue.diffusion]) when tracing is enabled.  A diffusion solve
-    that did not converge is a hard [solver-failure] trip of an enabled
+    with no solution is a hard [solver-failure] trip of an enabled
     health monitor ({!Obs.Health.enforce} runs at once), and otherwise
     raises {!Solver_failed}: a run never continues as if it had a
     solution.

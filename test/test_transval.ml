@@ -294,6 +294,16 @@ let replace_op (r : Op.region) (old : Op.op) (news : Op.op list) : unit =
       (fun o -> if o == old then news else [ o ])
       r.Op.r_ops
 
+(* Point every use of [from] at [into]. *)
+let replace_uses (f : Func.func) ~(from : Value.t) ~(into : Value.t) : unit =
+  Op.iter_region
+    (fun (o : Op.op) ->
+      Array.iteri
+        (fun i (v : Value.t) ->
+          if v.Value.id = from.Value.id then o.Op.operands.(i) <- into)
+        o.Op.operands)
+    f.Func.f_body
+
 (* Dropped op: delete the first store. *)
 let sab_drop_store (f : Func.func) : bool =
   let is_store (o : Op.op) =
@@ -398,13 +408,7 @@ let sab_drop_plus_zero (f : Func.func) : bool =
   match !target with
   | None -> false
   | Some (from, into) ->
-      Op.iter_region
-        (fun (o : Op.op) ->
-          Array.iteri
-            (fun i (v : Value.t) ->
-              if v.Value.id = from.Value.id then o.Op.operands.(i) <- into)
-            o.Op.operands)
-        f.Func.f_body;
+      replace_uses f ~from ~into;
       true
 
 (* Stale CSE reuse: rewrite uses of a reload to the pre-store load of
@@ -424,14 +428,7 @@ let sab_stale_cse (f : Func.func) : bool =
     f.Func.f_body;
   match (!first_load, !second_load) with
   | Some l1, Some l2 ->
-      let from = l2.Op.results.(0) and into = l1.Op.results.(0) in
-      Op.iter_region
-        (fun (o : Op.op) ->
-          Array.iteri
-            (fun i (v : Value.t) ->
-              if v.Value.id = from.Value.id then o.Op.operands.(i) <- into)
-            o.Op.operands)
-        f.Func.f_body;
+      replace_uses f ~from:l2.Op.results.(0) ~into:l1.Op.results.(0);
       true
   | _ -> false
 
