@@ -119,10 +119,32 @@ let dump_crash ~(reason : string) ~(message : string) ~(d : Sim.Driver.t)
   in
   Fmt.epr "# crash dump -> %s@." bundle
 
-(* Run [f]; a hard health trip or a diffusion solve that failed with
-   health monitoring off (exit 3), or a trapped signal (exit 128+signum)
-   ends the process, with a crash dump when a flight recorder is
-   armed. *)
+(* A cell population whose Vm went non-finite has no answer to print.
+   When the step loop ends, [run] and a cell replay read the Vm of every
+   real cell once (nothing is added per step) and stop the way a failed
+   tissue solve does.  Models without a Vm external are not checked. *)
+exception Nonfinite_state of Easyml.Diag.t
+
+let check_final_vm (d : Sim.Driver.t) : unit =
+  match List.assoc_opt "Vm" d.Sim.Driver.exts with
+  | None -> ()
+  | Some vm ->
+      for cell = 0 to d.Sim.Driver.ncells - 1 do
+        let v = Float.Array.get vm cell in
+        if not (Float.is_finite v) then
+          raise
+            (Nonfinite_state
+               (Easyml.Diag.makef ~sev:Easyml.Diag.Error
+                  ~code:"nonfinite-state"
+                  "Vm at cell %d is %g after step %d (t=%g ms): the \
+                   population has no finite state"
+                  cell v d.Sim.Driver.steps_done (Sim.Driver.time d)))
+      done
+
+(* Run [f]; a hard health trip, a diffusion solve that failed or a
+   non-finite final state with health monitoring off (exit 3), or a
+   trapped signal (exit 128+signum) ends the process, with a crash dump
+   when a flight recorder is armed. *)
 let guarded ~(d : Sim.Driver.t) (writer : Obs.Recorder.writer option)
     (f : unit -> 'a) : 'a =
   let abort ~reason code message =
@@ -130,12 +152,15 @@ let guarded ~(d : Sim.Driver.t) (writer : Obs.Recorder.writer option)
     Option.iter (dump_crash ~reason ~message ~d) writer;
     exit code
   in
+  let diag_text =
+    Easyml.Diag.to_string
+      ~file:d.Sim.Driver.gen.Codegen.Kernel.model.Easyml.Model.name
+  in
   try f () with
   | Obs.Health.Tripped msg -> abort ~reason:"health-trip" 3 msg
   | Tissue.Monodomain.Solver_failed diag ->
-      abort ~reason:"solver-failure" 3
-        (Easyml.Diag.to_string
-           ~file:d.Sim.Driver.gen.Codegen.Kernel.model.Easyml.Model.name diag)
+      abort ~reason:"solver-failure" 3 (diag_text diag)
+  | Nonfinite_state diag -> abort ~reason:"nonfinite-state" 3 (diag_text diag)
   | Interrupted code ->
       abort ~reason:"signal" code
         (Printf.sprintf "interrupted by signal (exit %d)" code)
@@ -402,8 +427,9 @@ let check_cmd =
   let deep =
     Arg.(value & flag & info [ "deep-verify" ]
            ~doc:"Also generate the scalar and vector kernels for each model \
-                 and run the deep IR verifier (structural checks plus \
-                 dataflow-backed range and initialization proofs).")
+                 and run the deep IR verifier (structural checks plus an \
+                 interval-backed footprint check that flags any access \
+                 whose indices are all negative).")
   in
   let validate_passes =
     Arg.(value & flag & info [ "validate-passes" ]
@@ -680,7 +706,8 @@ let run_cmd =
             Fmt.pr "%8.2f %10.4f %10.4f@." (Sim.Driver.time d)
               (Sim.Driver.vm d 0)
               (Sim.Driver.ext d "Iion" 0)
-        done);
+        done;
+        check_final_vm d);
     let wall_s = Unix.gettimeofday () -. wall0 in
     Fmt.pr "# compute stage: %.3f s wall clock@." !compute_time;
     if final_digest || writer <> None then
@@ -937,7 +964,10 @@ let replay_cmd =
     guarded ~d None (fun () ->
         for _ = 1 to remaining do
           Spec.step spec sim
-        done);
+        done;
+        match sim with
+        | Spec.Cell_sim d -> check_final_vm d
+        | Spec.Tissue_sim _ -> ());
     Fmt.pr "# wall: %.3f s@." (Unix.gettimeofday () -. t0);
     Fmt.pr "# final state digest: %s@." (Obs.Recorder.digest (Spec.capture sim))
   in

@@ -1,12 +1,10 @@
 (** Forward dataflow framework over the structured SSA IR.
 
-    The IR has no CFG — control flow is structured ([scf.for] / [scf.if]
-    with single-block regions) — so instead of a worklist over basic
+    The IR has no CFG — its only control flow is [scf.for], whose body
+    is a single-block region — so instead of a worklist over basic
     blocks the solver walks the region tree:
 
     - straight-line ops apply the client's transfer function once;
-    - [scf.if] analyzes both branches and joins their yields into the
-      op's results;
     - [scf.for] seeds the induction variable from the client's
       [loop_iv] hook, then iterates the body to a fixpoint on the
       loop-carried values ([max_rounds] rounds, joining each round's
@@ -49,8 +47,8 @@ module type CLIENT = sig
   (** Initial abstract value of the [i]-th function parameter. *)
 
   val transfer : ctx -> get:(Value.t -> v) -> Op.op -> v array
-  (** Abstract results of a non-structural op ([For]/[If]/[Yield]/
-      [Return] never reach here).  Must return one value per result. *)
+  (** Abstract results of a non-structural op ([For]/[Yield]/[Return]
+      never reach here).  Must return one value per result. *)
 
   val loop_iv : ctx -> lb:v -> ub:v -> step:v -> v
   (** Abstract induction variable for a loop over [\[lb, ub)] by [step].
@@ -76,7 +74,6 @@ module Make (C : CLIENT) = struct
       (fun (o : Op.op) ->
         (match o.kind with
         | Op.For _ -> analyze_for st ~visit o
-        | Op.If -> analyze_if st ~visit o
         | Op.Yield -> yields := Array.map (get st) o.operands
         | Op.Return -> ()
         | _ ->
@@ -148,20 +145,6 @@ module Make (C : CLIENT) = struct
           set st res v)
         o.results
     end
-
-  and analyze_if (st : state) ~visit (o : Op.op) : unit =
-    let then_ys = analyze_region st ~visit o.regions.(0) in
-    let else_ys = analyze_region st ~visit o.regions.(1) in
-    let n = Array.length o.results in
-    Array.iteri
-      (fun i res ->
-        let v =
-          if Array.length then_ys = n && Array.length else_ys = n then
-            C.join then_ys.(i) else_ys.(i)
-          else C.top
-        in
-        set st res v)
-      o.results
 
   (** Analyze a function body to fixpoint.  [seed] overrides the abstract
       value of specific SSA values (typically parameters) after the

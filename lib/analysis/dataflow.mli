@@ -1,14 +1,13 @@
 (** Forward dataflow framework over the structured SSA IR.
 
-    The IR has no CFG — control flow is structured ([scf.for] / [scf.if]
-    with single-block regions) — so instead of a worklist over basic
+    The IR has no CFG — its only control flow is [scf.for], whose body
+    is a single-block region — so instead of a worklist over basic
     blocks the solver walks the region tree: straight-line ops apply the
-    client's transfer function once, [scf.if] joins the branch yields,
-    and [scf.for] iterates the body to a fixpoint on the loop-carried
-    values, widening after a bounded number of rounds.  After
-    convergence an optional [visit] hook replays the whole function once
-    on the stable environment, so fact-collecting clients only ever see
-    post-fixpoint values. *)
+    client's transfer function once, and [scf.for] iterates the body to
+    a fixpoint on the loop-carried values, widening after a bounded
+    number of rounds.  After convergence an optional [visit] hook
+    replays the whole function once on the stable environment, so
+    fact-collecting clients only ever see post-fixpoint values. *)
 
 (** The abstract-value lattice. *)
 module type DOMAIN = sig
@@ -41,8 +40,8 @@ module type CLIENT = sig
   (** Initial abstract value of the [i]-th function parameter. *)
 
   val transfer : ctx -> get:(Ir.Value.t -> v) -> Ir.Op.op -> v array
-  (** Abstract results of a non-structural op ([For]/[If]/[Yield]/
-      [Return] never reach here).  Must return one value per result. *)
+  (** Abstract results of a non-structural op ([For]/[Yield]/[Return]
+      never reach here).  Must return one value per result. *)
 
   val loop_iv : ctx -> lb:v -> ub:v -> step:v -> v
   (** Abstract induction variable for a loop over [\[lb, ub)] by [step].

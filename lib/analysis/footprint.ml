@@ -5,8 +5,7 @@
     is recorded as an {!access}: a symbolic buffer {e origin} plus a
     congruence interval of touched element indices.  Seeding the
     analysis with concrete chunk bounds turns this into the per-chunk
-    write sets the race checker intersects.  {!chase_idx} normalizes constant index arithmetic for same-block
-    reasoning ({!Meminit}). *)
+    write sets the race checker intersects. *)
 
 open Ir
 module I = Itv.I
@@ -122,30 +121,3 @@ let by_origin (accs : access list) : (Interval.origin * access list) list =
       insert groups)
     [] accs
   |> List.map (fun (o, l) -> (o, List.rev l))
-
-(* ------------------------------------------------------------------ *)
-(* Index normalization                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Normalize an index to (symbolic root, constant offset) by chasing
-   [x + c] / [x - c] / [c] chains.  [defs] maps an SSA value to its
-   defining op (None for block arguments / parameters). *)
-let rec chase_idx (defs : Value.t -> Op.op option) (v : Value.t) (off : int)
-    (fuel : int) : Value.t option * int =
-  if fuel <= 0 then (Some v, off)
-  else
-    match defs v with
-    | Some { Op.kind = Op.ConstI n; _ } -> (None, off + n)
-    | Some { Op.kind = Op.BinI Op.IAdd; operands = [| a; b |]; _ } -> (
-        match (defs a, defs b) with
-        | _, Some { Op.kind = Op.ConstI n; _ } ->
-            chase_idx defs a (off + n) (fuel - 1)
-        | Some { Op.kind = Op.ConstI n; _ }, _ ->
-            chase_idx defs b (off + n) (fuel - 1)
-        | _ -> (Some v, off))
-    | Some { Op.kind = Op.BinI Op.ISub; operands = [| a; b |]; _ } -> (
-        match defs b with
-        | Some { Op.kind = Op.ConstI n; _ } ->
-            chase_idx defs a (off - n) (fuel - 1)
-        | _ -> (Some v, off))
-    | _ -> (Some v, off)

@@ -1,7 +1,6 @@
 (** Memory-footprint summaries: {!of_func}, a global interval-powered
     summary of every access as a buffer origin plus a touched-index
-    interval, and {!chase_idx}, which normalizes constant index
-    arithmetic for same-block reasoning. *)
+    interval. *)
 
 type access = {
   acc_op : Ir.Op.op;
@@ -25,10 +24,3 @@ val reads : access list -> access list
 
 val by_origin : access list -> (Interval.origin * access list) list
 (** Accesses grouped per origin, origins in first-touch order. *)
-
-val chase_idx :
-  (Ir.Value.t -> Ir.Op.op option) -> Ir.Value.t -> int -> int ->
-  Ir.Value.t option * int
-(** [chase_idx defs v off fuel]: normalize an index to (symbolic root,
-    constant offset) by chasing [x + c] / [x - c] / [c] chains through
-    the defining-op map.  [None] root means a fully-constant index. *)

@@ -8,7 +8,7 @@
       [(iv/w)·nvars·w + k·w + iv mod w] through exactly when [iv] is
       known to be [w]-aligned;
     - bool-like values get a can-be-true/can-be-false pair;
-    - memrefs get a symbolic {e origin} (which parameter / which alloc),
+    - memrefs get a symbolic {e origin} (the parameter they came from),
       the handle the footprint and bounds clients key their summaries on.
 
     The transfer function interprets every arith/math/vector/memref op;
@@ -22,14 +22,12 @@ module I = Itv.I
 
 type origin =
   | Oparam of int  (** i-th function parameter *)
-  | Oalloc of int  (** [memref.alloc] with this op id *)
   | Ounknown
 
 let origin_equal (a : origin) (b : origin) = a = b
 
 let pp_origin ppf = function
   | Oparam i -> Fmt.pf ppf "param%d" i
-  | Oalloc i -> Fmt.pf ppf "alloc#%d" i
   | Ounknown -> Fmt.string ppf "?"
 
 type v =
@@ -175,21 +173,6 @@ let cmpf (c : Op.cmp) (a : F.t) (b : F.t) : v =
       | _ -> AB { cant = ct; canf = true }
     else AB { cant = ct; canf = cf }
 
-let cmpi (c : Op.cmp) (a : I.t) (b : I.t) : v =
-  if I.is_bot a || I.is_bot b then AB { cant = false; canf = false }
-  else
-    let singles = I.is_const a && I.is_const b in
-    let ct, cf =
-      match c with
-      | Op.Lt -> (a.I.lo < b.I.hi, a.I.hi >= b.I.lo)
-      | Op.Le -> (a.I.lo <= b.I.hi, a.I.hi > b.I.lo)
-      | Op.Gt -> (a.I.hi > b.I.lo, a.I.lo <= b.I.hi)
-      | Op.Ge -> (a.I.hi >= b.I.lo, a.I.lo < b.I.hi)
-      | Op.Eq -> (I.overlap a b, not (singles && a.I.lo = b.I.lo))
-      | Op.Ne -> (not (singles && a.I.lo = b.I.lo), I.overlap a b)
-    in
-    AB { cant = ct; canf = cf }
-
 (* ------------------------------------------------------------------ *)
 (* The dataflow client                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -256,7 +239,6 @@ module Client = struct
     match o.Op.kind with
     | Op.ConstF f -> one (AF (F.const f))
     | Op.ConstI n -> one (AI (I.const n))
-    | Op.ConstB b -> one (ab_const b)
     | Op.BinF fb ->
         let a = af (opv 0) and b = af (opv 1) in
         let r =
@@ -267,7 +249,6 @@ module Client = struct
           | Op.FDiv -> F.div a b
           | Op.FMin -> F.min_ a b
           | Op.FMax -> F.max_ a b
-          | Op.FRem -> F.rem a b
         in
         one (AF r)
     | Op.NegF -> one (AF (F.neg (af (opv 0))))
@@ -288,19 +269,12 @@ module Client = struct
           match bb with
           | Op.BAnd -> AB { cant = ct1 && ct2; canf = cf1 || cf2 }
           | Op.BOr -> AB { cant = ct1 || ct2; canf = cf1 && cf2 }
-          | Op.BXor ->
-              AB
-                {
-                  cant = (ct1 && cf2) || (cf1 && ct2);
-                  canf = (ct1 && ct2) || (cf1 && cf2);
-                }
         in
         one r
     | Op.NotB ->
         let ct, cf = ab (opv 0) in
         one (AB { cant = cf; canf = ct })
     | Op.CmpF c -> one (cmpf c (af (opv 0)) (af (opv 1)))
-    | Op.CmpI c -> one (cmpi c (ai (opv 0)) (ai (opv 1)))
     | Op.Select ->
         let ct, cf = ab (opv 0) in
         let t = opv 1 and e = opv 2 in
@@ -325,30 +299,13 @@ module Client = struct
                  hi = conv infinity a.I.hi;
                  nan = false;
                })
-    | Op.FPToSI ->
-        let a = af (opv 0) in
-        if F.is_bot a then one (AI I.bot)
-        else
-          let huge = 4.611686018427387904e18 (* 2^62 *) in
-          if
-            a.F.nan || F.range_empty a
-            || Float.abs a.F.lo > huge
-            || Float.abs a.F.hi > huge
-          then one (AI I.top)
-          else
-            one
-              (AI
-                 (I.range
-                    (int_of_float (Float.trunc a.F.lo))
-                    (int_of_float (Float.trunc a.F.hi))))
     | Op.Math name ->
         one (AF (math_itv name (List.map af (Array.to_list (Array.map get o.Op.operands)))))
-    | Op.Broadcast | Op.VecExtract _ -> one (opv 0)
+    | Op.Broadcast -> one (opv 0)
     | Op.Iota w -> one (AI (I.range 0 (w - 1)))
     | Op.VecLoad | Op.MemLoad | Op.Gather -> one (AF F.top)
     | Op.VecStore | Op.MemStore | Op.Scatter -> [||]
-    | Op.Alloc -> one (AM (Oalloc o.Op.o_id))
-    | Op.Call _ | Op.Return | Op.Yield | Op.For _ | Op.If -> res_default ()
+    | Op.Call _ | Op.Return | Op.Yield | Op.For _ -> res_default ()
 
   let loop_iv () ~(lb : v) ~(ub : v) ~(step : v) : v =
     let l = ai lb and u = ai ub and s = ai step in

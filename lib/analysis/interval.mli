@@ -8,7 +8,6 @@
 
 type origin =
   | Oparam of int  (** i-th function parameter *)
-  | Oalloc of int  (** [memref.alloc] with this op id *)
   | Ounknown
 
 val origin_equal : origin -> origin -> bool
@@ -35,8 +34,6 @@ val math_itv : string -> Itv.F.t list -> Itv.F.t
 val cmpf : Ir.Op.cmp -> Itv.F.t -> Itv.F.t -> v
 (** Abstract float comparison (NaN makes every ordered predicate
     possibly-false, [<>] possibly-true). *)
-
-val cmpi : Ir.Op.cmp -> Itv.I.t -> Itv.I.t -> v
 
 type state
 (** Converged per-SSA-value facts for one function. *)

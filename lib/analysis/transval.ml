@@ -10,26 +10,22 @@
     - one store-chain term per memref root the function writes
       ("memory-effect footprint");
     - one event term per observable side effect in program order
-      (calls, and loops/branches containing them).
+      (calls, and loops containing them).
 
-    Soundness rests on the smart constructors applying only laws that
-    are bitwise-true on IEEE doubles: an elementwise op over splats is
-    the splat of the scalar op, a lane of a splat is its scalar (lane
-    [l] of an iota is [l]), and a select between equal arms is that
-    arm.  Nothing is folded and no
-    algebraic identity is applied — not even [x + 0.0 = x], which is
-    false at [x = -0.0].  Completeness — zero false refutations over the
+    Soundness rests on the smart constructors applying only one law, and
+    a bitwise-true one on IEEE doubles: a select between equal arms is
+    that arm.  Nothing is folded and no algebraic identity is applied —
+    not even [x + 0.0 = x], which is false at [x = -0.0].  Completeness — zero false refutations over the
     pipeline — rests on CSE, LICM and DCE changing only sharing,
     placement and liveness, never an op's kind or operands, and on the
     passes' structural contract:
     no pass reorders, duplicates, introduces or removes impure ops
-    (stores, calls, allocs, loops, branches), which keeps the serial
-    numbers the evaluator assigns to loops/calls/allocs stable across a
-    pass (they are assigned in program order).  CSE and DCE may remove
-    {e loads}; loads carry no serial and disappear from the DAG with
-    their uses, so that is invisible, as is removal of a loop or branch
-    whose body is pure and whose results are dead (no event is emitted
-    for effect-free control flow).
+    (stores, calls, loops), which keeps the serial numbers the evaluator
+    assigns to loops and calls stable across a pass (they are assigned
+    in program order).  CSE and DCE may remove {e loads}; loads carry no
+    serial and disappear from the DAG with their uses, so that is
+    invisible, as is removal of a loop whose body is pure and whose
+    results are dead (no event is emitted for an effect-free loop).
 
     Loop bodies are evaluated once, from the concrete heap at entry,
     with the induction variable and loop-carried values as fresh
@@ -40,7 +36,7 @@
 
 open Ir
 
-type const = KF of float | KI of int | KB of bool
+type const = KF of float | KI of int
 
 let fbits = Int64.bits_of_float
 
@@ -48,13 +44,11 @@ let const_equal (a : const) (b : const) : bool =
   match (a, b) with
   | KF x, KF y -> Int64.equal (fbits x) (fbits y)
   | KI x, KI y -> Int.equal x y
-  | KB x, KB y -> Bool.equal x y
   | _ -> false
 
 let const_hash = function
   | KF x -> 3 + (19 * Int64.to_int (fbits x))
   | KI x -> 5 + (19 * x)
-  | KB x -> if x then 7 else 11
 
 (* -- term DAG -------------------------------------------------------- *)
 
@@ -68,7 +62,6 @@ module rec Node : sig
     | Param of int  (** function parameter, by position *)
     | Iv of int  (** induction variable of the loop with this serial *)
     | Iter of int * int  (** loop-carried value [slot] of loop [serial] *)
-    | AllocA of int * Term.t  (** allocation [serial], size term; a root *)
     | Prim of Op.kind * Term.t array  (** uninterpreted pure op *)
     | IteV of Term.t * Term.t * Term.t  (** value select *)
     | Bcast of int * Term.t  (** splat to width [w] *)
@@ -86,7 +79,6 @@ module rec Node : sig
         (** heap of memref argument [argpos] after call [serial],
             havocked from the heap-before *)
     | HLoopOut of Term.t * Term.t  (** heap of [root] after a {!Loop} *)
-    | HIte of Term.t * Term.t * Term.t  (** cond, then-heap, else-heap *)
     | Loop of {
         serial : int;
         bounds : Term.t array;  (** lb, ub, step *)
@@ -99,8 +91,6 @@ module rec Node : sig
     | EvCall of int * string * Term.t array
         (** serial, callee, value arguments ++ heap-ins of memref args *)
     | EvLoop of Term.t  (** an effectful loop ran *)
-    | EvIte of Term.t * Term.t array * Term.t array
-        (** cond, then-events, else-events *)
 
   val equal : t -> t -> bool
   val hash : t -> int
@@ -110,7 +100,6 @@ end = struct
     | Param of int
     | Iv of int
     | Iter of int * int
-    | AllocA of int * Term.t
     | Prim of Op.kind * Term.t array
     | IteV of Term.t * Term.t * Term.t
     | Bcast of int * Term.t
@@ -126,7 +115,6 @@ end = struct
     | HScatter of Term.t * Term.t * Term.t
     | HCallOut of int * int * Term.t
     | HLoopOut of Term.t * Term.t
-    | HIte of Term.t * Term.t * Term.t
     | Loop of {
         serial : int;
         bounds : Term.t array;
@@ -137,7 +125,6 @@ end = struct
       }
     | EvCall of int * string * Term.t array
     | EvLoop of Term.t
-    | EvIte of Term.t * Term.t array * Term.t array
 
   let taeq (a : Term.t array) (b : Term.t array) : bool =
     Array.length a = Array.length b
@@ -166,11 +153,8 @@ end = struct
     | Iter (s, k), Iter (s', k')
     | CallRes (s, k), CallRes (s', k') ->
         s = s' && k = k'
-    | AllocA (s, n), AllocA (s', n') -> s = s' && n == n'
     | Prim (k, xs), Prim (k', ys) -> k = k' && taeq xs ys
-    | IteV (c, x, y), IteV (c', x', y')
-    | HIte (c, x, y), HIte (c', x', y') ->
-        c == c' && x == x' && y == y'
+    | IteV (c, x, y), IteV (c', x', y') -> c == c' && x == x' && y == y'
     | Bcast (w, x), Bcast (w', x') -> w = w' && x == x'
     | LoadS (h, i), LoadS (h', i') | LoadG (h, i), LoadG (h', i') ->
         h == h' && i == i'
@@ -190,8 +174,6 @@ end = struct
     | EvCall (s, n, xs), EvCall (s', n', ys) ->
         s = s' && String.equal n n' && taeq xs ys
     | EvLoop l, EvLoop l' -> l == l'
-    | EvIte (c, xs, ys), EvIte (c', xs', ys') ->
-        c == c' && taeq xs xs' && taeq ys ys'
     | _ -> false
 
   let hc (h : int) (t : Term.t) = (h * 65599) + t.Term.tag + 1
@@ -203,7 +185,6 @@ end = struct
     | Param i -> 3 + (31 * i)
     | Iv s -> 5 + (31 * s)
     | Iter (s, k) -> 7 + (31 * s) + (977 * k)
-    | AllocA (s, sz) -> hc (11 + (31 * s)) sz
     | Prim (k, xs) -> hca (13 + (31 * Hashtbl.hash k)) xs
     | IteV (c, x, y) -> hc (hc (hc 17 c) x) y
     | Bcast (w, x) -> hc (19 + (31 * w)) x
@@ -219,7 +200,6 @@ end = struct
     | HScatter (h, i, v) -> hc (hc (hc 61 h) i) v
     | HCallOut (s, k, h) -> hc (67 + (31 * s) + (977 * k)) h
     | HLoopOut (l, r) -> hc (hc 71 l) r
-    | HIte (c, x, y) -> hc (hc (hc 73 c) x) y
     | Loop l ->
         hca
           (hca
@@ -232,8 +212,7 @@ end = struct
              l.yields)
           l.evs
     | EvCall (s, nm, xs) -> hca (83 + (31 * s) + Hashtbl.hash nm) xs
-    | EvLoop l -> hc 89 l
-    | EvIte (c, xs, ys) -> hca (hca (hc 97 c) xs) ys)
+    | EvLoop l -> hc 89 l)
     land max_int
 end
 
@@ -259,65 +238,19 @@ let node (t : Term.t) : Node.t = t.Term.node
 let cst c k = mk c (Node.Cst k)
 let cf c x = cst c (KF x)
 let ci c x = cst c (KI x)
-let cb c x = cst c (KB x)
 
 let bcast (c : ctx) ~(w : int) (t : Term.t) : Term.t =
   if w <= 1 then t else mk c (Node.Bcast (w, t))
 
-(* [apply] normalizes a pure op over already-normalized operands.  The
-   broadcast law in [elementwise] — op over all-splat operands is the
-   splat of the scalar op — lets [check_widen] collapse widened bodies;
-   recursion is on strictly smaller (scalar) operands, so it
-   terminates.  No other law is applied: no folding, no identity. *)
-let rec apply (c : ctx) (kind : Op.kind) (args : Term.t array) : Term.t =
+(* [apply] normalizes a pure op over already-normalized operands: a
+   select between equal arms is that arm, whatever the condition, and
+   every other op is an uninterpreted node.  No other law is applied: no
+   folding, no identity. *)
+let apply (c : ctx) (kind : Op.kind) (args : Term.t array) : Term.t =
   match kind with
-  | Op.Select -> ite c args.(0) args.(1) args.(2)
-  | Op.VecExtract lane -> vext c lane args.(0)
-  | _ -> elementwise c kind args
-
-and elementwise c kind args =
-  let w =
-    Array.fold_left
-      (fun acc t -> match node t with Node.Bcast (w, _) -> max acc w | _ -> acc)
-      1 args
-  in
-  if
-    w > 1
-    && Array.for_all
-         (fun t ->
-           match node t with Node.Bcast (w', _) -> w' = w | _ -> false)
-         args
-  then
-    let scalars =
-      Array.map
-        (fun t ->
-          match node t with Node.Bcast (_, s) -> s | _ -> assert false)
-        args
-    in
-    bcast c ~w (apply c kind scalars)
-  else mk c (Node.Prim (kind, args))
-
-(* A select between equal arms is that arm whatever the condition; a
-   select over splats is the splat of the scalar select. *)
-and ite c cond a b =
-  if a == b then a
-  else
-    match (node cond, node a, node b) with
-    | Node.Bcast (w, c'), Node.Bcast (w2, a'), Node.Bcast (w3, b')
-      when w = w2 && w = w3 ->
-        bcast c ~w (ite c c' a' b')
-    | _ -> mk c (Node.IteV (cond, a, b))
-
-and vext c lane a =
-  match node a with
-  | Node.Bcast (_, s) -> s
-  | Node.IotaV _ -> ci c lane
-  | _ -> mk c (Node.Prim (Op.VecExtract lane, [| a |]))
-
-(* Heap select: a root neither arm of an [scf.if] writes keeps its
-   heap. *)
-let hite c cond h1 h2 =
-  if h1 == h2 then h1 else mk c (Node.HIte (cond, h1, h2))
+  | Op.Select when args.(1) == args.(2) -> args.(1)
+  | Op.Select -> mk c (Node.IteV (args.(0), args.(1), args.(2)))
+  | _ -> mk c (Node.Prim (kind, args))
 
 (* -- symbolic evaluator ---------------------------------------------- *)
 
@@ -328,7 +261,6 @@ type est = {
   mutable evs : Term.t list;  (** events, reversed *)
   mutable next_loop : int;
   mutable next_call : int;
-  mutable next_alloc : int;
 }
 
 let lookup (st : est) (v : Value.t) : Term.t =
@@ -362,20 +294,12 @@ let rec eval_op (st : est) (o : Op.op) : unit =
   match o.Op.kind with
   | Op.ConstF x -> bind1 (cf st.c x)
   | Op.ConstI x -> bind1 (ci st.c x)
-  | Op.ConstB x -> bind1 (cb st.c x)
   | Op.BinF _ | Op.NegF | Op.BinI _ | Op.BinB _ | Op.NotB | Op.CmpF _
-  | Op.CmpI _ | Op.Select | Op.SIToFP | Op.FPToSI | Op.Math _
-  | Op.VecExtract _ ->
+  | Op.Select | Op.SIToFP | Op.Math _ ->
       bind1 (apply st.c o.Op.kind (Array.map (lookup st) o.Op.operands))
   | Op.Broadcast ->
       bind1 (bcast st.c ~w:(Ty.width o.Op.results.(0).Value.ty) (tm 0))
   | Op.Iota w -> bind1 (mk st.c (Node.IotaV w))
-  | Op.Alloc ->
-      let s = st.next_alloc in
-      st.next_alloc <- s + 1;
-      let root = mk st.c (Node.AllocA (s, tm 0)) in
-      set_heap st root (hinit st root);
-      bind1 root
   | Op.MemLoad ->
       let root = tm 0 in
       bind1 (mk st.c (Node.LoadS (heap_of st root, tm 1)))
@@ -421,39 +345,6 @@ let rec eval_op (st : est) (o : Op.op) : unit =
       Array.iteri
         (fun k (r : Value.t) ->
           Hashtbl.replace st.vals r.Value.id (mk st.c (Node.CallRes (s, k))))
-        o.Op.results
-  | Op.If ->
-      let cond = tm 0 in
-      let entry = st.heaps and outer_evs = st.evs in
-      st.evs <- [];
-      let then_rets = eval_region st o.Op.regions.(0) in
-      let then_heaps = st.heaps
-      and then_evs = Array.of_list (List.rev st.evs) in
-      st.heaps <- entry;
-      st.evs <- [];
-      let else_rets = eval_region st o.Op.regions.(1) in
-      let else_heaps = st.heaps
-      and else_evs = Array.of_list (List.rev st.evs) in
-      st.evs <- outer_evs;
-      st.heaps <- entry;
-      let roots =
-        List.fold_left
-          (fun acc (r, _) -> if List.memq r acc then acc else r :: acc)
-          (List.rev_map fst then_heaps)
-          else_heaps
-      in
-      List.iter
-        (fun root ->
-          let h1 = heap_at st then_heaps root
-          and h2 = heap_at st else_heaps root in
-          set_heap st root (hite st.c cond h1 h2))
-        (List.rev roots);
-      if Array.length then_evs > 0 || Array.length else_evs > 0 then
-        st.evs <- mk st.c (Node.EvIte (cond, then_evs, else_evs)) :: st.evs;
-      Array.iteri
-        (fun k (r : Value.t) ->
-          Hashtbl.replace st.vals r.Value.id
-            (ite st.c cond then_rets.(k) else_rets.(k)))
         o.Op.results
   | Op.For _ ->
       let s = st.next_loop in
@@ -521,17 +412,14 @@ type summary = {
   s_evs : Term.t array;
 }
 
-let eval_func (c : ctx) ?(param : (int -> Value.t -> Term.t) option)
-    (f : Func.func) : summary =
+let eval_func (c : ctx) (f : Func.func) : summary =
   let st =
     { c; vals = Hashtbl.create 256; heaps = []; evs = []; next_loop = 0;
-      next_call = 0; next_alloc = 0 }
-  in
-  let param =
-    Option.value param ~default:(fun i _ -> mk c (Node.Param i))
+      next_call = 0 }
   in
   List.iteri
-    (fun i (p : Value.t) -> Hashtbl.replace st.vals p.Value.id (param i p))
+    (fun i (p : Value.t) ->
+      Hashtbl.replace st.vals p.Value.id (mk c (Node.Param i)))
     f.Func.f_params;
   let rets = eval_region st f.Func.f_body in
   let heaps =
@@ -555,11 +443,8 @@ let prim_name (k : Op.kind) : string =
   | Op.BinB b -> Op.bbin_short b
   | Op.NotB -> "not"
   | Op.CmpF cmp -> "fcmp." ^ Op.cmp_name cmp
-  | Op.CmpI cmp -> "icmp." ^ Op.cmp_name cmp
   | Op.Math m -> m
   | Op.SIToFP -> "sitofp"
-  | Op.FPToSI -> "fptosi"
-  | Op.VecExtract lane -> Printf.sprintf "extract.%d" lane
   | k -> Op.kind_name k
 
 let loop_serial (l : Term.t) : int =
@@ -585,11 +470,9 @@ let term_to_string (t : Term.t) : string =
       match node t with
       | Node.Cst (KF x) -> pf "%.17g" x
       | Node.Cst (KI x) -> pf "%d" x
-      | Node.Cst (KB x) -> pf "%b" x
       | Node.Param i -> pf "p%d" i
       | Node.Iv s -> pf "iv%d" s
       | Node.Iter (s, k) -> pf "acc%d.%d" s k
-      | Node.AllocA (s, _) -> pf "alloc%d" s
       | Node.Prim (k, xs) ->
           Buffer.add_string buf (prim_name k);
           args xs
@@ -629,9 +512,6 @@ let term_to_string (t : Term.t) : string =
       | Node.HLoopOut (l, r) ->
           pf "loopout%d" (loop_serial l);
           args [| r |]
-      | Node.HIte (c, a, b) ->
-          Buffer.add_string buf "hite";
-          args [| c; a; b |]
       | Node.Loop l ->
           pf "loop%d" l.serial;
           Buffer.add_char buf '{';
@@ -651,16 +531,6 @@ let term_to_string (t : Term.t) : string =
           pf "call%d:%s" s nm;
           args xs
       | Node.EvLoop l -> pf "evloop%d" (loop_serial l)
-      | Node.EvIte (c, xs, ys) ->
-          Buffer.add_string buf "evite(";
-          go (d + 1) c;
-          pf "; then:%d else:%d" (Array.length xs) (Array.length ys);
-          Array.iter
-            (fun x ->
-              Buffer.add_char buf ' ';
-              go (d + 1) x)
-            (Array.append xs ys);
-          Buffer.add_char buf ')'
   in
   go 0 t;
   Buffer.contents buf
@@ -766,9 +636,6 @@ let obligations_of (s : summary) : int =
 let module_digest (m : Func.modl) : string =
   Digest.to_hex (Digest.string (Printer.module_to_string m))
 
-let func_digest (f : Func.func) : string =
-  Digest.to_hex (Digest.string (Printer.func_to_string f))
-
 let timed (f : unit -> int * verdict) : int * verdict * float =
   let t0 = Unix.gettimeofday () in
   let obligations, verdict =
@@ -820,31 +687,6 @@ let check_module ~(pass : string) (src : Func.modl) (tgt : Func.modl) : cert =
     c_tgt_digest = module_digest tgt; c_obligations = obligations;
     c_verdict = verdict; c_ms = ms }
 
-let check_widen ~(w : int) (scalar : Func.func) (vec : Func.func) : cert =
-  let obligations, verdict, ms =
-    timed (fun () ->
-        let c = create_ctx () in
-        let s = eval_func c scalar in
-        let v =
-          eval_func c
-            ~param:(fun i _ -> bcast c ~w (mk c (Node.Param i)))
-            vec
-        in
-        let want =
-          { s_rets = Array.map (fun t -> bcast c ~w t) s.s_rets;
-            s_heaps = [||]; s_evs = [||] }
-        in
-        let verdict =
-          match compare_summaries ~fname:vec.Func.f_name c want v with
-          | Ok () -> Proved
-          | Error cxe -> Refuted cxe
-        in
-        (obligations_of want, verdict))
-  in
-  { c_pass = "widen"; c_src_digest = func_digest scalar;
-    c_tgt_digest = func_digest vec; c_obligations = obligations;
-    c_verdict = verdict; c_ms = ms }
-
 (* -- normalization self-check ---------------------------------------- *)
 
 (* Rebuild a normalized term bottom-up through the smart constructors.
@@ -863,9 +705,8 @@ let rec rebuild (memo : (int, Term.t) Hashtbl.t) (c : ctx) (t : Term.t) :
         | Node.Param i -> mk c (Node.Param i)
         | Node.Iv s -> mk c (Node.Iv s)
         | Node.Iter (s, k) -> mk c (Node.Iter (s, k))
-        | Node.AllocA (s, n) -> mk c (Node.AllocA (s, rb n))
         | Node.Prim (k, xs) -> apply c k (rba xs)
-        | Node.IteV (x, y, z) -> ite c (rb x) (rb y) (rb z)
+        | Node.IteV (x, y, z) -> apply c Op.Select [| rb x; rb y; rb z |]
         | Node.Bcast (w, x) -> bcast c ~w (rb x)
         | Node.IotaV w -> mk c (Node.IotaV w)
         | Node.LoadS (h, i) -> mk c (Node.LoadS (rb h, rb i))
@@ -879,7 +720,6 @@ let rec rebuild (memo : (int, Term.t) Hashtbl.t) (c : ctx) (t : Term.t) :
         | Node.HScatter (h, i, v) -> mk c (Node.HScatter (rb h, rb i, rb v))
         | Node.HCallOut (s, k, h) -> mk c (Node.HCallOut (s, k, rb h))
         | Node.HLoopOut (l, r) -> mk c (Node.HLoopOut (rb l, rb r))
-        | Node.HIte (x, y, z) -> hite c (rb x) (rb y) (rb z)
         | Node.Loop l ->
             mk c
               (Node.Loop
@@ -889,7 +729,6 @@ let rec rebuild (memo : (int, Term.t) Hashtbl.t) (c : ctx) (t : Term.t) :
                    evs = rba l.evs })
         | Node.EvCall (s, nm, xs) -> mk c (Node.EvCall (s, nm, rba xs))
         | Node.EvLoop l -> mk c (Node.EvLoop (rb l))
-        | Node.EvIte (x, xs, ys) -> mk c (Node.EvIte (rb x, rba xs, rba ys))
       in
       Hashtbl.replace memo t.Term.tag r;
       r

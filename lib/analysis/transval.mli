@@ -3,15 +3,13 @@
     Each IR function is mapped to a normalized, hash-consed symbolic term
     DAG — one term per live-out value, per memory-effect footprint (a
     store chain per memref root) and per observable event (calls, and
-    loops/branches that contain them).  Two functions are declared
-    equivalent when their normalized summaries are tag-identical.
+    loops that contain them).  Two functions are declared equivalent
+    when their normalized summaries are tag-identical.
 
-    Normalization applies only laws that are bitwise-true on IEEE
-    doubles: the splat/broadcast laws {!Passes.Widen} needs (an
-    elementwise op on broadcasts is the broadcast of the scalar op, a
-    lane of a broadcast is its scalar) and the equal-arm select.  CSE,
-    LICM and DCE change sharing, placement and liveness only, so hash
-    consing alone proves them.  No constant is folded and no algebraic
+    Normalization applies one law, and a bitwise-true one on IEEE
+    doubles: a select between equal arms is that arm.  CSE, LICM and
+    DCE change sharing, placement and liveness only, so hash consing
+    alone proves them.  No constant is folded and no algebraic
     identity is applied: [x + 0.0] is not [x] (at [x = -0.0]), a
     reassociated float add and a wrong constant refute, and so does
     reusing a load across an intervening store (stale CSE), since no
@@ -54,12 +52,6 @@ val check_module : pass:string -> Ir.Func.modl -> Ir.Func.modl -> cert
 (** [check_module ~pass src tgt] proves every function of [src]
     equivalent to its namesake in [tgt] (and that [tgt] adds none).
     Never raises; any internal failure becomes an [Unknown] verdict. *)
-
-val check_widen : w:int -> Ir.Func.func -> Ir.Func.func -> cert
-(** [check_widen ~w f f_vec] proves the {!Passes.Widen} contract: with
-    every parameter [p] of [f_vec] bound to [splat<w> p], each result of
-    [f_vec] must normalize to [splat<w>] of the corresponding result of
-    [f]. *)
 
 val self_check : Ir.Func.modl -> (int, string) result
 (** Normalization sanity on a module: evaluating twice in one table

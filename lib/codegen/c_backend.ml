@@ -10,11 +10,10 @@
    and AoSoA loads/stores (unaligned memcpy) are single vector
    expressions, which cc maps onto the vector ISA Exec.Native.flags
    selects for the host.  Only ops with no exact whole-vector C form —
-   libm calls, ml_fmin/ml_fmax, fmod, integer div/rem, int<->float
+   libm calls, ml_fmin/ml_fmax, integer div/rem, int-to-float
    conversion, gathers, scatters, iota and the LUT helpers — run a
-   constant-trip lane loop that subscripts the vector value; a mask lane
-   read as a number is 0/1.  scf.for becomes a plain countable [for],
-   scf.if an if/else assigning pre-declared result locals.
+   constant-trip lane loop that subscripts the vector value.  scf.for
+   becomes a plain countable [for].
 
    Bitwise parity with the OCaml engines is the design constraint, not an
    accident:
@@ -113,11 +112,9 @@ let define ctx ind (r : Value.t) (e : string) : unit =
 let assign ctx ind (dst : Value.t) (src : string) : unit =
   pr ctx ind "%s = %s;" (vname ctx dst) src
 
-(* Lane [i] of [v] as a scalar (a scalar [v] stands for every lane): a
-   mask lane, all ones or zero, reads as the i1 scalar 0/1. *)
+(* Lane [i] of [v] as a scalar (a scalar [v] stands for every lane). *)
 let lane ctx (v : Value.t) (i : string) : string =
   match v.Value.ty with
-  | Ty.Vec (_, Ty.I1) -> Printf.sprintf "(%s[%s] != 0)" (vname ctx v) i
   | Ty.Vec _ -> Printf.sprintf "%s[%s]" (vname ctx v) i
   | _ -> vname ctx v
 
@@ -137,7 +134,6 @@ let fbin_expr (k : Op.fbin) (a : string) (b : string) : string =
   | Op.FDiv -> Printf.sprintf "(%s / %s)" a b
   | Op.FMin -> Printf.sprintf "ml_fmin(%s, %s)" a b
   | Op.FMax -> Printf.sprintf "ml_fmax(%s, %s)" a b
-  | Op.FRem -> Printf.sprintf "fmod(%s, %s)" a b
 
 let ibin_expr (k : Op.ibin) (a : string) (b : string) : string =
   (* OCaml (/) and (mod) truncate toward zero — exactly C's semantics. *)
@@ -155,11 +151,11 @@ let bbin_expr (k : Op.bbin) (a : string) (b : string) : string =
   (* bool-like values are canonical (0/1 scalars, all-ones/zero mask
      lanes), so bitwise ops implement the (non-short-circuiting, as in
      Lower) logical connectives *)
-  let op = match k with Op.BAnd -> "&" | Op.BOr -> "|" | Op.BXor -> "^" in
+  let op = match k with Op.BAnd -> "&" | Op.BOr -> "|" in
   Printf.sprintf "(%s %s %s)" a op b
 
 (* [c ? a : b] of type [ty].  On vectors it blends bits under the mask
-   [c], through the lanes' integer view for f64. *)
+   [c]: directly on i1 masks, through the lanes' integer view for f64. *)
 let select_expr (ty : Ty.t) (c : string) (a : string) (b : string) : string =
   match ty with
   | Ty.Vec (w, Ty.F64) ->
@@ -214,7 +210,6 @@ let rec emit_op ctx ind (o : Op.op) : unit =
   match o.Op.kind with
   | Op.ConstF f -> expr (float_lit f)
   | Op.ConstI n -> expr (Printf.sprintf "INT64_C(%d)" n)
-  | Op.ConstB b -> expr (if b then "1" else "0")
   | Op.BinF ((Op.FAdd | Op.FSub | Op.FMul | Op.FDiv) as k) ->
       expr (fbin_expr k (an 0) (an 1))
   | Op.BinF k -> emit_lanes ctx ind o (fun x -> fbin_expr k x.(0) x.(1))
@@ -228,7 +223,7 @@ let rec emit_op ctx ind (o : Op.op) : unit =
       (match o.Op.results.(0).Value.ty with
       | Ty.Vec _ -> expr (Printf.sprintf "(~%s)" (an 0))
       | _ -> expr (Printf.sprintf "(!%s)" (an 0)))
-  | Op.CmpF c | Op.CmpI c ->
+  | Op.CmpF c ->
       let e = Printf.sprintf "(%s %s %s)" (an 0) (cmp_op c) (an 1) in
       (match o.Op.results.(0).Value.ty with
       | Ty.Vec (w, _) -> expr (Printf.sprintf "(%s)%s" (vec_cty w Ty.I1) e)
@@ -237,9 +232,6 @@ let rec emit_op ctx ind (o : Op.op) : unit =
       expr (select_expr o.Op.results.(0).Value.ty (an 0) (an 1) (an 2))
   | Op.SIToFP ->
       emit_lanes ctx ind o (fun x -> Printf.sprintf "(double)%s" x.(0))
-  | Op.FPToSI ->
-      (* OCaml int_of_float truncates toward zero, as does the C cast *)
-      emit_lanes ctx ind o (fun x -> Printf.sprintf "(int64_t)%s" x.(0))
   | Op.Math (("square" | "cube") as m) -> expr (math_expr m (Lazy.force a))
   | Op.Math m -> emit_lanes ctx ind o (math_expr m)
   | Op.Broadcast ->
@@ -254,8 +246,6 @@ let rec emit_op ctx ind (o : Op.op) : unit =
       expr
         (Printf.sprintf "{%s}"
            (String.concat ", " (List.init (Ty.width r.Value.ty) (fun _ -> x))))
-  | Op.VecExtract k ->
-      expr (lane ctx o.Op.operands.(0) (string_of_int k))
   | Op.VecLoad ->
       let r = vname ctx o.Op.results.(0) in
       decl ctx ind o.Op.results.(0);
@@ -269,7 +259,6 @@ let rec emit_op ctx ind (o : Op.op) : unit =
       pr ctx ind "for (int l = 0; l < %d; l++) %s[%s] = %s;"
         (Ty.width v.Value.ty) (an 1) (lane ctx idxs "l") (lane ctx v "l")
   | Op.Iota _ -> emit_lanes ctx ind o (fun _ -> "l")
-  | Op.Alloc -> unsupported "memref.alloc has no C lowering"
   | Op.MemLoad -> expr (Printf.sprintf "%s[%s]" (an 0) (an 1))
   | Op.MemStore -> pr ctx ind "%s[%s] = %s;" (an 1) (an 2) (an 0)
   | Op.For _ ->
@@ -302,28 +291,7 @@ let rec emit_op ctx ind (o : Op.op) : unit =
               assign ctx (ind + 1) o.Op.results.(k) (vname ctx y))
             ys);
       pr ctx ind "}"
-  | Op.If ->
-      let cond = an 0 in
-      Array.iter (decl ctx ind) o.Op.results;
-      let arm k =
-        emit_region ctx (ind + 1)
-          o.Op.regions.(k)
-          ~on_yield:(fun ys ->
-            Array.iteri
-              (fun i (y : Value.t) ->
-                assign ctx (ind + 1) o.Op.results.(i) (vname ctx y))
-              ys)
-      in
-      pr ctx ind "if (%s) {" cond;
-      arm 0;
-      if
-        Array.length o.Op.regions > 1
-        && (o.Op.regions.(1).Op.r_ops <> [] || Array.length o.Op.results > 0)
-      then (
-        pr ctx ind "} else {";
-        arm 1);
-      pr ctx ind "}"
-  | Op.Yield -> unsupported "stray scf.yield outside a structured op"
+  | Op.Yield -> unsupported "stray scf.yield outside a loop"
   | Op.Return -> unsupported "nested func.return"
   | Op.Call callee ->
       if Array.length o.Op.results > 0 then

@@ -39,7 +39,7 @@
 exception Unsupported of string
 (** Raised by {!emit_module} on IR with no C lowering (vector-typed
     function parameters, vector widths that are not a power of two,
-    [memref.alloc], calls with results, unknown externs).  Kernels
+    calls with results, unknown externs).  Kernels
     produced by {!Kernel.generate} trip it only at such a width; it
     exists so arbitrary modules degrade with a diagnostic instead of
     emitting wrong code. *)

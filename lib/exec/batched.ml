@@ -76,7 +76,6 @@ type tinstr =
   (* tile fills *)
   | KCstF of int * int * float  (** d, ew, value *)
   | KCstI of int * int * int
-  | KCstB of int * int * bool
   | KImpF of int * int  (** d <- splat of scalar register [s] (live-in) *)
   | KImpI of int * int
   | KImpB of int * int
@@ -103,17 +102,16 @@ type tinstr =
   | KM2 of int * int * int * int * (float -> float -> float)
   | KCmpF of int * int * int * int * (float -> float -> bool)  (** d: bool *)
   | KSel of int * int * int * int * int  (** d, c(bool), x, y, ew *)
+  | KSelB of int * int * int * int * int  (** d, c, x, y, ew: all bool *)
   | KCmpSel of int * int * int * int * int * int * (float -> float -> bool)
       (** d, a, c, x, y, ew *)
   | KSiToF of int * int * int
-  | KFToSi of int * int * int
   (* int elementwise *)
   | KAddI of int * int * int * int
   | KSubI of int * int * int * int
   | KMulI of int * int * int * int
   | KBinGI of int * int * int * int * (int -> int -> int)
   | KMadI of int * int * int * int * int  (** a*b + c (addressing) *)
-  | KCmpI of int * int * int * int * (int -> int -> bool)  (** d: bool *)
   (* bool elementwise *)
   | KBinB of int * int * int * int * (bool -> bool -> bool)
   | KNotB of int * int * int
@@ -122,8 +120,6 @@ type tinstr =
   | KBcastI of int * int * int
   | KBcastB of int * int * int
   | KIota of int * int  (** d, w: d[k*w+l] <- l *)
-  | KExtF of int * int * int * int  (** d, a, w, lane: d[k] <- a[k*w+lane] *)
-  | KExtI of int * int * int * int
   (* memory (bounds-checked) *)
   | KLoad of int * int * int  (** d, mm, ix *)
   | KStore of int * int * int  (** a, mm, ix *)
@@ -169,11 +165,6 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
           done
       | KCstI (d, ew, x) ->
           let z = Array.unsafe_get ir d in
-          for j = 0 to (n * ew) - 1 do
-            Array.unsafe_set z j x
-          done
-      | KCstB (d, ew, x) ->
-          let z = Array.unsafe_get br d in
           for j = 0 to (n * ew) - 1 do
             Array.unsafe_set z j x
           done
@@ -379,6 +370,16 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
               (if Array.unsafe_get cc j then Float.Array.unsafe_get xx j
                else Float.Array.unsafe_get yy j)
           done
+      | KSelB (d, c, x, y, ew) ->
+          let cc = Array.unsafe_get br c
+          and xx = Array.unsafe_get br x
+          and yy = Array.unsafe_get br y
+          and z = Array.unsafe_get br d in
+          for j = 0 to (n * ew) - 1 do
+            Array.unsafe_set z j
+              (if Array.unsafe_get cc j then Array.unsafe_get xx j
+               else Array.unsafe_get yy j)
+          done
       | KCmpSel (d, a, c, x, y, ew, g) ->
           let aa = Array.unsafe_get fr a
           and cc = Array.unsafe_get fr c
@@ -395,11 +396,6 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
           let x = Array.unsafe_get ir a and z = Array.unsafe_get fr d in
           for j = 0 to (n * ew) - 1 do
             Float.Array.unsafe_set z j (float_of_int (Array.unsafe_get x j))
-          done
-      | KFToSi (d, a, ew) ->
-          let x = Array.unsafe_get fr a and z = Array.unsafe_get ir d in
-          for j = 0 to (n * ew) - 1 do
-            Array.unsafe_set z j (int_of_float (Float.Array.unsafe_get x j))
           done
       | KAddI (d, a, c, ew) ->
           let x = Array.unsafe_get ir a
@@ -438,13 +434,6 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
             Array.unsafe_set z j
               ((Array.unsafe_get x j * Array.unsafe_get y j)
               + Array.unsafe_get u j)
-          done
-      | KCmpI (d, a, c, ew, g) ->
-          let x = Array.unsafe_get ir a
-          and y = Array.unsafe_get ir c
-          and z = Array.unsafe_get br d in
-          for j = 0 to (n * ew) - 1 do
-            Array.unsafe_set z j (g (Array.unsafe_get x j) (Array.unsafe_get y j))
           done
       | KBinB (d, a, c, ew, g) ->
           let x = Array.unsafe_get br a
@@ -489,16 +478,6 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
             for l = 0 to w - 1 do
               Array.unsafe_set z (b + l) l
             done
-          done
-      | KExtF (d, a, w, lane) ->
-          let x = Array.unsafe_get fr a and z = Array.unsafe_get fr d in
-          for k = 0 to n - 1 do
-            Float.Array.unsafe_set z k (Float.Array.unsafe_get x ((k * w) + lane))
-          done
-      | KExtI (d, a, w, lane) ->
-          let x = Array.unsafe_get ir a and z = Array.unsafe_get ir d in
-          for k = 0 to n - 1 do
-            Array.unsafe_set z k (Array.unsafe_get x ((k * w) + lane))
           done
       | KLoad (d, mm, ix) ->
           let buf = Array.unsafe_get m mm
@@ -827,9 +806,6 @@ let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
   | Op.ConstI x ->
       let d = res () in
       mk [] [ d ] (fun lk -> KCstI (lk d, ew_of d, x))
-  | Op.ConstB x ->
-      let d = res () in
-      mk [] [ d ] (fun lk -> KCstB (lk d, ew_of d, x))
   | Op.BinF k ->
       let d = res () and a = op 0 and b = op 1 in
       let ew = ew_of d in
@@ -869,22 +845,17 @@ let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
       let d = res () and a = op 0 and b = op 1 in
       let ew = ew_of a and g = E.cmpf_fn cc in
       mk [ a; b ] [ d ] (fun lk -> KCmpF (lk d, lk a, lk b, ew, g))
-  | Op.CmpI cc ->
-      let d = res () and a = op 0 and b = op 1 in
-      let ew = ew_of a and g = E.cmpi_fn cc in
-      mk [ a; b ] [ d ] (fun lk -> KCmpI (lk d, lk a, lk b, ew, g))
-  | Op.Select when Ty.is_float_like (res ()).Value.ty ->
+  | Op.Select ->
       let d = res () and cc = op 0 and x = op 1 and y = op 2 in
       let ew = ew_of d in
-      mk [ cc; x; y ] [ d ] (fun lk -> KSel (lk d, lk cc, lk x, lk y, ew))
+      let float = Ty.is_float_like d.Value.ty in
+      mk [ cc; x; y ] [ d ] (fun lk ->
+          if float then KSel (lk d, lk cc, lk x, lk y, ew)
+          else KSelB (lk d, lk cc, lk x, lk y, ew))
   | Op.SIToFP ->
       let d = res () and a = op 0 in
       let ew = ew_of d in
       mk [ a ] [ d ] (fun lk -> KSiToF (lk d, lk a, ew))
-  | Op.FPToSI ->
-      let d = res () and a = op 0 in
-      let ew = ew_of d in
-      mk [ a ] [ d ] (fun lk -> KFToSi (lk d, lk a, ew))
   | Op.Math name -> (
       match Easyml.Builtins.find name with
       | None -> None
@@ -927,13 +898,6 @@ let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
       | Ty.F64 -> mk [ a ] [ d ] (fun lk -> KBcastF (lk d, lk a, w))
       | Ty.I64 -> mk [ a ] [ d ] (fun lk -> KBcastI (lk d, lk a, w))
       | Ty.I1 -> mk [ a ] [ d ] (fun lk -> KBcastB (lk d, lk a, w))
-      | _ -> None)
-  | Op.VecExtract lane -> (
-      let d = res () and a = op 0 in
-      let w = ew_of a in
-      match Ty.elem a.Value.ty with
-      | Ty.F64 -> mk [ a ] [ d ] (fun lk -> KExtF (lk d, lk a, w, lane))
-      | Ty.I64 -> mk [ a ] [ d ] (fun lk -> KExtI (lk d, lk a, w, lane))
       | _ -> None)
   | Op.Iota w ->
       let d = res () in
@@ -1013,7 +977,7 @@ let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
    activations, so instead of re-importing it per activation (KImpVF
    alone costs [n × w] writes each time) the row is filled once, at
    compile time, and excluded from the executed stream. *)
-type pre = PreF of float | PreI of int | PreB of bool
+type pre = PreF of float | PreI of int
 
 type plan = {
   p_stream : ainstr array;  (** imports then body, in order *)
@@ -1165,7 +1129,7 @@ let plan_loop (c : E.fctx) ~(uc : (int, int) Hashtbl.t) (fn : Func.func)
                   | Op.Yield ->
                       if Array.length b.Op.operands > 0 then raise Not_tileable;
                       false
-                  | Op.Return | Op.For _ | Op.If -> raise Not_tileable
+                  | Op.Return | Op.For _ -> raise Not_tileable
                   | _ -> true)
                 r.Op.r_ops
             in
@@ -1228,8 +1192,6 @@ let plan_loop (c : E.fctx) ~(uc : (int, int) Hashtbl.t) (fn : Func.func)
                     Hashtbl.replace prov res.Value.id (PreF x)
                 | Op.ConstI x, [| res |] ->
                     Hashtbl.replace prov res.Value.id (PreI x)
-                | Op.ConstB x, [| res |] ->
-                    Hashtbl.replace prov res.Value.id (PreB x)
                 | Op.Broadcast, [| res |] -> (
                     match Hashtbl.find_opt prov o.Op.operands.(0).Value.id with
                     | Some p -> Hashtbl.replace prov res.Value.id p
@@ -1359,8 +1321,7 @@ let compile_tiled (c : E.fctx) ~(tile : int) ~(uc : (int, int) Hashtbl.t)
           let row = look v and ew = ew_of v in
           match pre with
           | PreF x -> Float.Array.fill fr.(row) 0 (t * ew) x
-          | PreI x -> Array.fill ir.(row) 0 (t * ew) x
-          | PreB x -> Array.fill br.(row) 0 (t * ew) x)
+          | PreI x -> Array.fill ir.(row) 0 (t * ew) x)
         p.p_prefill;
       if p.p_prefill <> [] then
         Obs.Tracer.count "batched.prefill_rows"

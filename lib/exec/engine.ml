@@ -182,7 +182,6 @@ let fbin_fn : Op.fbin -> float -> float -> float = function
   | Op.FDiv -> ( /. )
   | Op.FMin -> Float.min
   | Op.FMax -> Float.max
-  | Op.FRem -> Float.rem
 
 let ibin_fn : Op.ibin -> int -> int -> int = function
   | Op.IAdd -> ( + )
@@ -194,17 +193,8 @@ let ibin_fn : Op.ibin -> int -> int -> int = function
 let bbin_fn : Op.bbin -> bool -> bool -> bool = function
   | Op.BAnd -> ( && )
   | Op.BOr -> ( || )
-  | Op.BXor -> ( <> )
 
 let cmpf_fn : Op.cmp -> float -> float -> bool = function
-  | Op.Lt -> ( < )
-  | Op.Le -> ( <= )
-  | Op.Gt -> ( > )
-  | Op.Ge -> ( >= )
-  | Op.Eq -> ( = )
-  | Op.Ne -> ( <> )
-
-let cmpi_fn : Op.cmp -> int -> int -> bool = function
   | Op.Lt -> ( < )
   | Op.Le -> ( <= )
   | Op.Gt -> ( > )
@@ -343,9 +333,9 @@ let parallel_copy (c : fctx) (srcs : Value.t array) (dsts : Value.t list) :
       moves
 
 (** A region compiler: given a yield handler, compile a region body to a
-    thunk.  {!compile_op} is parameterized over it so that structured ops
-    ([scf.for], [scf.if]) compile their nested regions with whichever
-    engine (closure or batched) is driving the compilation. *)
+    thunk.  {!compile_op} is parameterized over it so that an [scf.for]
+    compiles its body with whichever engine (closure or batched) is
+    driving the compilation. *)
 type region_compiler =
   on_yield:(Op.op -> unit -> unit) -> Op.region -> unit -> unit
 
@@ -373,9 +363,6 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
   | Op.ConstI cst ->
       let d = islot (res ()) in
       fun () -> i.(d) <- cst
-  | Op.ConstB cst ->
-      let d = bslot (res ()) in
-      fun () -> b.(d) <- cst
   | Op.BinF k -> (
       let g = fbin_fn k in
       match (res ()).ty with
@@ -489,30 +476,12 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
             for l = 0 to w - 1 do
               vb.(d).(l) <- g (Float.Array.get vf.(a) l) (Float.Array.get vf.(x) l)
             done)
-  | Op.CmpI cc -> (
-      let g = cmpi_fn cc in
-      match (op1 ()).ty with
-      | Ty.I64 ->
-          let a = islot (op1 ()) and x = islot (op2 ()) and d = bslot (res ()) in
-          fun () -> b.(d) <- g i.(a) i.(x)
-      | _ ->
-          let a, w = vislot (op1 ())
-          and x, _ = vislot (op2 ())
-          and d, _ = vbslot (res ()) in
-          fun () ->
-            for l = 0 to w - 1 do
-              vb.(d).(l) <- g vi.(a).(l) vi.(x).(l)
-            done)
   | Op.Select -> (
       match (res ()).ty with
       | Ty.F64 ->
           let c_ = bslot (op1 ()) and x = fslot (op2 ()) and y = fslot (op3 ())
           and d = fslot (res ()) in
           fun () -> f.(d) <- (if b.(c_) then f.(x) else f.(y))
-      | Ty.I64 ->
-          let c_ = bslot (op1 ()) and x = islot (op2 ()) and y = islot (op3 ())
-          and d = islot (res ()) in
-          fun () -> i.(d) <- (if b.(c_) then i.(x) else i.(y))
       | Ty.I1 ->
           let c_ = bslot (op1 ()) and x = bslot (op2 ()) and y = bslot (op3 ())
           and d = bslot (res ()) in
@@ -527,12 +496,12 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
                 (if vb.(c_).(l) then Float.Array.get vf.(x) l
                  else Float.Array.get vf.(y) l)
             done
-      | Ty.Vec (_, Ty.I64) ->
-          let c_, w = vbslot (op1 ()) and x, _ = vislot (op2 ())
-          and y, _ = vislot (op3 ()) and d, _ = vislot (res ()) in
+      | Ty.Vec (_, Ty.I1) ->
+          let c_, w = vbslot (op1 ()) and x, _ = vbslot (op2 ())
+          and y, _ = vbslot (op3 ()) and d, _ = vbslot (res ()) in
           fun () ->
             for l = 0 to w - 1 do
-              vi.(d).(l) <- (if vb.(c_).(l) then vi.(x).(l) else vi.(y).(l))
+              vb.(d).(l) <- (if vb.(c_).(l) then vb.(x).(l) else vb.(y).(l))
             done
       | _ -> fail "select: unsupported type")
   | Op.SIToFP -> (
@@ -545,17 +514,6 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
           fun () ->
             for l = 0 to w - 1 do
               Float.Array.set vf.(d) l (float_of_int vi.(a).(l))
-            done)
-  | Op.FPToSI -> (
-      match (res ()).ty with
-      | Ty.I64 ->
-          let a = fslot (op1 ()) and d = islot (res ()) in
-          fun () -> i.(d) <- int_of_float f.(a)
-      | _ ->
-          let a, w = vfslot (op1 ()) and d, _ = vislot (res ()) in
-          fun () ->
-            for l = 0 to w - 1 do
-              vi.(d).(l) <- int_of_float (Float.Array.get vf.(a) l)
             done)
   | Op.Math name -> (
       let bi =
@@ -634,18 +592,6 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
           let a = bslot (op1 ()) and d, w = vbslot (res ()) in
           fun () -> Array.fill vb.(d) 0 w b.(a)
       | _ -> fail "broadcast: unsupported type")
-  | Op.VecExtract lane -> (
-      match (op1 ()).ty with
-      | Ty.Vec (_, Ty.F64) ->
-          let a, _ = vfslot (op1 ()) and d = fslot (res ()) in
-          fun () -> f.(d) <- Float.Array.get vf.(a) lane
-      | Ty.Vec (_, Ty.I64) ->
-          let a, _ = vislot (op1 ()) and d = islot (res ()) in
-          fun () -> i.(d) <- vi.(a).(lane)
-      | Ty.Vec (_, Ty.I1) ->
-          let a, _ = vbslot (op1 ()) and d = bslot (res ()) in
-          fun () -> b.(d) <- vb.(a).(lane)
-      | _ -> fail "vector.extract: unsupported type")
   | Op.VecLoad ->
       let mm = mslot (op1 ()) and ix = islot (op2 ()) and d, w = vfslot (res ()) in
       fun () ->
@@ -680,9 +626,6 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
         for l = 0 to w - 1 do
           vi.(d).(l) <- l
         done
-  | Op.Alloc ->
-      let sz = islot (op1 ()) and d = mslot (res ()) in
-      fun () -> m.(d) <- Float.Array.make i.(sz) 0.0
   | Op.MemLoad ->
       let mm = mslot (op1 ()) and ix = islot (op2 ()) and d = fslot (res ()) in
       fun () -> f.(d) <- Float.Array.get m.(mm) i.(ix)
@@ -718,15 +661,7 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
           k := !k + step
         done;
         results_copy ()
-  | Op.If ->
-      let c_ = bslot o.Op.operands.(0) in
-      let on_yield yop =
-        parallel_copy c yop.Op.operands (Array.to_list o.Op.results)
-      in
-      let then_ = compile_region o.Op.regions.(0) ~on_yield in
-      let else_ = compile_region o.Op.regions.(1) ~on_yield in
-      fun () -> if b.(c_) then then_ () else else_ ()
-  | Op.Yield -> fail "yield outside structured op"
+  | Op.Yield -> fail "yield outside a loop"
   | Op.Call name ->
       let callee = lazy (c.get name) in
       let nargs = Array.length o.Op.operands in

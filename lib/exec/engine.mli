@@ -56,8 +56,8 @@ val mslot : fctx -> Ir.Value.t -> int
 
 type region_compiler =
   on_yield:(Ir.Op.op -> unit -> unit) -> Ir.Op.region -> unit -> unit
-(** A region-body compiler, parameterizing {!compile_op} so structured ops
-    compile their nested regions with whichever engine drives. *)
+(** A region-body compiler, parameterizing {!compile_op} so a loop
+    compiles its body with whichever engine drives. *)
 
 val compile_op : fctx -> compile_region:region_compiler -> Ir.Op.op -> unit -> unit
 (** Compile any single op to a thunk over the context's register file. *)
@@ -81,7 +81,6 @@ val fbin_fn : Ir.Op.fbin -> float -> float -> float
 val ibin_fn : Ir.Op.ibin -> int -> int -> int
 val bbin_fn : Ir.Op.bbin -> bool -> bool -> bool
 val cmpf_fn : Ir.Op.cmp -> float -> float -> bool
-val cmpi_fn : Ir.Op.cmp -> int -> int -> bool
 
 (** {1 Entry points} *)
 

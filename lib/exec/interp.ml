@@ -25,7 +25,6 @@ let fbin_fn : Op.fbin -> float -> float -> float = function
   | Op.FDiv -> ( /. )
   | Op.FMin -> Float.min
   | Op.FMax -> Float.max
-  | Op.FRem -> Float.rem
 
 let ibin_fn : Op.ibin -> int -> int -> int = function
   | Op.IAdd -> ( + )
@@ -37,17 +36,8 @@ let ibin_fn : Op.ibin -> int -> int -> int = function
 let bbin_fn : Op.bbin -> bool -> bool -> bool = function
   | Op.BAnd -> ( && )
   | Op.BOr -> ( || )
-  | Op.BXor -> ( <> )
 
 let cmp_f : Op.cmp -> float -> float -> bool = function
-  | Op.Lt -> ( < )
-  | Op.Le -> ( <= )
-  | Op.Gt -> ( > )
-  | Op.Ge -> ( >= )
-  | Op.Eq -> ( = )
-  | Op.Ne -> ( <> )
-
-let cmp_i : Op.cmp -> int -> int -> bool = function
   | Op.Lt -> ( < )
   | Op.Le -> ( <= )
   | Op.Gt -> ( > )
@@ -90,7 +80,6 @@ let run ?(externs : Rt.registry = Rt.create_registry ()) (m : Func.modl)
     match o.kind with
     | Op.ConstF c -> setr 0 (Rt.F c)
     | Op.ConstI c -> setr 0 (Rt.I c)
-    | Op.ConstB c -> setr 0 (Rt.B c)
     | Op.BinF k -> (
         let g = fbin_fn k in
         match (v 0, v 1) with
@@ -129,12 +118,6 @@ let run ?(externs : Rt.registry = Rt.create_registry ()) (m : Func.modl)
                  (Array.init (Float.Array.length a) (fun l ->
                       g (Float.Array.get a l) (Float.Array.get b l))))
         | _ -> fail "cmpf: bad operands")
-    | Op.CmpI c -> (
-        let g = cmp_i c in
-        match (v 0, v 1) with
-        | Rt.I a, Rt.I b -> setr 0 (Rt.B (g a b))
-        | Rt.VI a, Rt.VI b -> setr 0 (Rt.VB (Array.map2 g a b))
-        | _ -> fail "cmpi: bad operands")
     | Op.Select -> (
         match (v 0, v 1, v 2) with
         | Rt.B c, x, y -> setr 0 (if c then x else y)
@@ -143,8 +126,8 @@ let run ?(externs : Rt.registry = Rt.create_registry ()) (m : Func.modl)
               (Rt.VF
                  (Float.Array.init (Array.length c) (fun l ->
                       if c.(l) then Float.Array.get x l else Float.Array.get y l)))
-        | Rt.VB c, Rt.VI x, Rt.VI y ->
-            setr 0 (Rt.VI (Array.init (Array.length c) (fun l -> if c.(l) then x.(l) else y.(l))))
+        | Rt.VB c, Rt.VB x, Rt.VB y ->
+            setr 0 (Rt.VB (Array.init (Array.length c) (fun l -> if c.(l) then x.(l) else y.(l))))
         | _ -> fail "select: bad operands")
     | Op.SIToFP -> (
         match v 0 with
@@ -152,15 +135,6 @@ let run ?(externs : Rt.registry = Rt.create_registry ()) (m : Func.modl)
         | Rt.VI a ->
             setr 0 (Rt.VF (Float.Array.init (Array.length a) (fun l -> float_of_int a.(l))))
         | _ -> fail "sitofp: bad operand")
-    | Op.FPToSI -> (
-        match v 0 with
-        | Rt.F a -> setr 0 (Rt.I (int_of_float a))
-        | Rt.VF a ->
-            setr 0
-              (Rt.VI
-                 (Array.init (Float.Array.length a) (fun l ->
-                      int_of_float (Float.Array.get a l))))
-        | _ -> fail "fptosi: bad operand")
     | Op.Math name -> (
         let bi =
           match Easyml.Builtins.find name with
@@ -187,12 +161,6 @@ let run ?(externs : Rt.registry = Rt.create_registry ()) (m : Func.modl)
         | Rt.I a, Ty.Vec (w, _) -> setr 0 (Rt.VI (Array.make w a))
         | Rt.B a, Ty.Vec (w, _) -> setr 0 (Rt.VB (Array.make w a))
         | _ -> fail "broadcast: bad operand")
-    | Op.VecExtract lane -> (
-        match v 0 with
-        | Rt.VF a -> setr 0 (Rt.F (Float.Array.get a lane))
-        | Rt.VI a -> setr 0 (Rt.I a.(lane))
-        | Rt.VB a -> setr 0 (Rt.B a.(lane))
-        | _ -> fail "vector.extract: bad operand")
     | Op.VecLoad -> (
         match (v 0, v 1, o.results.(0).ty) with
         | Rt.M buf, Rt.I base, Ty.Vec (w, _) ->
@@ -217,10 +185,6 @@ let run ?(externs : Rt.registry = Rt.create_registry ()) (m : Func.modl)
             Array.iteri (fun l j -> Float.Array.set buf j (Float.Array.get x l)) idx
         | _ -> fail "vector.scatter: bad operands")
     | Op.Iota w -> setr 0 (Rt.VI (Array.init w Fun.id))
-    | Op.Alloc -> (
-        match v 0 with
-        | Rt.I n -> setr 0 (Rt.M (Float.Array.make n 0.0))
-        | _ -> fail "alloc: bad operand")
     | Op.MemLoad -> (
         match (v 0, v 1) with
         | Rt.M buf, Rt.I k -> setr 0 (Rt.F (Float.Array.get buf k))
@@ -255,15 +219,6 @@ let run ?(externs : Rt.registry = Rt.create_registry ()) (m : Func.modl)
             done;
             Array.iteri (fun j r -> set env r !iters.(j)) o.results
         | _ -> fail "scf.for: bad bounds")
-    | Op.If -> (
-        match v 0 with
-        | Rt.B c -> (
-            let region = if c then o.regions.(0) else o.regions.(1) in
-            match run_region env region with
-            | `Yield vs -> Array.iteri (fun j r -> set env r vs.(j)) o.results
-            | `Return _ -> fail "return inside scf.if"
-            | `Fallthrough -> fail "scf.if branch missing yield")
-        | _ -> fail "scf.if: bad condition")
     | Op.Call name -> (
         let args = Array.map (get env) o.operands in
         let rets =

@@ -2,9 +2,9 @@
 
     Creates SSA values and ops with eager operand type checking, so that a
     code-generation bug surfaces at the op construction site rather than in
-    the verifier or the execution engine.  Regions are built through
-    higher-order [for_] / [if_] combinators that take body-emitting
-    callbacks and insert the terminating [scf.yield] automatically. *)
+    the verifier or the execution engine.  Loop regions are built through
+    the higher-order [for_] combinator, which takes a body-emitting
+    callback and inserts the terminating [scf.yield] automatically. *)
 
 exception Type_error of string
 
@@ -79,7 +79,6 @@ let emit0 b kind ?regions operands =
 
 let constf b f = emit1 b (Op.ConstF f) [] Ty.F64
 let consti b i = emit1 b (Op.ConstI i) [] Ty.I64
-let constb b v = emit1 b (Op.ConstB v) [] Ty.I1
 
 let check_same what (x : Value.t) (y : Value.t) =
   if not (Ty.equal x.ty y.ty) then
@@ -130,14 +129,11 @@ let cmpf b (c : Op.cmp) (x : Value.t) (y : Value.t) : Value.t =
   if not (Ty.is_float_like x.ty) then terr "cmpf: expected float-like operands";
   emit1 b (Op.CmpF c) [ x; y ] (Ty.like ~like:x.ty Ty.I1)
 
-let cmpi b (c : Op.cmp) (x : Value.t) (y : Value.t) : Value.t =
-  check_same "cmpi" x y;
-  if not (Ty.is_int_like x.ty) then terr "cmpi: expected i64 operands";
-  emit1 b (Op.CmpI c) [ x; y ] (Ty.like ~like:x.ty Ty.I1)
-
 let select b (c : Value.t) (x : Value.t) (y : Value.t) : Value.t =
   check_same "select" x y;
   if not (Ty.is_bool_like c.ty) then terr "select: condition must be i1-like";
+  if not (Ty.is_float_like x.ty || Ty.is_bool_like x.ty) then
+    terr "select: arms must be f64- or i1-like, got %a" Ty.pp x.ty;
   if Ty.width c.ty <> Ty.width x.ty then
     terr "select: condition width %d does not match value width %d"
       (Ty.width c.ty) (Ty.width x.ty);
@@ -146,10 +142,6 @@ let select b (c : Value.t) (x : Value.t) (y : Value.t) : Value.t =
 let sitofp b (x : Value.t) : Value.t =
   if not (Ty.is_int_like x.ty) then terr "sitofp: expected i64-like";
   emit1 b Op.SIToFP [ x ] (Ty.like ~like:x.ty Ty.F64)
-
-let fptosi b (x : Value.t) : Value.t =
-  if not (Ty.is_float_like x.ty) then terr "fptosi: expected f64-like";
-  emit1 b Op.FPToSI [ x ] (Ty.like ~like:x.ty Ty.I64)
 
 (* ------------------------------------------------------------------ *)
 (* math                                                                *)
@@ -221,10 +213,6 @@ let iota b ~(width : int) : Value.t =
 (* memref                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let alloc b ~(size : Value.t) : Value.t =
-  check_index "memref.alloc" size;
-  emit1 b Op.Alloc [ size ] Ty.Memref
-
 let load b ~(mem : Value.t) ~(idx : Value.t) : Value.t =
   check_memref "memref.load" mem;
   check_index "memref.load" idx;
@@ -259,22 +247,6 @@ let for_ b ?(parallel = false) ~(lb : Value.t) ~(ub : Value.t)
   emit b (Op.For { parallel }) ~regions:[| region |]
     (lb :: ub :: step :: inits)
     iter_tys
-
-let if_ b ~(cond : Value.t) ~(then_ : unit -> Value.t list)
-    ~(else_ : unit -> Value.t list) : Value.t list =
-  if not (Ty.equal cond.ty Ty.I1) then terr "scf.if: condition must be i1";
-  let _ = open_region b [] in
-  let tvals = then_ () in
-  let ttys = List.map (fun (v : Value.t) -> v.ty) tvals in
-  emit0 b Op.Yield tvals;
-  let then_region = close_region b in
-  let _ = open_region b [] in
-  let evals = else_ () in
-  let etys = List.map (fun (v : Value.t) -> v.ty) evals in
-  emit0 b Op.Yield evals;
-  let else_region = close_region b in
-  if ttys <> etys then terr "scf.if: branch result types differ";
-  emit b Op.If ~regions:[| then_region; else_region |] [ cond ] ttys
 
 (* ------------------------------------------------------------------ *)
 (* func                                                                *)

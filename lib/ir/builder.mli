@@ -2,9 +2,9 @@
 
     Creates SSA values and ops with eager operand type checking, so that a
     code-generation bug surfaces at the op construction site rather than in
-    the verifier or the execution engine.  Regions are built through
-    higher-order {!for_} / {!if_} combinators that take body-emitting
-    callbacks and insert the terminating [scf.yield] automatically. *)
+    the verifier or the execution engine.  Loop regions are built through
+    the higher-order {!for_} combinator, which takes a body-emitting
+    callback and inserts the terminating [scf.yield] automatically. *)
 
 exception Type_error of string
 
@@ -43,7 +43,6 @@ val emit0 : t -> Op.kind -> ?regions:Op.region array -> Value.t list -> unit
 (* arith *)
 val constf : t -> float -> Value.t
 val consti : t -> int -> Value.t
-val constb : t -> bool -> Value.t
 val binf : t -> Op.fbin -> Value.t -> Value.t -> Value.t
 val addf : t -> Value.t -> Value.t -> Value.t
 val subf : t -> Value.t -> Value.t -> Value.t
@@ -63,10 +62,10 @@ val andb : t -> Value.t -> Value.t -> Value.t
 val orb : t -> Value.t -> Value.t -> Value.t
 val notb : t -> Value.t -> Value.t
 val cmpf : t -> Op.cmp -> Value.t -> Value.t -> Value.t
-val cmpi : t -> Op.cmp -> Value.t -> Value.t -> Value.t
 val select : t -> Value.t -> Value.t -> Value.t -> Value.t
+(** [select b c x y]: [x] and [y] are f64-like or i1-like of [c]'s width. *)
+
 val sitofp : t -> Value.t -> Value.t
-val fptosi : t -> Value.t -> Value.t
 
 (* math *)
 val math : t -> string -> Value.t list -> Value.t
@@ -85,7 +84,6 @@ val iota : t -> width:int -> Value.t
 (** [iota] requires [width >= 2]. *)
 
 (* memref *)
-val alloc : t -> size:Value.t -> Value.t
 val load : t -> mem:Value.t -> idx:Value.t -> Value.t
 val store : t -> Value.t -> mem:Value.t -> idx:Value.t -> unit
 
@@ -98,10 +96,6 @@ val for_ :
 (** Structured counted loop; the body callback receives the induction
     variable and loop-carried values and returns the yielded values, which
     must match [inits] in type. *)
-
-val if_ :
-  t -> cond:Value.t -> then_:(unit -> Value.t list) ->
-  else_:(unit -> Value.t list) -> Value.t list
 
 (* func *)
 val call : t -> Func.modl -> string -> Value.t list -> Value.t list

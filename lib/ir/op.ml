@@ -5,40 +5,38 @@
     nested regions; every region here is a single block with arguments
     ([scf.for]'s induction variable and loop-carried values).  The paper's
     point — and ours — is that no *new* dialect is needed: ionic models
-    lower onto exactly this op set. *)
+    lower onto exactly this op set.  It holds nothing the lowering cannot
+    emit: every conditional is if-converted into [arith.select], so there
+    is no [scf.if], and kernels only address caller buffers, so there is
+    no [memref.alloc]. *)
 
-type fbin = FAdd | FSub | FMul | FDiv | FMin | FMax | FRem
+type fbin = FAdd | FSub | FMul | FDiv | FMin | FMax
 type ibin = IAdd | ISub | IMul | IDiv | IRem
-type bbin = BAnd | BOr | BXor
+type bbin = BAnd | BOr
 type cmp = Lt | Le | Gt | Ge | Eq | Ne
 
 type kind =
   (* arith dialect *)
   | ConstF of float  (** () -> f64 *)
   | ConstI of int  (** () -> i64 *)
-  | ConstB of bool  (** () -> i1 *)
   | BinF of fbin  (** (T, T) -> T, T float-like *)
   | NegF  (** (T) -> T *)
   | BinI of ibin  (** (i64, i64) -> i64 *)
   | BinB of bbin  (** (B, B) -> B, B bool-like *)
   | NotB  (** (B) -> B *)
   | CmpF of cmp  (** (T, T) -> bool-like of same width *)
-  | CmpI of cmp  (** (i64, i64) -> i1 *)
-  | Select  (** (B, T, T) -> T with matching widths *)
+  | Select  (** (B, T, T) -> T with matching widths, T float- or bool-like *)
   | SIToFP  (** (int-like) -> float-like, same width *)
-  | FPToSI  (** (float-like) -> int-like, same width (truncates) *)
   (* math dialect: name refers to the Easyml builtin registry *)
   | Math of string  (** (T, ...) -> T, all float-like of equal shape *)
   (* vector dialect *)
   | Broadcast  (** (scalar) -> vector of it; width from result type *)
-  | VecExtract of int  (** (vector) -> scalar, constant lane *)
   | VecLoad  (** (memref, i64) -> vector<wxf64>, contiguous *)
   | VecStore  (** (vector<wxf64>, memref, i64) -> (), contiguous *)
   | Gather  (** (memref, vector<wxi64>) -> vector<wxf64> *)
   | Scatter  (** (vector<wxf64>, memref, vector<wxi64>) -> () *)
   | Iota of int  (** () -> vector<wxi64> = [0, 1, ..., w-1] *)
   (* memref dialect *)
-  | Alloc  (** (i64 size) -> memref *)
   | MemLoad  (** (memref, i64) -> f64 *)
   | MemStore  (** (f64, memref, i64) -> () *)
   (* scf dialect *)
@@ -47,8 +45,7 @@ type kind =
           (iv : i64, iter... ); results are the final iter values.  The
           [parallel] flag plays the role of the omp dialect's parallel-for
           wrapper in the paper's generated code. *)
-  | If  (** operand (cond : i1); regions [then; else]; results from yields *)
-  | Yield  (** terminator of scf regions; operands feed results/iters *)
+  | Yield  (** terminator of scf.for regions; operands feed the iters *)
   (* func dialect *)
   | Call of string  (** results/operands per the callee's signature *)
   | Return
@@ -72,7 +69,6 @@ let fbin_name = function
   | FDiv -> "arith.divf"
   | FMin -> "arith.minf"
   | FMax -> "arith.maxf"
-  | FRem -> "arith.remf"
 
 let ibin_name = function
   | IAdd -> "arith.addi"
@@ -84,7 +80,6 @@ let ibin_name = function
 let bbin_name = function
   | BAnd -> "arith.andi"
   | BOr -> "arith.ori"
-  | BXor -> "arith.xori"
 
 let cmp_name = function
   | Lt -> "lt"
@@ -95,30 +90,25 @@ let cmp_name = function
   | Ne -> "ne"
 
 let kind_name = function
-  | ConstF _ | ConstI _ | ConstB _ -> "arith.constant"
+  | ConstF _ | ConstI _ -> "arith.constant"
   | BinF b -> fbin_name b
   | NegF -> "arith.negf"
   | BinI b -> ibin_name b
   | BinB b -> bbin_name b
   | NotB -> "arith.not"
   | CmpF _ -> "arith.cmpf"
-  | CmpI _ -> "arith.cmpi"
   | Select -> "arith.select"
   | SIToFP -> "arith.sitofp"
-  | FPToSI -> "arith.fptosi"
   | Math m -> "math." ^ m
   | Broadcast -> "vector.broadcast"
-  | VecExtract _ -> "vector.extract"
   | VecLoad -> "vector.load"
   | VecStore -> "vector.store"
   | Gather -> "vector.gather"
   | Scatter -> "vector.scatter"
   | Iota _ -> "vector.step"
-  | Alloc -> "memref.alloc"
   | MemLoad -> "memref.load"
   | MemStore -> "memref.store"
   | For { parallel } -> if parallel then "scf.parallel" else "scf.for"
-  | If -> "scf.if"
   | Yield -> "scf.yield"
   | Call f -> "func.call @" ^ f
   | Return -> "func.return"
@@ -133,7 +123,6 @@ let fbin_short = function
   | FDiv -> "fdiv"
   | FMin -> "fmin"
   | FMax -> "fmax"
-  | FRem -> "frem"
 
 let ibin_short = function
   | IAdd -> "iadd"
@@ -142,18 +131,17 @@ let ibin_short = function
   | IDiv -> "idiv"
   | IRem -> "irem"
 
-let bbin_short = function BAnd -> "and" | BOr -> "or" | BXor -> "xor"
+let bbin_short = function BAnd -> "and" | BOr -> "or"
 
 (** Is this op free of side effects (so CSE/DCE may touch it)? *)
 let pure (o : op) : bool =
   match o.kind with
-  | MemStore | VecStore | Scatter | Call _ | Return | Yield | Alloc -> false
-  | For _ | If ->
-      (* structured ops are pure iff their bodies are; handled by passes *)
+  | MemStore | VecStore | Scatter | Call _ | Return | Yield -> false
+  | For _ ->
+      (* a loop is pure iff its body is; handled by passes *)
       false
-  | ConstF _ | ConstI _ | ConstB _ | BinF _ | NegF | BinI _ | BinB _ | NotB
-  | CmpF _ | CmpI _ | Select | SIToFP | FPToSI | Math _ | Broadcast
-  | VecExtract _ | Iota _ ->
+  | ConstF _ | ConstI _ | BinF _ | NegF | BinI _ | BinB _ | NotB | CmpF _
+  | Select | SIToFP | Math _ | Broadcast | Iota _ ->
       true
   | VecLoad | MemLoad | Gather ->
       (* loads are pure only in the absence of interleaved stores; the

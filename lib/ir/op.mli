@@ -5,46 +5,40 @@
     nested regions; every region here is a single block with arguments
     ([scf.for]'s induction variable and loop-carried values). *)
 
-type fbin = FAdd | FSub | FMul | FDiv | FMin | FMax | FRem
+type fbin = FAdd | FSub | FMul | FDiv | FMin | FMax
 type ibin = IAdd | ISub | IMul | IDiv | IRem
-type bbin = BAnd | BOr | BXor
+type bbin = BAnd | BOr
 type cmp = Lt | Le | Gt | Ge | Eq | Ne
 
 type kind =
   (* arith dialect *)
   | ConstF of float  (** () -> f64 *)
   | ConstI of int  (** () -> i64 *)
-  | ConstB of bool  (** () -> i1 *)
   | BinF of fbin  (** (T, T) -> T, T float-like *)
   | NegF  (** (T) -> T *)
   | BinI of ibin  (** (i64, i64) -> i64 *)
   | BinB of bbin  (** (B, B) -> B, B bool-like *)
   | NotB  (** (B) -> B *)
   | CmpF of cmp  (** (T, T) -> bool-like of same width *)
-  | CmpI of cmp  (** (i64, i64) -> i1 *)
-  | Select  (** (B, T, T) -> T with matching widths *)
+  | Select  (** (B, T, T) -> T with matching widths, T float- or bool-like *)
   | SIToFP  (** (int-like) -> float-like, same width *)
-  | FPToSI  (** (float-like) -> int-like, same width (truncates) *)
   (* math dialect: name refers to the Easyml builtin registry *)
   | Math of string  (** (T, ...) -> T, all float-like of equal shape *)
   (* vector dialect *)
   | Broadcast  (** (scalar) -> vector of it; width from result type *)
-  | VecExtract of int  (** (vector) -> scalar, constant lane *)
   | VecLoad  (** (memref, i64) -> vector<wxf64>, contiguous *)
   | VecStore  (** (vector<wxf64>, memref, i64) -> (), contiguous *)
   | Gather  (** (memref, vector<wxi64>) -> vector<wxf64> *)
   | Scatter  (** (vector<wxf64>, memref, vector<wxi64>) -> () *)
   | Iota of int  (** () -> vector<wxi64> = [0, 1, ..., w-1] *)
   (* memref dialect *)
-  | Alloc  (** (i64 size) -> memref *)
   | MemLoad  (** (memref, i64) -> f64 *)
   | MemStore  (** (f64, memref, i64) -> () *)
   (* scf dialect *)
   | For of { parallel : bool }
       (** operands (lb, ub, step, init...); one region whose block args are
           (iv : i64, iter...); results are the final iter values *)
-  | If  (** operand (cond : i1); regions [then; else]; results from yields *)
-  | Yield  (** terminator of scf regions; operands feed results/iters *)
+  | Yield  (** terminator of scf.for regions; operands feed the iters *)
   (* func dialect *)
   | Call of string  (** results/operands per the callee's signature *)
   | Return

@@ -45,7 +45,10 @@ let tokenize_line (lineno : int) (s : string) : tok list =
         incr i
       done;
       if !i = start then err lineno "bad SSA name";
-      toks := TPercent (int_of_string (String.sub s start (!i - start))) :: !toks
+      let text = String.sub s start (!i - start) in
+      match int_of_string_opt text with
+      | Some n -> toks := TPercent n :: !toks
+      | None -> err lineno "SSA name %%%s out of range" text
     end
     else if c = '@' then begin
       incr i;
@@ -75,8 +78,11 @@ let tokenize_line (lineno : int) (s : string) : tok list =
          the first non-numeric character; the suffix lexes as an ident *)
       toks := TNum (String.sub s start (!i - start)) :: !toks
     end
-    else if is_ident c then begin
+    else if is_ident c || (c = '-' && !i + 1 < n && is_ident s.[!i + 1]) then begin
+      (* a leading '-' here can only start the printed constants -inf and
+         -nan: a digit after it took the numeric branch above *)
       let start = !i in
+      incr i;
       while !i < n && is_ident s.[!i] do
         incr i
       done;
@@ -145,7 +151,11 @@ let parse_ty (s : stream) : Ty.t =
       match pop s with
       | TNum w_then_x -> (
           (* number may have been split: "8" then ident "xf64" *)
-          let w = int_of_string w_then_x in
+          let w =
+            match int_of_string_opt w_then_x with
+            | Some w when w >= 2 -> w
+            | _ -> err s.line "bad vector width %s" w_then_x
+          in
           match pop s with
           | TIdent x ->
               let elem =
@@ -200,6 +210,15 @@ let use (env : env) (line : int) (n : int) : Value.t =
 
 let percent (s : stream) : int =
   match pop s with TPercent n -> n | _ -> err s.line "expected %%N"
+
+(* Define the printed result ids [ids] with the types [tys]; the counts
+   must agree. *)
+let define_results (env : env) (line : int) (ids : int list) (tys : Ty.t list)
+    : Value.t list =
+  if List.compare_lengths ids tys <> 0 then
+    err line "%d result names for %d result types" (List.length ids)
+      (List.length tys);
+  List.map2 (define env line) ids tys
 
 (* leading "%1, %2 = " result list; empty when the line starts with an op *)
 let parse_result_ids (s : stream) : int list =
@@ -269,7 +288,7 @@ let cmp_of_name line = function
   | p -> err line "unknown comparison predicate %s" p
 
 (* simple (region-free, non-constant) op kinds by printed name *)
-let simple_kind line (name : string) (operand_tys : Ty.t list) : Op.kind =
+let simple_kind line (name : string) : Op.kind =
   match name with
   | "arith.addf" -> Op.BinF Op.FAdd
   | "arith.subf" -> Op.BinF Op.FSub
@@ -277,33 +296,22 @@ let simple_kind line (name : string) (operand_tys : Ty.t list) : Op.kind =
   | "arith.divf" -> Op.BinF Op.FDiv
   | "arith.minf" -> Op.BinF Op.FMin
   | "arith.maxf" -> Op.BinF Op.FMax
-  | "arith.remf" -> Op.BinF Op.FRem
   | "arith.negf" -> Op.NegF
-  | "arith.addi" -> (
-      (* printer reuses addi/ori/xori for booleans; disambiguate on type *)
-      match operand_tys with
-      | t :: _ when Ty.is_bool_like t -> Op.BinB Op.BAnd
-      | _ -> Op.BinI Op.IAdd)
+  | "arith.addi" -> Op.BinI Op.IAdd
   | "arith.subi" -> Op.BinI Op.ISub
   | "arith.muli" -> Op.BinI Op.IMul
   | "arith.divsi" -> Op.BinI Op.IDiv
   | "arith.remsi" -> Op.BinI Op.IRem
-  | "arith.andi" -> (
-      match operand_tys with
-      | t :: _ when Ty.is_bool_like t -> Op.BinB Op.BAnd
-      | _ -> err line "andi on non-boolean operands unsupported")
+  | "arith.andi" -> Op.BinB Op.BAnd
   | "arith.ori" -> Op.BinB Op.BOr
-  | "arith.xori" -> Op.BinB Op.BXor
   | "arith.not" -> Op.NotB
   | "arith.select" -> Op.Select
   | "arith.sitofp" -> Op.SIToFP
-  | "arith.fptosi" -> Op.FPToSI
   | "vector.broadcast" -> Op.Broadcast
   | "vector.load" -> Op.VecLoad
   | "vector.store" -> Op.VecStore
   | "vector.gather" -> Op.Gather
   | "vector.scatter" -> Op.Scatter
-  | "memref.alloc" -> Op.Alloc
   | "memref.load" -> Op.MemLoad
   | "memref.store" -> Op.MemStore
   | "scf.yield" -> Op.Yield
@@ -345,10 +353,6 @@ let rec parse_region_ops (env : env) (ls : lines) : Op.op list =
     | Some (lineno, line) ->
         let trimmed = String.trim line in
         if trimmed = "}" then ()
-        else if trimmed = "} else {" then begin
-          (* handled by scf.if: push back for the caller *)
-          ls.rest <- (lineno, line) :: ls.rest
-        end
         else begin
           acc := parse_op env ls lineno trimmed :: !acc;
           loop ()
@@ -368,20 +372,25 @@ and parse_op (env : env) (ls : lines) (lineno : int) (line : string) : Op.op =
       let ty = parse_ty s in
       let kind =
         match (lit, ty) with
-        | TNum t, Ty.F64 -> Op.ConstF (float_of_string t)
-        | TNum t, Ty.I64 -> Op.ConstI (int_of_string t)
+        | TNum t, Ty.F64 -> (
+            match float_of_string_opt t with
+            | Some f -> Op.ConstF f
+            | None -> err lineno "bad f64 constant %s" t)
+        | TNum t, Ty.I64 -> (
+            match int_of_string_opt t with
+            | Some n -> Op.ConstI n
+            | None -> err lineno "bad i64 constant %s" t)
         | TIdent "inf", Ty.F64 -> Op.ConstF Float.infinity
+        | TIdent "-inf", Ty.F64 -> Op.ConstF Float.neg_infinity
         | TIdent "nan", Ty.F64 -> Op.ConstF Float.nan
-        | TIdent "true", Ty.I1 -> Op.ConstB true
-        | TIdent "false", Ty.I1 -> Op.ConstB false
+        | TIdent "-nan", Ty.F64 -> Op.ConstF (Float.neg Float.nan)
         | _ -> err lineno "bad constant"
       in
       match result_ids with
       | [ n ] -> mk_op env kind [] [ define env lineno n ty ] [||]
       | _ -> err lineno "constant must have one result")
-  | TIdent "arith.cmpf" | TIdent "arith.cmpi" ->
-      (* arith.cmpf lt, %a, %b : ty — float vs int comes from the operand
-         type annotation, so both spellings share a path *)
+  | TIdent "arith.cmpf" ->
+      (* arith.cmpf lt, %a, %b : ty *)
       let pred =
         match pop s with
         | TIdent p -> cmp_of_name lineno p
@@ -392,27 +401,9 @@ and parse_op (env : env) (ls : lines) (lineno : int) (line : string) : Op.op =
       expect_punct s ':';
       let oty = parse_ty s in
       let operands = List.map (use env lineno) operand_ids in
-      let fp = Ty.is_float_like oty in
-      let kind = if fp then Op.CmpF pred else Op.CmpI pred in
       let rty = Ty.like ~like:oty Ty.I1 in
       let results = List.map (fun n -> define env lineno n rty) result_ids in
-      mk_op env kind operands results [||]
-  | TIdent "vector.extract" ->
-      (* vector.extract %v [lane] : vecty *)
-      let operand_ids = parse_operand_ids s in
-      expect_punct s '[';
-      let lane =
-        match pop s with
-        | TNum t -> int_of_string t
-        | _ -> err lineno "expected lane"
-      in
-      expect_punct s ']';
-      expect_punct s ':';
-      let vty = parse_ty s in
-      let elem = Ty.elem vty in
-      let operands = List.map (use env lineno) operand_ids in
-      let results = List.map (fun n -> define env lineno n elem) result_ids in
-      mk_op env (Op.VecExtract lane) operands results [||]
+      mk_op env (Op.CmpF pred) operands results [||]
   | TIdent "vector.step" ->
       (* vector.step  : vector<wxi64> *)
       let _ = parse_operand_ids s in
@@ -423,33 +414,6 @@ and parse_op (env : env) (ls : lines) (lineno : int) (line : string) : Op.op =
   | TIdent "scf.for" | TIdent "scf.parallel" ->
       ls.rest <- (lineno, line) :: ls.rest;
       parse_for env ls
-  | TIdent "scf.if" -> (
-      (* [results =] scf.if %c {  ... [} else {] ... } — results typed by
-         the yields; we reconstruct from the first region's yield *)
-      let cond = use env lineno (percent s) in
-      expect_punct s '{';
-      let then_ops = parse_region_ops env ls in
-      let else_ops =
-        match next_line ls with
-        | Some (_, l) when String.trim l = "} else {" -> parse_region_ops env ls
-        | Some other ->
-            ls.rest <- other :: ls.rest;
-            []
-        | None -> []
-      in
-      (* when the else branch is present, region parsing stopped at
-         "} else {" inside parse_region_ops: handle the trailing brace *)
-      let yield_tys =
-        match List.rev then_ops with
-        | { Op.kind = Op.Yield; operands; _ } :: _ ->
-            Array.to_list operands |> List.map (fun (v : Value.t) -> v.Value.ty)
-        | _ -> []
-      in
-      let results = List.map2 (fun n t -> define env lineno n t) result_ids yield_tys in
-      let regions =
-        [| { Op.r_args = []; r_ops = then_ops }; { Op.r_args = []; r_ops = else_ops } |]
-      in
-      mk_op env Op.If [ cond ] results regions)
   | TIdent "func.call" -> (
       (* func.call @name %a, %b : (tys) -> tys *)
       match pop s with
@@ -457,15 +421,15 @@ and parse_op (env : env) (ls : lines) (lineno : int) (line : string) : Op.op =
           let operand_ids = parse_operand_ids s in
           let _, rtys = parse_type_annot s in
           let operands = List.map (use env lineno) operand_ids in
-          let results = List.map2 (fun n t -> define env lineno n t) result_ids rtys in
+          let results = define_results env lineno result_ids rtys in
           mk_op env (Op.Call callee) operands results [||]
       | _ -> err lineno "expected callee after func.call")
   | TIdent name ->
       let operand_ids = parse_operand_ids s in
-      let ptys, rtys = parse_type_annot s in
-      let kind = simple_kind lineno name ptys in
+      let _, rtys = parse_type_annot s in
+      let kind = simple_kind lineno name in
       let operands = List.map (use env lineno) operand_ids in
-      let results = List.map2 (fun n t -> define env lineno n t) result_ids rtys in
+      let results = define_results env lineno result_ids rtys in
       mk_op env kind operands results [||]
   | _ -> err lineno "expected an operation"
 
@@ -515,9 +479,8 @@ and parse_for (env : env) (ls : lines) : Op.op =
       let body = parse_region_ops env ls in
       let region = { Op.r_args = iv :: iter_args; r_ops = body } in
       let results =
-        List.map2
-          (fun n (init : Value.t) -> define env lineno n init.ty)
-          result_ids inits
+        define_results env lineno result_ids
+          (List.map (fun (v : Value.t) -> v.ty) inits)
       in
       mk_op env (Op.For { parallel }) (lb :: ub :: step :: inits) results
         [| region |]

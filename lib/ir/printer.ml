@@ -30,16 +30,8 @@ let rec pp_op (indent : int) ppf (o : Op.op) =
       Fmt.pf ppf "%s%aarith.constant %.17g : f64@," pad result_prefix o.results f
   | Op.ConstI i ->
       Fmt.pf ppf "%s%aarith.constant %d : i64@," pad result_prefix o.results i
-  | Op.ConstB v ->
-      Fmt.pf ppf "%s%aarith.constant %b : i1@," pad result_prefix o.results v
-  | Op.VecExtract lane ->
-      Fmt.pf ppf "%s%avector.extract %a [%d] : %a@," pad result_prefix
-        o.results pp_operands o.operands lane Ty.pp o.operands.(0).ty
   | Op.CmpF c ->
       Fmt.pf ppf "%s%aarith.cmpf %s, %a : %a@," pad result_prefix o.results
-        (Op.cmp_name c) pp_operands o.operands Ty.pp o.operands.(0).ty
-  | Op.CmpI c ->
-      Fmt.pf ppf "%s%aarith.cmpi %s, %a : %a@," pad result_prefix o.results
         (Op.cmp_name c) pp_operands o.operands Ty.pp o.operands.(0).ty
   | Op.For { parallel } ->
       let lb = o.operands.(0) and ub = o.operands.(1) and step = o.operands.(2) in
@@ -61,15 +53,6 @@ let rec pp_op (indent : int) ppf (o : Op.op) =
           inits;
       Fmt.pf ppf " {@,";
       pp_region (indent + 2) ppf region;
-      Fmt.pf ppf "%s}@," pad
-  | Op.If ->
-      Fmt.pf ppf "%s%ascf.if %a {@," pad result_prefix o.results Value.pp
-        o.operands.(0);
-      pp_region (indent + 2) ppf o.regions.(0);
-      if o.regions.(1).Op.r_ops <> [] then begin
-        Fmt.pf ppf "%s} else {@," pad;
-        pp_region (indent + 2) ppf o.regions.(1)
-      end;
       Fmt.pf ppf "%s}@," pad
   | _ ->
       Fmt.pf ppf "%s%a%s %a%s@," pad result_prefix o.results

@@ -5,9 +5,9 @@
       its definition (here: defined earlier in the same region or in an
       enclosing region — single-block regions make dominance lexical);
     - typing: operand/result types obey the rules documented in {!Op};
-    - structure: [scf.for]/[scf.if] regions are terminated by [scf.yield]
-      with types matching the op results, and [func.call] matches the callee
-      signature. *)
+    - structure: [scf.for] regions are terminated by [scf.yield] with
+      types matching the loop-carried values, and [func.call] matches the
+      callee signature. *)
 
 type error = { in_func : string; op : string; msg : string }
 
@@ -93,10 +93,6 @@ let verify_func ?(modl : Func.modl option) (f : Func.func) : error list =
         arity 0 1;
         if nres = 1 then
           expect_op op "constant result must be i64" (Ty.equal r.(0).ty Ty.I64)
-    | Op.ConstB _ ->
-        arity 0 1;
-        if nres = 1 then
-          expect_op op "constant result must be i1" (Ty.equal r.(0).ty Ty.I1)
     | Op.BinF _ ->
         arity 2 1;
         if nop = 2 && nres = 1 then begin
@@ -138,18 +134,12 @@ let verify_func ?(modl : Func.modl option) (f : Func.func) : error list =
           expect_op op "cmpf result must be i1-like of same width"
             (Ty.equal r.(0).ty (Ty.like ~like:o.(0).ty Ty.I1))
         end
-    | Op.CmpI _ ->
-        arity 2 1;
-        if nop = 2 && nres = 1 then begin
-          expect_op op "expected i64 operands" (Ty.is_int_like o.(0).ty);
-          same_shape op o.(0) o.(1);
-          expect_op op "cmpi result must be i1-like of same width"
-            (Ty.equal r.(0).ty (Ty.like ~like:o.(0).ty Ty.I1))
-        end
     | Op.Select ->
         arity 3 1;
         if nop = 3 && nres = 1 then begin
           expect_op op "select condition must be i1-like" (Ty.is_bool_like o.(0).ty);
+          expect_op op "select arms must be f64- or i1-like"
+            (Ty.is_float_like o.(1).ty || Ty.is_bool_like o.(1).ty);
           same_shape op o.(1) o.(2);
           same_shape op o.(1) r.(0);
           expect_op op "select width mismatch"
@@ -161,12 +151,6 @@ let verify_func ?(modl : Func.modl option) (f : Func.func) : error list =
           expect_op op "sitofp: i64-like -> f64-like"
             (Ty.is_int_like o.(0).ty
             && Ty.equal r.(0).ty (Ty.like ~like:o.(0).ty Ty.F64))
-    | Op.FPToSI ->
-        arity 1 1;
-        if nop = 1 && nres = 1 then
-          expect_op op "fptosi: f64-like -> i64-like"
-            (Ty.is_float_like o.(0).ty
-            && Ty.equal r.(0).ty (Ty.like ~like:o.(0).ty Ty.I64))
     | Op.Math name -> (
         match Easyml.Builtins.find name with
         | None -> err op "unknown math builtin %s" name
@@ -184,13 +168,6 @@ let verify_func ?(modl : Func.modl option) (f : Func.func) : error list =
             &&
             match r.(0).ty with
             | Ty.Vec (_, e) -> Ty.equal e o.(0).ty
-            | _ -> false)
-    | Op.VecExtract lane ->
-        arity 1 1;
-        if nop = 1 && nres = 1 then
-          expect_op op "vector.extract: lane in range, scalar result"
-            (match o.(0).ty with
-            | Ty.Vec (w, e) -> lane >= 0 && lane < w && Ty.equal r.(0).ty e
             | _ -> false)
     | Op.VecLoad ->
         arity 2 1;
@@ -228,11 +205,6 @@ let verify_func ?(modl : Func.modl option) (f : Func.func) : error list =
         if nres = 1 then
           expect_op op "vector.step result must be vector<wxi64>"
             (Ty.equal r.(0).ty (Ty.Vec (w, Ty.I64)))
-    | Op.Alloc ->
-        arity 1 1;
-        if nop = 1 && nres = 1 then
-          expect_op op "memref.alloc: (i64) -> memref"
-            (Ty.equal o.(0).ty Ty.I64 && Ty.equal r.(0).ty Ty.Memref)
     | Op.MemLoad ->
         arity 2 1;
         if nop = 2 && nres = 1 then
@@ -269,20 +241,6 @@ let verify_func ?(modl : Func.modl option) (f : Func.func) : error list =
                 (List.map (fun (v : Value.t) -> v.ty) rest = iter_tys)
           | [] -> err op "scf.for region needs an induction argument");
           check_region ~enclosing:!defined region ~yield_tys:(Some iter_tys)
-        end
-    | Op.If ->
-        arity 1 nres;
-        expect_op op "scf.if needs exactly two regions"
-          (Array.length op.regions = 2);
-        if nop = 1 && Array.length op.regions = 2 then begin
-          expect_op op "scf.if condition must be i1" (Ty.equal o.(0).ty Ty.I1);
-          let rtys = tys r in
-          Array.iter
-            (fun region ->
-              expect_op op "scf.if region must have no arguments"
-                (region.Op.r_args = []);
-              check_region ~enclosing:!defined region ~yield_tys:(Some rtys))
-            op.regions
         end
     | Op.Yield -> () (* checked by the enclosing region *)
     | Op.Call name -> (

@@ -54,17 +54,15 @@ let cost_op (a : Arch.t) ~(scalar_math : bool) (ints : (int, int) Hashtbl.t)
   let add_flops fl = acc.flops <- acc.flops +. (mult *. fl) in
   let add_bytes by = acc.bytes <- acc.bytes +. (mult *. by) in
   match o.Op.kind with
-  | Op.ConstF _ | Op.ConstI _ | Op.ConstB _ | Op.Iota _ -> add_cycles 0.5
+  | Op.ConstF _ | Op.ConstI _ | Op.Iota _ -> add_cycles 0.5
   | Op.Broadcast -> add_cycles a.flop_cycles
-  | Op.VecExtract _ -> add_cycles a.flop_cycles
   | Op.BinF Op.FDiv ->
       add_cycles (if vec then a.div_cycles *. (w /. 2.) else a.div_cycles);
       add_flops (if vec then w else 1.)
   | Op.BinF _ | Op.NegF ->
       add_cycles a.flop_cycles;
       add_flops (if vec then w else 1.)
-  | Op.BinI _ | Op.BinB _ | Op.NotB | Op.CmpI _ | Op.SIToFP | Op.FPToSI ->
-      add_cycles a.flop_cycles
+  | Op.BinI _ | Op.BinB _ | Op.NotB | Op.SIToFP -> add_cycles a.flop_cycles
   | Op.CmpF _ | Op.Select ->
       add_cycles a.flop_cycles;
       add_flops (if vec then w else 1.)
@@ -112,7 +110,6 @@ let cost_op (a : Arch.t) ~(scalar_math : bool) (ints : (int, int) Hashtbl.t)
       add_cycles (a.gather_base +. (a.gather_lane *. w));
       add_bytes (8. *. w);
       acc.stores <- acc.stores +. (mult *. w)
-  | Op.Alloc -> add_cycles 100.
   | Op.Call name when name = "lut_interp" || name = "lut_interp_cubic" ->
       let spline = name = "lut_interp_cubic" in
       (* locate + per-column linear interpolation, one cell *)
@@ -146,7 +143,7 @@ let cost_op (a : Arch.t) ~(scalar_math : bool) (ints : (int, int) Hashtbl.t)
       acc.loads <- acc.loads +. (mult *. 2. *. w)
   | Op.Call _ -> add_cycles a.call_overhead
   | Op.Yield | Op.Return -> ()
-  | Op.For _ | Op.If -> () (* handled by the region walker *)
+  | Op.For _ -> () (* handled by the region walker *)
 
 (* Walk a region, scaling nested constant-trip loops; unknown-trip loops use
    [default_trip]. *)
@@ -169,12 +166,6 @@ let rec cost_region (a : Arch.t) ~scalar_math ints acc (r : Op.region)
           acc.cycles <- acc.cycles +. (mult *. trip *. a.loop_cycles);
           cost_region a ~scalar_math ints acc o.Op.regions.(0)
             ~mult:(mult *. trip) ~default_trip
-      | Op.If ->
-          (* vectorized conditionals execute both branches (masking) *)
-          Array.iter
-            (fun reg ->
-              cost_region a ~scalar_math ints acc reg ~mult ~default_trip)
-            o.Op.regions
       | _ -> cost_op a ~scalar_math ints acc o ~mult)
     r.Op.r_ops
 

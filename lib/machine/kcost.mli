@@ -13,8 +13,7 @@ type metrics = {
 
 val analyze : Arch.t -> scalar_math:bool -> Ir.Func.func -> metrics
 (** Walk a [compute]-shaped function (one top-level cell loop); nested
-    constant-trip loops are scaled, scf.if counts both branches (vector
-    masking executes both). *)
+    constant-trip loops are scaled. *)
 
 val of_kernel : Codegen.Kernel.t -> metrics
 (** Analyze a generated kernel under the architecture matching its width. *)

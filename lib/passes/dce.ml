@@ -1,21 +1,20 @@
 (** Dead-code elimination.
 
     Removes side-effect-free ops whose results are never used.  Loads count
-    as removable (reading memory has no observable effect); stores, calls,
-    allocs and structured control flow are kept.  Runs to a fixpoint so
-    chains of dead ops disappear in one pass invocation. *)
+    as removable (reading memory has no observable effect); stores, calls
+    and loops are kept.  Runs to a fixpoint so chains of dead ops disappear
+    in one pass invocation. *)
 
 open Ir
 
 let removable (o : Op.op) : bool =
   match o.Op.kind with
   | Op.MemStore | Op.VecStore | Op.Scatter | Op.Call _ | Op.Return | Op.Yield
-  | Op.Alloc | Op.For _ | Op.If ->
+  | Op.For _ ->
       false
-  | Op.ConstF _ | Op.ConstI _ | Op.ConstB _ | Op.BinF _ | Op.NegF | Op.BinI _
-  | Op.BinB _ | Op.NotB | Op.CmpF _ | Op.CmpI _ | Op.Select | Op.SIToFP
-  | Op.FPToSI | Op.Math _ | Op.Broadcast | Op.VecExtract _ | Op.Iota _
-  | Op.VecLoad | Op.MemLoad | Op.Gather ->
+  | Op.ConstF _ | Op.ConstI _ | Op.BinF _ | Op.NegF | Op.BinI _ | Op.BinB _
+  | Op.NotB | Op.CmpF _ | Op.Select | Op.SIToFP | Op.Math _ | Op.Broadcast
+  | Op.Iota _ | Op.VecLoad | Op.MemLoad | Op.Gather ->
       true
 
 let sweep_once (f : Func.func) : bool =

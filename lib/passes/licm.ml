@@ -11,9 +11,9 @@ open Ir
 
 let hoistable (o : Op.op) : bool =
   match o.Op.kind with
-  | Op.ConstF _ | Op.ConstI _ | Op.ConstB _ | Op.BinF _ | Op.NegF | Op.BinI _
-  | Op.BinB _ | Op.NotB | Op.CmpF _ | Op.CmpI _ | Op.Select | Op.SIToFP
-  | Op.FPToSI | Op.Math _ | Op.Broadcast | Op.VecExtract _ | Op.Iota _ ->
+  | Op.ConstF _ | Op.ConstI _ | Op.BinF _ | Op.NegF | Op.BinI _ | Op.BinB _
+  | Op.NotB | Op.CmpF _ | Op.Select | Op.SIToFP | Op.Math _ | Op.Broadcast
+  | Op.Iota _ ->
       true
   | _ -> false (* loads stay put: a store in the loop may alias *)
 

@@ -45,10 +45,6 @@ let chunk_footprint (gen : K.t) (f : Ir.Func.func)
   |> List.filter (fun (a : Fp.access) ->
          match a.Fp.acc_origin with
          | Analysis.Interval.Oparam i -> Kernel_facts.shared infos i
-         | Analysis.Interval.Oalloc _ ->
-             (* local allocs live inside one kernel invocation; each
-                chunk runs its own compiled instance *)
-             false
          | Analysis.Interval.Ounknown -> true)
   |> Fp.by_origin
 

@@ -20,7 +20,10 @@ let check_close ?tol msg a b =
 (* ------------------------------------------------------------------ *)
 
 (* Expressions over the given variables; function set restricted to total
-   functions on all of R so random evaluation stays meaningful. *)
+   functions on all of R so random evaluation stays meaningful.  Ternary
+   guards draw on every comparison, on [&&], [||] and [!], and on
+   boolean-valued ternaries, so a lowered expression can hold every op
+   kind the expression lowering emits. *)
 let expr_gen (vars : string list) : Easyml.Ast.expr QCheck.Gen.t =
   let open QCheck.Gen in
   let open Easyml.Ast in
@@ -32,44 +35,53 @@ let expr_gen (vars : string list) : Easyml.Ast.expr QCheck.Gen.t =
         map (fun v -> Var v) (oneofl vars);
       ]
   in
-  fix
-    (fun self depth ->
-      if depth = 0 then leaf
-      else
-        frequency
-          [
-            (2, leaf);
-            ( 3,
-              map3
-                (fun op a b -> Binary (op, a, b))
-                (oneofl [ Add; Sub; Mul ])
-                (self (depth - 1))
-                (self (depth - 1)) );
-            ( 1,
-              map2 (fun a b -> Binary (Div, a, Binary (Add, Call ("fabs", [ b ]), Num 1.0)))
-                (self (depth - 1))
-                (self (depth - 1)) );
-            (1, map (fun a -> Unary (Neg, a)) (self (depth - 1)));
-            ( 1,
-              map
-                (fun a -> Call ("tanh", [ a ]))
-                (self (depth - 1)) );
-            ( 1,
-              map
-                (fun a -> Call ("square", [ a ]))
-                (self (depth - 1)) );
-            ( 1,
-              map
-                (fun a -> Call ("exp", [ Call ("tanh", [ a ]) ]))
-                (self (depth - 1)) );
-            ( 1,
-              map3
-                (fun c a b -> Ternary (Binary (Lt, c, Num 0.5), a, b))
-                (self (depth - 1))
-                (self (depth - 1))
-                (self (depth - 1)) );
-          ])
-    3
+  let rec num depth =
+    if depth = 0 then leaf
+    else
+      let sub = num (depth - 1) in
+      frequency
+        [
+          (2, leaf);
+          ( 3,
+            map3
+              (fun op a b -> Binary (op, a, b))
+              (oneofl [ Add; Sub; Mul ])
+              sub sub );
+          ( 1,
+            map2
+              (fun a b ->
+                Binary (Div, a, Binary (Add, Call ("fabs", [ b ]), Num 1.0)))
+              sub sub );
+          (1, map (fun a -> Unary (Neg, a)) sub);
+          (1, map (fun a -> Call ("tanh", [ a ])) sub);
+          (1, map (fun a -> Call ("square", [ a ])) sub);
+          (1, map (fun a -> Call ("exp", [ Call ("tanh", [ a ]) ])) sub);
+          ( 1,
+            map3 (fun f a b -> Call (f, [ a; b ])) (oneofl [ "min"; "max" ]) sub
+              sub );
+          (1, map3 (fun c a b -> Ternary (c, a, b)) (cond (depth - 1)) sub sub);
+        ]
+  and cond depth =
+    let cmp =
+      map3
+        (fun op a b -> Binary (op, a, b))
+        (oneofl [ Lt; Le; Gt; Ge; Eq; Ne ])
+        (num depth) (num depth)
+    in
+    if depth = 0 then cmp
+    else
+      let sub = cond (depth - 1) in
+      frequency
+        [
+          (3, cmp);
+          ( 1,
+            map3 (fun op a b -> Binary (op, a, b)) (oneofl [ And; Or ]) sub sub
+          );
+          (1, map (fun a -> Unary (Not, a)) sub);
+          (1, map3 (fun c a b -> Ternary (c, a, b)) sub sub sub);
+        ]
+  in
+  num 3
 
 let arbitrary_expr (vars : string list) : Easyml.Ast.expr QCheck.arbitrary =
   QCheck.make ~print:Easyml.Ast.expr_to_string (expr_gen vars)

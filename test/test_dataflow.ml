@@ -1,7 +1,7 @@
 (* Dataflow-framework tests: interval soundness on random lowered IR and
    on the congruence algebra, footprint soundness over random address
-   chains, definite-initialization, kernel bounds proofs, deep
-   verification over the catalogue, and the EasyML
+   chains, deep verification's definitely-negative indices, kernel bounds
+   proofs, deep verification over the catalogue, and the EasyML
    lint (including the seeded bad model the CLI test rejects). *)
 
 open Ir
@@ -134,51 +134,70 @@ let footprint_sound =
              I.mem (idx + 1) a.A.Footprint.acc_itv)
            (A.Footprint.writes accs))
 
-(* -- definite initialization ----------------------------------------- *)
+(* -- deep verification: definitely-negative indices ------------------ *)
 
-let test_meminit_flags_uninitialized_read () =
-  let m = Func.create_module "mi" in
-  let c = Builder.create_ctx () in
-  let f =
-    Builder.func c ~name:"f" ~params:[] ~results:[ Ty.F64 ] (fun b _ ->
-        let buf = Builder.alloc b ~size:(Builder.consti b 4) in
-        Builder.store b (Builder.constf b 1.0) ~mem:buf
-          ~idx:(Builder.consti b 0);
-        let clean = Builder.load b ~mem:buf ~idx:(Builder.consti b 0) in
-        let dirty = Builder.load b ~mem:buf ~idx:(Builder.consti b 2) in
-        Builder.ret b [ Builder.addf b clean dirty ])
-  in
+(* Deep-verify [f] alone and return the messages of its errors. *)
+let deep_errors (f : Func.func) : string list =
+  let m = Func.create_module "dv" in
   Func.add_func m f;
   Verifier.verify_module_exn m;
-  match A.Meminit.check_func f with
-  | [ issue ] ->
-      Alcotest.(check bool)
-        "issue mentions the alloc" true
-        (Helpers.contains issue.A.Meminit.mi_msg "alloc#")
-  | issues ->
-      Alcotest.failf "expected exactly one issue, got %d" (List.length issues)
+  List.map (fun (e : Verifier.error) -> e.Verifier.op ^ ": " ^ e.Verifier.msg)
+    (A.Deep.verify_module m)
 
-let test_meminit_loop_sweep_covers () =
-  (* a full contiguous loop sweep initializes the buffer; the read after
-     the loop is clean *)
-  let m = Func.create_module "mi2" in
+let check_flagged what ~(want : string list) (errs : string list) =
+  Alcotest.(check int) (what ^ ": error count") (List.length want)
+    (List.length errs);
+  List.iter2
+    (fun w e ->
+      if not (Helpers.contains e w && Helpers.contains e "definitely out of bounds")
+      then Alcotest.failf "%s: expected %S, got %S" what w e)
+    want errs
+
+let test_deep_constant_negative_index () =
+  (* a constant negative index, and a vector access whose lanes all
+     fall below zero, can never be in bounds; a vector access with some
+     lanes at index >= 0 may be *)
   let c = Builder.create_ctx () in
   let f =
-    Builder.func c ~name:"f" ~params:[] ~results:[ Ty.F64 ] (fun b _ ->
-        let buf = Builder.alloc b ~size:(Builder.consti b 8) in
-        let _ =
-          Builder.for_ b ~lb:(Builder.consti b 0) ~ub:(Builder.consti b 8)
-            ~step:(Builder.consti b 1) ~inits:[] (fun ~iv ~iters:_ ->
-              Builder.store b (Builder.constf b 0.5) ~mem:buf ~idx:iv;
-              [])
+    Builder.func c ~name:"f" ~params:[ Ty.Memref ] ~results:[ Ty.F64 ]
+      (fun b args ->
+        let buf = List.hd args in
+        let at k = Builder.consti b k in
+        Builder.store b (Builder.constf b 1.0) ~mem:buf ~idx:(at (-3));
+        let low = Builder.vec_load b ~width:4 ~mem:buf ~idx:(at (-4)) in
+        let straddle = Builder.vec_load b ~width:4 ~mem:buf ~idx:(at (-2)) in
+        Builder.vec_store b ~vec:(Builder.addf b low straddle) ~mem:buf
+          ~idx:(at 0);
+        Builder.ret b [ Builder.load b ~mem:buf ~idx:(at 2) ])
+  in
+  check_flagged "constant indices"
+    ~want:[ "memref.store: access indices [-3"; "vector.load: access indices [-4" ]
+    (deep_errors f)
+
+let test_deep_negative_loop_range () =
+  (* over iv in [0, 8): buf[iv - 10] spans [-10, -3] and is flagged,
+     buf[iv - 5] reaches index 2 and is not; a loop that never runs
+     reports nothing *)
+  let c = Builder.create_ctx () in
+  let f =
+    Builder.func c ~name:"f" ~params:[ Ty.Memref ] ~results:[]
+      (fun b args ->
+        let buf = List.hd args in
+        let sweep ~ub shift =
+          ignore
+            (Builder.for_ b ~lb:(Builder.consti b 0) ~ub:(Builder.consti b ub)
+               ~step:(Builder.consti b 1) ~inits:[] (fun ~iv ~iters:_ ->
+                 let idx = Builder.subi b iv (Builder.consti b shift) in
+                 Builder.store b (Builder.constf b 0.5) ~mem:buf ~idx;
+                 []))
         in
-        Builder.ret b [ Builder.load b ~mem:buf ~idx:(Builder.consti b 5) ])
+        sweep ~ub:8 10;
+        sweep ~ub:8 5;
+        sweep ~ub:0 10;
+        Builder.ret b [])
   in
-  Func.add_func m f;
-  Verifier.verify_module_exn m;
-  Alcotest.(check int)
-    "no issues" 0
-    (List.length (A.Meminit.check_func f))
+  check_flagged "loop indices" ~want:[ "memref.store: access indices [-10, -3]" ]
+    (deep_errors f)
 
 (* -- deep verification over the catalogue ------------------------------ *)
 
@@ -280,10 +299,10 @@ let suite =
     interval_sound_on_ir;
     congruence_sound;
     footprint_sound;
-    Alcotest.test_case "meminit: uninitialized read flagged" `Quick
-      test_meminit_flags_uninitialized_read;
-    Alcotest.test_case "meminit: loop sweep covers buffer" `Quick
-      test_meminit_loop_sweep_covers;
+    Alcotest.test_case "deep verify: constant negative index flagged" `Quick
+      test_deep_constant_negative_index;
+    Alcotest.test_case "deep verify: wholly negative loop range flagged"
+      `Quick test_deep_negative_loop_range;
     Alcotest.test_case "all 43: deep verification is clean" `Slow
       test_all_models_deep_verify;
     Alcotest.test_case "lint flags the seeded bad model" `Quick

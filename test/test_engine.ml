@@ -122,29 +122,89 @@ let test_loop_iter_args () =
       | _ -> Alcotest.fail "bad result")
     [ 0; 1; 7; 100 ]
 
-let test_scf_if () =
+(* A boolean-valued ternary: [up = (v > -50) ? (g < 0.4) : (g > 0.6);
+   out = up ? 0.01 : -0.01] over a parallel cell loop, at width [w].
+   The guard of the outer select is itself a select over i1 lanes. *)
+let bool_select_kernel ~(w : int) : Func.modl =
+  let open Easyml.Ast in
+  let up =
+    Ternary
+      ( Binary (Gt, Var "v", Num (-50.0)),
+        Binary (Lt, Var "g", Num 0.4),
+        Binary (Gt, Var "g", Num 0.6) )
+  in
+  let e = Ternary (up, Num 0.01, Unary (Neg, Num 0.01)) in
+  let m = modl "bool_select" in
   let c = ctx () in
-  let m = modl "if" in
   Func.add_func m
-    (Builder.func c ~name:"f" ~params:[ Ty.F64 ] ~results:[ Ty.F64 ]
+    (Builder.func c ~name:"f"
+       ~params:[ Ty.Memref; Ty.Memref; Ty.Memref; Ty.I64 ]
+       ~results:[]
        (fun b args ->
-         let x = List.hd args in
-         let cond = Builder.cmpf b Op.Lt x (Builder.constf b 0.0) in
-         let r =
-           Builder.if_ b ~cond
-             ~then_:(fun () -> [ Builder.negf b x ])
-             ~else_:(fun () -> [ Builder.mulf b x (Builder.constf b 2.0) ])
+         let vm, g, out, n =
+           match args with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
          in
-         Builder.ret b r));
-  Verifier.verify_module_exn m;
+         ignore
+           (Builder.for_ b ~parallel:true ~lb:(Builder.consti b 0) ~ub:n
+              ~step:(Builder.consti b w) ~inits:[]
+              (fun ~iv ~iters:_ ->
+                let ld mem =
+                  if w = 1 then Builder.load b ~mem ~idx:iv
+                  else Builder.vec_load b ~width:w ~mem ~idx:iv
+                in
+                let env =
+                  Codegen.Lower.make_env ~b ~width:w
+                    [ ("v", ld vm); ("g", ld g) ]
+                in
+                let r = Codegen.Lower.lower_num env e in
+                if w = 1 then Builder.store b r ~mem:out ~idx:iv
+                else Builder.vec_store b ~vec:r ~mem:out ~idx:iv;
+                []));
+         Builder.ret b []));
+  m
+
+(* Every engine runs the boolean select at w = 1 and w = 4: the
+   interpreter, the closure engine, the batched engine (which tiles the
+   loop) and, with a C toolchain, the native engine. *)
+let test_bool_select () =
+  let vm = [| -80.; -20.; -80.; -20.; -60.; -40.; -80.; 10. |]
+  and g = [| 0.3; 0.3; 0.5; 0.5; 0.7; 0.7; 0.1; 0.9 |] in
+  let n = Array.length vm in
+  let want =
+    Array.init n (fun i ->
+        let up = if vm.(i) > -50.0 then g.(i) < 0.4 else g.(i) > 0.6 in
+        if up then 0.01 else -0.01)
+  in
+  let engines =
+    [
+      ("interp", fun m a -> ignore (Interp.run m "f" a));
+      ("closure", fun m a -> ignore (Engine.run m "f" a));
+      ("batched", fun m a -> ignore (Batched.run m "f" a));
+    ]
+    @
+    if Native.available () then [ ("native", Test_native.call_native) ] else []
+  in
   List.iter
-    (fun (x, want) ->
-      match (Engine.run m "f" [| Rt.F x |], Interp.run m "f" [| Rt.F x |]) with
-      | [| Rt.F a |], [| Rt.F b |] ->
-          Helpers.fcheck "engine if" want a;
-          Helpers.fcheck "interp if" want b
-      | _ -> Alcotest.fail "bad result")
-    [ (-3.0, 3.0); (4.0, 8.0); (0.0, 0.0) ]
+    (fun w ->
+      let m = bool_select_kernel ~w in
+      Verifier.verify_module_exn m;
+      Alcotest.(check bool)
+        (Fmt.str "w=%d: batched tiles the loop" w)
+        true
+        (Batched.plan_tile m ~name:"f" > 1);
+      List.iter
+        (fun (name, run) ->
+          let out = Float.Array.make n 0.0 in
+          let buf a = Rt.M (Float.Array.of_list (Array.to_list a)) in
+          run m [| buf vm; buf g; Rt.M out; Rt.I n |];
+          Array.iteri
+            (fun i x ->
+              Helpers.fcheck
+                (Fmt.str "%s w=%d cell %d" name w i)
+                x (Float.Array.get out i))
+            want)
+        engines)
+    [ 1; 4 ]
 
 let test_memory_roundtrip () =
   (* write i*2.5 into a buffer through vector.store, read back with gather
@@ -253,7 +313,7 @@ let suite =
     interp_matches_engine;
     vector_lanes_match_scalar;
     Alcotest.test_case "loop iter_args" `Quick test_loop_iter_args;
-    Alcotest.test_case "scf.if" `Quick test_scf_if;
+    Alcotest.test_case "boolean select on every engine" `Quick test_bool_select;
     Alcotest.test_case "memory + gather/scatter" `Quick test_memory_roundtrip;
     Alcotest.test_case "extern calls" `Quick test_extern_call;
     Alcotest.test_case "local calls" `Quick test_local_call;

@@ -39,9 +39,12 @@ let test_builder_checks () =
     | _ -> assert false);
   expect_terror "select width mismatch" (fun b -> function
     | [ f; _; _ ] ->
-        let c = Builder.constb b true in
+        let c = Builder.cmpf b Op.Lt f f in
         let v = Builder.broadcast b ~width:4 f in
         ignore (Builder.select b (Builder.broadcast b ~width:8 c) v v)
+    | _ -> assert false);
+  expect_terror "select over i64 arms" (fun b -> function
+    | [ f; i; _ ] -> ignore (Builder.select b (Builder.cmpf b Op.Lt f f) i i)
     | _ -> assert false);
   expect_terror "math arity" (fun b -> function
     | [ f; _; _ ] -> ignore (Builder.math b "exp" [ f; f ])
@@ -90,7 +93,30 @@ let test_printer () =
   List.iter
     (fun frag ->
       Alcotest.(check bool) (frag ^ " printed") true (Helpers.contains s frag))
-    [ "func.func @sum_squares"; "scf.for"; "iter_args"; "arith.mulf"; "arith.sitofp"; "func.return" ]
+    [ "func.func @sum_squares"; "scf.for"; "iter_args"; "arith.mulf"; "arith.sitofp"; "func.return" ];
+  (* non-finite constants print as inf, -inf, nan and -nan, and parse
+     back with their sign *)
+  List.iter
+    (fun x ->
+      let m = Func.create_module "k" in
+      let c = ctx () in
+      Func.add_func m
+        (Builder.func c ~name:"f" ~params:[] ~results:[ Ty.F64 ] (fun b _ ->
+             Builder.ret b [ Builder.constf b x ]));
+      let text = Ir.Printer.module_to_string m in
+      match Ir.Parser.parse_module_result text with
+      | Error e -> Alcotest.failf "%h printed as %S, reparse: %s" x text e
+      | Ok m2 -> (
+          let f2 = List.hd m2.Func.m_funcs in
+          match f2.Func.f_body.Op.r_ops with
+          | { Op.kind = Op.ConstF y; _ } :: _ ->
+              Alcotest.(check bool)
+                (Fmt.str "%h reparses with its class and sign" x)
+                true
+                (Float.classify_float x = Float.classify_float y
+                && Float.sign_bit x = Float.sign_bit y)
+          | _ -> Alcotest.fail "constant lost"))
+    [ Float.infinity; Float.neg_infinity; Float.nan; Float.neg Float.nan ]
 
 (* -- verifier catches hand-broken IR ------------------------------------ *)
 
@@ -119,8 +145,21 @@ let test_verifier_catches () =
   (match g.Func.f_body.Op.r_ops with
   | [ add; ret ] -> g.Func.f_body.Op.r_ops <- [ add; add; ret ]
   | _ -> Alcotest.fail "unexpected body");
-  match Verifier.verify_func g with
+  (match Verifier.verify_func g with
   | [] -> Alcotest.fail "verifier must reject double definition"
+  | _ -> ());
+  (* a select over i64 arms, which the builder refuses to make *)
+  let c = ctx () in
+  let h =
+    Builder.func c ~name:"bad3" ~params:[ Ty.F64; Ty.I64 ] ~results:[]
+      (fun b args ->
+        let x = List.nth args 0 and i = List.nth args 1 in
+        let cond = Builder.cmpf b Op.Lt x x in
+        ignore (Builder.emit1 b Op.Select [ cond; i; i ] Ty.I64);
+        Builder.ret b [])
+  in
+  match Verifier.verify_func h with
+  | [] -> Alcotest.fail "verifier must reject a select over i64 arms"
   | _ -> ()
 
 let test_verifier_call_signature () =
@@ -237,17 +276,50 @@ let test_parsed_kernel_executes () =
   done
 
 let test_parser_errors () =
-  let bad text =
+  let bad ?(says = "") text =
     match Ir.Parser.parse_module_result text with
-    | Error _ -> ()
+    | Error e ->
+        if not (String.starts_with ~prefix:"line " e && Helpers.contains e says)
+        then Alcotest.failf "%S: error %S does not name the line and %S" text e says
     | Ok _ -> Alcotest.failf "expected parse error for %S" text
+    | exception ex ->
+        Alcotest.failf "%S: raised %s" text (Printexc.to_string ex)
   in
   bad "not a module";
   bad "module @m {\nfunc.func @f() -> () {\n%1 = arith.bogus : f64\n}\n}";
   bad "module @m {\nfunc.func @f() -> () {\nfunc.return %99\n}\n}";
   (* use before def *)
-  bad "module @m {"
-(* unterminated *)
+  bad "module @m {";
+  (* unterminated; then one line in the body of f(%0 : f64) *)
+  let body ?says lines =
+    bad ?says
+      ("module @m {\nfunc.func @f(%0 : f64, %9 : i64) -> () {\n"
+      ^ String.concat "\n" lines ^ "\nfunc.return : () -> ()\n}\n}")
+  in
+  (* result names and result types disagree *)
+  body [ "%1, %2 = arith.addf %0, %0 : (f64, f64) -> f64" ];
+  body [ "func.return %0 : f64" ];
+  body [ "%1 = func.call @g %0 : (f64) -> ()" ];
+  body [ "%5 = scf.for %1 = %9 to %9 step %9 {"; "scf.yield"; "}" ];
+  (* literals out of range or malformed *)
+  body [ "func.return %99999999999999999999 : (f64) -> ()" ];
+  body [ "%1 = arith.constant 99999999999999999999999 : i64" ];
+  body [ "%1 = arith.constant 1e : f64" ];
+  body [ "%1 = vector.broadcast %0 : (f64) -> vector<99999999999999999999xf64>" ];
+  body [ "%1 = vector.broadcast %0 : (f64) -> vector<0xf64>" ];
+  (* forms the IR does not hold *)
+  List.iter
+    (fun line -> body ~says:"unknown operation" [ line ])
+    [
+      "%1 = arith.remf %0, %0 : (f64, f64) -> f64";
+      "%1 = arith.fptosi %0 : (f64) -> i64";
+      "%1 = arith.cmpi lt, %9, %9 : i64";
+      "%1 = memref.alloc %9 : (i64) -> memref<?xf64>";
+      "%1 = vector.extract %0 [0] : vector<4xf64>";
+      "%1 = arith.xori %0, %0 : (f64, f64) -> f64";
+      "scf.if %0 {";
+    ];
+  body [ "%1 = arith.constant true : i1" ]
 
 let roundtrip_suite =
   [

@@ -791,14 +791,11 @@ let edge_pairs =
     (Float.neg_infinity, -0.0); (3.0, 3.0); (-2.0, -0.5); (0.0, 0.0);
   |]
 
-let edge_outputs = 14
+let edge_outputs = 11
 
 (* [f(x, y, out, n)] over blocks of [w] lanes: vector output [k] of a
-   block goes to [out.(k * n + iv ..)].  Outputs [11] and [12] hold, per
-   lane, a scalar select on that lane of [x < y] extracted as an i1 and
-   an scf.if on its negation (an xor with true, which only a 0/1 lane
-   gets right); output [13] selects on lane 0 broadcast back to a
-   mask. *)
+   block goes to [out.(k * n + iv ..)].  Output [5] selects on a mask
+   that is itself a select between masks ([x < y] xor [x > y]). *)
 let lane_edge_module ~(w : int) : Ir.Func.modl =
   let m = Ir.Func.create_module "nat_lanes" in
   let c = B.create_ctx () in
@@ -828,36 +825,19 @@ let lane_edge_module ~(w : int) : Ir.Func.modl =
                   (B.select b
                      (B.andb b (cmp Ir.Op.Le) (B.cmpf b Ir.Op.Gt x (splat (-1.0))))
                      x y);
-                put 5 (B.select b (B.binb b Ir.Op.BXor lt (cmp Ir.Op.Gt)) x y);
+                let gt = cmp Ir.Op.Gt in
+                put 5 (B.select b (B.select b lt (B.notb b gt) gt) x y);
                 put 6 (splat (-0.0));
                 put 7 (B.minf b x y);
                 put 8 (B.maxf b x y);
                 put 9 (B.math b "fmin" [ x; y ]);
                 put 10 (B.math b "fmax" [ y; x ]);
-                for k = 0 to w - 1 do
-                  let lane v ty = B.emit1 b (Ir.Op.VecExtract k) [ v ] ty in
-                  let ck = lane lt Ir.Ty.I1 in
-                  let idx j = B.addi b (at j) (B.consti b k) in
-                  B.store b
-                    (B.select b ck (lane x Ir.Ty.F64) (lane y Ir.Ty.F64))
-                    ~mem:out ~idx:(idx 11);
-                  match
-                    B.if_ b
-                      ~cond:(B.binb b Ir.Op.BXor ck (B.constb b true))
-                      ~then_:(fun () -> [ B.constf b 1.0 ])
-                      ~else_:(fun () -> [ B.constf b (-0.0) ])
-                  with
-                  | [ t ] -> B.store b t ~mem:out ~idx:(idx 12)
-                  | _ -> assert false
-                done;
-                let lane0 = B.emit1 b (Ir.Op.VecExtract 0) [ lt ] Ir.Ty.I1 in
-                put 13 (B.select b (B.broadcast b ~width:w lane0) x y);
                 []));
          B.ret b []));
   m
 
-(* Compares and blends with NaN lanes, a -0.0 broadcast, mask lanes
-   read back as i1 scalars, and fmin/fmax on NaN and signed-zero lanes:
+(* Compares and blends with NaN lanes, a -0.0 broadcast, a blend of
+   masks, and fmin/fmax on NaN and signed-zero lanes:
    the native kernel writes the closure engine's bits at widths 2, 4
    and 8. *)
 let test_lane_edge_cases () =

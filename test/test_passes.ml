@@ -224,61 +224,92 @@ let test_licm_hoists () =
   | [| Rt.F v |] -> Helpers.check_close "value" (5.0 *. Float.exp 0.5) v
   | _ -> Alcotest.fail "bad result"
 
-(* -- widen ---------------------------------------------------------------- *)
+(* -- memory and scoping ------------------------------------------------- *)
 
-let widen_lanes_match =
-  Helpers.qtest ~count:200 "widened function == scalar per lane"
-    (Helpers.arbitrary_expr [ "x"; "y" ])
-    (fun e ->
-      let m = lower_expr_func e in
-      let f = Option.get (Func.find_func m "f") in
-      let w = 4 in
-      match Passes.Widen.widen ~w f with
-      | exception Passes.Widen.Not_widenable _ -> true
-      | fv ->
-          (match Verifier.verify_func fv with
-          | [] -> ()
-          | errs -> Alcotest.fail (Verifier.errors_to_string errs));
-          let mv = Func.create_module "w" in
-          Func.add_func mv fv;
-          let xs = [| 0.25; -1.5; 2.75; 0.0 |] in
-          let ys = [| -0.5; 1.0; 3.25; -2.0 |] in
-          let vx = Float.Array.init w (fun i -> xs.(i)) in
-          let vy = Float.Array.init w (fun i -> ys.(i)) in
-          (match Engine.run mv fv.Func.f_name [| Rt.VF vx; Rt.VF vy |] with
-          | [| Rt.VF got |] ->
-              Array.for_all Fun.id
-                (Array.init w (fun i ->
-                     Helpers.same_float (Float.Array.get got i)
-                       (run1 m xs.(i) ys.(i))))
-          | _ -> false))
+let count_kind (pred : Op.kind -> bool) (r : Op.region) : int =
+  Op.fold_region (fun n (o : Op.op) -> if pred o.Op.kind then n + 1 else n) 0 r
 
-let test_widen_rejects () =
-  (* control flow and memory must be rejected, not silently mis-widened *)
+let test_licm_keeps_loads () =
+  (* buf[0] += 1.0, n times: the load has loop-invariant operands but a
+     store in the same body writes its cell, so it must stay in the loop
+     while the constant hoists *)
+  let m = Func.create_module "t" in
   let c = Builder.create_ctx () in
-  let f_loop =
-    Builder.func c ~name:"has_loop" ~params:[ Ty.I64 ] ~results:[]
-      (fun b args ->
-        let n = List.hd args in
-        let _ =
-          Builder.for_ b ~lb:(Builder.consti b 0) ~ub:n
-            ~step:(Builder.consti b 1) ~inits:[] (fun ~iv:_ ~iters:_ -> [])
-        in
-        Builder.ret b [])
+  Func.add_func m
+    (Builder.func c ~name:"f" ~params:[ Ty.Memref; Ty.I64 ] ~results:[]
+       (fun b args ->
+         let buf = List.nth args 0 and n = List.nth args 1 in
+         let zero = Builder.consti b 0 in
+         ignore
+           (Builder.for_ b ~lb:zero ~ub:n ~step:(Builder.consti b 1) ~inits:[]
+              (fun ~iv:_ ~iters:_ ->
+                let x = Builder.load b ~mem:buf ~idx:zero in
+                Builder.store b
+                  (Builder.addf b x (Builder.constf b 1.0))
+                  ~mem:buf ~idx:zero;
+                []));
+         Builder.ret b []));
+  let f = Option.get (Func.find_func m "f") in
+  let loop_body () =
+    match
+      List.find_opt
+        (fun (o : Op.op) -> match o.Op.kind with Op.For _ -> true | _ -> false)
+        f.Func.f_body.Op.r_ops
+    with
+    | Some o -> o.Op.regions.(0)
+    | None -> Alcotest.fail "loop vanished"
   in
-  (match Passes.Widen.widen ~w:4 f_loop with
-  | exception Passes.Widen.Not_widenable _ -> ()
-  | _ -> Alcotest.fail "loops must be rejected");
+  Alcotest.(check bool) "licm moved the constant" true
+    (Passes.Licm.pass.Passes.Pass.run f);
+  Verifier.verify_module_exn m;
+  let body = loop_body () in
+  Alcotest.(check int) "load still in the loop" 1
+    (count_kind (function Op.MemLoad -> true | _ -> false) body);
+  Alcotest.(check int) "constant hoisted" 0
+    (count_kind (function Op.ConstF _ -> true | _ -> false) body);
+  let buf = Rt.buffer 1 in
+  ignore (Engine.run m "f" [| Rt.M buf; Rt.I 5 |]);
+  Helpers.fcheck "five increments" 5.0 (Float.Array.get buf 0)
+
+let test_cse_scopes_regions () =
+  (* exp(x) before a loop, again inside it and again after it: the one
+     inside reuses the enclosing one, and the loop body's own values are
+     never visible after the loop *)
+  let m = Func.create_module "t" in
   let c = Builder.create_ctx () in
-  let f_mem =
-    Builder.func c ~name:"has_mem" ~params:[ Ty.Memref ] ~results:[ Ty.F64 ]
-      (fun b args ->
-        let v = Builder.load b ~mem:(List.hd args) ~idx:(Builder.consti b 0) in
-        Builder.ret b [ v ])
+  Func.add_func m
+    (Builder.func c ~name:"f" ~params:[ Ty.F64; Ty.F64; Ty.I64; Ty.Memref ]
+       ~results:[]
+       (fun b args ->
+         let x = List.nth args 0 and y = List.nth args 1
+         and n = List.nth args 2 and out = List.nth args 3 in
+         let before = Builder.math b "exp" [ x ] in
+         ignore
+           (Builder.for_ b ~lb:(Builder.consti b 0) ~ub:n
+              ~step:(Builder.consti b 1) ~inits:[] (fun ~iv ~iters:_ ->
+                let inner = Builder.math b "exp" [ x ] in
+                let t = Builder.math b "tanh" [ y ] in
+                Builder.store b (Builder.mulf b inner t) ~mem:out ~idx:iv;
+                []));
+         let after = Builder.math b "tanh" [ y ] in
+         Builder.store b (Builder.addf b before after) ~mem:out ~idx:n;
+         Builder.ret b []));
+  let f = Option.get (Func.find_func m "f") in
+  let math name = count_kind (( = ) (Op.Math name)) f.Func.f_body in
+  let run () =
+    let out = Rt.buffer 4 in
+    ignore (Engine.run m "f" [| Rt.F 0.5; Rt.F 0.3; Rt.I 3; Rt.M out |]);
+    out
   in
-  match Passes.Widen.widen ~w:4 f_mem with
-  | exception Passes.Widen.Not_widenable _ -> ()
-  | _ -> Alcotest.fail "memory ops must be rejected"
+  let want = run () in
+  ignore (Passes.Pass.run_on_module Passes.Cse.pass m);
+  Verifier.verify_module_exn m;
+  Alcotest.(check int) "inner exp reuses the outer one" 1 (math "exp");
+  Alcotest.(check int) "tanh after the loop kept" 2 (math "tanh");
+  let got = run () in
+  Float.Array.iteri
+    (fun i w -> Helpers.fcheck "value unchanged" w (Float.Array.get got i))
+    want
 
 let test_kernel_pipeline_on_model () =
   (* the full pipeline on a real kernel: verified + observably smaller *)
@@ -301,8 +332,10 @@ let suite =
     Alcotest.test_case "kernels carry no integer identity" `Quick
       test_no_integer_identity;
     Alcotest.test_case "licm hoists invariants" `Quick test_licm_hoists;
-    widen_lanes_match;
-    Alcotest.test_case "widen rejects non-widenable" `Quick test_widen_rejects;
+    Alcotest.test_case "licm keeps loads in the loop" `Quick
+      test_licm_keeps_loads;
+    Alcotest.test_case "cse scopes its table to the region" `Quick
+      test_cse_scopes_regions;
     Alcotest.test_case "pipeline on a real kernel" `Quick
       test_kernel_pipeline_on_model;
   ]

@@ -6,7 +6,8 @@
      bitwise-identical to the unoptimized one under the closure engine
      (so the symbolic prover and the concrete semantics agree);
      normalization is deterministic and idempotent ({!Transval.self_check});
-     widening is proved lane-exact ({!Transval.check_widen});
+   - the one normalization law, the equal-arm select, proves exactly
+     the rewrites it licenses;
    - a mutation harness: deliberate miscompiles (dropped store,
      wrong constant, reassociated float add, stale CSE reuse, an
      unsound hoist, [x + 0.0] rewritten to [x]) injected into a
@@ -121,39 +122,43 @@ let normalization_stable ~w name =
       | Ok n -> n > 0
       | Error msg -> QCheck.Test.fail_reportf "self_check: %s" msg)
 
-(* Widening a random pure scalar function is proved lane-exact. *)
-let widen_proved name =
-  Helpers.qtest ~count:120 name
-    (Helpers.arbitrary_expr [ "x"; "y"; "k" ])
-    (fun e ->
-      let m = Func.create_module "wtest" in
-      let c = B.create_ctx () in
-      let f =
-        B.func c ~name:"s" ~params:[ Ty.F64; Ty.F64; Ty.F64 ]
-          ~results:[ Ty.F64 ]
-          (fun b args ->
-            let env =
-              Codegen.Lower.make_env ~b ~width:1
-                [
-                  ("x", List.nth args 0);
-                  ("y", List.nth args 1);
-                  ("k", List.nth args 2);
-                ]
-            in
-            B.ret b [ Codegen.Lower.lower_num env e ])
-      in
-      Func.add_func m f;
-      match Passes.Widen.widen ~w:4 f with
-      | exception Passes.Widen.Not_widenable _ -> true
-      | fv -> (
-          let cert = TV.check_widen ~w:4 f fv in
-          match cert.TV.c_verdict with
-          | TV.Proved -> true
-          | TV.Refuted cx ->
-              QCheck.Test.fail_reportf "widen refuted at %s: %s vs %s"
-                cx.TV.cx_site cx.TV.cx_src cx.TV.cx_tgt
-          | TV.Unknown r ->
-              QCheck.Test.fail_reportf "widen unknown: %s" r))
+(* The equal-arm select law: [select(c, e, e')] where [e] and [e'] are
+   separate ops of the same shape normalizes to [e], so a rewrite to [e]
+   proves; replacing a select whose arms differ, or an equal-arm select
+   by something else, refutes. *)
+let test_equal_arm_select () =
+  let func ~name (body : B.t -> Ir.Value.t -> Ir.Value.t -> Ir.Value.t) =
+    let m = Func.create_module name in
+    let c = B.create_ctx () in
+    Func.add_func m
+      (B.func c ~name:"f" ~params:[ Ty.F64; Ty.F64; Ty.Memref ] ~results:[]
+         (fun b args ->
+           let x = List.nth args 0 and y = List.nth args 1 in
+           B.store b (body b x y) ~mem:(List.nth args 2) ~idx:(B.consti b 0);
+           B.ret b []));
+    m
+  in
+  let guard b x y = B.cmpf b Ir.Op.Lt x y in
+  let exp b v = B.math b "exp" [ v ] in
+  let same_arms =
+    func ~name:"same" (fun b x y -> B.select b (guard b x y) (exp b x) (exp b x))
+  and other_arms =
+    func ~name:"other" (fun b x y -> B.select b (guard b x y) (exp b x) (exp b y))
+  and arm = func ~name:"arm" (fun b x _ -> exp b x)
+  and other = func ~name:"other_arm" (fun b _ y -> exp b y) in
+  let verdict src tgt = (TV.check_module ~pass:"rewrite" src tgt).TV.c_verdict in
+  (match verdict same_arms arm with
+  | TV.Proved -> ()
+  | v -> Alcotest.failf "equal arms -> arm: %s" (TV.verdict_name v));
+  List.iter
+    (fun (what, src, tgt) ->
+      match verdict src tgt with
+      | TV.Refuted _ -> ()
+      | v -> Alcotest.failf "%s: expected refuted, got %s" what (TV.verdict_name v))
+    [
+      ("unequal arms -> first arm", other_arms, arm);
+      ("equal arms -> another value", same_arms, other);
+    ]
 
 (* ---------------------------------------------------------------------- *)
 (* Mutation harness: every miscompile class must be refuted, with the     *)
@@ -605,7 +610,8 @@ let suite =
     validated_pipeline ~w:4
       "validated pipeline proves + preserves random vector loops";
     normalization_stable ~w:1 "normalization deterministic and idempotent";
-    widen_proved "widening proved lane-exact on random pure functions";
+    Alcotest.test_case "equal-arm select law proves only its rewrite" `Quick
+      test_equal_arm_select;
     Alcotest.test_case "mutation: dce drops a store -> refuted" `Quick
       (assert_refutes ~pass:"dce" sab_drop_store fixture_loop);
     Alcotest.test_case "mutation: licm folds wrong constant -> refuted"
