@@ -16,7 +16,8 @@
    Workload parameters follow the paper: 8192 cells, 100 000 steps of
    0.01 ms (figures use the calibrated machine model; the host has one
    core and no vector ISA, see DESIGN.md).  The wall-clock section runs
-   the real closure-compiled kernels on a scaled-down workload. *)
+   the real generated kernels, on every engine, on a scaled-down
+   workload. *)
 
 let cells = 8192
 let steps = 100_000
@@ -373,7 +374,7 @@ type wall_row = {
   wr_model : string;
   wr_cls : string;
   wr_cfg : string;  (** "scalar" | "vector" *)
-  wr_engine : string;  (** "interp" | "closure" | "batched" | ... *)
+  wr_engine : string;  (** "interp" | "batched" | "native" *)
   wr_median_ns : float;
   wr_iqr_ns : float;  (** interquartile range of the per-run samples *)
   wr_samples : int;
@@ -394,7 +395,6 @@ let wall_engines =
   let mk engine g n = Sim.Driver.create ~engine g ~ncells:n ~dt:0.01 in
   [
     ("interp", mk Sim.Driver.Reference);
-    ("closure", mk Sim.Driver.Compiled);
     ("batched", mk Sim.Driver.Batched);
   ]
   @
@@ -614,8 +614,8 @@ let wall_write_json (path : string) (rows : wall_row list)
 let wallclock () =
   hr ();
   Fmt.pr "Wall-clock microbenchmarks (bechamel): real execution of the@.";
-  Fmt.pr "generated kernels on this host, {interp, closure, batched,@.";
-  Fmt.pr "native} engines x {scalar, vector} configs; median ns per stimulated@.";
+  Fmt.pr "generated kernels on this host, {interp, batched, native}@.";
+  Fmt.pr "engines x {scalar, vector} configs; median ns per stimulated@.";
   Fmt.pr "step (kernel-dominated) with the interquartile range per row.@.";
   hr ();
   (* keep each label's driver so the phase breakdown below re-runs the
@@ -703,12 +703,12 @@ let wallclock () =
               wall_engines
           in
           let ns ename = List.assoc_opt ename by_engine in
-          (match (ns "interp", ns "closure", ns "batched") with
-          | Some ti, Some tc, Some tb ->
+          (match (ns "interp", ns "batched") with
+          | Some ti, Some tb ->
               Fmt.pr
-                "%-24s %-6s interp %11.1f us  closure %9.1f us  batched \
-                 %9.1f us  (closure/batched %.2fx)@."
-                name cname (ti /. 1e3) (tc /. 1e3) (tb /. 1e3) (tc /. tb)
+                "%-24s %-6s interp %11.1f us  batched %9.1f us  \
+                 (interp/batched %.2fx)@."
+                name cname (ti /. 1e3) (tb /. 1e3) (ti /. tb)
           | _ -> Fmt.pr "%-24s %-6s (no estimate)@." name cname);
           match (ns "native", ns "batched") with
           | Some tnat, Some tb ->
@@ -750,25 +750,6 @@ let wallclock () =
   in
   let geo_or_nan = function [] -> Float.nan | xs -> geo xs in
   let any _ = true in
-  let large c = c = "large" in
-  (* headline: batched, the fastest OCaml engine, vs the seed closure
-     engine on the large-model class (the geomean is gated >= 1.0 in
-     CI) *)
-  let sc =
-    geo_or_nan (ratios ~num:"closure" ~den:"batched" ~cls_filter:large
-                  ~cfg_filter:(fun c -> c = "scalar"))
-  in
-  let ve =
-    geo_or_nan (ratios ~num:"closure" ~den:"batched" ~cls_filter:large
-                  ~cfg_filter:(fun c -> c = "vector"))
-  in
-  let all =
-    geo_or_nan
-      (ratios ~num:"closure" ~den:"batched" ~cls_filter:large ~cfg_filter:any)
-  in
-  Fmt.pr "@.large-class batched-vs-closure median speedup: scalar %.2fx, \
-          vector %.2fx, geomean %.2fx@."
-    sc ve all;
   (* headline: the JIT-C native engine vs the batched engine over every
      model class (rows only exist when a toolchain is present; the
      geomean is gated >= 1.0 in CI) *)
@@ -816,9 +797,6 @@ let wallclock () =
          (List.length sweep) nan_total row_nan);
       wall_write_json path rows sweep
         [
-          ("large_batched_vs_closure_scalar", sc);
-          ("large_batched_vs_closure_vector", ve);
-          ("large_batched_vs_closure_geomean", all);
           ("native_vs_batched_scalar", nsc);
           ("native_vs_batched_vector", nve);
           ("native_vs_batched_geomean", nall);
@@ -853,7 +831,6 @@ type tissue_row = {
 let tissue_engines () =
   [
     ("interp", Sim.Driver.Reference);
-    ("closure", Sim.Driver.Compiled);
     ("batched", Sim.Driver.Batched);
   ]
   @ if Exec.Native.available () then [ ("native", Sim.Driver.Native) ] else []
@@ -904,9 +881,6 @@ let tissue_write_json (path : string) (rows : tissue_row list) : unit =
         Printf.sprintf "%.4f" (a.tr_cells_per_sec /. d.tr_cells_per_sec)
     | _ -> "null"
   in
-  Buffer.add_string b
-    (Printf.sprintf "    \"batched_vs_closure\": %s,\n"
-       (speedup "batched" "closure"));
   Buffer.add_string b
     (Printf.sprintf "    \"native_vs_batched\": %s\n"
        (speedup "native" "batched"));

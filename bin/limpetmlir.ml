@@ -279,23 +279,17 @@ let codegen_t : Spec.codegen Term.t =
 
 let engine_arg =
   Arg.(value
-       & opt (enum Sim.Driver.engines) Sim.Driver.Batched
+       & opt (enum Sim.Driver.engines) Sim.Driver.Native
        & info [ "engine" ] ~docv:"E"
-           ~doc:"Execution engine: $(b,batched) (tile-batched loop \
-                 inversion over coalesced scratch rows, default), \
-                 $(b,native) (the lowered kernel emitted as C, compiled by \
-                 the system toolchain — \\$LIMPET_CC, else cc/gcc/clang — \
-                 and dlopen'ed; when no toolchain is found it degrades to \
-                 $(b,batched) with a warning, never an error), \
-                 $(b,closure) (per-op closures), or $(b,interp) (slow \
-                 tree-walking reference).  $(b,fused) is the old name of \
-                 $(b,batched).  All four engines produce bitwise-identical \
-                 trajectories.")
-
-let tile_arg =
-  Arg.(value & opt int 0 & info [ "tile" ] ~docv:"N"
-         ~doc:"Batched-engine tile size in vector blocks \
-               (0 = auto-size for L1; ignored by the other engines).")
+           ~doc:"Execution engine: $(b,native) (default: the lowered \
+                 kernel emitted as C, compiled by the system toolchain — \
+                 \\$LIMPET_CC, else cc/gcc/clang — for the host's widest \
+                 vector ISA and dlopen'ed; when no toolchain is found it \
+                 degrades to $(b,batched) with a warning, never an error), \
+                 $(b,batched) (tile-batched loop inversion over coalesced \
+                 scratch rows, in OCaml), or $(b,interp) (slow \
+                 tree-walking reference).  The OCaml engines agree bit for \
+                 bit; $(b,native) stays within 2 ULP of them.")
 
 let dt_arg = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS")
 let threads_arg = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T")
@@ -308,13 +302,13 @@ let cells_arg (default : int) =
    supplies its shape. *)
 let spec_t ~(steps : int) ~(steps_doc : string) :
     (Spec.shape -> Spec.t) Term.t =
-  let make model codegen engine tile dt steps threads shape =
-    checked { Spec.model; codegen; engine; tile; dt; steps; threads; shape }
+  let make model codegen engine dt steps threads shape =
+    checked { Spec.model; codegen; engine; dt; steps; threads; shape }
   in
   let steps =
     Arg.(value & opt int steps & info [ "steps" ] ~docv:"N" ~doc:steps_doc)
   in
-  Term.(const make $ model_arg $ codegen_t $ engine_arg $ tile_arg $ dt_arg
+  Term.(const make $ model_arg $ codegen_t $ engine_arg $ dt_arg
         $ steps $ threads_arg)
 
 let ckpt_dir_arg =
@@ -405,11 +399,11 @@ let check_cmd =
     "Lint EasyML models: analyzer diagnostics plus range-based checks \
      (unused state variables, lookup-table domains, markov occupancies). \
      Exits non-zero when any error-severity diagnostic is found.  A model \
-     that passes runs identically on all four execution engines — \
-     $(b,batched) (tile-batched loop inversion, default), $(b,native) \
-     (JIT-compiled C; degrades to batched with a warning when no C \
-     toolchain is available), $(b,closure), and $(b,interp) (reference) \
-     — selected with $(b,--engine) on run/tissue/profile/serve."
+     that passes runs on all three execution engines — $(b,native) \
+     (JIT-compiled C, the default; degrades to batched with a warning \
+     when no C toolchain is available), $(b,batched) (tile-batched loop \
+     inversion) and $(b,interp) (reference) — selected with \
+     $(b,--engine) on run/tissue/profile/serve."
   in
   let models =
     Arg.(value & pos_all string [] & info [] ~docv:"MODEL"
@@ -1032,8 +1026,8 @@ let profile_cmd =
                   (Codegen.Cache.artifact_name a) (artifact_cc_ms a)
             | None -> "")
       | None ->
-          "native backend: unavailable (no C compiler; --engine native \
-           falls back to batched)\n"
+          "native backend: unavailable (no C compiler; the native \
+           engine falls back to batched)\n"
     in
     let build = build_info () in
     let text =

@@ -235,17 +235,9 @@ let rec emit_op ctx ind (o : Op.op) : unit =
   | Op.Math (("square" | "cube") as m) -> expr (math_expr m (Lazy.force a))
   | Op.Math m -> emit_lanes ctx ind o (math_expr m)
   | Op.Broadcast ->
-      (* an initializer, not [x + 0.0] (which turns -0.0 into +0.0); an
-         i1 scalar becomes a mask lane *)
-      let r = o.Op.results.(0) in
-      let x =
-        match r.Value.ty with
-        | Ty.Vec (_, Ty.I1) -> Printf.sprintf "-(int64_t)%s" (an 0)
-        | _ -> an 0
-      in
-      expr
-        (Printf.sprintf "{%s}"
-           (String.concat ", " (List.init (Ty.width r.Value.ty) (fun _ -> x))))
+      (* an initializer, not [x + 0.0] (which turns -0.0 into +0.0) *)
+      let w = Ty.width o.Op.results.(0).Value.ty in
+      expr (Printf.sprintf "{%s}" (String.concat ", " (List.init w (fun _ -> an 0))))
   | Op.VecLoad ->
       let r = vname ctx o.Op.results.(0) in
       decl ctx ind o.Op.results.(0);

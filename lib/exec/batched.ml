@@ -1,7 +1,7 @@
 open Ir
 (** Tile-batched execution engine (loop inversion).
 
-    The closure engine ({!Engine}) dispatches every op once per loop
+    A per-op thunk ({!Engine.compile_op}) dispatches once per loop
     {e iteration}: dispatch cost is O(instrs × cells / width).  This
     engine inverts the loop.  A kernel's parallel cell loop is lowered
     once into *tile ops*; each dispatch executes its instruction across a
@@ -118,7 +118,6 @@ type tinstr =
   (* cross-width *)
   | KBcastF of int * int * int  (** d, a, w: d[k*w+l] <- a[k] *)
   | KBcastI of int * int * int
-  | KBcastB of int * int * int
   | KIota of int * int  (** d, w: d[k*w+l] <- l *)
   (* memory (bounds-checked) *)
   | KLoad of int * int * int  (** d, mm, ix *)
@@ -463,14 +462,6 @@ let exec_tile (code : tinstr array) (st : tstate) (e : E.env) : unit -> unit =
               Array.unsafe_set z (b + l) v
             done
           done
-      | KBcastB (d, a, w) ->
-          let x = Array.unsafe_get br a and z = Array.unsafe_get br d in
-          for k = 0 to n - 1 do
-            let v = Array.unsafe_get x k and b = k * w in
-            for l = 0 to w - 1 do
-              Array.unsafe_set z (b + l) v
-            done
-          done
       | KIota (d, w) ->
           let z = Array.unsafe_get ir d in
           for k = 0 to n - 1 do
@@ -732,7 +723,7 @@ let mk uses defs emit = Some { a_uses = uses; a_defs = defs; a_emit = emit }
 
 (* Producer/consumer superinstructions: every combined form keeps both
    rounding steps of the two ops it replaces, so results match the
-   closure engine bitwise. *)
+   per-op thunks and the interpreter bitwise. *)
 let pair_sel (p : Op.op) (o : Op.op) : ainstr option =
   if Array.length p.Op.results <> 1 then None
   else
@@ -795,7 +786,7 @@ let pair_sel (p : Op.op) (o : Op.op) : ainstr option =
     | _ -> None
 
 (* Single-op selection.  [None] makes the whole loop non-tileable (it
-   then runs on the closure engine's per-op thunks). *)
+   then runs on the per-op thunks). *)
 let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
     ~(rowmap : (int, lut_site) Hashtbl.t) (o : Op.op) : ainstr option =
   let op k = o.Op.operands.(k) and res () = o.Op.results.(0) in
@@ -868,7 +859,7 @@ let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
                 match E.unary_fn name with
                 | Some g -> g
                 | None ->
-                    (* same generic path as the closure engine:
+                    (* same generic path as the per-op thunks:
                        one scratch cell, identical float function *)
                     let buf = [| 0.0 |] in
                     fun x ->
@@ -897,7 +888,6 @@ let sel_op (c : E.fctx) ~(luts : (int, lut_site) Hashtbl.t)
       match Ty.elem d.Value.ty with
       | Ty.F64 -> mk [ a ] [ d ] (fun lk -> KBcastF (lk d, lk a, w))
       | Ty.I64 -> mk [ a ] [ d ] (fun lk -> KBcastI (lk d, lk a, w))
-      | Ty.I1 -> mk [ a ] [ d ] (fun lk -> KBcastB (lk d, lk a, w))
       | _ -> None)
   | Op.Iota w ->
       let d = res () in
@@ -990,7 +980,7 @@ type plan = {
 }
 
 (* Live-in import: a value defined outside the loop is uniform across the
-   tile; splat it from its closure-engine register (written by the
+   tile; splat it from its per-op thunk register (written by the
    surrounding thunks before the loop runs). *)
 let import_of (c : E.fctx) ~(iv : Value.t) (v : Value.t) : ainstr =
   if v.Value.id = iv.Value.id then
@@ -1270,7 +1260,7 @@ let choose_tile ~(tile : int) (p : plan) : int =
 
 (* Materialize a plan: physical rows, private LUT storage, the tinstr
    array, and the driving tile loop.  [fallback] compiles the same loop
-   with the closure engine; it is only forced for non-positive runtime
+   with the per-op thunks; it is only forced for non-positive runtime
    steps (where tiling's iteration count formula does not apply). *)
 let compile_tiled (c : E.fctx) ~(tile : int) ~(uc : (int, int) Hashtbl.t)
     (fn : Func.func) ~(fallback : (unit -> unit) Lazy.t) (o : Op.op) :

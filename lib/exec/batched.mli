@@ -9,7 +9,7 @@
     macro-op per call site mirroring {!Runtime.Lut} operation for
     operation.  Loops that do not fit the tiling gate (loop-carried values,
     nested control flow, unrecognized ops) and functions without a parallel
-    loop run on the closure engine's per-op thunks ({!Engine.compile_op});
+    loop run on the per-op thunks ({!Engine.compile_op});
     results are bitwise identical to the other engines either way, for
     every tile size. *)
 
@@ -25,8 +25,8 @@ val compile_module :
   Ir.Func.modl ->
   string ->
   Engine.compiled
-(** Lazy per-function compile-and-link, mirroring
-    {!Engine.compile_module}. *)
+(** Lazy per-function compile-and-link ({!Engine.module_linker}); unknown
+    names fall back to the extern registry. *)
 
 val run :
   ?externs:Rt.registry ->

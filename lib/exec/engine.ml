@@ -1,21 +1,14 @@
 open Ir
-(** Closure-compiling execution engine.
+(** Per-op thunks: {!Batched}'s fallback for every op it does not tile.
 
-    The IR of a function is compiled once into a tree of OCaml closures
-    ("thunks") operating over preallocated typed register files — the OCaml
-    stand-in for LLVM's native code generation.  Every SSA value gets a
-    fixed slot; vector values get a preallocated [floatarray] of their
-    width, so steady-state execution performs no allocation in straight-line
-    code.  A vector op executes its whole width inside one closure
-    invocation, which is what gives vectorized kernels their genuine
-    wall-clock advantage over scalar ones in this port (one dispatch per
-    [w] lanes, contiguous memory traffic), mirroring the paper's SIMD
-    argument at the interpreter level.
-
-    The compilation context, the per-op thunk compiler and the module
-    linker are exposed so that {!Batched} can reuse them: the tile-batched
-    engine shares this module's register files and runs every op it does
-    not tile through {!compile_op}. *)
+    An op compiles once into an OCaml closure ("thunk") over
+    preallocated typed register files.  Every SSA value gets a fixed
+    slot; vector values get a preallocated [floatarray] of their width,
+    so steady-state execution performs no allocation in straight-line
+    code.  The tile-batched engine shares these register files and runs
+    kernel prologues, the lookup-table initializers and every loop it
+    does not tile through {!compile_op}; {!finish} and {!module_linker}
+    give it the calling convention and the module-level linking. *)
 
 exception Exec_error of string
 
@@ -588,9 +581,6 @@ let compile_op (c : fctx) ~(compile_region : region_compiler) (o : Op.op) :
       | Ty.Vec (_, Ty.I64) ->
           let a = islot (op1 ()) and d, w = vislot (res ()) in
           fun () -> Array.fill vi.(d) 0 w i.(a)
-      | Ty.Vec (_, Ty.I1) ->
-          let a = bslot (op1 ()) and d, w = vbslot (res ()) in
-          fun () -> Array.fill vb.(d) 0 w b.(a)
       | _ -> fail "broadcast: unsupported type")
   | Op.VecLoad ->
       let mm = mslot (op1 ()) and ix = islot (op2 ()) and d, w = vfslot (res ()) in
@@ -717,38 +707,3 @@ let module_linker ?(externs : Rt.registry = Rt.create_registry ())
             ext)
   in
   get
-
-(* The closure engine's region compiler: one thunk per op, dispatched
-   through an array of closures. *)
-let rec closure_region (c : fctx) ~(on_yield : Op.op -> unit -> unit)
-    (r : Op.region) : unit -> unit =
-  let thunks =
-    List.map
-      (fun (o : Op.op) ->
-        match o.Op.kind with
-        | Op.Yield -> on_yield o
-        | _ -> compile_op c ~compile_region:(closure_region c) o)
-      r.Op.r_ops
-    |> Array.of_list
-  in
-  fun () ->
-    for k = 0 to Array.length thunks - 1 do
-      (Array.unsafe_get thunks k) ()
-    done
-
-let compile_func ~(get : string -> compiled) (fn : Func.func) : compiled =
-  let c = make_fctx fn ~get in
-  let body =
-    closure_region c fn.Func.f_body ~on_yield:(fun _ ->
-        fail "yield at function top level")
-  in
-  finish c fn ~body
-
-(* Compile a whole module; returns a lazy per-function runner lookup. *)
-let compile_module ?externs (m : Func.modl) : string -> compiled =
-  module_linker ?externs m (fun ~get f -> compile_func ~get f)
-
-(** Compile and run one function of a module. *)
-let run ?externs (m : Func.modl) (name : string) (args : Rt.v array) :
-    Rt.v array =
-  (compile_module ?externs m) name args

@@ -1,17 +1,11 @@
-(** Closure-compiling execution engine: IR is compiled once into OCaml
-    closures over preallocated typed register files (the stand-in for
-    LLVM native code generation).  Vector ops execute their whole width
-    per dispatch, which is where the genuine wall-clock advantage of
-    vectorized kernels comes from in this port.
+(** Per-op thunks over preallocated typed register files: the
+    {!Batched} engine's fallback for every op it does not tile (kernel
+    prologues, the lookup-table initializers, loops outside its tiling
+    gate).  Vector ops execute their whole width per dispatch.
 
     Compiled functions are NOT reentrant: each compilation owns one
     register file, so use one compiled instance per thread (the driver
-    does).
-
-    The compilation context, the per-op thunk compiler and the module
-    linker are exposed for reuse by the {!Batched} tile-batched engine,
-    which shares the register files and runs every op it does not tile
-    through {!compile_op}. *)
+    does). *)
 
 exception Exec_error of string
 
@@ -81,17 +75,3 @@ val fbin_fn : Ir.Op.fbin -> float -> float -> float
 val ibin_fn : Ir.Op.ibin -> int -> int -> int
 val bbin_fn : Ir.Op.bbin -> bool -> bool -> bool
 val cmpf_fn : Ir.Op.cmp -> float -> float -> bool
-
-(** {1 Entry points} *)
-
-val compile_func : get:(string -> compiled) -> Ir.Func.func -> compiled
-(** Compile one function against a callee lookup. *)
-
-val compile_module :
-  ?externs:Rt.registry -> Ir.Func.modl -> string -> compiled
-(** Lazy per-function compiler; unknown names fall back to the extern
-    registry. Local calls between module functions are supported. *)
-
-val run :
-  ?externs:Rt.registry -> Ir.Func.modl -> string -> Rt.v array -> Rt.v array
-(** Compile and invoke one function. *)

@@ -159,7 +159,6 @@ let run ?(externs : Rt.registry = Rt.create_registry ()) (m : Func.modl)
         match (v 0, o.results.(0).ty) with
         | Rt.F a, Ty.Vec (w, _) -> setr 0 (Rt.VF (Float.Array.make w a))
         | Rt.I a, Ty.Vec (w, _) -> setr 0 (Rt.VI (Array.make w a))
-        | Rt.B a, Ty.Vec (w, _) -> setr 0 (Rt.VB (Array.make w a))
         | _ -> fail "broadcast: bad operand")
     | Op.VecLoad -> (
         match (v 0, v 1, o.results.(0).ty) with

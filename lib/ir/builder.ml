@@ -170,7 +170,8 @@ let math b (name : string) (args : Value.t list) : Value.t =
 (* ------------------------------------------------------------------ *)
 
 let broadcast b ~(width : int) (x : Value.t) : Value.t =
-  if not (Ty.is_scalar x.ty) then terr "broadcast: operand must be scalar";
+  if not (Ty.equal x.ty Ty.F64 || Ty.equal x.ty Ty.I64) then
+    terr "broadcast: operand must be an f64 or i64 scalar";
   if width = 1 then x else emit1 b Op.Broadcast [ x ] (Ty.vec width x.ty)
 
 let check_memref what (m : Value.t) =

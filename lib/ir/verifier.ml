@@ -163,8 +163,8 @@ let verify_func ?(modl : Func.modl option) (f : Func.func) : error list =
     | Op.Broadcast ->
         arity 1 1;
         if nop = 1 && nres = 1 then
-          expect_op op "broadcast: scalar -> vector of it"
-            (Ty.is_scalar o.(0).ty
+          expect_op op "broadcast: f64 or i64 scalar -> vector of it"
+            ((Ty.equal o.(0).ty Ty.F64 || Ty.equal o.(0).ty Ty.I64)
             &&
             match r.(0).ty with
             | Ty.Vec (_, e) -> Ty.equal e o.(0).ty

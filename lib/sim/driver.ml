@@ -57,8 +57,8 @@ let make_registry () : Rt.registry =
 
 (* A fresh instance of the driver's module under its engine: one per
    thread for the compute kernel (engines are not reentrant), one per
-   {!reset} for the lookup-table initializers.  [Fused] never gets here:
-   {!create} resolves it to [Batched]. *)
+   {!reset} for the lookup-table initializers.  [Fused] and [Compiled]
+   never get here: {!create} resolves both to [Batched]. *)
 let compile (d : t) : string -> Rt.v array -> Rt.v array =
   let modl = d.gen.Codegen.Kernel.modl in
   match d.engine with
@@ -66,9 +66,8 @@ let compile (d : t) : string -> Rt.v array -> Rt.v array =
       match d.native with
       | Some lookup -> lookup
       | None -> fail "native engine without a compiled library")
-  | Fused | Batched ->
+  | Fused | Compiled | Batched ->
       Batched.compile_module ~externs:d.registry ~tile:d.tile modl
-  | Compiled -> Engine.compile_module ~externs:d.registry modl
   | Reference -> fun name args -> Interp.run ~externs:d.registry modl name args
 
 let make_rows (gen : Codegen.Kernel.t) : floatarray list =
@@ -144,7 +143,7 @@ let create ?(engine = Batched) ?(tile = 0) ?specialize:(_ : bool option)
   (* the native engine resolves its machine-code artifact eagerly so a
      missing/failing toolchain degrades here — once, with a warning, to
      the batched engine — rather than raising later inside a worker;
-     [Fused], the old name of [Batched], is resolved here too *)
+     [Fused] and [Compiled], the names of retired engines, run batched *)
   let engine, native =
     match engine with
     | Native -> (
@@ -154,7 +153,7 @@ let create ?(engine = Batched) ?(tile = 0) ?specialize:(_ : bool option)
             prerr_endline
               (Easyml.Diag.to_string ~file:gen.Codegen.Kernel.model.M.name diag);
             (Batched, None))
-    | Fused -> (Batched, None)
+    | Fused | Compiled -> (Batched, None)
     | e -> (e, None)
   in
   let layout = cfg.Codegen.Config.layout in
@@ -269,14 +268,12 @@ let health_snapshot (d : t) : Obs.Health.snapshot option =
 (* Flight recorder                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let engines =
-  [
-    ("batched", Batched); ("native", Native); ("closure", Compiled);
-    ("interp", Reference); ("fused", Fused);
-  ]
+let engines = [ ("batched", Batched); ("native", Native); ("interp", Reference) ]
 
-let engine_name (e : engine) : string =
-  fst (List.find (fun (_, e') -> e' = e) engines)
+let engine_name : engine -> string = function
+  | Batched | Fused | Compiled -> "batched"
+  | Native -> "native"
+  | Reference -> "interp"
 
 (** Snapshot every mutable buffer of this driver into a checkpoint: the
     state variables (in whatever layout the config picked), every
@@ -310,7 +307,6 @@ let capture (d : t) : Obs.Recorder.checkpoint =
         ("ncells_pad", string_of_int d.ncells_pad);
         ("dt_bits", Obs.Recorder.hex_of_float d.dt);
         ("engine", engine_name d.engine);
-        ("tile", string_of_int d.tile);
       ];
     ck_step = d.steps_done;
     ck_time = d.t_now;

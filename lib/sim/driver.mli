@@ -10,15 +10,17 @@ exception Driver_error of string
 
 type engine =
   | Fused
-      (** the old name of {!Batched}: checkpoints written at default flags
-          by earlier releases record it, so it still parses and
-          {!create} builds a {!Batched} driver for it *)
+      (** a retired engine: {!create} builds a {!Batched} driver for it *)
   | Batched
       (** tile-batched engine (default): loop-inverted dispatch over
           coalesced scratch rows, fused LUT macro-op (bitwise-identical
-          results) *)
-  | Compiled  (** closure engine (one instance per thread) *)
-  | Reference  (** tree-walking interpreter (slow; differential tests) *)
+          results); the fallback of {!Native} *)
+  | Compiled
+      (** a retired engine (closures), run as {!Batched} like {!Fused}.
+          Both constructors remain only because the end-to-end
+          benchmark's answer oracle matches on them; no spelling in
+          {!engines} names them *)
+  | Reference  (** tree-walking interpreter (slow; the reference) *)
   | Native
       (** machine code: the lowered kernel is emitted
           as C, compiled by the system toolchain and [dlopen]ed
@@ -62,10 +64,10 @@ val create :
   t
 (** Allocate, initialize from the model's [_init] values and build the
     lookup tables (by running the generated [lut_init_*] functions).
-    [engine] defaults to {!Batched}; {!Fused} builds a {!Batched}
-    driver too.  [tile] sets the batched engine's tile size in vector
-    blocks (default 0 = auto-size for L1); ignored by the other
-    engines, and results are bitwise identical for every value.  [dt]
+    [engine] defaults to {!Batched}; {!Fused} and {!Compiled} build a
+    {!Batched} driver too.  [tile] sets the batched engine's tile size
+    in vector blocks (default 0 = auto-size for L1); ignored by the
+    other engines, and results are bitwise identical for every value.  [dt]
     and the padded cell count reach the kernel as arguments, so every
     driver of one model × config shares one kernel (and one native
     library).  [specialize] is ignored: it is kept for callers written
@@ -151,11 +153,12 @@ val snapshot : t -> int -> (string * float) list
 (** {2 Flight recorder} *)
 
 val engines : (string * engine) list
-(** Every engine under its CLI spelling: [batched], [native],
-    [closure], [interp], and [fused], the old name of [batched]. *)
+(** Every engine under its CLI spelling: [batched], [native] and
+    [interp]. *)
 
 val engine_name : engine -> string
-(** The engine's spelling in {!engines}. *)
+(** The engine's spelling in {!engines}; [batched] for {!Fused} and
+    {!Compiled}, which run as {!Batched}. *)
 
 val capture : t -> Obs.Recorder.checkpoint
 (** Snapshot the driver's mutable state — state variables (all three

@@ -33,7 +33,7 @@ type shape = Cells of int | Tissue of tissue
 
 type t = {
   model : string;  (** registry name or EasyML file path *)
-  codegen : codegen; engine : Sim.Driver.engine; tile : int;
+  codegen : codegen; engine : Sim.Driver.engine;
   dt : float; steps : int;  (** total steps of the run *)
   threads : int; shape : shape;
 }
@@ -56,9 +56,9 @@ let hex = Obs.Recorder.hex_of_float
 
 (** The spec as checkpoint metadata, in checkpoint key order: a run's
     {!Obs.Recorder.writer} [extra], and the manifest's [spec].  [kind],
-    [engine], [tile], [dt_bits] and (cells) [ncells] are
-    also written by {!Sim.Driver.capture}; a writer keeps the capture's
-    values, so checkpoints record the engine and tile that actually ran. *)
+    [engine], [dt_bits] and (cells) [ncells] are also written by
+    {!Sim.Driver.capture}; a writer keeps the capture's values, so
+    checkpoints record the engine that actually ran. *)
 let to_meta (s : t) : (string * string) list =
   let c = s.codegen and engine = Sim.Driver.engine_name s.engine in
   [
@@ -73,7 +73,6 @@ let to_meta (s : t) : (string * string) list =
     ("cli_spline", string_of_bool c.spline);
     ("engine_req", engine);
     ("engine", engine);
-    ("tile", string_of_int s.tile);
     ("dt_bits", hex s.dt);
   ]
   @
@@ -123,15 +122,25 @@ let width_out_of_range (n : int) : out_of_range option =
     in
     Some { key = "cli_width"; flag = "width"; need; got = string_of_int n }
 
+(** The most threads a run may ask for: one domain each, and OCaml 5.1
+    runs at most 128 domains at once ([Max_domains]). *)
+let max_threads = 128
+
 (** The first field of [s] that {!create} would refuse.  These bounds
     are written only here: flag-built specs and checkpoint metadata
     ({!of_checkpoint}) are both held to them. *)
 let out_of_range (s : t) : out_of_range option =
-  let at_least lo key flag n =
-    if n >= lo then None
+  let bounded ?hi lo key flag n =
+    if n >= lo && Option.fold ~none:true ~some:(fun hi -> n <= hi) hi then None
     else
-      Some { key; flag; need = Printf.sprintf "at least %d" lo; got = string_of_int n }
+      let need =
+        match hi with
+        | None -> Printf.sprintf "at least %d" lo
+        | Some hi -> Printf.sprintf "between %d and %d" lo hi
+      in
+      Some { key; flag; need; got = string_of_int n }
   in
+  let at_least = bounded ?hi:None in
   (* NaN and ±inf are refused too: a non-finite step, spacing or
      conductivity runs to a meaningless answer, never to an error *)
   let float_check ok need key flag x =
@@ -155,14 +164,33 @@ let out_of_range (s : t) : out_of_range option =
   in
   List.find_map Fun.id
     ([ at_least 0 "steps_total" "steps" s.steps;
-       at_least 1 "threads" "threads" s.threads;
-       width_out_of_range s.codegen.width;
-       at_least 0 "tile" "tile" s.tile; positive "dt_bits" "dt" s.dt ]
+       bounded ~hi:max_threads 1 "threads" "threads" s.threads;
+       width_out_of_range s.codegen.width; positive "dt_bits" "dt" s.dt ]
     @ shape)
 
+(* Whether the population [s] describes, padded to the kernel width, is
+   [len] values: what each of a checkpoint's [ext:] sections holds.  A
+   population past [len] is refused before it is multiplied out. *)
+let population_is (s : t) (len : int) : bool =
+  let w = (config s.codegen).Codegen.Config.width in
+  let n =
+    match s.shape with
+    | Cells n -> n
+    | Tissue t -> if t.ny > len / t.nx then max_int else t.nx * t.ny
+  in
+  n <= len && (n + w - 1) / w * w = len
+
+(* Engine spellings of earlier releases: [fused] is the old name of
+   [batched], and the retired [closure] engine's checkpoints replay on
+   [batched] too (the engines agree bit for bit). *)
+let legacy_engines = [ ("fused", Sim.Driver.Batched); ("closure", Sim.Driver.Batched) ]
+
 (** Inverse of {!to_meta}.  Every key is required; a missing or
-    malformed value, or one {!out_of_range}, is a [checkpoint-mismatch]
-    diagnostic. *)
+    malformed value, one {!out_of_range}, or a population other than the
+    one the checkpoint's own [ext:] sections hold, is a
+    [checkpoint-mismatch] diagnostic.  Metadata lies outside the
+    checkpoint digest, so the population is checked here, before
+    anything is allocated for it. *)
 let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
   let ( let* ) = Result.bind in
   let mismatch fmt =
@@ -194,11 +222,11 @@ let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
   (* [engine_req] is the engine asked for, [engine] the one that ran
      (native falls back to batched without a C toolchain): a replay
      rebuilds the latter *)
-  let* _ = among Sim.Driver.engines "engine_req" in
-  let* engine = among Sim.Driver.engines "engine" in
-  let* tile = int "tile" in
-  (* checkpoints of earlier releases also carry [specialized]; any value
-     of it replays *)
+  let engines = Sim.Driver.engines @ legacy_engines in
+  let* _ = among engines "engine_req" in
+  let* engine = among engines "engine" in
+  (* checkpoints of earlier releases also carry [specialized] and
+     [tile]; any value of either replays *)
   let* dt = float "dt_bits" in
   let* shape =
     match Obs.Recorder.meta ck "kind" with
@@ -229,13 +257,25 @@ let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
   in
   let s =
     { model; codegen = { width; layout; no_lut; autovec; spline }; engine;
-      tile; dt; steps; threads; shape }
+      dt; steps; threads; shape }
   in
   match out_of_range s with
-  | None -> Ok s
   | Some r ->
       (* every bounded key was read above *)
       malformed r.key (Option.get (Obs.Recorder.meta ck r.key))
+  | None -> (
+      match
+        List.find_opt
+          (fun (sec : Obs.Recorder.section) ->
+            String.starts_with ~prefix:"ext:" sec.sec_name
+            && not (population_is s (Float.Array.length sec.sec_data)))
+          ck.Obs.Recorder.ck_sections
+      with
+      | None -> Ok s
+      | Some sec ->
+          mismatch "checkpoint metadata describes another population than \
+                    its section %s (%d value(s))"
+            sec.sec_name (Float.Array.length sec.sec_data))
 
 (* -- the run ------------------------------------------------------------ *)
 
@@ -257,13 +297,12 @@ let protocol (t : tissue) (geom : Tissue.Geometry.t) : Tissue.Protocol.t =
         stims = [ Sim.Stim.region pulse ~n ~lo:0 ~hi:(min width n) ] }
 
 (** {!Sim.Driver.create} or {!Tissue.Monodomain.create} on the spec's
-    engine, tile, [dt] and shape.
+    engine, [dt] and shape.
     @raise Sim.Driver.Driver_error or [Invalid_argument] as those do. *)
 let create (s : t) (g : Codegen.Kernel.t) : sim =
-  let engine = s.engine and tile = s.tile in
+  let engine = s.engine in
   match s.shape with
-  | Cells ncells ->
-      Cell_sim (Sim.Driver.create ~engine ~tile g ~ncells ~dt:s.dt)
+  | Cells ncells -> Cell_sim (Sim.Driver.create ~engine g ~ncells ~dt:s.dt)
   | Tissue t ->
       let geom =
         if t.ny <= 1 then Tissue.Geometry.cable ~n:t.nx ~dx:t.dx
@@ -276,7 +315,7 @@ let create (s : t) (g : Codegen.Kernel.t) : sim =
             (if t.block_check > 0.0 then Some t.block_check else None) }
       in
       Tissue_sim
-        (Monodomain.create ~engine ~tile ~config ~nthreads:s.threads g
+        (Monodomain.create ~engine ~config ~nthreads:s.threads g
            ~geom ~dt:s.dt ~protocol:(protocol t geom))
 
 let driver = function Cell_sim d -> d | Tissue_sim m -> Monodomain.driver m

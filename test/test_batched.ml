@@ -1,6 +1,6 @@
-(* Tile-batched engine tests: the all-engine bitwise differential against
-   the reference interpreter on the full model catalogue (closure, and
-   batched across tile sizes), Domain-parallel stepping on every model,
+(* Tile-batched engine tests: the bitwise differential against the
+   reference interpreter on the full model catalogue (batched across tile
+   sizes, and with spline lookup tables), Domain-parallel stepping on every model,
    qcheck properties for the slot coalescer (standalone and end-to-end on
    random straight-line loops), tile-partition race checking, driver tile
    resolution, and out-of-range accesses raising on every engine. *)
@@ -44,7 +44,7 @@ let references = Hashtbl.create 129
 (* The engines under test == the reference interpreter, bitwise, on all
    43 models, 100 steps, in every config.  Kernels come through the shared
    cache, so each model x config compiles once for every engine. *)
-let test_all_models_match_interp engines () =
+let test_all_models_match_interp ?(configs = configs) engines () =
   List.iter
     (fun (e : Models.Model_def.entry) ->
       List.iter
@@ -91,8 +91,16 @@ let batched_engines =
         fun g -> Sim.Driver.create ~engine:Sim.Driver.Batched ~tile g ~ncells ~dt:0.01 ))
     tiles
 
-let closure_engine =
-  [ ("closure", fun g -> Sim.Driver.create ~engine:Sim.Driver.Compiled g ~ncells ~dt:0.01) ]
+(* Batched at its auto tile on Catmull-Rom tables: the cubic macro-op
+   on every model that has a table (its own code path, in the vector
+   AoSoA and the scalar config). *)
+let spline_configs =
+  List.map
+    (fun (name, cfg) -> (name ^ "-spline", { cfg with C.lut_spline = true }))
+    [ ("scalar", C.baseline); ("aosoa", C.mlir ~width:4) ]
+
+let batched_engine =
+  [ ("batched", fun g -> Sim.Driver.create ~engine:Sim.Driver.Batched g ~ncells ~dt:0.01) ]
 
 (* Domain-parallel stepping must be bitwise-identical to sequential: the
    chunking only partitions whole tiles, it never changes per-cell math.
@@ -132,11 +140,11 @@ let test_cubic_lut_macro_op_bitwise () =
         Sim.Driver.snapshot d 6
       in
       check_snapshots
-        ~ctx:(name ^ " cubic batched/closure")
-        (run Sim.Driver.Batched) (run Sim.Driver.Compiled);
+        ~ctx:(name ^ " cubic batched/interp")
+        (run Sim.Driver.Batched) (run Sim.Driver.Reference);
       (* NaN row: a NaN Vm in cell 6 reaches the table lookup; its lane
-         goes NaN, its block's other lanes stay finite, and both engines
-         agree bit for bit *)
+         goes NaN, its block's other lanes stay finite, and batched
+         agrees with the interpreter bit for bit *)
       let nan_stage engine =
         let d = Sim.Driver.create ~engine g ~ncells ~dt:0.01 in
         Sim.Driver.set_ext d "Vm" 6 Float.nan;
@@ -157,7 +165,7 @@ let test_cubic_lut_macro_op_bitwise () =
           end
           else check_snapshots ~ctx a b)
         (List.combine (nan_stage Sim.Driver.Batched)
-           (nan_stage Sim.Driver.Compiled)))
+           (nan_stage Sim.Driver.Reference)))
     [ "MitchellSchaeffer"; "LuoRudy91"; "TenTusscher" ]
 
 (* Domain-parallel batched stepping: tile-aligned chunks are proved
@@ -213,8 +221,8 @@ let test_driver_tile_resolution () =
   Alcotest.(check bool)
     "auto tile within the L1 sizing clamp" true
     (da.Sim.Driver.tile >= 4 && da.Sim.Driver.tile <= 64);
-  let dc = Sim.Driver.create ~engine:Sim.Driver.Compiled g ~ncells:8 ~dt:0.01 in
-  Alcotest.(check int) "non-batched drivers use unit tiles" 1 dc.Sim.Driver.tile
+  let dr = Sim.Driver.create ~engine:Sim.Driver.Reference g ~ncells:8 ~dt:0.01 in
+  Alcotest.(check int) "non-batched drivers use unit tiles" 1 dr.Sim.Driver.tile
 
 (* -- slot coalescer: standalone property -------------------------------- *)
 
@@ -280,7 +288,7 @@ let coalescer_sound =
 
 (* Lower a random expression into a parallel loop body (two loads, the
    expression, one store) and require the batched engine — imports,
-   pairing, coalesced rows and all — to match the closure engine
+   pairing, coalesced rows and all — to match the reference interpreter
    bitwise, for several tile sizes. *)
 let lower_loop ~(w : int) (e : Easyml.Ast.expr) : Ir.Func.modl =
   let m = Ir.Func.create_module "bat_loop" in
@@ -316,16 +324,16 @@ let lower_loop ~(w : int) (e : Easyml.Ast.expr) : Ir.Func.modl =
          B.ret b []));
   m
 
-let run_loop ~(engine : [ `Batched of int | `Closure ]) (m : Ir.Func.modl)
+let run_loop ~(engine : [ `Batched of int | `Interp ]) (m : Ir.Func.modl)
     ~(n : int) (in1 : floatarray) (in2 : floatarray) : floatarray =
   let out = Float.Array.make n 0.0 in
   let args = [| Rt.M in1; Rt.M in2; Rt.M out; Rt.I n |] in
   (match engine with
   | `Batched tile -> ignore (Batched.run ~tile m "f" args)
-  | `Closure -> ignore (Engine.run m "f" args));
+  | `Interp -> ignore (Interp.run m "f" args));
   out
 
-let batched_matches_closure_on_loops ~(w : int) name =
+let batched_matches_interp_on_loops ~(w : int) name =
   Helpers.qtest ~count:120 name
     (Helpers.arbitrary_expr [ "x"; "y" ])
     (fun e ->
@@ -337,7 +345,7 @@ let batched_matches_closure_on_loops ~(w : int) name =
       let n = 12 in
       let in1 = Float.Array.init n (fun i -> Float.sin (float_of_int (i + 1)))
       and in2 = Float.Array.init n (fun i -> Float.cos (float_of_int i)) in
-      let want = run_loop ~engine:`Closure m ~n in1 in2 in
+      let want = run_loop ~engine:`Interp m ~n in1 in2 in
       List.for_all
         (fun tile ->
           let got = run_loop ~engine:(`Batched tile) m ~n in1 in2 in
@@ -396,7 +404,7 @@ let oob_loop (access : access) ~(w : int) : Ir.Func.modl =
    buffer the access under test touches is one block short, so the last
    iteration must raise [Invalid_argument] rather than read or write past
    its end.  The loop must tile, so batched runs its tile instructions
-   and not the closure engine's thunks. *)
+   and not its per-op thunks. *)
 let test_oob_raises_on_every_engine () =
   let n = 16 in
   List.iter
@@ -419,7 +427,6 @@ let test_oob_raises_on_every_engine () =
           | exception Invalid_argument _ -> ())
         [
           ("interp", fun m f a -> Interp.run m f a);
-          ("closure", fun m f a -> Engine.run m f a);
           ("batched", fun m f a -> Batched.run m f a);
         ])
     [
@@ -435,8 +442,9 @@ let suite =
   [
     Alcotest.test_case "all 43: batched == interp bitwise across tiles" `Slow
       (test_all_models_match_interp batched_engines);
-    Alcotest.test_case "all 43: closure == interp bitwise" `Slow
-      (test_all_models_match_interp closure_engine);
+    Alcotest.test_case "all 43: batched == interp bitwise with spline tables"
+      `Slow
+      (test_all_models_match_interp ~configs:spline_configs batched_engine);
     Alcotest.test_case "all 43: Domain-parallel == sequential" `Slow
       test_all_models_parallel_identical;
     Alcotest.test_case "cubic LUT macro-op bitwise" `Quick
@@ -450,8 +458,8 @@ let suite =
     Alcotest.test_case "out-of-range access raises on every engine" `Quick
       test_oob_raises_on_every_engine;
     coalescer_sound;
-    batched_matches_closure_on_loops ~w:1
-      "batched == closure on random scalar loops (all tiles)";
-    batched_matches_closure_on_loops ~w:4
-      "batched == closure on random vector loops (all tiles)";
+    batched_matches_interp_on_loops ~w:1
+      "batched == interp on random scalar loops (all tiles)";
+    batched_matches_interp_on_loops ~w:4
+      "batched == interp on random vector loops (all tiles)";
   ]

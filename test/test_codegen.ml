@@ -248,7 +248,7 @@ let test_reference_engine_agrees () =
     done;
     Sim.Driver.snapshot d 2
   in
-  check_same "interpreter == engine on a kernel" (run Sim.Driver.Compiled)
+  check_same "interpreter == engine on a kernel" (run Sim.Driver.Batched)
     (run Sim.Driver.Reference)
 
 (* -- compile cache ------------------------------------------------------ *)

@@ -1,5 +1,6 @@
-(* Execution-engine tests: the closure compiler against the reference
-   interpreter, the AST evaluator, and hand-computed results. *)
+(* Execution-engine tests: the batched engine (its per-op thunks for
+   straight-line code, its tiles for parallel loops) against the
+   reference interpreter, the AST evaluator, and hand-computed results. *)
 
 open Ir
 open Exec
@@ -43,7 +44,7 @@ let lower_vector ~(w : int) (e : Easyml.Ast.expr) : Func.modl =
   m
 
 let run_scalar m x y =
-  match Engine.run m "f" [| Rt.F x; Rt.F y |] with
+  match Batched.run m "f" [| Rt.F x; Rt.F y |] with
   | [| Rt.F v |] -> v
   | _ -> Alcotest.fail "expected one f64 result"
 
@@ -84,7 +85,7 @@ let vector_lanes_match_scalar =
       let ys = [| 1.5; 0.25; -2.5; 3.0 |] in
       let vx = Float.Array.init w (fun i -> xs.(i)) in
       let vy = Float.Array.init w (fun i -> ys.(i)) in
-      match Engine.run mv "f" [| Rt.VF vx; Rt.VF vy |] with
+      match Batched.run mv "f" [| Rt.VF vx; Rt.VF vy |] with
       | [| Rt.VF out |] ->
           Array.for_all Fun.id
             (Array.init w (fun i ->
@@ -114,7 +115,7 @@ let test_loop_iter_args () =
   let expect n = float_of_int ((n - 1) * n * ((2 * n) - 1) / 6) in
   List.iter
     (fun n ->
-      (match Engine.run m "f" [| Rt.I n |] with
+      (match Batched.run m "f" [| Rt.I n |] with
       | [| Rt.F v |] -> Helpers.fcheck "engine loop" (expect n) v
       | _ -> Alcotest.fail "bad result");
       match Interp.run m "f" [| Rt.I n |] with
@@ -164,7 +165,7 @@ let bool_select_kernel ~(w : int) : Func.modl =
   m
 
 (* Every engine runs the boolean select at w = 1 and w = 4: the
-   interpreter, the closure engine, the batched engine (which tiles the
+   interpreter, the batched engine (which tiles the
    loop) and, with a C toolchain, the native engine. *)
 let test_bool_select () =
   let vm = [| -80.; -20.; -80.; -20.; -60.; -40.; -80.; 10. |]
@@ -178,7 +179,6 @@ let test_bool_select () =
   let engines =
     [
       ("interp", fun m a -> ignore (Interp.run m "f" a));
-      ("closure", fun m a -> ignore (Engine.run m "f" a));
       ("batched", fun m a -> ignore (Batched.run m "f" a));
     ]
     @
@@ -233,7 +233,7 @@ let test_memory_roundtrip () =
          Builder.ret b [ got ]));
   Verifier.verify_module_exn m;
   let buf = Rt.buffer 8 in
-  (match Engine.run m "f" [| Rt.M buf |] with
+  (match Batched.run m "f" [| Rt.M buf |] with
   | [| Rt.VF out |] ->
       List.iteri
         (fun i want -> Helpers.fcheck "gather lane" want (Float.Array.get out i))
@@ -256,7 +256,7 @@ let test_extern_call () =
   Rt.register reg "twice" (function
     | [| Rt.F x |] -> [| Rt.F (2.0 *. x) |]
     | _ -> assert false);
-  (match Engine.run ~externs:reg m "f" [| Rt.F 21.0 |] with
+  (match Batched.run ~externs:reg m "f" [| Rt.F 21.0 |] with
   | [| Rt.F v |] -> Helpers.fcheck "extern call" 42.0 v
   | _ -> Alcotest.fail "bad result");
   match Interp.run ~externs:reg m "f" [| Rt.F 21.0 |] with
@@ -276,7 +276,7 @@ let test_local_call () =
          let r = Builder.call b m "sq" [ List.hd args ] in
          let r2 = Builder.call b m "sq" r in
          Builder.ret b r2));
-  match Engine.run m "f" [| Rt.F 3.0 |] with
+  match Batched.run m "f" [| Rt.F 3.0 |] with
   | [| Rt.F v |] -> Helpers.fcheck "nested local calls" 81.0 v
   | _ -> Alcotest.fail "bad result"
 
@@ -296,7 +296,7 @@ let test_yield_swap () =
                match iters with [ a; b' ] -> [ b'; a ] | _ -> assert false)
          in
          Builder.ret b res));
-  (match Engine.run m "f" [| Rt.I 3 |] with
+  (match Batched.run m "f" [| Rt.I 3 |] with
   | [| Rt.F a; Rt.F b |] ->
       Helpers.fcheck "swapped a (engine)" 2.0 a;
       Helpers.fcheck "swapped b (engine)" 1.0 b

@@ -39,9 +39,13 @@ let test_builder_checks () =
     | _ -> assert false);
   expect_terror "select width mismatch" (fun b -> function
     | [ f; _; _ ] ->
-        let c = Builder.cmpf b Op.Lt f f in
+        let f8 = Builder.broadcast b ~width:8 f in
+        let c = Builder.cmpf b Op.Lt f8 f8 in
         let v = Builder.broadcast b ~width:4 f in
-        ignore (Builder.select b (Builder.broadcast b ~width:8 c) v v)
+        ignore (Builder.select b c v v)
+    | _ -> assert false);
+  expect_terror "broadcast of an i1" (fun b -> function
+    | [ f; _; _ ] -> ignore (Builder.broadcast b ~width:8 (Builder.cmpf b Op.Lt f f))
     | _ -> assert false);
   expect_terror "select over i64 arms" (fun b -> function
     | [ f; i; _ ] -> ignore (Builder.select b (Builder.cmpf b Op.Lt f f) i i)
@@ -264,7 +268,7 @@ let test_parsed_kernel_executes () =
         (Easyml.Model.lut_rows spec * Easyml.Lut_cones.n_columns plan)
     in
     ignore
-      (Exec.Engine.run ~externs:reg modl
+      (Exec.Batched.run ~externs:reg modl
          (Codegen.Kernel.lut_init_name spec)
          [| Exec.Rt.M buf; Exec.Rt.F 0.01 |]);
     buf
@@ -349,7 +353,7 @@ let parse_print_execute =
              Builder.ret b [ Codegen.Lower.lower_num env e ]));
       let m2 = Ir.Parser.parse_module (Ir.Printer.module_to_string m) in
       let run modl =
-        match Exec.Engine.run modl "f" [| Exec.Rt.F 0.75; Exec.Rt.F (-1.25) |] with
+        match Exec.Batched.run modl "f" [| Exec.Rt.F 0.75; Exec.Rt.F (-1.25) |] with
         | [| Exec.Rt.F v |] -> v
         | _ -> Float.nan
       in

@@ -1,6 +1,6 @@
 (* Native (JIT-compiled C) engine tests: trajectory differential against
    the batched engine on the full model catalogue, qcheck differential of
-   the C emitter vs. the closure engine on random lowered loops, vector
+   the C emitter vs. the interpreter on random lowered loops, vector
    lane edge cases (NaN, -0.0, masks), parallel == sequential,
    artifact-cache accounting, the ISA probe, per-step allocation, and
    the failure paths (no toolchain, failing compiler, malformed C) — all
@@ -187,7 +187,7 @@ let test_parallel_identical () =
       done)
     [ "MitchellSchaeffer"; "LuoRudy91" ]
 
-(* -- qcheck: C emitter vs. closure engine on random lowered loops ------- *)
+(* -- qcheck: C emitter vs. the interpreter on random lowered loops ----- *)
 
 let lower_loop ~(w : int) (e : Easyml.Ast.expr) : Ir.Func.modl =
   let m = Ir.Func.create_module "nat_loop" in
@@ -234,7 +234,7 @@ let call_native (m : Ir.Func.modl) (args : Rt.v array) : unit =
   in
   ignore (call args)
 
-(* The buffer [f] writes, on the native and on the closure engine;
+(* The buffer [f] writes, on the native engine and on the interpreter;
    [args out] is its argument vector. *)
 let both_engines (m : Ir.Func.modl) ~(n : int) (args : floatarray -> Rt.v array)
     : floatarray * floatarray =
@@ -243,7 +243,7 @@ let both_engines (m : Ir.Func.modl) ~(n : int) (args : floatarray -> Rt.v array)
     call m (args out);
     out
   in
-  (run call_native, run (fun m a -> ignore (Engine.run m "f" a)))
+  (run call_native, run (fun m a -> ignore (Interp.run m "f" a)))
 
 (* [lower_loop]'s outputs on both engines. *)
 let run_loop (m : Ir.Func.modl) ~(n : int) (in1 : floatarray)
@@ -254,7 +254,7 @@ let loop_inputs n =
   ( Float.Array.init n (fun i -> Float.sin (float_of_int (i + 1))),
     Float.Array.init n (fun i -> Float.cos (float_of_int i)) )
 
-let native_matches_closure_on_loops ~(w : int) name =
+let native_matches_interp_on_loops ~(w : int) name =
   (* each case invokes the C compiler once; keep the count moderate *)
   Helpers.qtest ~count:25 name
     (Helpers.arbitrary_expr [ "x"; "y" ])
@@ -298,7 +298,7 @@ let test_constant_libm_calls_run_at_run_time () =
       (fun i w ->
         let g = Float.Array.get got i in
         if not (Helpers.same_float g w) then
-          Alcotest.failf "%s, element %d: native %h, closure %h" what i g w)
+          Alcotest.failf "%s, element %d: native %h, interp %h" what i g w)
       want
   in
   let select_arm =
@@ -838,7 +838,7 @@ let lane_edge_module ~(w : int) : Ir.Func.modl =
 
 (* Compares and blends with NaN lanes, a -0.0 broadcast, a blend of
    masks, and fmin/fmax on NaN and signed-zero lanes:
-   the native kernel writes the closure engine's bits at widths 2, 4
+   the native kernel writes the interpreter's bits at widths 2, 4
    and 8. *)
 let test_lane_edge_cases () =
   skip_without_cc ();
@@ -857,7 +857,7 @@ let test_lane_edge_cases () =
         (fun i wv ->
           let gv = Float.Array.get got i in
           if Int64.bits_of_float gv <> Int64.bits_of_float wv then
-            Alcotest.failf "w=%d output %d, lane pair %d: native %h, closure %h"
+            Alcotest.failf "w=%d output %d, lane pair %d: native %h, interp %h"
               w (i / n) (i mod n) gv wv)
         want)
     [ 2; 4; 8 ]
@@ -944,10 +944,10 @@ let suite =
     Alcotest.test_case "cubic LUT inline helpers" `Quick test_cubic_lut_native;
     Alcotest.test_case "parallel native == sequential" `Quick
       test_parallel_identical;
-    native_matches_closure_on_loops ~w:1
-      "native == closure on random scalar loops";
-    native_matches_closure_on_loops ~w:4
-      "native == closure on random vector loops";
+    native_matches_interp_on_loops ~w:1
+      "native == interp on random scalar loops";
+    native_matches_interp_on_loops ~w:4
+      "native == interp on random vector loops";
     Alcotest.test_case "constant libm calls run at run time" `Quick
       test_constant_libm_calls_run_at_run_time;
     Alcotest.test_case "artifact cache hits and accounting" `Quick
@@ -976,8 +976,8 @@ let suite =
       test_store_capacity;
     Alcotest.test_case "store: failed unit outlives the process" `Quick
       test_failed_unit_kept;
-    native_matches_closure_on_loops ~w:8
-      "native == closure on random w=8 loops";
+    native_matches_interp_on_loops ~w:8
+      "native == interp on random w=8 loops";
     Alcotest.test_case "vector lanes: NaN, -0.0, masks as i1" `Quick
       test_lane_edge_cases;
     Alcotest.test_case "ISA flag follows the probe" `Quick test_isa_flag;

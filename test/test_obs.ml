@@ -341,7 +341,7 @@ let test_traced_bitwise_identical () =
                 Alcotest.failf "%s/%s: tracing changed %s: %.17g vs %.17g"
                   e.name ename n a b)
             plain traced)
-        [ ("closure", Sim.Driver.Compiled); ("batched", Sim.Driver.Batched) ])
+        [ ("batched", Sim.Driver.Batched) ])
     Models.Registry.all;
   fresh ()
 
@@ -350,7 +350,7 @@ let test_traced_bitwise_identical () =
 let test_disabled_overhead () =
   (* a disabled tracer must cost one flag load per call: a million
      span+counter calls complete far inside any human-visible budget and
-     record nothing.  (The CI batched-vs-closure geomean gate guards the
+     record nothing.  (The CI native-vs-batched geomean gate guards the
      real hot path end to end.) *)
   fresh ();
   let t0 = Unix.gettimeofday () in

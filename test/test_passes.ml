@@ -18,7 +18,7 @@ let lower_expr_func (e : Easyml.Ast.expr) : Func.modl =
   m
 
 let run1 m x y =
-  match Engine.run m "f" [| Rt.F x; Rt.F y |] with
+  match Batched.run m "f" [| Rt.F x; Rt.F y |] with
   | [| Rt.F v |] -> v
   | _ -> Alcotest.fail "expected one result"
 
@@ -92,7 +92,7 @@ let test_dce_removes_dead () =
   let before = op_count m in
   ignore (Passes.Pass.run_on_module Passes.Dce.pass m);
   Alcotest.(check int) "dead chain removed" (before - 2) (op_count m);
-  (match Engine.run m "f" [| Rt.F 2.0 |] with
+  (match Batched.run m "f" [| Rt.F 2.0 |] with
   | [| Rt.F v |] -> Helpers.fcheck "value" 4.0 v
   | _ -> Alcotest.fail "bad result")
 
@@ -107,7 +107,7 @@ let test_dce_keeps_stores () =
          Builder.ret b []));
   ignore (Passes.Pass.run_on_module Passes.Dce.pass m);
   let buf = Rt.buffer 1 in
-  ignore (Engine.run m "f" [| Rt.M buf |]);
+  ignore (Batched.run m "f" [| Rt.M buf |]);
   Helpers.fcheck "store survived DCE" 9.0 (Float.Array.get buf 0)
 
 (* -- no identity is licensed ----------------------------------------------- *)
@@ -220,7 +220,7 @@ let test_licm_hoists () =
   | [] -> ()
   | errs -> Alcotest.fail (Verifier.errors_to_string errs));
   Alcotest.(check bool) "loop body shrank" true (in_loop_ops () < before);
-  match Engine.run m "f" [| Rt.I 5; Rt.F 0.5 |] with
+  match Batched.run m "f" [| Rt.I 5; Rt.F 0.5 |] with
   | [| Rt.F v |] -> Helpers.check_close "value" (5.0 *. Float.exp 0.5) v
   | _ -> Alcotest.fail "bad result"
 
@@ -268,7 +268,7 @@ let test_licm_keeps_loads () =
   Alcotest.(check int) "constant hoisted" 0
     (count_kind (function Op.ConstF _ -> true | _ -> false) body);
   let buf = Rt.buffer 1 in
-  ignore (Engine.run m "f" [| Rt.M buf; Rt.I 5 |]);
+  ignore (Batched.run m "f" [| Rt.M buf; Rt.I 5 |]);
   Helpers.fcheck "five increments" 5.0 (Float.Array.get buf 0)
 
 let test_cse_scopes_regions () =
@@ -298,7 +298,7 @@ let test_cse_scopes_regions () =
   let math name = count_kind (( = ) (Op.Math name)) f.Func.f_body in
   let run () =
     let out = Rt.buffer 4 in
-    ignore (Engine.run m "f" [| Rt.F 0.5; Rt.F 0.3; Rt.I 3; Rt.M out |]);
+    ignore (Batched.run m "f" [| Rt.F 0.5; Rt.F 0.3; Rt.I 3; Rt.M out |]);
     out
   in
   let want = run () in

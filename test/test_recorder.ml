@@ -2,7 +2,7 @@
    patterns (property-based, including -0.0 / NaN payloads / subnormals),
    driver capture/restore across the three layouts, the
    interrupted-vs-uninterrupted bitwise differential over the whole model
-   catalogue (closure and batched; native within its 2-ULP bound), corrupt
+   catalogue (batched; native within its 2-ULP bound), corrupt
    and truncated files failing with structured diagnostics, writer
    rotation/statistics, and the tissue round trip (activation maps and
    block latches included). *)
@@ -355,7 +355,7 @@ let test_catalogue_bitwise_identical () =
           if not (String.equal want got) then
             Alcotest.failf "%s/%s: resumed digest %s, uninterrupted %s" e.name
               ename got want)
-        [ ("closure", D.Compiled); ("batched", D.Batched) ])
+        [ ("batched", D.Batched) ])
     Models.Registry.all
 
 (* native: interrupted-vs-uninterrupted is bitwise against itself (same

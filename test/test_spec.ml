@@ -4,8 +4,9 @@
    digest, every dropped, garbled or out-of-range metadata key failing as
    a structured diagnostic, checkpoints written by earlier releases
    replaying to the digests those releases recorded, out-of-range flags
-   and unusable input files failing as diagnostics, and the old [fused]
-   engine name running batched. *)
+   and unusable input files failing as diagnostics, retired engine names
+   and the retired [--tile] flag failing as usage errors, and a default
+   run recording the engine it ran. *)
 
 module R = Obs.Recorder
 module S = Spec
@@ -52,7 +53,6 @@ let spec_gen : S.t QCheck.Gen.t =
   let* autovec = bool in
   let* spline = bool in
   let* engine = oneofl (List.map snd Sim.Driver.engines) in
-  let* tile = int_range 0 64 in
   let* dt = positive_float in
   let* steps = int_range 0 1_000_000 in
   let* threads = int_range 1 8 in
@@ -89,7 +89,6 @@ let spec_gen : S.t QCheck.Gen.t =
       S.model;
       codegen = { S.width; layout; no_lut; autovec; spline };
       engine;
-      tile;
       dt;
       steps;
       threads;
@@ -158,7 +157,6 @@ let cells ?(no_lut = false) (model : string) : S.t =
     S.model;
     codegen = { S.width = 4; layout = None; no_lut; autovec = false; spline = false };
     engine = Sim.Driver.Batched;
-    tile = 0;
     dt = 0.01;
     steps = 60;
     threads = 1;
@@ -226,7 +224,23 @@ let test_key_matrix () =
           | Error d ->
               Alcotest.(check string) ("cli_width " ^ w) "checkpoint-mismatch"
                 d.Easyml.Diag.code)
-        [ "0"; "3" ])
+        [ "0"; "3" ];
+      (* metadata lies outside the digest: a population other than the
+         one the sections hold, or more threads than domains, is refused
+         before anything is allocated for it *)
+      let refused key v =
+        match S.of_checkpoint (R.set_meta ck key v) with
+        | Ok _ -> Alcotest.failf "%s %s: the spec reader accepted it" key v
+        | Error d ->
+            Alcotest.(check string) (key ^ " " ^ v) "checkpoint-mismatch"
+              d.Easyml.Diag.code
+      in
+      refused "threads" "129";
+      match R.meta ck "kind" with
+      | Some "cell" -> refused "ncells" "99999999999"
+      | _ ->
+          refused "nx" "99999999999";
+          refused "ny" "99999999")
     [ cells "BeelerReuter"; cable S.S1 ]
 
 (* test data, from the build tree or the repository root *)
@@ -242,8 +256,9 @@ let path p = if Sys.file_exists p then p else "test/" ^ p
      flags while the default engine was still called fused, so it
      records `engine fused`.
    Both record `specialized true`, which releases that partially
-   evaluated kernels per run wrote; any other value of it replays to
-   the same digest. *)
+   evaluated kernels per run wrote, and a `tile`, which releases with a
+   `--tile` flag wrote; any other value of either replays to the same
+   digest, and so does the retired `closure` engine, on batched. *)
 let test_release_fixture () =
   List.iter
     (fun name ->
@@ -254,12 +269,14 @@ let test_release_fixture () =
             String.trim (Test_tissue.read_file ("golden/" ^ name ^ "_digest.txt"))
           in
           List.iter
-            (fun v ->
+            (fun (key, v) ->
               Alcotest.(check string)
-                (Printf.sprintf "%s, specialized %s: replayed digest" name v)
+                (Printf.sprintf "%s, %s %s: replayed digest" name key v)
                 golden
-                (finish (R.set_meta ck "specialized" v)))
-            [ "true"; "false"; "zz" ])
+                (finish (R.set_meta ck key v)))
+            [ ("specialized", "true"); ("specialized", "false");
+              ("specialized", "zz"); ("engine", "closure");
+              ("engine_req", "closure"); ("tile", "999999999") ])
     [ "ms_cable32"; "ms_cells16_fused" ]
 
 (* -- out-of-range flags ---------------------------------------------------- *)
@@ -324,6 +341,11 @@ let test_bad_flags () =
           cli "--refresh" ("serve" :: "--port" :: "0" :: "--refresh" :: "0" :: ms);
           cli "--threads"
             [ "replay"; path "fixtures/ms_cells16_fused.ckpt"; "--threads"; "0" ];
+          (* one domain per thread: more than OCaml runs at once is
+             refused before any is started *)
+          cli "--threads" ("run" :: "--threads" :: "129" :: ms);
+          cli "--threads"
+            [ "replay"; path "fixtures/ms_cells16_fused.ckpt"; "--threads"; "129" ];
           diag "no-models" [ "check" ];
           cli "--width" [ "emit"; "MitchellSchaeffer"; "-w"; "0" ];
           cli "--width" [ "passes"; "MitchellSchaeffer"; "-w"; "0" ];
@@ -351,29 +373,49 @@ let test_bad_flags () =
         ];
       Alcotest.(check bool) "no checkpoint written" false (Sys.file_exists ck))
 
-(* [fused], the old name of [batched], and the default engine both run
-   batched: same engine in the tissue header, same final digest *)
-let test_fused_runs_batched () =
+(* The retired engines' names and the retired [--tile] flag are usage
+   errors on every simulating command: exit 124 with cmdliner's usage
+   message, before anything runs.  Their checkpoints still replay (see
+   the release fixtures above). *)
+let test_retired_spellings () =
   List.iter
-    (fun base ->
-      let run extra =
-        let args = base @ extra in
-        let ((_, out, _) as r) = Test_native.run_cli ~env:[] args in
-        let digest = Test_native.final_digest ~ctx:(String.concat " " args) r in
-        if List.hd base = "tissue" && not (Helpers.contains out "engine=batched")
-        then
-          Alcotest.failf "%s: not on the batched engine:\n%s"
-            (String.concat " " args) out;
-        digest
+    (fun cmd ->
+      List.iter
+        (fun extra ->
+          let args = cmd :: "MitchellSchaeffer" :: "--steps" :: "10" :: extra in
+          let ctx = String.concat " " args in
+          let code, out, err = Test_native.run_cli ~env:[] args in
+          Alcotest.(check int) (ctx ^ ": exit") 124 code;
+          if not (Helpers.contains err "Usage:") then
+            Alcotest.failf "%s: no usage message in\n%s" ctx err;
+          Alcotest.(check string) (ctx ^ ": stdout") "" out)
+        [ [ "--engine"; "closure" ]; [ "--engine"; "fused" ]; [ "--tile"; "4" ] ])
+    [ "run"; "tissue"; "profile"; "serve" ]
+
+(* A run without [--engine] runs native when a C toolchain is there and
+   batched otherwise, and its manifest says which. *)
+let test_default_engine_manifest () =
+  Test_recorder.with_temp_dir (fun dir ->
+      let ck = Filename.concat dir "ck" in
+      let args =
+        [ "run"; "MitchellSchaeffer"; "--cells"; "8"; "--steps"; "20";
+          "--trace-every"; "0"; "--checkpoint-dir"; ck ]
       in
-      let want = run [ "--engine"; "batched" ] in
-      Alcotest.(check string) "--engine fused" want (run [ "--engine"; "fused" ]);
-      Alcotest.(check string) "default engine" want (run []))
-    [
-      [ "run"; "MitchellSchaeffer"; "--cells"; "16"; "--steps"; "200";
-        "--trace-every"; "0"; "--final-digest" ];
-      [ "tissue"; "MitchellSchaeffer"; "--nx"; "32"; "--steps"; "300"; "--final-digest" ];
-    ]
+      let code, _, err =
+        Test_native.run_cli ~env:[ ("XDG_CACHE_HOME", Filename.concat dir "cache") ] args
+      in
+      if code <> 0 then Alcotest.failf "default run: exit %d\n%s" code err;
+      let manifest =
+        match
+          Obs.Json.parse (Test_tissue.read_file (Filename.concat ck "manifest.json"))
+        with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "manifest: %s" e
+      in
+      let want = if Exec.Native.available () then "native" else "batched" in
+      match Obs.Json.member "engine" manifest with
+      | Some (Obs.Json.Str e) -> Alcotest.(check string) "manifest engine" want e
+      | _ -> Alcotest.fail "manifest has no engine")
 
 let suite =
   [
@@ -394,6 +436,8 @@ let suite =
       test_release_fixture;
     Alcotest.test_case "out-of-range flags are diagnostics, exit 1" `Quick
       test_bad_flags;
-    Alcotest.test_case "--engine fused and the default run batched" `Quick
-      test_fused_runs_batched;
+    Alcotest.test_case "--engine closure, fused and --tile are usage errors"
+      `Quick test_retired_spellings;
+    Alcotest.test_case "a default run's manifest names the engine that ran"
+      `Quick test_default_engine_manifest;
   ]

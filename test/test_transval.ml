@@ -3,7 +3,7 @@
    Three layers:
    - qcheck properties on random lowered loops: the validated pipeline
      proves every pass application AND the optimized kernel stays
-     bitwise-identical to the unoptimized one under the closure engine
+     bitwise-identical to the unoptimized one under the interpreter
      (so the symbolic prover and the concrete semantics agree);
      normalization is deterministic and idempotent ({!Transval.self_check});
    - the one normalization law, the equal-arm select, proves exactly
@@ -69,7 +69,7 @@ let run_kernel (m : Ir.Func.modl) ~(n : int) ~(k : float) (in1 : floatarray)
     (in2 : floatarray) : floatarray =
   let out = Float.Array.make n 0.0 in
   ignore
-    (Exec.Engine.run m "f"
+    (Exec.Interp.run m "f"
        [| Exec.Rt.M in1; Exec.Rt.M in2; Exec.Rt.M out; Exec.Rt.I n; Exec.Rt.F k |]);
   out
 
@@ -95,7 +95,7 @@ let validated_pipeline ~w name =
         QCheck.Test.fail_reportf "unexpected Unknown verdict on a random loop";
       if !certs = [] then QCheck.Test.fail_reportf "no certificates recorded";
       (* the proof must agree with the concrete semantics: optimized ==
-         unoptimized, bitwise, on the closure engine *)
+         unoptimized, bitwise, on the interpreter *)
       let n = 12 in
       let want = run_kernel m0 ~n ~k:0.7 in1 in2
       and got = run_kernel m ~n ~k:0.7 in1 in2 in
