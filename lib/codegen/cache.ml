@@ -194,7 +194,7 @@ let native_table : (string, native_entry) Hashtbl.t = Hashtbl.create 16
 
 (* One fresh binding per call: bound closures reuse private marshalling
    buffers, so each driver thread must get its own (exactly like the
-   closure-compiler engines allocate per-compile register files). *)
+   batched engine allocates a register file per compile). *)
 let native_lookup (e : native_entry) (name : string) :
     Exec.Rt.v array -> Exec.Rt.v array =
   match List.assoc_opt name e.ne_params with

@@ -35,8 +35,8 @@ open Ir
       work between independent cells; within a cell the arithmetic
       sequence is unchanged, hence bitwise-identical state.  Everything
       else — other loops, and whole functions without a parallel loop
-      such as the lookup-table initializers — runs on the closure
-      engine's per-op thunks ({!Engine.compile_op}). *)
+      such as the lookup-table initializers — runs on per-op thunks
+      ({!Engine.compile_op}). *)
 
 module E = Engine
 

@@ -327,8 +327,8 @@ let parallel_copy (c : fctx) (srcs : Value.t array) (dsts : Value.t list) :
 
 (** A region compiler: given a yield handler, compile a region body to a
     thunk.  {!compile_op} is parameterized over it so that an [scf.for]
-    compiles its body with whichever engine (closure or batched) is
-    driving the compilation. *)
+    compiles its body with the batched engine's region compiler, which
+    may tile a parallel loop nested in it. *)
 type region_compiler =
   on_yield:(Op.op -> unit -> unit) -> Op.region -> unit -> unit
 

@@ -2,8 +2,8 @@ open Ir
 (** Reference tree-walking interpreter.
 
     Deliberately simple and allocation-heavy: every op evaluates to a fresh
-    {!Rt.v}.  Serves as the semantic oracle the closure-compiling
-    {!Engine} is differentially tested against. *)
+    {!Rt.v}.  Serves as the semantic oracle the batched and native
+    engines are differentially tested against. *)
 
 exception Interp_error of string
 

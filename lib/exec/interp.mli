@@ -1,6 +1,6 @@
-(** Reference tree-walking interpreter: the semantic oracle the closure
-    engine is differentially tested against.  Slow and allocation-heavy by
-    design. *)
+(** Reference tree-walking interpreter: the semantic oracle the batched
+    and native engines are differentially tested against.  Slow and
+    allocation-heavy by design. *)
 
 exception Interp_error of string
 

@@ -168,17 +168,18 @@ let out_of_range (s : t) : out_of_range option =
        width_out_of_range s.codegen.width; positive "dt_bits" "dt" s.dt ]
     @ shape)
 
-(* Whether the population [s] describes, padded to the kernel width, is
-   [len] values: what each of a checkpoint's [ext:] sections holds.  A
-   population past [len] is refused before it is multiplied out. *)
-let population_is (s : t) (len : int) : bool =
+(* The population [s] describes, padded to the kernel width, if it is
+   at most [cap] cells; a larger one is refused before it is multiplied
+   out. *)
+let padded_population (s : t) ~(cap : int) : int option =
   let w = (config s.codegen).Codegen.Config.width in
   let n =
     match s.shape with
     | Cells n -> n
-    | Tissue t -> if t.ny > len / t.nx then max_int else t.nx * t.ny
+    | Tissue t -> if t.ny > cap / t.nx then max_int else t.nx * t.ny
   in
-  n <= len && (n + w - 1) / w * w = len
+  let np = if n > cap then max_int else (n + w - 1) / w * w in
+  if np <= cap then Some np else None
 
 (* Engine spellings of earlier releases: [fused] is the old name of
    [batched], and the retired [closure] engine's checkpoints replay on
@@ -186,11 +187,13 @@ let population_is (s : t) (len : int) : bool =
 let legacy_engines = [ ("fused", Sim.Driver.Batched); ("closure", Sim.Driver.Batched) ]
 
 (** Inverse of {!to_meta}.  Every key is required; a missing or
-    malformed value, one {!out_of_range}, or a population other than the
-    one the checkpoint's own [ext:] sections hold, is a
-    [checkpoint-mismatch] diagnostic.  Metadata lies outside the
-    checkpoint digest, so the population is checked here, before
-    anything is allocated for it. *)
+    malformed value, one {!out_of_range}, a missing [sv] section, or a
+    population larger than the [sv] section or other than the one each
+    [ext:] section holds, is a [checkpoint-mismatch] diagnostic.  The
+    [sv] section holds [nvars >= 1] values per padded cell, so it bounds
+    the population even of a model with no external variables.
+    Metadata lies outside the checkpoint digest, so the population is
+    checked here, before anything is allocated for it. *)
 let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
   let ( let* ) = Result.bind in
   let mismatch fmt =
@@ -264,18 +267,32 @@ let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
       (* every bounded key was read above *)
       malformed r.key (Option.get (Obs.Recorder.meta ck r.key))
   | None -> (
+      let length (sec : Obs.Recorder.section) = Float.Array.length sec.sec_data in
       match
         List.find_opt
-          (fun (sec : Obs.Recorder.section) ->
-            String.starts_with ~prefix:"ext:" sec.sec_name
-            && not (population_is s (Float.Array.length sec.sec_data)))
+          (fun (sec : Obs.Recorder.section) -> sec.sec_name = "sv")
           ck.Obs.Recorder.ck_sections
       with
-      | None -> Ok s
-      | Some sec ->
-          mismatch "checkpoint metadata describes another population than \
-                    its section %s (%d value(s))"
-            sec.sec_name (Float.Array.length sec.sec_data))
+      | None -> mismatch "checkpoint missing section sv"
+      | Some sv -> (
+          match padded_population s ~cap:(length sv) with
+          | None ->
+              mismatch "checkpoint metadata describes more cells than its \
+                        section sv holds (%d value(s))"
+                (length sv)
+          | Some np -> (
+              match
+                List.find_opt
+                  (fun (sec : Obs.Recorder.section) ->
+                    String.starts_with ~prefix:"ext:" sec.sec_name
+                    && length sec <> np)
+                  ck.Obs.Recorder.ck_sections
+              with
+              | None -> Ok s
+              | Some sec ->
+                  mismatch "checkpoint metadata describes another population \
+                            than its section %s (%d value(s))"
+                    sec.sec_name (length sec))))
 
 (* -- the run ------------------------------------------------------------ *)
 

@@ -367,7 +367,7 @@ type access = Load | Store | VLoad | VStore | Gather | Scatter
 (* A parallel loop copying [src] to [dst] at the induction index (gathers
    and scatters at [iv + iota]); [access] picks how one side is done and
    the other side is a plain load or store of the same width. *)
-let oob_loop (access : access) ~(w : int) : Ir.Func.modl =
+let oob_loop ?(parallel = true) (access : access) ~(w : int) : Ir.Func.modl =
   let m = Ir.Func.create_module "oob_loop" in
   let c = B.create_ctx () in
   Ir.Func.add_func m
@@ -378,7 +378,7 @@ let oob_loop (access : access) ~(w : int) : Ir.Func.modl =
          and dst = List.nth args 1
          and n = List.nth args 2 in
          ignore
-           (B.for_ b ~parallel:true ~lb:(B.consti b 0) ~ub:n
+           (B.for_ b ~parallel ~lb:(B.consti b 0) ~ub:n
               ~step:(B.consti b w) ~inits:[]
               (fun ~iv ~iters:_ ->
                 let lanes () =
@@ -403,22 +403,28 @@ let oob_loop (access : access) ~(w : int) : Ir.Func.modl =
 (* Every memory access is bounds-checked on every OCaml engine: the
    buffer the access under test touches is one block short, so the last
    iteration must raise [Invalid_argument] rather than read or write past
-   its end.  The loop must tile, so batched runs its tile instructions
-   and not its per-op thunks. *)
+   its end.  Batched runs the access twice: in a parallel loop, which
+   tiles, so its tile instructions do it; and in a sequential loop,
+   which fails the tiling gate, so its per-op thunks
+   ({!Engine.compile_op}) do it, as they do for lookup-table
+   initializers and every loop batched does not tile. *)
 let test_oob_raises_on_every_engine () =
   let n = 16 in
   List.iter
     (fun (what, access, w) ->
-      let m = oob_loop access ~w in
-      Ir.Verifier.verify_module_exn m;
-      if Batched.plan_tile m ~name:"f" <= 1 then
-        Alcotest.failf "%s: loop did not tile" what;
+      let tiled = oob_loop access ~w
+      and untiled = oob_loop ~parallel:false access ~w in
+      List.iter Ir.Verifier.verify_module_exn [ tiled; untiled ];
+      if Batched.plan_tile tiled ~name:"f" <= 1 then
+        Alcotest.failf "%s: parallel loop did not tile" what;
+      if Batched.plan_tile untiled ~name:"f" <> 1 then
+        Alcotest.failf "%s: sequential loop tiled" what;
       let short_src =
         match access with Load | VLoad | Gather -> true | _ -> false
       in
       let buf short = Float.Array.make (if short then n - w else n) 1.0 in
       List.iter
-        (fun (engine, run) ->
+        (fun (engine, m, run) ->
           let args =
             [| Rt.M (buf short_src); Rt.M (buf (not short_src)); Rt.I n |]
           in
@@ -426,8 +432,9 @@ let test_oob_raises_on_every_engine () =
           | _ -> Alcotest.failf "%s on %s: no error past the buffer" what engine
           | exception Invalid_argument _ -> ())
         [
-          ("interp", fun m f a -> Interp.run m f a);
-          ("batched", fun m f a -> Batched.run m f a);
+          ("interp", tiled, fun m f a -> Interp.run m f a);
+          ("batched tiles", tiled, fun m f a -> Batched.run m f a);
+          ("batched thunks", untiled, fun m f a -> Batched.run m f a);
         ])
     [
       ("load", Load, 1);

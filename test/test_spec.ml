@@ -99,8 +99,14 @@ let meta_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300 ~name:"of_checkpoint inverts to_meta, bit for bit"
        (QCheck.make spec_gen) (fun s ->
+         (* the reader bounds the population by the sv section, so give
+            it one of a one-variable model: a value per padded cell *)
+         let n =
+           match s.S.shape with S.Cells n -> n | S.Tissue t -> t.S.nx * t.S.ny
+         and w = (S.config s.S.codegen).Codegen.Config.width in
+         let sv = { R.sec_name = "sv"; sec_data = Float.Array.make ((n + w - 1) / w * w) 0.0 } in
          let ck =
-           { R.ck_meta = S.to_meta s; ck_step = 0; ck_time = 0.0; ck_sections = [] }
+           { R.ck_meta = S.to_meta s; ck_step = 0; ck_time = 0.0; ck_sections = [ sv ] }
          in
          match S.of_checkpoint ck with
          | Error d ->
@@ -228,19 +234,27 @@ let test_key_matrix () =
       (* metadata lies outside the digest: a population other than the
          one the sections hold, or more threads than domains, is refused
          before anything is allocated for it *)
-      let refused key v =
-        match S.of_checkpoint (R.set_meta ck key v) with
-        | Ok _ -> Alcotest.failf "%s %s: the spec reader accepted it" key v
+      let refused what ck =
+        match S.of_checkpoint ck with
+        | Ok _ -> Alcotest.failf "%s: the spec reader accepted it" what
         | Error d ->
-            Alcotest.(check string) (key ^ " " ^ v) "checkpoint-mismatch"
-              d.Easyml.Diag.code
+            Alcotest.(check string) what "checkpoint-mismatch" d.Easyml.Diag.code
       in
-      refused "threads" "129";
-      match R.meta ck "kind" with
-      | Some "cell" -> refused "ncells" "99999999999"
-      | _ ->
-          refused "nx" "99999999999";
-          refused "ny" "99999999")
+      let without keep =
+        { ck with R.ck_sections = List.filter (fun sec -> keep sec.R.sec_name) ck.R.ck_sections }
+      in
+      refused "threads 129" (R.set_meta ck "threads" "129");
+      refused "no sv section" (without (fun name -> name <> "sv"));
+      (* a model with no external variables writes no ext: section; its
+         sv section alone bounds the population *)
+      let no_ext = without (fun name -> not (String.starts_with ~prefix:"ext:" name)) in
+      List.iter
+        (fun (key, v) ->
+          refused (key ^ " " ^ v) (R.set_meta ck key v);
+          refused (key ^ " " ^ v ^ ", no ext: section") (R.set_meta no_ext key v))
+        (match R.meta ck "kind" with
+        | Some "cell" -> [ ("ncells", "99999999999") ]
+        | _ -> [ ("nx", "99999999999"); ("ny", "99999999") ]))
     [ cells "BeelerReuter"; cable S.S1 ]
 
 (* test data, from the build tree or the repository root *)

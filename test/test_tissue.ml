@@ -409,11 +409,15 @@ let test_step_major_heap () =
 
 (* The reference interpreter under the whole tissue step (exchange,
    Thomas solve, activation), against batched: the same trajectory and
-   activation map, bit for bit. *)
+   activation map, bit for bit.  20 ms lets the front cross the whole
+   0.6 cm cable, so every cell's activation time is compared. *)
 let test_engines_bitwise () =
-  let steps = 600 in
+  let steps = 2000 in
   let interp = run_cable (cable_sim ~engine:Sim.Driver.Reference ()) ~steps in
   let batched = run_cable (cable_sim ~engine:Sim.Driver.Batched ()) ~steps in
+  let n = (Monodomain.driver interp).Sim.Driver.ncells in
+  Alcotest.(check int) "every cell activated" n
+    (Activation.activated (Monodomain.activation interp));
   assert_same_trajectory "interp vs batched" interp batched
 
 let test_threads_bitwise () =
