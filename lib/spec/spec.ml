@@ -268,31 +268,29 @@ let of_checkpoint (ck : Obs.Recorder.checkpoint) : (t, Easyml.Diag.t) result =
       malformed r.key (Option.get (Obs.Recorder.meta ck r.key))
   | None -> (
       let length (sec : Obs.Recorder.section) = Float.Array.length sec.sec_data in
+      let find p = List.find_opt p ck.Obs.Recorder.ck_sections in
+      let* sv =
+        match find (fun sec -> sec.sec_name = "sv") with
+        | None -> mismatch "checkpoint missing section sv"
+        | Some sv -> Ok sv
+      in
+      let* np =
+        match padded_population s ~cap:(length sv) with
+        | None ->
+            mismatch "checkpoint metadata describes more cells than its \
+                      section sv holds (%d value(s))"
+              (length sv)
+        | Some np -> Ok np
+      in
       match
-        List.find_opt
-          (fun (sec : Obs.Recorder.section) -> sec.sec_name = "sv")
-          ck.Obs.Recorder.ck_sections
+        find (fun sec ->
+            String.starts_with ~prefix:"ext:" sec.sec_name && length sec <> np)
       with
-      | None -> mismatch "checkpoint missing section sv"
-      | Some sv -> (
-          match padded_population s ~cap:(length sv) with
-          | None ->
-              mismatch "checkpoint metadata describes more cells than its \
-                        section sv holds (%d value(s))"
-                (length sv)
-          | Some np -> (
-              match
-                List.find_opt
-                  (fun (sec : Obs.Recorder.section) ->
-                    String.starts_with ~prefix:"ext:" sec.sec_name
-                    && length sec <> np)
-                  ck.Obs.Recorder.ck_sections
-              with
-              | None -> Ok s
-              | Some sec ->
-                  mismatch "checkpoint metadata describes another population \
-                            than its section %s (%d value(s))"
-                    sec.sec_name (length sec))))
+      | None -> Ok s
+      | Some sec ->
+          mismatch "checkpoint metadata describes another population than \
+                    its section %s (%d value(s))"
+            sec.sec_name (length sec))
 
 (* -- the run ------------------------------------------------------------ *)
 
